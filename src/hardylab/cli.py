@@ -17,6 +17,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -52,6 +53,16 @@ class ConfigError(ParameterError):
     def __init__(self, field_path: str, message: str):
         super().__init__(f"config field '{field_path}': {message}")
         self.field_path = field_path
+
+
+#: positive-int fields and their defaults
+_COUNT_DEFAULTS = {
+    "cells_per_block": 8,
+    "elementary_count": 100_000,
+    "pair_count": 200,
+    "search.starts": 8,
+    "search.budget_per_start": 200,
+}
 
 
 def _require(cfg: dict, key: str, where: str):
@@ -110,8 +121,14 @@ class ExperimentConfig:
             self.test_function()
         if self.command == "estimate-constant":
             _family_from_config(self)
+            self.search()
         if self.command == "blowup-probe":
             self.beta_offsets()
+            self.levels()
+            self.count("cells_per_block")
+        if self.command == "lemma-suite":
+            self.count("elementary_count")
+            self.count("pair_count")
 
     def beta_offsets(self) -> list[int]:
         offsets = self.raw.get("beta_offsets", [-1, 0, 1])
@@ -121,6 +138,39 @@ class ExperimentConfig:
                 raise ConfigError("beta_offsets", f"offsets must be integers, got {off!r}")
             out.append(int(off))
         return out
+
+    def levels(self) -> tuple[int, int]:
+        """Probe level range; above the family's depth cap a level would
+        silently reuse the capped member."""
+        lev = self.raw.get("levels", [3, 8])
+        top = 1 + int(math.log2(exp.LogSpikeFamily.max_depth))
+        if not (
+            isinstance(lev, (list, tuple))
+            and len(lev) == 2
+            and all(_is_int(v) for v in lev)
+            and 1 <= lev[0] <= lev[1] <= top
+        ):
+            raise ConfigError("levels", f"must be [lo, hi] ints with 1 <= lo <= hi <= {top},"
+                              f" got {lev!r}")
+        return lev[0], lev[1]
+
+    def count(self, path: str) -> int:
+        """Positive-int field at ``path``: a key, or ``object.key``."""
+        where, _, key = path.rpartition(".")
+        spec = self.raw.get(where, {}) if where else self.raw
+        if not isinstance(spec, dict):
+            raise ConfigError(where, "must be an object")
+        value = spec.get(key, _COUNT_DEFAULTS[path])
+        if not _is_int(value) or value < 1:
+            raise ConfigError(path, f"must be a positive int, got {value!r}")
+        return value
+
+    def search(self) -> exp.SearchConfig:
+        return exp.SearchConfig(
+            starts=self.count("search.starts"),
+            budget_per_start=self.count("search.budget_per_start"),
+            seed=self.seed,
+        )
 
     @property
     def resolution(self) -> int:
@@ -192,6 +242,10 @@ class ExperimentConfig:
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _test_function_from_dict(spec: dict) -> quad.TestFunction:
@@ -303,14 +357,7 @@ def _cmd_seminorm(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
     fp = cfg.frac_params()
     domain = cfg.domain()
     u = cfg.test_function()
-    box = cfg.raw.get("support_box")
-    if box is not None:
-        spec = quad.GridSpec(cfg.resolution, geo.Box(tuple(box[0]), tuple(box[1])))
-    else:
-        bb = domain.bounding_box()
-        if bb is None:
-            raise ConfigError("support_box", "required for unbounded domains (truncation box)")
-        spec = quad.GridSpec(cfg.resolution, bb)
+    spec = _grid_for(cfg, domain)
     value = quad.gagliardo_seminorm(u, domain, fp, spec)
     results = {
         "seminorm": value,
@@ -326,7 +373,7 @@ def _grid_for(cfg: ExperimentConfig, domain: geo.Domain) -> quad.GridSpec:
         return quad.GridSpec(cfg.resolution, geo.Box(tuple(box[0]), tuple(box[1])))
     bb = domain.bounding_box()
     if bb is None:
-        raise ConfigError("support_box", "required for unbounded domains")
+        raise ConfigError("support_box", "required for unbounded domains (truncation box)")
     return quad.GridSpec(cfg.resolution, bb)
 
 
@@ -335,12 +382,8 @@ def _cmd_hardy_check(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
     domain = cfg.domain()
     u = cfg.test_function()
     spec = _grid_for(cfg, domain)
-    R = cfg.raw.get("R")
-    g = quad.as_grid(spec, domain)
-    w = hardy.weight_for(case, domain, g, R)
-    lhs = hardy.hardy_lhs(u, domain, w, float(case.fp.tau), g)
-    denom = hardy.hardy_denominator(u, domain, case.fp, g)
-    ratio = hardy.hardy_ratio(u, domain, case, g, R=R)
+    w, lhs, denom = hardy.hardy_terms(u, domain, case, spec, cfg.raw.get("R"))
+    ratio = lhs / denom
     results = {
         "lhs": lhs,
         "norm": denom,
@@ -376,14 +419,8 @@ def _cmd_estimate_constant(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
     case = cfg.case()
     domain = cfg.domain()
     family = _family_from_config(cfg)
-    search_spec = cfg.raw.get("search", {})
-    search = exp.SearchConfig(
-        starts=int(search_spec.get("starts", 8)),
-        budget_per_start=int(search_spec.get("budget_per_start", 200)),
-        seed=cfg.seed,
-    )
     spec = _grid_for(cfg, domain)
-    res = exp.estimate_constant(family, case, domain, search, spec, R=cfg.raw.get("R"))
+    res = exp.estimate_constant(family, case, domain, cfg.search(), spec, R=cfg.raw.get("R"))
     results = {
         "best_ratio": res.best_ratio,
         "best_params": list(res.best_params),
@@ -402,11 +439,10 @@ def _cmd_estimate_constant(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
 def _cmd_blowup_probe(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
     case = cfg.case()
     domain = cfg.domain()
-    lev = cfg.raw.get("levels", (3, 8))
-    family = exp.LogSpikeFamily(level_range=(int(lev[0]), int(lev[1])))
+    family = exp.LogSpikeFamily(level_range=cfg.levels())
     offsets = cfg.beta_offsets()
     threshold = float(cfg.raw.get("growth_threshold", 1.15))
-    cells = int(cfg.raw.get("cells_per_block", 8))
+    cells = cfg.count("cells_per_block")
     beta = hardy.critical_exponents(case).beta
     results = {"beta_table": str(beta)}
     series = {}
@@ -429,8 +465,8 @@ def _cmd_blowup_probe(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
 def _cmd_lemma_suite(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
     seed = cfg.seed
     tolerance = float(cfg.raw.get("tolerance", 1e-9))
-    elementary_count = int(cfg.raw.get("elementary_count", 100_000))
-    pair_count = int(cfg.raw.get("pair_count", 200))
+    elementary_count = cfg.count("elementary_count")
+    pair_count = cfg.count("pair_count")
 
     worst_elem, elem_info = lemmas.elementary_inequality_sweep(elementary_count, seed)
     worst_pair, pairs_run = lemmas.adjacent_pair_battery(pair_count, seed)
@@ -505,14 +541,19 @@ _DISPATCH = {
 
 
 def run(config: ExperimentConfig) -> ExperimentRecord:
-    """Dispatch a validated config and collect the record."""
+    """Dispatch a validated config and collect the record.
+
+    The config's thread count holds for this run only; the caller's
+    setting is restored afterwards.
+    """
+    caller_threads = quad.get_num_threads()
     quad.set_num_threads(config.threads)
     try:
         start = time.perf_counter()
         results, series, verdicts = _DISPATCH[config.command](config)
         elapsed = time.perf_counter() - start
     finally:
-        quad.set_num_threads(1)
+        quad.set_num_threads(caller_threads)
     return ExperimentRecord(
         config_digest=config.digest(),
         command=config.command,

@@ -41,6 +41,7 @@ __all__ = [
     "ConeGraph",
     "PiecewiseLinearGraph",
     "Domain",
+    "BoxShaped",
     "Slab",
     "ExteriorBall",
     "Epigraph",
@@ -320,10 +321,6 @@ class Domain:
         """Distance to the boundary for points of the closed domain."""
         raise NotImplementedError
 
-    @property
-    def is_bounded(self) -> bool:
-        raise NotImplementedError
-
     def bounding_box(self) -> Box | None:
         """Bounding box for bounded domains, None otherwise."""
         return None
@@ -338,8 +335,32 @@ def _as_points(x, d: int) -> tuple[np.ndarray, bool]:
     return pts, scalar
 
 
+class BoxShaped(Domain):
+    """Open axis-aligned box domain; subclasses provide ``box``."""
+
+    box: Box
+
+    def contains(self, pts):
+        pts, _ = _as_points(pts, self.d)
+        return self.box.contains(pts, strict=True)
+
+    def contains_closure(self, pts):
+        pts, _ = _as_points(pts, self.d)
+        return self.box.contains(pts, strict=False)
+
+    def distance(self, pts):
+        pts, scalar = _as_points(pts, self.d)
+        box = self.box
+        gaps = np.minimum(pts - np.asarray(box.lo), np.asarray(box.hi) - pts)
+        dist = np.min(gaps, axis=-1)
+        return dist[0] if scalar else dist
+
+    def bounding_box(self) -> Box:
+        return self.box
+
+
 @dataclass(frozen=True)
-class Slab(Domain):
+class Slab(BoxShaped):
     """The box (-n, n)^{d-1} x (0, 1); for d = 1 just the interval (0, 1)."""
 
     n: int
@@ -359,28 +380,6 @@ class Slab(Domain):
     @property
     def volume(self) -> float:
         return (2.0 * self.n) ** (self.d - 1)
-
-    def contains(self, pts):
-        pts, _ = _as_points(pts, self.d)
-        return self.box.contains(pts, strict=True)
-
-    def contains_closure(self, pts):
-        pts, _ = _as_points(pts, self.d)
-        return self.box.contains(pts, strict=False)
-
-    def distance(self, pts):
-        pts, scalar = _as_points(pts, self.d)
-        box = self.box
-        gaps = np.minimum(pts - np.asarray(box.lo), np.asarray(box.hi) - pts)
-        dist = np.min(gaps, axis=-1)
-        return dist[0] if scalar else dist
-
-    @property
-    def is_bounded(self) -> bool:
-        return True
-
-    def bounding_box(self) -> Box:
-        return self.box
 
 
 @dataclass(frozen=True)
@@ -409,10 +408,6 @@ class ExteriorBall(Domain):
         pts, scalar = _as_points(pts, self.d)
         dist = np.linalg.norm(pts, axis=-1) - self.R
         return dist[0] if scalar else dist
-
-    @property
-    def is_bounded(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
@@ -480,13 +475,9 @@ class Epigraph(Domain):
             best = np.minimum(best, np.linalg.norm(pts - foot, axis=-1))
         return best
 
-    @property
-    def is_bounded(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
-class BoxDomain(Domain):
+class BoxDomain(BoxShaped):
     """An open axis-aligned box."""
 
     box: Box
@@ -495,27 +486,6 @@ class BoxDomain(Domain):
     @property
     def d(self) -> int:
         return self.box.d
-
-    def contains(self, pts):
-        pts, _ = _as_points(pts, self.d)
-        return self.box.contains(pts, strict=True)
-
-    def contains_closure(self, pts):
-        pts, _ = _as_points(pts, self.d)
-        return self.box.contains(pts, strict=False)
-
-    def distance(self, pts):
-        pts, scalar = _as_points(pts, self.d)
-        gaps = np.minimum(pts - np.asarray(self.box.lo), np.asarray(self.box.hi) - pts)
-        dist = np.min(gaps, axis=-1)
-        return dist[0] if scalar else dist
-
-    @property
-    def is_bounded(self) -> bool:
-        return True
-
-    def bounding_box(self) -> Box:
-        return self.box
 
 
 def _point_segment_distance(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -598,10 +568,6 @@ class Polygon2D(Domain):
         pts, scalar = _as_points(pts, 2)
         dist = self._edge_distance(pts)
         return dist[0] if scalar else dist
-
-    @property
-    def is_bounded(self) -> bool:
-        return True
 
     def bounding_box(self) -> Box:
         v = np.asarray(self.vertices, dtype=float)

@@ -43,6 +43,7 @@ __all__ = [
     "weight_for",
     "hardy_lhs",
     "hardy_denominator",
+    "hardy_terms",
     "hardy_ratio",
     "holder_interpolation_check",
     "divergence_ladder",
@@ -77,9 +78,6 @@ class WeightSpec:
 
     def with_scale(self, R: float) -> "WeightSpec":
         return replace(self, R=R)
-
-    def with_beta(self, beta) -> "WeightSpec":
-        return replace(self, beta=Fraction(beta))
 
 
 @dataclass(frozen=True)
@@ -286,6 +284,27 @@ def _check_strip_condition(u: TestFunction, domain: geo.Epigraph, R: float) -> N
         )
 
 
+def hardy_terms(
+    u: TestFunction,
+    domain: geo.Domain,
+    case: HardyCase,
+    grid,
+    R: float | None = None,
+) -> tuple[WeightSpec, float, float]:
+    """The case's weight, lhs(u) and ||u||_{W^{s,p}}, each evaluated once."""
+    g = quad.as_grid(grid, domain)
+    w = weight_for(case, domain, g, R)
+    if case.group == "3" and isinstance(domain, geo.Epigraph):
+        if w.R is None:
+            raise ParameterError("case 3 needs the strip scale R")
+        _check_strip_condition(u, domain, w.R)
+    denom = hardy_denominator(u, domain, case.fp, g)
+    if denom == 0.0:
+        raise DegenerateInputError("test function vanishes on the grid")
+    lhs = hardy_lhs(u, domain, w, case.fp.tau, g)
+    return w, lhs, denom
+
+
 def hardy_ratio(
     u: TestFunction,
     domain: geo.Domain,
@@ -299,16 +318,7 @@ def hardy_ratio(
     content of the inequality is that its supremum over admissible u is
     finite.
     """
-    g = quad.as_grid(grid, domain)
-    w = weight_for(case, domain, g, R)
-    if case.group == "3" and isinstance(domain, geo.Epigraph):
-        if w.R is None:
-            raise ParameterError("case 3 needs the strip scale R")
-        _check_strip_condition(u, domain, w.R)
-    denom = hardy_denominator(u, domain, case.fp, g)
-    if denom == 0.0:
-        raise DegenerateInputError("test function vanishes on the grid")
-    lhs = hardy_lhs(u, domain, w, case.fp.tau, g)
+    _, lhs, denom = hardy_terms(u, domain, case, grid, R)
     return lhs / denom
 
 

@@ -309,15 +309,9 @@ def scaled_sobolev_ratio(
     if fp.sp < fp.d and tau > float(fp.p_star):
         raise ParameterError("tau must be <= p* when sp < d")
     base = region if region is not None else u.support
-    if isinstance(base, geo.Box):
-        scaled_region = base.scaled(lam)
-        g = quad.union_grid([scaled_region], resolution)
-    elif isinstance(base, geo.Annulus):
-        scaled_region = base.scaled(lam)
-        spec = quad.GridSpec(resolution, scaled_region.bounding_box())
-        g = quad.masked_grid(spec, scaled_region.contains)
-    else:
+    if not isinstance(base, (geo.Box, geo.Annulus)):
         raise ParameterError("region must be a Box or an Annulus")
+    g = quad._region_grid(base.scaled(lam), resolution)
     ul = u.dilated(lam)
     vals = np.asarray(ul(g.centers), dtype=float)
     mean = quad.kahan_sum(vals * g.weights) / g.total_weight

@@ -6,11 +6,11 @@ graded meshes toward a boundary) and masked boxes (annuli, epigraph clips)
 produce the same ``Grid`` value, so every functional below works on any of
 them.
 
-Determinism contract: cell traversal order is fixed by construction,
-single sums are compensated (Kahan), and the double sum over cell pairs is
-split into fixed-size row blocks whose partial sums are combined in block
-order.  Worker threads only compute block partials, so results are
-bit-identical for any thread count.
+Determinism contract: single sums are correctly rounded (``math.fsum``),
+so they do not depend on the summation order, and the double sum over cell
+pairs is split into fixed-size row blocks whose partial sums are combined
+in block order.  Worker threads only compute block partials, so results
+are bit-identical for any thread count.
 
 The Gagliardo seminorm
 
@@ -228,7 +228,7 @@ def domain_grid(domain: geo.Domain, spec: GridSpec) -> Grid:
     Box-like domains clip the support box exactly; curved or graph
     boundaries keep the cells whose centers lie inside the domain.
     """
-    if isinstance(domain, (geo.Slab, geo.BoxDomain)):
+    if isinstance(domain, geo.BoxShaped):
         clipped = spec.support_box.intersect(domain.box)
         if clipped is None:
             raise ParameterError("support box does not meet the domain")
@@ -249,15 +249,8 @@ def as_grid(grid, domain: geo.Domain | None = None) -> Grid:
 
 
 def kahan_sum(values: np.ndarray) -> float:
-    """Compensated sum in array order."""
-    s = 0.0
-    c = 0.0
-    for v in np.asarray(values, dtype=float).ravel():
-        y = v - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-    return s
+    """Correctly rounded sum (``math.fsum``); independent of the order."""
+    return math.fsum(np.asarray(values, dtype=float).ravel().tolist())
 
 
 _NUM_THREADS = 1
@@ -476,7 +469,7 @@ def _evaluate(f: Callable[[np.ndarray], np.ndarray], grid: Grid) -> np.ndarray:
 
 
 def integrate(f, grid, domain: geo.Domain | None = None) -> float:
-    """Midpoint-rule integral of f over the grid, compensated summation.
+    """Midpoint-rule integral of f over the grid, correctly rounded sum.
 
     ``f`` is any vectorized callable on (M, d) arrays; ``grid`` may be a
     GridSpec (optionally clipped to ``domain``) or a prebuilt Grid.
@@ -554,31 +547,25 @@ def _diagonal_patch(grid: Grid, lips: np.ndarray, p: float, sp: float) -> float:
     return kahan_sum(lips**p * vol * radial)
 
 
-def _pair_block_sums(vals, centers, weights, p, kernel_expo, swap_args):
-    """Partial sums over ordered pairs (i < j), one entry per row block."""
+def _pair_block_sums(vals, centers, weights, p, kernel_expo):
+    """Partial sums over ordered pairs (i < j), one entry per row block.
+
+    Block [i0, i1) pairs its rows with the columns i0..M; the strict upper
+    triangle of that rectangle holds exactly the pairs with i < j.
+    """
     M = len(vals)
-    blocks = range(0, M, _PAIR_BLOCK)
-    idx = np.arange(M)
 
     def one_block(i0: int) -> float:
         i1 = min(i0 + _PAIR_BLOCK, M)
-        ci = centers[i0:i1]
-        diff = ci[:, None, :] - centers[None, i0:, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        if swap_args:
-            du = np.abs(vals[None, i0:] - vals[i0:i1, None])
-        else:
-            du = np.abs(vals[i0:i1, None] - vals[None, i0:])
-        mask = idx[None, i0:] > idx[i0:i1, None]
+        d2 = sum((x[: i1 - i0, None] - x[None, :]) ** 2 for x in centers[i0:].T)
+        du = np.abs(vals[i0:i1, None] - vals[None, i0:])
         with np.errstate(divide="ignore", invalid="ignore"):
-            contrib = np.where(
-                mask,
-                du**p / d2 ** (0.5 * kernel_expo) * (weights[i0:i1, None] * weights[None, i0:]),
-                0.0,
+            contrib = du**p / d2 ** (0.5 * kernel_expo) * (
+                weights[i0:i1, None] * weights[None, i0:]
             )
-        return float(np.sum(contrib))
+        return float(np.sum(np.triu(contrib, 1)))
 
-    starts = list(blocks)
+    starts = list(range(0, M, _PAIR_BLOCK))
     if _NUM_THREADS > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=_NUM_THREADS) as ex:
             partials = list(ex.map(one_block, starts))
@@ -587,20 +574,11 @@ def _pair_block_sums(vals, centers, weights, p, kernel_expo, swap_args):
     return partials
 
 
-def gagliardo_seminorm(
-    u,
-    domain: geo.Domain | None,
-    fp: FracParams,
-    grid,
-    *,
-    swap_args: bool = False,
-) -> float:
+def gagliardo_seminorm(u, domain: geo.Domain | None, fp: FracParams, grid) -> float:
     """[u]_{W^{s,p}} over (domain x domain), truncated to the grid's region.
 
     For compactly supported u on unbounded domains the grid's box is the
     far-field truncation; widen it to capture more of the tail.
-    ``swap_args`` evaluates |u(y) - u(x)| instead of |u(x) - u(y)| over the
-    identical pair traversal (the kernel symmetry the tests pin down).
     """
     g = as_grid(grid, domain)
     if g.d != fp.d:
@@ -609,7 +587,7 @@ def gagliardo_seminorm(
     sp = float(fp.sp)
     vals = _evaluate(u, g)
     kernel_expo = fp.d + sp
-    partials = _pair_block_sums(vals, g.centers, g.weights, p, kernel_expo, swap_args)
+    partials = _pair_block_sums(vals, g.centers, g.weights, p, kernel_expo)
     off_diag = 2.0 * kahan_sum(np.asarray(partials))
     lips = _local_lipschitz(u, g)
     diag = _diagonal_patch(g, lips, p, sp)

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from hardylab import cli
+from hardylab import quadrature as quad
 from hardylab.cli import ConfigError, ExperimentConfig
 
 
@@ -36,6 +37,16 @@ LEMMA_CFG = {
     "seed": 1,
     "elementary_count": 2000,
     "pair_count": 40,
+}
+
+
+ESTIMATE_CFG = {
+    "command": "estimate-constant",
+    "domain": {"kind": "slab", "n": 1, "d": 1},
+    "frac": {"d": 1, "p": "2", "s": "1/2", "tau": "2"},
+    "case": "1b",
+    "search": {"starts": 2, "budget_per_start": 15},
+    "resolution": 32,
 }
 
 
@@ -174,3 +185,37 @@ def test_flag_overrides(tmp_path: Path):
     )
     summary = json.loads((out / "summary.json").read_text())
     assert summary["results"]["resolution"] == 32
+
+
+@pytest.mark.parametrize(
+    "cfg,field",
+    [
+        (dict(PROBE_CFG, levels="ab"), "levels"),
+        (dict(PROBE_CFG, levels=[3]), "levels"),
+        (dict(PROBE_CFG, levels=[5, 4]), "levels"),
+        (dict(PROBE_CFG, levels=[0, 4]), "levels"),
+        (dict(PROBE_CFG, levels=[3, 9]), "levels"),
+        (dict(PROBE_CFG, cells_per_block=0), "cells_per_block"),
+        (dict(ESTIMATE_CFG, search={"starts": 0}), "search.starts"),
+        (dict(ESTIMATE_CFG, search={"budget_per_start": 0}), "search.budget_per_start"),
+        (dict(ESTIMATE_CFG, search=[8]), "search"),
+        (dict(LEMMA_CFG, elementary_count=0), "elementary_count"),
+        (dict(LEMMA_CFG, pair_count="many"), "pair_count"),
+    ],
+)
+def test_main_malformed_field_exit_2(tmp_path: Path, capsys, cfg, field):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"'{field}'" in err
+    assert "Traceback" not in err
+
+
+def test_run_restores_caller_thread_count():
+    quad.set_num_threads(3)
+    try:
+        cli.run(ExperimentConfig.from_dict(dict(SEMINORM_CFG, threads=2)))
+        assert quad.get_num_threads() == 3
+    finally:
+        quad.set_num_threads(1)

@@ -157,6 +157,18 @@ def test_hardy_ratio_homogeneous():
         assert got == pytest.approx(base, rel=1e-12)
 
 
+def test_hardy_terms_match_ratio():
+    dom = geo.Slab(n=1, d=2)
+    case = hardy.HardyCase("1a", fp(2, "2", "1/2", "2"))
+    u = quad.TensorBump((0.0, 0.5), (0.5, 0.3))
+    spec = quad.GridSpec(16, dom.box)
+    w, lhs, norm = hardy.hardy_terms(u, dom, case, spec)
+    assert w == hardy.weight_for(case, dom, spec)
+    assert lhs == hardy.hardy_lhs(u, dom, w, case.fp.tau, spec)
+    assert norm == hardy.hardy_denominator(u, dom, case.fp, spec)
+    assert lhs / norm == hardy.hardy_ratio(u, dom, case, spec)
+
+
 def test_hardy_ratio_degenerate_input():
     dom = geo.Slab(n=1, d=1)
     case = hardy.HardyCase("1b", fp(1, "2", "1/2", "2"))

@@ -62,6 +62,16 @@ def test_grid_spec_validation():
         quad.GridSpec(48, UNIT)  # not a power of two
 
 
+def test_kahan_sum_correctly_rounded_any_order():
+    # reference: the exact rational sum, rounded once
+    rng = np.random.default_rng(4)
+    spread = rng.standard_normal(200) * 10.0 ** rng.integers(-8, 9, 200)
+    vals = np.concatenate([[1e100, 1.0, -1e100], spread])
+    exact = float(sum(Fraction(v) for v in vals.tolist()))
+    assert quad.kahan_sum(vals) == exact
+    assert quad.kahan_sum(rng.permutation(vals)) == exact
+
+
 # ---------------------------------------------------------------------------
 # lp_norm and average
 
@@ -82,6 +92,19 @@ def test_lp_norm_bump_self_convergence():
     coarse = quad.lp_norm(u, dom, 2.0, spec1d(64))
     fine = quad.lp_norm(u, dom, 2.0, spec1d(256))
     assert abs(coarse - fine) / fine < 1e-3
+
+
+@pytest.mark.parametrize(
+    "dom", [geo.Slab(n=1, d=2), geo.BoxDomain(geo.Box((-1.0, 0.0), (1.0, 1.0)))]
+)
+def test_domain_grid_clips_box_domains(dom):
+    # box domains clip the support box and re-mesh it uniformly; keeping the
+    # cells of the wide box whose centres lie inside would give other cells
+    spec = quad.GridSpec(16, geo.Box((-2.0, -0.5), (2.0, 1.5)))
+    got = quad.domain_grid(dom, spec)
+    want = quad.uniform_grid(quad.GridSpec(16, geo.Box((-1.0, 0.0), (1.0, 1.0))))
+    assert np.array_equal(got.centers, want.centers)
+    assert np.array_equal(got.weights, want.weights)
 
 
 def test_average_closed_forms():
@@ -125,13 +148,19 @@ def test_seminorm_linear_critical_exact():
     assert val == pytest.approx(1.0, rel=1e-10)
 
 
-def test_seminorm_swap_arguments_identical():
-    dom = geo.Slab(n=1, d=1)
-    u = quad.TensorBump((0.5,), (0.3,))
+def test_seminorm_independent_of_cell_order():
+    # every unordered cell pair is counted exactly once whatever the node
+    # order; a pair-block mask that also kept part of the lower triangle
+    # would change the value on this graded, non-uniform grid
+    from hardylab.experiments import slab_graded_grid
+
+    g = slab_graded_grid(10, 16)
+    rev = quad.Grid(g.centers[::-1].copy(), g.sides[::-1].copy(), g.weights[::-1].copy())
+    u = quad.LogSpike(depth=2.0)
     params = fp(1, "2", "1/2")
-    a = quad.gagliardo_seminorm(u, dom, params, spec1d(64, dom.box))
-    b = quad.gagliardo_seminorm(u, dom, params, spec1d(64, dom.box), swap_args=True)
-    assert a == b  # bitwise: same pair traversal, symmetric kernel
+    a = quad.gagliardo_seminorm(u, None, params, g)
+    b = quad.gagliardo_seminorm(u, None, params, rev)
+    assert b == pytest.approx(a, rel=1e-12)
 
 
 @pytest.mark.parametrize(
