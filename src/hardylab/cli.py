@@ -62,6 +62,7 @@ _COUNT_DEFAULTS = {
     "pair_count": 200,
     "search.starts": 8,
     "search.budget_per_start": 200,
+    "cells_per_cube": 4,
 }
 
 
@@ -74,7 +75,7 @@ def _require(cfg: dict, key: str, where: str):
 def _fraction_field(value, path: str) -> Fraction:
     try:
         return quad._as_fraction(value)
-    except (ParameterError, ValueError, ZeroDivisionError) as e:
+    except (ParameterError, ValueError, ZeroDivisionError, OverflowError) as e:
         raise ConfigError(path, str(e)) from e
 
 
@@ -110,6 +111,8 @@ class ExperimentConfig:
         self.resolution  # noqa: B018 - property access runs the checks
         self.seed
         self.threads
+        if not isinstance(self.raw.get("out", ""), str):
+            raise ConfigError("out", f"must be a path string, got {self.raw['out']!r}")
         if self.command in ("seminorm", "hardy-check", "estimate-constant", "telescope"):
             self.frac_params()
         if self.command in ("exponents", "hardy-check", "estimate-constant", "blowup-probe"):
@@ -119,40 +122,67 @@ class ExperimentConfig:
             self.domain()
         if self.command in ("seminorm", "hardy-check", "telescope"):
             self.test_function()
+        if self.command in ("seminorm", "hardy-check", "estimate-constant"):
+            _grid_for(self, self.domain())
+        if self.command in ("hardy-check", "estimate-constant"):
+            self.scale()
         if self.command == "estimate-constant":
             _family_from_config(self)
             self.search()
         if self.command == "blowup-probe":
-            self.beta_offsets()
+            self.expect()  # reads and checks beta_offsets
             self.levels()
             self.count("cells_per_block")
+            self.number("growth_threshold", 1.15)
         if self.command == "lemma-suite":
             self.count("elementary_count")
             self.count("pair_count")
+            self.number("tolerance", 1e-9)
+        if self.command == "telescope":
+            self.depths()
+            self.count("cells_per_cube")
 
     def beta_offsets(self) -> list[int]:
         offsets = self.raw.get("beta_offsets", [-1, 0, 1])
-        out = []
-        for off in offsets:
-            if isinstance(off, bool) or off != int(off):
-                raise ConfigError("beta_offsets", f"offsets must be integers, got {off!r}")
-            out.append(int(off))
-        return out
+        if not (isinstance(offsets, (list, tuple)) and offsets and all(_is_int(o) for o in offsets)):
+            raise ConfigError("beta_offsets", f"must be a non-empty list of ints, got {offsets!r}")
+        return offsets
+
+    def expect(self) -> dict[str, str]:
+        """Expected verdict per probed offset, keyed by the offset as a string."""
+        expect = self.raw.get("expect", {})
+        probed = [str(off) for off in self.beta_offsets()]
+        if not (
+            isinstance(expect, dict)
+            and all(k in probed and v in ("diverging", "bounded") for k, v in expect.items())
+        ):
+            raise ConfigError("expect", f"must map offsets from {probed} to 'diverging' or"
+                              f" 'bounded', got {expect!r}")
+        return expect
 
     def levels(self) -> tuple[int, int]:
-        """Probe level range; above the family's depth cap a level would
-        silently reuse the capped member."""
-        lev = self.raw.get("levels", [3, 8])
-        top = 1 + int(math.log2(exp.LogSpikeFamily.max_depth))
-        if not (
-            isinstance(lev, (list, tuple))
-            and len(lev) == 2
-            and all(_is_int(v) for v in lev)
-            and 1 <= lev[0] <= lev[1] <= top
-        ):
-            raise ConfigError("levels", f"must be [lo, hi] ints with 1 <= lo <= hi <= {top},"
-                              f" got {lev!r}")
-        return lev[0], lev[1]
+        return _level_range(self.raw.get("levels", [3, 8]), "levels")
+
+    def depths(self) -> list[int]:
+        depths = self.raw.get("depths", [-4, -5, -6])
+        if not (isinstance(depths, (list, tuple)) and depths
+                and all(_is_int(m) and m <= -1 for m in depths)):
+            raise ConfigError("depths", f"must be a non-empty list of ints <= -1, got {depths!r}")
+        return depths
+
+    def number(self, key: str, default: float) -> float:
+        """Finite-number field."""
+        value = self.raw.get(key, default)
+        if not _is_finite(value):
+            raise ConfigError(key, f"must be a finite number, got {value!r}")
+        return float(value)
+
+    def scale(self) -> float | None:
+        """The weight scale R; None lets the weight pick its default."""
+        R = self.raw.get("R")
+        if R is not None and not (_is_finite(R) and R > 0):
+            raise ConfigError("R", f"must be null or a positive finite number, got {R!r}")
+        return R
 
     def count(self, path: str) -> int:
         """Positive-int field at ``path``: a key, or ``object.key``."""
@@ -225,9 +255,11 @@ class ExperimentConfig:
 
     def domain(self) -> geo.Domain:
         spec = _require(self.raw, "domain", "")
+        if not isinstance(spec, dict):
+            raise ConfigError("domain", "must be an object")
         try:
             return geo.domain_from_dict(spec)
-        except (HardyLabError, KeyError, TypeError) as e:
+        except (HardyLabError, KeyError, TypeError, ValueError, OverflowError) as e:
             raise ConfigError("domain", str(e)) from e
 
     def test_function(self) -> quad.TestFunction:
@@ -248,30 +280,61 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+def _numbers(value) -> tuple:
+    """A non-empty list of finite numbers, as a tuple."""
+    if not (isinstance(value, (list, tuple)) and value and all(map(_is_finite, value))):
+        raise ValueError(f"need a non-empty list of finite numbers, got {value!r}")
+    return tuple(value)
+
+
+def _level_range(lev, path: str) -> tuple[int, int]:
+    """Log-spike level range; above the family's depth cap a level would
+    silently reuse the capped member."""
+    top = 1 + int(math.log2(exp.LogSpikeFamily.max_depth))
+    if not (
+        isinstance(lev, (list, tuple))
+        and len(lev) == 2
+        and all(_is_int(v) for v in lev)
+        and 1 <= lev[0] <= lev[1] <= top
+    ):
+        raise ConfigError(path, f"must be [lo, hi] ints with 1 <= lo <= hi <= {top}, got {lev!r}")
+    return lev[0], lev[1]
+
+
 def _test_function_from_dict(spec: dict) -> quad.TestFunction:
     if not isinstance(spec, dict):
         raise ConfigError("u", "must be an object")
     kind = spec.get("kind")
     try:
         if kind == "tensor_bump":
-            return quad.TensorBump(tuple(spec["center"]), tuple(spec["radius"]))
+            return quad.TensorBump(_numbers(spec["center"]), _numbers(spec["radius"]))
         if kind == "log_spike":
             transverse = None
             if "transverse" in spec:
                 lo, hi = spec["transverse"]
-                transverse = geo.Box(tuple(lo), tuple(hi))
+                transverse = geo.Box(_numbers(lo), _numbers(hi))
             return quad.LogSpike(
                 depth=float(spec["depth"]), t0=float(spec.get("t0", 1.5)), transverse=transverse
             )
         if kind == "polynomial":
             lo, hi = spec["support"]
+            axis = spec.get("axis", 0)
+            if not _is_int(axis):
+                raise ValueError(f"axis must be an int, got {axis!r}")
             return quad.AxisPolynomial(
-                tuple(spec["coeffs"]), geo.Box(tuple(lo), tuple(hi)), int(spec.get("axis", 0))
+                _numbers(spec["coeffs"]), geo.Box(_numbers(lo), _numbers(hi)), axis
             )
         if kind == "constant":
             lo, hi = spec["support"]
-            return quad.Constant(float(spec["value"]), geo.Box(tuple(lo), tuple(hi)))
-    except (KeyError, TypeError, ValueError, HardyLabError) as e:
+            return quad.Constant(float(spec["value"]), geo.Box(_numbers(lo), _numbers(hi)))
+    except (KeyError, TypeError, ValueError, OverflowError, HardyLabError) as e:
         raise ConfigError("u", f"bad {kind!r} spec: {e}") from e
     raise ConfigError("u.kind", f"unknown test function kind {kind!r}")
 
@@ -370,7 +433,11 @@ def _cmd_seminorm(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
 def _grid_for(cfg: ExperimentConfig, domain: geo.Domain) -> quad.GridSpec:
     box = cfg.raw.get("support_box")
     if box is not None:
-        return quad.GridSpec(cfg.resolution, geo.Box(tuple(box[0]), tuple(box[1])))
+        try:
+            lo, hi = box
+            return quad.GridSpec(cfg.resolution, geo.Box(_numbers(lo), _numbers(hi)))
+        except (TypeError, ValueError) as e:
+            raise ConfigError("support_box", f"must be [lo, hi] number lists: {e}") from e
     bb = domain.bounding_box()
     if bb is None:
         raise ConfigError("support_box", "required for unbounded domains (truncation box)")
@@ -382,7 +449,7 @@ def _cmd_hardy_check(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
     domain = cfg.domain()
     u = cfg.test_function()
     spec = _grid_for(cfg, domain)
-    w, lhs, denom = hardy.hardy_terms(u, domain, case, spec, cfg.raw.get("R"))
+    w, lhs, denom = hardy.hardy_terms(u, domain, case, spec, cfg.scale())
     ratio = lhs / denom
     results = {
         "lhs": lhs,
@@ -397,22 +464,31 @@ def _cmd_hardy_check(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
 
 def _family_from_config(cfg: ExperimentConfig) -> exp.FunctionFamily:
     spec = cfg.raw.get("family", {"kind": "boundary_bump"})
+    if not isinstance(spec, dict):
+        raise ConfigError("family", "must be an object")
     kind = spec.get("kind")
-    if kind == "boundary_bump":
-        rng = spec.get("log2_h_range", (-7.0, -2.0))
-        return exp.BoundaryBumpFamily(
-            log2_h_range=(float(rng[0]), float(rng[1])),
-            width=float(spec.get("width", 0.5)),
-        )
     if kind == "log_spike":
-        lev = spec.get("level_range", (3, 8))
-        return exp.LogSpikeFamily(level_range=(int(lev[0]), int(lev[1])))
-    if kind == "tensor_bump_grid":
-        return exp.TensorBumpGridFamily(
-            center_bounds=tuple((float(a), float(b)) for a, b in spec["center_bounds"]),
-            radius_bounds=tuple((float(a), float(b)) for a, b in spec["radius_bounds"]),
-        )
-    raise ConfigError("family.kind", f"unknown family kind {kind!r}")
+        lev = _level_range(spec.get("level_range", [3, 8]), "family.level_range")
+        return exp.LogSpikeFamily(level_range=lev)
+    if kind not in ("boundary_bump", "tensor_bump_grid"):
+        raise ConfigError("family.kind", f"unknown family kind {kind!r}")
+    try:
+        if kind == "boundary_bump":
+            rng = spec.get("log2_h_range", (-7.0, -2.0))
+            family = exp.BoundaryBumpFamily(
+                log2_h_range=(float(rng[0]), float(rng[1])),
+                width=float(spec.get("width", 0.5)),
+            )
+        else:
+            family = exp.TensorBumpGridFamily(
+                center_bounds=tuple((float(a), float(b)) for a, b in spec["center_bounds"]),
+                radius_bounds=tuple((float(a), float(b)) for a, b in spec["radius_bounds"]),
+            )
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError("family", f"bad {kind!r} spec: {e}") from e
+    if not all(lo <= hi for lo, hi in family.bounds):
+        raise ConfigError("family", f"parameter bounds need lo <= hi, got {family.bounds}")
+    return family
 
 
 def _cmd_estimate_constant(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
@@ -420,7 +496,7 @@ def _cmd_estimate_constant(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
     domain = cfg.domain()
     family = _family_from_config(cfg)
     spec = _grid_for(cfg, domain)
-    res = exp.estimate_constant(family, case, domain, cfg.search(), spec, R=cfg.raw.get("R"))
+    res = exp.estimate_constant(family, case, domain, cfg.search(), spec, R=cfg.scale())
     results = {
         "best_ratio": res.best_ratio,
         "best_params": list(res.best_params),
@@ -438,20 +514,15 @@ def _cmd_estimate_constant(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
 
 def _cmd_blowup_probe(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
     case = cfg.case()
-    domain = cfg.domain()
     family = exp.LogSpikeFamily(level_range=cfg.levels())
     offsets = cfg.beta_offsets()
-    threshold = float(cfg.raw.get("growth_threshold", 1.15))
-    cells = cfg.count("cells_per_block")
-    beta = hardy.critical_exponents(case).beta
-    results = {"beta_table": str(beta)}
+    probes = exp.blowup_probe(case, offsets, cfg.domain(), family,
+                              cfg.count("cells_per_block"), cfg.number("growth_threshold", 1.15))
+    results = {"beta_table": str(hardy.critical_exponents(case).beta)}
     series = {}
     verdicts = {}
-    expect = cfg.raw.get("expect", {})
-    for off in offsets:
-        probe = exp.blowup_probe(
-            case, beta + Fraction(off), domain, family, cells, threshold
-        )
+    expect = cfg.expect()
+    for off, probe in zip(offsets, probes):
         key = f"offset_{off:+d}"
         results[key] = probe.verdict
         series[key] = [
@@ -464,7 +535,7 @@ def _cmd_blowup_probe(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
 
 def _cmd_lemma_suite(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
     seed = cfg.seed
-    tolerance = float(cfg.raw.get("tolerance", 1e-9))
+    tolerance = cfg.number("tolerance", 1e-9)
     elementary_count = cfg.count("elementary_count")
     pair_count = cfg.count("pair_count")
 
@@ -508,12 +579,11 @@ def _cmd_telescope(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
     fp = cfg.frac_params()
     domain = cfg.domain()
     u = cfg.test_function()
-    depths = cfg.raw.get("depths", [-4, -5, -6])
-    cells = int(cfg.raw.get("cells_per_cube", 4))
+    cells = cfg.count("cells_per_cube")
     rows = []
     cs = []
-    for m in depths:
-        rep = exp.telescoping_reconstruction(domain, u, fp, int(m), cells)
+    for m in cfg.depths():
+        rep = exp.telescoping_reconstruction(domain, u, fp, m, cells)
         cs.append(rep.minimal_c)
         rows.append(
             {
@@ -594,6 +664,9 @@ def main(argv=None) -> int:
         record = run(config)
     except HardyLabError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except OverflowError as e:  # exponents too large for double precision
+        print(f"error: numeric overflow, the config is out of range: {e}", file=sys.stderr)
         return 2
 
     out_dir = args.out or data.get("out", "results")

@@ -6,12 +6,13 @@ Three experiment drivers sit on top of the functionals:
   function family (multi-start Nelder-Mead); the best ratio found is a
   certified lower bound on the best constant.
 * ``blowup_probe`` drives a concentrating log-profile family toward the
-  boundary and classifies a candidate weight exponent beta' as bounded or
-  diverging from the growth of the ratios across depths.  At the tabulated
-  beta the ratios stabilize; one unit below they grow geometrically
-  (about sqrt(2) per level for the default family); one unit above they
-  decay.  That three-point signature is the operational form of weight
-  optimality.
+  boundary and classifies candidate weight exponents beta' as bounded or
+  diverging from the growth of the ratios across depths; each depth's
+  member, grid and norm are built once for all candidates.  At the
+  tabulated beta the ratios stabilize; one unit below they grow
+  geometrically (about sqrt(2) per level for the default family); one
+  unit above they decay.  That three-point signature is the operational
+  form of weight optimality.
 * ``telescoping_reconstruction`` rebuilds the layer-by-layer transfer
   argument on a slab (cube averages, weighted layer sums, overlapping
   seminorms) and reports the smallest constant closing the chain.
@@ -281,71 +282,75 @@ class ProbeResult:
     truncated: bool = False
     growth_threshold: float = 1.15
 
-    def to_dict(self) -> dict:
-        return {
-            "beta_used": self.beta_used,
-            "levels": [[m, r] for m, r in self.levels],
-            "growth_factors": list(self.growth_factors),
-            "verdict": self.verdict,
-            "truncated": self.truncated,
-            "growth_threshold": self.growth_threshold,
-        }
-
 
 def blowup_probe(
     case: HardyCase,
-    beta_prime,
+    beta_offsets,
     domain: geo.Domain,
     family: LogSpikeFamily | None = None,
     cells_per_block: int = 8,
     growth_threshold: float = 1.15,
     min_levels: int = 4,
-) -> ProbeResult:
-    """Classify the weight exponent beta' as bounded or diverging.
+) -> tuple[ProbeResult, ...]:
+    """Classify each weight exponent beta' = beta + offset as bounded or diverging.
 
     Evaluates the Hardy ratio of each family member with the weight's log
     exponent replaced by beta'; at the tabulated beta the theory guarantees
     bounded ratios, so geometric growth across all levels is the numerical
-    signature of an inadmissible (too weak a log) exponent.
+    signature of an inadmissible (too weak a log) exponent.  The member,
+    grid and norm do not depend on beta', so each level builds them once;
+    a failure there truncates every offset, a non-finite or underflowed
+    (zero) ratio only its own.  Returns one result per offset, in order.
     """
     if not isinstance(domain, geo.Slab) or domain.d != 1:
         raise UnsupportedDomainError("the log-spike probe runs on the d = 1 slab")
     family = family or LogSpikeFamily()
     w_table = hardy.critical_exponents(case)
-    w = WeightSpec(w_table.alpha, Fraction(beta_prime), "flat_slab")
+    weights = [WeightSpec(w_table.alpha, w_table.beta + Fraction(off), "flat_slab")
+               for off in beta_offsets]
     tau = float(case.fp.tau)
 
-    levels = []
-    truncated = False
+    levels: list[list[tuple[int, float]]] = [[] for _ in weights]
+    truncated = [False] * len(weights)
     lo, hi = family.level_range
     for m in range(lo, hi + 1):
+        if all(truncated):
+            break
         try:
             u = family.member(m)
             g = family.grid(m, cells_per_block)
             denom = hardy.hardy_denominator(u, domain, case.fp, g)
-            lhs = hardy.hardy_lhs(u, domain, w, tau, g)
-            ratio = lhs / denom
-            if not math.isfinite(ratio):
-                truncated = True
-                break
         except (ArithmeticError, FloatingPointError):
-            truncated = True
+            truncated = [True] * len(weights)
             break
-        levels.append((m, ratio))
-    growth = tuple(b / a for (_, a), (_, b) in zip(levels, levels[1:]))
-    diverging = (
-        len(levels) >= min_levels
-        and len(growth) > 0
-        and all(f >= growth_threshold for f in growth)
-    )
-    return ProbeResult(
-        beta_used=float(beta_prime),
-        levels=tuple(levels),
-        growth_factors=growth,
-        verdict="diverging" if diverging else "bounded",
-        truncated=truncated,
-        growth_threshold=growth_threshold,
-    )
+        for i, w in enumerate(weights):
+            if truncated[i]:
+                continue
+            try:
+                ratio = hardy.hardy_lhs(u, domain, w, tau, g) / denom
+                truncated[i] = not (math.isfinite(ratio) and ratio > 0)
+            except (ArithmeticError, FloatingPointError):
+                truncated[i] = True
+            if not truncated[i]:
+                levels[i].append((m, ratio))
+
+    results = []
+    for w, lev, trunc in zip(weights, levels, truncated):
+        growth = tuple(b / a for (_, a), (_, b) in zip(lev, lev[1:]))
+        diverging = (
+            len(lev) >= min_levels
+            and len(growth) > 0
+            and all(f >= growth_threshold for f in growth)
+        )
+        results.append(ProbeResult(
+            beta_used=float(w.beta),
+            levels=tuple(lev),
+            growth_factors=growth,
+            verdict="diverging" if diverging else "bounded",
+            truncated=trunc,
+            growth_threshold=growth_threshold,
+        ))
+    return tuple(results)
 
 
 def three_point_signature(
@@ -356,12 +361,8 @@ def three_point_signature(
     growth_threshold: float = 1.15,
 ) -> dict[str, ProbeResult]:
     """Probes at beta - 1, beta, beta + 1 (the optimality signature)."""
-    beta = hardy.critical_exponents(case).beta
-    return {
-        "below": blowup_probe(case, beta - 1, domain, family, cells_per_block, growth_threshold),
-        "at": blowup_probe(case, beta, domain, family, cells_per_block, growth_threshold),
-        "above": blowup_probe(case, beta + 1, domain, family, cells_per_block, growth_threshold),
-    }
+    probes = blowup_probe(case, (-1, 0, 1), domain, family, cells_per_block, growth_threshold)
+    return dict(zip(("below", "at", "above"), probes))
 
 
 # ---------------------------------------------------------------------------

@@ -788,12 +788,19 @@ def domain_to_dict(domain: Domain) -> dict:
     raise UnsupportedDomainError(f"cannot serialize domain {type(domain).__name__}")
 
 
+def _int_field(spec: dict, key: str) -> int:
+    value = spec[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParameterError(f"domain field {key!r} must be an int, got {value!r}")
+    return value
+
+
 def domain_from_dict(spec: dict) -> Domain:
     kind = spec.get("kind")
     if kind == "slab":
-        return Slab(n=int(spec["n"]), d=int(spec["d"]))
+        return Slab(n=_int_field(spec, "n"), d=_int_field(spec, "d"))
     if kind == "exterior_ball":
-        return ExteriorBall(R=float(spec["R"]), d=int(spec["d"]))
+        return ExteriorBall(R=float(spec["R"]), d=_int_field(spec, "d"))
     if kind == "box":
         return BoxDomain(Box(tuple(spec["lo"]), tuple(spec["hi"])))
     if kind == "polygon":
@@ -811,5 +818,5 @@ def domain_from_dict(spec: dict) -> Domain:
             graph = PiecewiseLinearGraph(tuple(tuple(b) for b in g["breakpoints"]))
         else:
             raise ParameterError(f"unknown graph kind {gkind!r}")
-        return Epigraph(graph, d=int(spec["d"]))
+        return Epigraph(graph, d=_int_field(spec, "d"))
     raise ParameterError(f"unknown domain kind {kind!r}")

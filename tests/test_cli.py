@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hardylab import cli
 from hardylab import quadrature as quad
@@ -48,6 +53,25 @@ ESTIMATE_CFG = {
     "search": {"starts": 2, "budget_per_start": 15},
     "resolution": 32,
 }
+
+HARDY_CFG = {
+    "command": "hardy-check",
+    "domain": {"kind": "slab", "n": 1, "d": 1},
+    "frac": {"d": 1, "p": "2", "s": "1/2", "tau": "2"},
+    "case": "1b",
+    "u": {"kind": "tensor_bump", "center": [0.5], "radius": [0.25]},
+    "resolution": 32,
+}
+
+TELESCOPE_CFG = {
+    "command": "telescope",
+    "domain": {"kind": "slab", "n": 1, "d": 1},
+    "frac": {"d": 1, "p": "2", "s": "1/2", "tau": "2"},
+    "u": {"kind": "tensor_bump", "center": [0.3], "radius": [0.25]},
+    "depths": [-3, -4],
+}
+
+DEMO_CONFIGS = sorted((Path(__file__).parent.parent / "demos" / "configs").glob("*.json"))
 
 
 def test_config_rejects_unknown_command():
@@ -201,6 +225,23 @@ def test_flag_overrides(tmp_path: Path):
         (dict(ESTIMATE_CFG, search=[8]), "search"),
         (dict(LEMMA_CFG, elementary_count=0), "elementary_count"),
         (dict(LEMMA_CFG, pair_count="many"), "pair_count"),
+        (dict(LEMMA_CFG, tolerance="x"), "tolerance"),
+        (dict(TELESCOPE_CFG, depths="ab"), "depths"),
+        (dict(TELESCOPE_CFG, depths=[]), "depths"),
+        (dict(TELESCOPE_CFG, cells_per_cube=0), "cells_per_cube"),
+        (dict(PROBE_CFG, beta_offsets=5), "beta_offsets"),
+        (dict(PROBE_CFG, beta_offsets=[]), "beta_offsets"),
+        (dict(PROBE_CFG, growth_threshold="x"), "growth_threshold"),
+        (dict(PROBE_CFG, expect={"5": "bounded"}), "expect"),
+        (dict(PROBE_CFG, expect={"-1": "huge"}), "expect"),
+        (dict(ESTIMATE_CFG, family="x"), "family"),
+        (dict(ESTIMATE_CFG, family={"kind": "log_spike", "level_range": [3, 12]}),
+         "family.level_range"),
+        (dict(ESTIMATE_CFG, family={"kind": "boundary_bump", "log2_h_range": [-2, -7]}),
+         "family"),
+        (dict(ESTIMATE_CFG, R=-1), "R"),
+        (dict(HARDY_CFG, R="x"), "R"),
+        (dict(HARDY_CFG, R=-1), "R"),
     ],
 )
 def test_main_malformed_field_exit_2(tmp_path: Path, capsys, cfg, field):
@@ -219,3 +260,55 @@ def test_run_restores_caller_thread_count():
         assert quad.get_num_threads() == 3
     finally:
         quad.set_num_threads(1)
+
+
+@pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)
+def test_demo_config_runs(tmp_path: Path, path: Path):
+    assert cli.main(["--config", str(path), "--out", str(tmp_path)]) == 0
+
+
+#: cheap, valid configs of every command; the fuzz test swaps one field,
+#: top-level or one level inside an object field
+FUZZ_BASES = [
+    EXPONENTS_CFG,
+    dict(SEMINORM_CFG, resolution=8, support_box=[[0.0], [1.0]]),
+    dict(HARDY_CFG, resolution=8, R=None),
+    dict(ESTIMATE_CFG, resolution=8, search={"starts": 1, "budget_per_start": 3},
+         family={"kind": "boundary_bump"}, R=None),
+    dict(PROBE_CFG, levels=[3, 4], cells_per_block=2, growth_threshold=1.15),
+    dict(LEMMA_CFG, elementary_count=10, pair_count=2, tolerance=1e-9),
+    dict(TELESCOPE_CFG, depths=[-2], cells_per_cube=2),
+]
+
+# no ints: a drawn int could ask for a huge grid or sample count
+_SCALARS = st.one_of(
+    st.text(max_size=5), st.booleans(), st.none(), st.floats(allow_nan=True, allow_infinity=True)
+)
+_VALUES = st.one_of(
+    _SCALARS,
+    st.lists(_SCALARS, max_size=3),
+    st.dictionaries(st.text(max_size=5), _SCALARS, max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_config_field_never_crashes(data):
+    base = data.draw(st.sampled_from(FUZZ_BASES), label="base")
+    paths = [(k,) for k in base if k != "command"]
+    paths += [(k, sub) for k, v in base.items() if isinstance(v, dict) for sub in v]
+    path = data.draw(st.sampled_from(sorted(paths)), label="field")
+    value = data.draw(_VALUES, label="value")
+    cfg = dict(base)
+    if len(path) == 1:
+        cfg[path[0]] = value
+    else:
+        cfg[path[0]] = dict(base[path[0]], **{path[1]: value})
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["--config", str(cfg_path), "--out", str(Path(tmp) / "o")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

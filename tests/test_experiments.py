@@ -87,7 +87,53 @@ def test_probe_above_bounded_decreasing(signature):
 def test_probe_requires_1d_slab():
     case = hardy.HardyCase("1a", fp(2, "2", "1/2", "2"))
     with pytest.raises(UnsupportedDomainError):
-        exp.blowup_probe(case, 1.0, geo.Slab(n=1, d=2))
+        exp.blowup_probe(case, (-1, 0), geo.Slab(n=1, d=2))
+
+
+def test_probe_builds_each_level_norm_once(monkeypatch):
+    calls = []
+    denominator = hardy.hardy_denominator
+
+    def counting(*args):
+        calls.append(args)
+        return denominator(*args)
+
+    monkeypatch.setattr(hardy, "hardy_denominator", counting)
+    exp.three_point_signature(CASE_1B, SLAB_1D, exp.LogSpikeFamily(level_range=(3, 5)))
+    assert len(calls) == 3  # one per level, shared by the three offsets
+
+
+def test_joint_probe_matches_single_offset_probes():
+    family = exp.LogSpikeFamily(level_range=(3, 6))
+    joint = exp.blowup_probe(CASE_1B, (-1, 0, 1), SLAB_1D, family)
+    for off, res in zip((-1, 0, 1), joint):
+        (alone,) = exp.blowup_probe(CASE_1B, (off,), SLAB_1D, family)
+        assert res.levels == alone.levels
+        assert res.verdict == alone.verdict
+        assert res.beta_used == float(2 + off)  # tabulated beta of case 1b is tau = 2
+
+
+@pytest.mark.parametrize("bad_lhs", [np.inf, np.nan, 0.0])
+def test_probe_truncation_shared_and_per_offset(monkeypatch, bad_lhs):
+    family = exp.LogSpikeFamily(level_range=(3, 6))
+    lhs, denominator = hardy.hardy_lhs, hardy.hardy_denominator
+
+    def lhs_bad_at_beta_from_level_5(u, domain, w, tau, g):
+        return bad_lhs if w.beta == 2 and u.depth >= 16 else lhs(u, domain, w, tau, g)
+
+    monkeypatch.setattr(hardy, "hardy_lhs", lhs_bad_at_beta_from_level_5)
+    below, at = exp.blowup_probe(CASE_1B, (-1, 0), SLAB_1D, family)
+    assert [m for m, _ in at.levels] == [3, 4] and at.truncated
+    assert [m for m, _ in below.levels] == [3, 4, 5, 6] and not below.truncated
+
+    def denominator_fails_at_level_5(u, domain, fp, g):
+        if u.depth >= 16:
+            raise FloatingPointError("overflow")
+        return denominator(u, domain, fp, g)
+
+    monkeypatch.setattr(hardy, "hardy_denominator", denominator_fails_at_level_5)
+    for res in exp.blowup_probe(CASE_1B, (-1, 0), SLAB_1D, family):
+        assert [m for m, _ in res.levels] == [3, 4] and res.truncated
 
 
 def test_probe_records_growth_threshold(signature):
