@@ -66,6 +66,11 @@ _COUNT_DEFAULTS = {
 }
 
 
+#: log2 of the largest grid a config may ask for; a lattice seminorm keeps a
+#: few box-sized arrays, and the pair sum grows with the square of the cells
+_MAX_GRID_LOG2 = 20
+
+
 def _require(cfg: dict, key: str, where: str):
     if key not in cfg:
         raise ConfigError(f"{where}.{key}" if where else key, "missing")
@@ -119,7 +124,9 @@ class ExperimentConfig:
             self.case()
         if self.command in ("seminorm", "hardy-check", "estimate-constant",
                             "blowup-probe", "telescope"):
-            self.domain()
+            d, frac_d = self.domain().d, self.frac_params().d
+            if d != frac_d:
+                raise ConfigError("domain.d", f"domain dimension {d} differs from frac.d {frac_d}")
         if self.command in ("seminorm", "hardy-check", "telescope"):
             self.test_function()
         if self.command in ("seminorm", "hardy-check", "estimate-constant"):
@@ -435,13 +442,18 @@ def _grid_for(cfg: ExperimentConfig, domain: geo.Domain) -> quad.GridSpec:
     if box is not None:
         try:
             lo, hi = box
-            return quad.GridSpec(cfg.resolution, geo.Box(_numbers(lo), _numbers(hi)))
+            box = geo.Box(_numbers(lo), _numbers(hi))
         except (TypeError, ValueError) as e:
             raise ConfigError("support_box", f"must be [lo, hi] number lists: {e}") from e
-    bb = domain.bounding_box()
-    if bb is None:
-        raise ConfigError("support_box", "required for unbounded domains (truncation box)")
-    return quad.GridSpec(cfg.resolution, bb)
+    else:
+        box = domain.bounding_box()
+        if box is None:
+            raise ConfigError("support_box", "required for unbounded domains (truncation box)")
+    res = cfg.resolution
+    if box.d * math.log2(res) > _MAX_GRID_LOG2:
+        raise ConfigError("resolution", f"a grid of {res}**{box.d} cells exceeds the limit"
+                          f" of 2**{_MAX_GRID_LOG2} cells")
+    return quad.GridSpec(res, box)
 
 
 def _cmd_hardy_check(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:

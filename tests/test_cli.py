@@ -242,6 +242,10 @@ def test_flag_overrides(tmp_path: Path):
         (dict(ESTIMATE_CFG, R=-1), "R"),
         (dict(HARDY_CFG, R="x"), "R"),
         (dict(HARDY_CFG, R=-1), "R"),
+        (dict(ESTIMATE_CFG, domain={"kind": "slab", "n": 1, "d": 29916160961}), "domain.d"),
+        (dict(HARDY_CFG, domain={"kind": "slab", "n": 1, "d": 2}), "domain.d"),
+        (dict(SEMINORM_CFG, domain={"kind": "slab", "n": 1, "d": 3},
+              frac={"d": 3, "p": "2", "s": "1/2", "tau": "2"}, resolution=1048576), "resolution"),
     ],
 )
 def test_main_malformed_field_exit_2(tmp_path: Path, capsys, cfg, field):

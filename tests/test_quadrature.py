@@ -201,19 +201,86 @@ def test_seminorm_self_convergence_first_order():
     assert d2 < d1 / 1.7  # successive refinements shrink at order >= 1
 
 
+L_SHAPE = geo.Polygon2D(((0, 0), (1, 0), (1, 0.5), (0.5, 0.5), (0.5, 1), (0, 1)))
+CUBE = geo.Box((0.0,) * 3, (1.0,) * 3)
+
+
 def test_seminorm_threads_bit_identical():
-    dom = geo.Slab(n=1, d=2)
-    u = quad.TensorBump((0.0, 0.5), (0.5, 0.3))
-    params = fp(2, "2", "1/2")
-    spec = quad.GridSpec(16, dom.box)
-    results = []
-    for n in (1, 2, 8):
-        quad.set_num_threads(n)
-        try:
-            results.append(quad.gagliardo_seminorm(u, dom, params, spec))
-        finally:
-            quad.set_num_threads(1)
-    assert results[0] == results[1] == results[2]
+    from hardylab.experiments import slab_graded_grid
+
+    slab2, slab3 = geo.Slab(n=1, d=2), geo.Slab(n=1, d=3)
+    cases = [
+        # uniform lattice, masked lattice, 3-D lattice, and a graded grid
+        # on the general path
+        (quad.TensorBump((0.0, 0.5), (0.5, 0.3)), slab2, fp(2, "2", "1/2"),
+         quad.GridSpec(16, slab2.box)),
+        (quad.TensorBump((0.3, 0.3), (0.18, 0.18)), L_SHAPE, fp(2, "2", "1/2"),
+         quad.GridSpec(32, SQUARE)),
+        (quad.TensorBump((0.0, 0.0, 0.5), (0.5, 0.5, 0.3)), slab3, fp(3, "3", "1/3"),
+         quad.GridSpec(8, slab3.box)),
+        (quad.LogSpike(depth=2.0), None, fp(1, "2", "1/2"), slab_graded_grid(6, 16)),
+    ]
+    for u, dom, params, grid in cases:
+        results = []
+        for n in (1, 2, 8):
+            quad.set_num_threads(n)
+            try:
+                results.append(quad.gagliardo_seminorm(u, dom, params, grid))
+            finally:
+                quad.set_num_threads(1)
+        assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+@pytest.mark.parametrize(
+    "grid",
+    [
+        quad.uniform_grid(quad.GridSpec(128, UNIT)),
+        quad.uniform_grid(quad.GridSpec(32, SQUARE)),
+        # clipped to (-0.7, 0.9) x (0, 1): a different h on each axis
+        quad.domain_grid(geo.Slab(n=1, d=2), quad.GridSpec(32, geo.Box((-0.7, -0.5), (0.9, 1.5)))),
+        quad.domain_grid(L_SHAPE, quad.GridSpec(32, SQUARE)),
+        quad.domain_grid(geo.ExteriorBall(1.0, 2), quad.GridSpec(32, geo.Box((-2.5,) * 2, (2.5,) * 2))),
+        quad.uniform_grid(quad.GridSpec(8, CUBE)),
+    ],
+    ids=["1d-128", "2d-32", "2d-clipped", "l-shape", "exterior-ball", "3d-8"],
+)
+def test_lattice_sum_matches_pair_blocks(grid, p, monkeypatch):
+    # the offset sweep and the row-block sum see the same Grid and must
+    # count the same pairs with the same kernel; a small chunk splits each
+    # plane into several row chunks
+    assert grid.lattice is not None
+    vals = np.random.default_rng(7).standard_normal(grid.ncells)
+    kernel_expo = grid.d + p / 3
+    blocks = quad.kahan_sum(quad._pair_block_sums(vals, grid, p, kernel_expo))
+    for chunk in (quad._LATTICE_CHUNK, 256):
+        monkeypatch.setattr(quad, "_LATTICE_CHUNK", chunk)
+        lattice = quad.kahan_sum(quad._lattice_pair_sums(vals, grid, p, kernel_expo))
+        assert lattice == pytest.approx(blocks, rel=1e-12)
+
+
+@pytest.mark.parametrize("p,s", [(2, Fraction(1, 2)), (3, Fraction(1, 3))])
+def test_seminorm_power_law_oracle(p, s):
+    # u = x^2 on (0, 1).  Homogeneity reduces the double integral to
+    # [u]^p = 2 / (2p - sp + 1) * int_0^1 |1 - r^2|^p (1 - r)^(-1 - sp) dr,
+    # evaluated here by mpmath (7/6 in closed form at p = 2, s = 1/2).
+    # With the diagonal patch the midpoint seminorm converges at order 2.
+    import mpmath
+
+    sp = float(p * s)
+    integral = mpmath.quad(lambda r: abs(1 - r**2) ** p * (1 - r) ** (-1 - sp), [0, 1])
+    exact = 2 / (2 * p - sp + 1) * float(integral)
+    if p == 2:
+        assert exact == pytest.approx(7 / 6, rel=1e-14)
+    u = quad.AxisPolynomial((0.0, 0.0, 1.0), UNIT)
+    params = quad.FracParams(d=1, p=p, s=s, tau=2)
+    errors = [
+        abs(quad.gagliardo_seminorm(u, None, params, spec1d(res)) ** p - exact)
+        for res in (256, 512, 1024)
+    ]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert math.log2(coarse / fine) == pytest.approx(2.0, abs=0.1)
+    assert errors[-1] < 1e-6 * exact
 
 
 def test_pullback_integral_invariance():
