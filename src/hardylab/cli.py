@@ -138,8 +138,7 @@ class ExperimentConfig:
             self.search()
         if self.command == "blowup-probe":
             self.expect()  # reads and checks beta_offsets
-            self.levels()
-            self.count("cells_per_block")
+            self.cells_per_block()
             self.number("growth_threshold", 1.15)
         if self.command == "lemma-suite":
             self.count("elementary_count")
@@ -169,6 +168,20 @@ class ExperimentConfig:
 
     def levels(self) -> tuple[int, int]:
         return _level_range(self.raw.get("levels", [3, 8]), "levels")
+
+    def probe_family(self) -> exp.LogSpikeFamily:
+        return exp.LogSpikeFamily(level_range=self.levels())
+
+    def cells_per_block(self) -> int:
+        """Cells per dyadic block; the top level's graded grid stays within
+        the grid limit."""
+        cells = self.count("cells_per_block")
+        family = self.probe_family()
+        blocks = family.grid_levels(family.level_range[1]) + 1
+        if blocks * cells > 2**_MAX_GRID_LOG2:
+            raise ConfigError("cells_per_block", f"{blocks} blocks of {cells} cells exceed the"
+                              f" limit of 2**{_MAX_GRID_LOG2} cells")
+        return cells
 
     def depths(self) -> list[int]:
         depths = self.raw.get("depths", [-4, -5, -6])
@@ -526,10 +539,9 @@ def _cmd_estimate_constant(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
 
 def _cmd_blowup_probe(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
     case = cfg.case()
-    family = exp.LogSpikeFamily(level_range=cfg.levels())
     offsets = cfg.beta_offsets()
-    probes = exp.blowup_probe(case, offsets, cfg.domain(), family,
-                              cfg.count("cells_per_block"), cfg.number("growth_threshold", 1.15))
+    probes = exp.blowup_probe(case, offsets, cfg.domain(), cfg.probe_family(),
+                              cfg.cells_per_block(), cfg.number("growth_threshold", 1.15))
     results = {"beta_table": str(hardy.critical_exponents(case).beta)}
     series = {}
     verdicts = {}

@@ -25,7 +25,7 @@ per dyadic block of the slab height.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -66,7 +66,8 @@ def slab_graded_grid(depth_levels: int, cells_per_block: int = 8, d: int = 1,
     One uniform block per dyadic level [2^{-j-1}, 2^{-j}], j = 0..J with
     J = depth_levels; cells refine toward the bottom boundary at the same
     rate the dyadic blocks shrink.  For d > 1 each block is the product of
-    ``transverse`` with the height interval.
+    ``transverse`` with the height interval.  A d = 1 grid records its
+    blocks, which lets the seminorm sum its pairs by block offset.
     """
     if depth_levels < 1:
         raise ParameterError("need at least one dyadic level")
@@ -79,7 +80,10 @@ def slab_graded_grid(depth_levels: int, cells_per_block: int = 8, d: int = 1,
             if transverse is None:
                 raise ParameterError("d > 1 needs a transverse box")
             boxes.append(geo.Box(transverse.lo + (lo_d,), transverse.hi + (hi_d,)))
-    return quad.union_grid(boxes, cells_per_block)
+    grid = quad.union_grid(boxes, cells_per_block)
+    if d == 1:
+        grid = replace(grid, dyadic=quad.DyadicBlocks(depth_levels + 1, cells_per_block))
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +141,8 @@ class LogSpikeFamily(FunctionFamily):
     Level m maps to a profile whose ramps and plateau each span
     2^{m-1} dyadic levels of the slab height; each level doubles the
     concentration depth, which is what makes growth factors across levels
-    scale-free.  Depths are capped so squared cell distances stay inside
-    the double-precision range.
+    scale-free.  Depths are capped so the cell weights and the diagonal
+    patch of the deepest block stay inside the double-precision range.
     """
 
     level_range: tuple[int, int] = (3, 8)
@@ -155,10 +159,12 @@ class LogSpikeFamily(FunctionFamily):
     def member(self, level: float) -> quad.LogSpike:
         return quad.LogSpike(depth=self.depth(level), t0=self.t0)
 
+    def grid_levels(self, level: float) -> int:
+        """Dyadic levels J of the graded grid of ``level`` (J + 1 blocks)."""
+        return math.ceil(self.t0 + 3.0 * self.depth(level)) + 2
+
     def grid(self, level: float, cells_per_block: int = 8) -> Grid:
-        depth = self.depth(level)
-        levels_needed = math.ceil(self.t0 + 3.0 * depth) + 2
-        return slab_graded_grid(levels_needed, cells_per_block)
+        return slab_graded_grid(self.grid_levels(level), cells_per_block)
 
     def make(self, params):
         params = self.clip(params)

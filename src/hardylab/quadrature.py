@@ -4,15 +4,17 @@ Everything is a midpoint rule on axis-aligned cells.  Uniform tensor grids
 come from a ``GridSpec``; unions of boxes (dyadic layers, geometrically
 graded meshes toward a boundary) and masked boxes (annuli, epigraph clips)
 produce the same ``Grid`` value, so every functional below works on any of
-them.  Uniform and masked boxes also carry their ``Lattice``, which lets
-the seminorm's pair sum run over index offsets instead of cell pairs.
+them.  Uniform and masked boxes also carry their ``Lattice``, and the
+1-D dyadic graded mesh its ``DyadicBlocks``, which lets the seminorm's pair
+sum run over index or block offsets instead of cell pairs.
 
 Determinism contract: single sums are correctly rounded (``math.fsum``),
 so they do not depend on the summation order.  The double sum over cell
 pairs is split into fixed pieces whose partial sums are combined in a fixed
 order: on a lattice grid one piece per axis-0 offset and fixed-size chunk
-of in-plane rows, in offset order; on any other grid fixed-size row blocks,
-in block order.  Worker threads only compute partials, so results are
+of in-plane rows, in offset order; one partial per block offset on graded
+grids (and fixed-size chunk of a block's cells), in offset order; on any
+other grid fixed-size row blocks, in block order.  Worker threads only compute partials, so results are
 bit-identical for any thread count.
 
 The Gagliardo seminorm
@@ -164,18 +166,29 @@ class Lattice:
 
 
 @dataclass(frozen=True)
+class DyadicBlocks:
+    """A 1-D mesh of ``count`` dyadic blocks [2^{-j-1}, 2^{-j}], j = 0, 1,
+    ..., each split into ``cells`` uniform cells, in that order."""
+
+    count: int
+    cells: int
+
+
+@dataclass(frozen=True)
 class Grid:
     """Concrete quadrature mesh: midpoint nodes with per-cell sides/weights.
 
     Node order is the construction order and is part of the value; all
     summation contracts reference it.  ``lattice`` is set when the cells
-    are (a subset of) one uniform box mesh, in mesh order.
+    are (a subset of) one uniform box mesh, in mesh order; ``dyadic`` when
+    they are the dyadic blocks it describes.
     """
 
     centers: np.ndarray  # (M, d)
     sides: np.ndarray  # (M, d)
     weights: np.ndarray  # (M,)
     lattice: Lattice | None = None
+    dyadic: DyadicBlocks | None = None
 
     def __post_init__(self):
         if len(self.centers) == 0:
@@ -194,29 +207,29 @@ class Grid:
         return kahan_sum(self.weights)
 
 
-def _box_mesh(box: Box, cells_per_axis: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    axes = []
-    steps = []
-    for lo, hi, n in zip(box.lo, box.hi, cells_per_axis):
-        h = (hi - lo) / n
-        axes.append(lo + h * (np.arange(n) + 0.5))
-        steps.append(h)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack([m.ravel() for m in mesh], axis=-1)
-    sides = np.broadcast_to(np.asarray(steps), centers.shape).copy()
-    return centers, sides
+def _boxes_mesh(boxes: Sequence[Box], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoints and sides of ``n`` cells per axis in each box, box by box,
+    each box's cells in C order."""
+    lo = np.array([b.lo for b in boxes], dtype=float)  # (B, d)
+    h = (np.array([b.hi for b in boxes], dtype=float) - lo) / n
+    ticks = lo[..., None] + h[..., None] * (np.arange(n) + 0.5)  # (B, d, n)
+    B, d = lo.shape
+    centers = np.empty((B,) + (n,) * d + (d,))
+    for a in range(d):
+        centers[..., a] = ticks[:, a].reshape((B,) + (1,) * a + (n,) + (1,) * (d - a - 1))
+    return centers.reshape(-1, d), np.repeat(h, n**d, axis=0)
 
 
 def uniform_grid(spec: GridSpec) -> Grid:
     counts = (spec.resolution,) * spec.support_box.d
-    centers, sides = _box_mesh(spec.support_box, counts)
+    centers, sides = _boxes_mesh([spec.support_box], spec.resolution)
     return Grid(centers, sides, np.prod(sides, axis=-1), Lattice(counts))
 
 
 def masked_grid(spec: GridSpec, keep: Callable[[np.ndarray], np.ndarray]) -> Grid:
     """Uniform grid restricted to cells whose centers satisfy ``keep``."""
     counts = (spec.resolution,) * spec.support_box.d
-    centers, sides = _box_mesh(spec.support_box, counts)
+    centers, sides = _boxes_mesh([spec.support_box], spec.resolution)
     mask = np.asarray(keep(centers), dtype=bool)
     if not np.any(mask):
         raise ParameterError("mask removed every cell of the grid")
@@ -232,9 +245,7 @@ def union_grid(boxes: Sequence[Box], cells_per_axis: int) -> Grid:
     """
     if not boxes:
         raise ParameterError("need at least one box")
-    parts = [_box_mesh(b, [cells_per_axis] * b.d) for b in boxes]
-    centers = np.concatenate([c for c, _ in parts], axis=0)
-    sides = np.concatenate([s for _, s in parts], axis=0)
+    centers, sides = _boxes_mesh(boxes, cells_per_axis)
     return Grid(centers, sides, np.prod(sides, axis=-1))
 
 
@@ -272,7 +283,7 @@ def kahan_sum(values: np.ndarray) -> float:
 _NUM_THREADS = 1
 
 #: row-block size of the pair loop, and element budget of one chunk of the
-#: lattice sweep; fixed so partial sums are independent of the thread count
+#: plane sweep; fixed so partial sums are independent of the thread count
 _PAIR_BLOCK = 128
 _LATTICE_CHUNK = 1 << 17
 
@@ -609,46 +620,23 @@ def _pair_block_sums(vals, grid: Grid, p, kernel_expo):
     return _map_in_order(one_block, range(0, M, _PAIR_BLOCK))
 
 
-def _lattice_pair_sums(vals, grid: Grid, p, kernel_expo):
-    """The pair sum of ``_pair_block_sums`` on a lattice grid, by offsets.
+def _plane_sweep(U, p, kernel, weight, m=None, scale=None):
+    """Pair sums of the cells of n0 planes of n_rest cells, by plane offset.
 
-    The box is read as n0 planes of n_rest cells (a 1-D box as one plane),
-    with the values U and the mask m scattered into it.  Two distinct cells
-    are k0 >= 0 planes apart; for each k0 and each chunk of rows a of the
-    plane,
+    ``U`` holds the values, shape (n0, n_rest).  Two distinct cells are
+    k0 >= 0 planes apart; for each k0 and each chunk of rows a of the plane,
 
-        T[a, b] = sum over x0 of |U(x0, a) - U(x0 + k0, b)|^p m(x0, a) m(x0 + k0, b)
+        T[a, b] = sum over x0 of scale(x0) |U(x0, a) - U(x0 + k0, b)|^p m(x0, a) m(x0 + k0, b)
 
-    is contracted with the kernel, which depends only on k0 and on |a - b|
-    per axis and so is gathered from the n_rest powers of that offset.  The
-    cell weight w is the same everywhere, so w^2 is a common factor.  At
-    k0 = 0 only the pairs b > a count (the strict upper triangle): a
-    chunk's columns start at its first row, and its leading square, which
-    is symmetric with a zero diagonal, counts half.  One partial per
-    (k0, row chunk), in that order.
+    (a factor left as None is 1) is contracted with ``kernel(k0, a0, a1,
+    c0)``, the kernel between the rows a0:a1 of a plane and the columns c0:
+    of the plane k0 further on, and scaled by ``weight[k0]``.  At k0 = 0
+    only the pairs b > a count (the strict upper triangle): a chunk's
+    columns start at its first row, and its leading square, which is
+    symmetric with a zero diagonal, counts half.  One partial per (k0, row
+    chunk), in that order.
     """
-    lat = grid.lattice
-    counts = lat.counts if grid.d > 1 else (1,) + lat.counts
-    h = grid.sides[0] if grid.d > 1 else np.concatenate(([0.0], grid.sides[0]))
-    n0, rest = counts[0], counts[1:]
-    n_rest = math.prod(rest)
-    if lat.kept is None:
-        U, m = vals.reshape(n0, n_rest), None
-    else:
-        U, m = np.zeros(n0 * n_rest), np.zeros(n0 * n_rest)
-        U[lat.kept], m[lat.kept] = vals, 1.0
-        U, m = U.reshape(n0, n_rest), m.reshape(n0, n_rest)
-    w2 = float(grid.weights[0]) ** 2
-
-    # kernel[k0, j]: plane offset k0 and in-plane offset with flat index j
-    offs = np.indices(rest).reshape(len(rest), n_rest)
-    r2 = sum((hk * o) ** 2 for hk, o in zip(h[1:], offs))
-    with np.errstate(divide="ignore", over="ignore"):
-        kernel = ((h[0] * np.arange(n0))[:, None] ** 2 + r2) ** (-0.5 * kernel_expo)
-    kernel[0, 0] = 0.0  # a cell with itself; T is 0 there
-    # the flat index of an in-plane offset is the sum of these per axis
-    steps = [o * math.prod(rest[k + 1 :]) for k, o in enumerate(offs)]
-
+    n0, n_rest = U.shape
     rows = max(1, _LATTICE_CHUNK // n_rest)
 
     def one_chunk(item) -> float:
@@ -664,18 +652,87 @@ def _lattice_pair_sums(vals, grid: Grid, p, kernel_expo):
             if m is not None:
                 diff *= m[x0:x1, a0:a1, None]
                 diff *= m[x0 + k0 : x1 + k0, None, c0:]
+            if scale is not None:
+                diff *= scale[x0:x1, None, None]
             T += diff.sum(axis=0)
-        gather = np.abs(steps[0][a0:a1, None] - steps[0][None, c0:])
-        for st in steps[1:]:
-            gather += np.abs(st[a0:a1, None] - st[None, c0:])
         with np.errstate(invalid="ignore"):
-            TK = T * kernel[k0][gather]
+            TK = T * kernel(k0, a0, a1, c0)
         if k0 == 0:  # the leading square holds each pair twice
-            return w2 * (0.5 * float(np.sum(TK[:, : a1 - a0])) + float(np.sum(TK[:, a1 - a0 :])))
-        return w2 * float(np.sum(TK))
+            return weight[k0] * (0.5 * float(np.sum(TK[:, : a1 - a0])) + float(np.sum(TK[:, a1 - a0 :])))
+        return weight[k0] * float(np.sum(TK))
 
     items = [(k0, a0) for k0 in range(n0) for a0 in range(0, n_rest, rows)]
     return _map_in_order(one_chunk, items)
+
+
+def _lattice_pair_sums(vals, grid: Grid, p, kernel_expo):
+    """The pair sum of ``_pair_block_sums`` on a lattice grid, by offsets.
+
+    The box is read as n0 planes of n_rest cells (a 1-D box as one plane),
+    with the values and the mask scattered into it, and swept by
+    ``_plane_sweep``.  The kernel depends only on k0 and on |a - b| per
+    axis and so is gathered from the n_rest powers of that offset.  The
+    cell weight w is the same everywhere, so w^2 is a common factor.
+    """
+    lat = grid.lattice
+    counts = lat.counts if grid.d > 1 else (1,) + lat.counts
+    h = grid.sides[0] if grid.d > 1 else np.concatenate(([0.0], grid.sides[0]))
+    n0, rest = counts[0], counts[1:]
+    n_rest = math.prod(rest)
+    if lat.kept is None:
+        U, m = vals.reshape(n0, n_rest), None
+    else:
+        U, m = np.zeros(n0 * n_rest), np.zeros(n0 * n_rest)
+        U[lat.kept], m[lat.kept] = vals, 1.0
+        U, m = U.reshape(n0, n_rest), m.reshape(n0, n_rest)
+
+    # kernel[k0, j]: plane offset k0 and in-plane offset with flat index j
+    offs = np.indices(rest).reshape(len(rest), n_rest)
+    r2 = sum((hk * o) ** 2 for hk, o in zip(h[1:], offs))
+    with np.errstate(divide="ignore", over="ignore"):
+        kernel = ((h[0] * np.arange(n0))[:, None] ** 2 + r2) ** (-0.5 * kernel_expo)
+    kernel[0, 0] = 0.0  # a cell with itself; T is 0 there
+    # the flat index of an in-plane offset is the sum of these per axis
+    steps = [o * math.prod(rest[k + 1 :]) for k, o in enumerate(offs)]
+
+    def gathered(k0, a0, a1, c0):
+        gather = np.abs(steps[0][a0:a1, None] - steps[0][None, c0:])
+        for st in steps[1:]:
+            gather += np.abs(st[a0:a1, None] - st[None, c0:])
+        return kernel[k0][gather]
+
+    w2 = np.full(n0, float(grid.weights[0]) ** 2)
+    return _plane_sweep(U, p, gathered, w2, m)
+
+
+def _dyadic_pair_sums(vals, grid: Grid, p, kernel_expo):
+    """The pair sum of ``_pair_block_sums`` on a dyadic graded grid, by block offset.
+
+    Cell a of block j sits at 2^{-j-1} xi_a, xi_a = 1 + (a + 1/2)/n, and
+    weighs 2^{-j-1}/n, so with e = kernel_expo the pair of cell a of block
+    j and cell b of block j + k has
+
+        kernel x weights = 2^{(j+1)(e-2)} * 2^{-k}/n^2 * |xi_a - 2^{-k} xi_b|^{-e}.
+
+    The blocks are the planes of ``_plane_sweep``: the first factor scales
+    the rows of plane j (it is 1 at e = 2, the critical sp = 1 in d = 1),
+    the second is the weight of offset k, and the third, the kernel in
+    block-local coordinates, is one n x n table per offset.
+    """
+    n0, n = grid.dyadic.count, grid.dyadic.cells
+    xi = 1.0 + (np.arange(n) + 0.5) / n
+    grading = kernel_expo - 2.0
+    scale = None if grading == 0 else np.exp2((np.arange(n0) + 1.0) * grading)
+
+    def local(k0, a0, a1, c0):
+        with np.errstate(divide="ignore"):
+            K = np.abs(xi[a0:a1, None] - np.exp2(-k0) * xi[None, c0:]) ** -kernel_expo
+        if k0 == 0:
+            np.fill_diagonal(K, 0.0)  # a cell with itself; T is 0 there
+        return K
+
+    weight = np.exp2(-np.arange(n0, dtype=float)) / n**2
+    return _plane_sweep(vals.reshape(n0, n), p, local, weight, scale=scale)
 
 
 def gagliardo_seminorm(u, domain: geo.Domain | None, fp: FracParams, grid) -> float:
@@ -690,7 +747,12 @@ def gagliardo_seminorm(u, domain: geo.Domain | None, fp: FracParams, grid) -> fl
     p = float(fp.p)
     sp = float(fp.sp)
     vals = _evaluate(u, g)
-    pair_sums = _pair_block_sums if g.lattice is None else _lattice_pair_sums
+    if g.lattice is not None:
+        pair_sums = _lattice_pair_sums
+    elif g.dyadic is not None:
+        pair_sums = _dyadic_pair_sums
+    else:
+        pair_sums = _pair_block_sums
     partials = pair_sums(vals, g, p, fp.d + sp)
     off_diag = 2.0 * kahan_sum(np.asarray(partials))
     lips = _local_lipschitz(u, g)

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -246,6 +249,8 @@ def test_flag_overrides(tmp_path: Path):
         (dict(HARDY_CFG, domain={"kind": "slab", "n": 1, "d": 2}), "domain.d"),
         (dict(SEMINORM_CFG, domain={"kind": "slab", "n": 1, "d": 3},
               frac={"d": 3, "p": "2", "s": "1/2", "tau": "2"}, resolution=1048576), "resolution"),
+        # level 6 grids 101 dyadic blocks: 101 * 16384 cells exceed 2**20
+        (dict(PROBE_CFG, cells_per_block=16384), "cells_per_block"),
     ],
 )
 def test_main_malformed_field_exit_2(tmp_path: Path, capsys, cfg, field):
@@ -255,6 +260,14 @@ def test_main_malformed_field_exit_2(tmp_path: Path, capsys, cfg, field):
     err = capsys.readouterr().err
     assert f"'{field}'" in err
     assert "Traceback" not in err
+
+
+def test_probe_cells_per_block_limit():
+    # the top level's grid has 101 blocks: the largest block that fits in
+    # 2**20 cells passes, one cell more is rejected
+    ExperimentConfig.from_dict(dict(PROBE_CFG, cells_per_block=2**20 // 101))
+    with pytest.raises(ConfigError, match="cells_per_block"):
+        ExperimentConfig.from_dict(dict(PROBE_CFG, cells_per_block=2**20 // 101 + 1))
 
 
 def test_run_restores_caller_thread_count():
@@ -269,6 +282,19 @@ def test_run_restores_caller_thread_count():
 @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)
 def test_demo_config_runs(tmp_path: Path, path: Path):
     assert cli.main(["--config", str(path), "--out", str(tmp_path)]) == 0
+
+
+def test_python_m_hardylab_runs_without_warning(tmp_path: Path):
+    src = Path(cli.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    exponents = next(p for p in DEMO_CONFIGS if p.stem == "exponents")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hardylab", "--config", str(exponents), "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert (tmp_path / "summary.json").exists()
 
 
 #: cheap, valid configs of every command; the fuzz test swaps one field,

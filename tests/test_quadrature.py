@@ -149,12 +149,14 @@ def test_seminorm_linear_critical_exact():
 
 
 def test_seminorm_independent_of_cell_order():
-    # every unordered cell pair is counted exactly once whatever the node
-    # order; a pair-block mask that also kept part of the lower triangle
-    # would change the value on this graded, non-uniform grid
+    """Every unordered cell pair is counted exactly once whatever the node
+    order.  The graded grid takes the block-offset sweep; reversed, it is a
+    plain union of cells and takes the row blocks, where a mask that also
+    kept part of the lower triangle would change the value."""
     from hardylab.experiments import slab_graded_grid
 
     g = slab_graded_grid(10, 16)
+    assert g.dyadic is not None
     rev = quad.Grid(g.centers[::-1].copy(), g.sides[::-1].copy(), g.weights[::-1].copy())
     u = quad.LogSpike(depth=2.0)
     params = fp(1, "2", "1/2")
@@ -209,16 +211,24 @@ def test_seminorm_threads_bit_identical():
     from hardylab.experiments import slab_graded_grid
 
     slab2, slab3 = geo.Slab(n=1, d=2), geo.Slab(n=1, d=3)
+    graded = slab_graded_grid(6, 16)
+    reversed_graded = quad.Grid(graded.centers[::-1].copy(), graded.sides[::-1].copy(),
+                                graded.weights[::-1].copy())
+    layers = geo.DyadicLayer(-3, 1, 2).region_boxes() + geo.DyadicLayer(-2, 1, 2).region_boxes()
     cases = [
-        # uniform lattice, masked lattice, 3-D lattice, and a graded grid
-        # on the general path
+        # uniform lattice, masked lattice, 3-D lattice, a graded grid (block
+        # offsets), then the row blocks: the graded grid reversed and a
+        # telescope layer pair
         (quad.TensorBump((0.0, 0.5), (0.5, 0.3)), slab2, fp(2, "2", "1/2"),
          quad.GridSpec(16, slab2.box)),
         (quad.TensorBump((0.3, 0.3), (0.18, 0.18)), L_SHAPE, fp(2, "2", "1/2"),
          quad.GridSpec(32, SQUARE)),
         (quad.TensorBump((0.0, 0.0, 0.5), (0.5, 0.5, 0.3)), slab3, fp(3, "3", "1/3"),
          quad.GridSpec(8, slab3.box)),
-        (quad.LogSpike(depth=2.0), None, fp(1, "2", "1/2"), slab_graded_grid(6, 16)),
+        (quad.LogSpike(depth=2.0), None, fp(1, "2", "1/2"), graded),
+        (quad.LogSpike(depth=2.0), None, fp(1, "2", "1/2"), reversed_graded),
+        (quad.LogSpike(depth=1.0, t0=1.0, transverse=geo.Box((-0.6,), (0.6,))), None,
+         fp(2, "2", "1/2"), quad.union_grid(layers, 4)),
     ]
     for u, dom, params, grid in cases:
         results = []
@@ -257,6 +267,26 @@ def test_lattice_sum_matches_pair_blocks(grid, p, monkeypatch):
         monkeypatch.setattr(quad, "_LATTICE_CHUNK", chunk)
         lattice = quad.kahan_sum(quad._lattice_pair_sums(vals, grid, p, kernel_expo))
         assert lattice == pytest.approx(blocks, rel=1e-12)
+
+
+@pytest.mark.parametrize("p,sp", [(2, 1.0), (3, 1.5), (2, 0.5), (4, 2.0)])
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("levels", [6, 52, 100])
+def test_graded_sum_matches_pair_blocks(levels, n, p, sp, monkeypatch):
+    # the block-offset sweep and the row-block sum see the same graded grid
+    # and must count the same pairs with the same kernel and weights; a
+    # chunk of 3n splits each block into row chunks of 3 and sums T one
+    # block at a time
+    from hardylab.experiments import slab_graded_grid
+
+    grid = slab_graded_grid(levels, n)
+    assert grid.dyadic == quad.DyadicBlocks(levels + 1, n)
+    vals = np.random.default_rng(11).standard_normal(grid.ncells)
+    blocks = quad.kahan_sum(quad._pair_block_sums(vals, grid, float(p), 1 + sp))
+    for chunk in (quad._LATTICE_CHUNK, 3 * n):
+        monkeypatch.setattr(quad, "_LATTICE_CHUNK", chunk)
+        graded = quad.kahan_sum(quad._dyadic_pair_sums(vals, grid, float(p), 1 + sp))
+        assert graded == pytest.approx(blocks, rel=1e-12)
 
 
 @pytest.mark.parametrize("p,s", [(2, Fraction(1, 2)), (3, Fraction(1, 3))])
