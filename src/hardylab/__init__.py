@@ -76,7 +76,6 @@ from .quadrature import (
     gagliardo_seminorm,
     integrate,
     lp_norm,
-    set_num_threads,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

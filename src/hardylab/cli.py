@@ -55,20 +55,25 @@ class ConfigError(ParameterError):
         self.field_path = field_path
 
 
-#: positive-int fields and their defaults
-_COUNT_DEFAULTS = {
-    "cells_per_block": 8,
-    "elementary_count": 100_000,
-    "pair_count": 200,
-    "search.starts": 8,
-    "search.budget_per_start": 200,
-    "cells_per_cube": 4,
-}
-
-
 #: log2 of the largest grid a config may ask for; a lattice seminorm keeps a
 #: few box-sized arrays, and the pair sum grows with the square of the cells
 _MAX_GRID_LOG2 = 20
+
+#: positive-int fields: default and largest value.  A cell count is bounded
+#: by the grid limit (the probe and telescope check their whole grid too);
+#: the other bounds cap the work one config can ask for
+_COUNT_DEFAULTS = {
+    "cells_per_block": (8, 2**_MAX_GRID_LOG2),
+    "elementary_count": (100_000, 2**20),
+    "pair_count": (200, 2**16),
+    "search.starts": (8, 2**10),
+    "search.budget_per_start": (200, 2**14),
+    "cells_per_cube": (4, 2**_MAX_GRID_LOG2),
+}
+
+#: most worker threads a config may ask for; the pair sum starts up to
+#: min(threads, pieces) OS threads, and a 2**20-cell grid has 8192 row blocks
+_MAX_THREADS = 64
 
 
 def _require(cfg: dict, key: str, where: str):
@@ -166,11 +171,8 @@ class ExperimentConfig:
                               f" 'bounded', got {expect!r}")
         return expect
 
-    def levels(self) -> tuple[int, int]:
-        return _level_range(self.raw.get("levels", [3, 8]), "levels")
-
     def probe_family(self) -> exp.LogSpikeFamily:
-        return exp.LogSpikeFamily(level_range=self.levels())
+        return _log_spike_family(self.raw.get("levels", [3, 8]), "levels")
 
     def cells_per_block(self) -> int:
         """Cells per dyadic block; the top level's graded grid stays within
@@ -184,10 +186,24 @@ class ExperimentConfig:
         return cells
 
     def depths(self) -> list[int]:
+        """Telescope depths; the deepest layer pair's grid stays within the
+        grid limit."""
         depths = self.raw.get("depths", [-4, -5, -6])
         if not (isinstance(depths, (list, tuple)) and depths
                 and all(_is_int(m) and m <= -1 for m in depths)):
             raise ConfigError("depths", f"must be a non-empty list of ints <= -1, got {depths!r}")
+        slab, cells = self.domain(), self.count("cells_per_cube")
+        if not isinstance(slab, geo.Slab):
+            raise ConfigError("domain", "the telescope runs on slab domains")
+        # layer k has (n 2^{1-k})^{d-1} cubes of cells^d cells, and the
+        # deepest seminorm joins layers m and m + 1 (layer -1 stands alone);
+        # layer m alone is tested in log2 first, so a huge d costs nothing
+        m, d = min(depths), slab.d
+        if ((d - 1) * (math.log2(slab.n) + 1 - m) + d * math.log2(cells) > _MAX_GRID_LOG2
+                or sum(geo.DyadicLayer(k, slab.n, d).count for k in range(m, min(m + 2, 0)))
+                * cells**d > 2**_MAX_GRID_LOG2):
+            raise ConfigError("depths", f"the layers at depth {m} exceed the limit of"
+                              f" 2**{_MAX_GRID_LOG2} cells")
         return depths
 
     def number(self, key: str, default: float) -> float:
@@ -210,9 +226,10 @@ class ExperimentConfig:
         spec = self.raw.get(where, {}) if where else self.raw
         if not isinstance(spec, dict):
             raise ConfigError(where, "must be an object")
-        value = spec.get(key, _COUNT_DEFAULTS[path])
-        if not _is_int(value) or value < 1:
-            raise ConfigError(path, f"must be a positive int, got {value!r}")
+        default, top = _COUNT_DEFAULTS[path]
+        value = spec.get(key, default)
+        if not _is_int(value) or not 1 <= value <= top:
+            raise ConfigError(path, f"must be an int in [1, {top}], got {value!r}")
         return value
 
     def search(self) -> exp.SearchConfig:
@@ -239,8 +256,8 @@ class ExperimentConfig:
     @property
     def threads(self) -> int:
         t = self.raw.get("threads", 1)
-        if not isinstance(t, int) or t < 1:
-            raise ConfigError("threads", f"must be a positive int, got {t!r}")
+        if not _is_int(t) or not 1 <= t <= _MAX_THREADS:
+            raise ConfigError("threads", f"must be an int in [1, {_MAX_THREADS}], got {t!r}")
         return t
 
     def frac_params(self) -> quad.FracParams:
@@ -314,18 +331,15 @@ def _numbers(value) -> tuple:
     return tuple(value)
 
 
-def _level_range(lev, path: str) -> tuple[int, int]:
-    """Log-spike level range; above the family's depth cap a level would
-    silently reuse the capped member."""
-    top = 1 + int(math.log2(exp.LogSpikeFamily.max_depth))
-    if not (
-        isinstance(lev, (list, tuple))
-        and len(lev) == 2
-        and all(_is_int(v) for v in lev)
-        and 1 <= lev[0] <= lev[1] <= top
-    ):
-        raise ConfigError(path, f"must be [lo, hi] ints with 1 <= lo <= hi <= {top}, got {lev!r}")
-    return lev[0], lev[1]
+def _log_spike_family(lev, path: str) -> exp.LogSpikeFamily:
+    """Log-spike family over the level range ``lev`` = [lo, hi]; the family
+    bounds the levels by its depth cap."""
+    if not (isinstance(lev, (list, tuple)) and len(lev) == 2 and all(_is_int(v) for v in lev)):
+        raise ConfigError(path, f"must be [lo, hi] ints, got {lev!r}")
+    try:
+        return exp.LogSpikeFamily(level_range=(lev[0], lev[1]))
+    except ParameterError as e:
+        raise ConfigError(path, str(e)) from e
 
 
 def _test_function_from_dict(spec: dict) -> quad.TestFunction:
@@ -441,7 +455,7 @@ def _cmd_seminorm(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
     domain = cfg.domain()
     u = cfg.test_function()
     spec = _grid_for(cfg, domain)
-    value = quad.gagliardo_seminorm(u, domain, fp, spec)
+    value = quad.gagliardo_seminorm(u, domain, fp, spec, threads=cfg.threads)
     results = {
         "seminorm": value,
         "resolution": cfg.resolution,
@@ -451,6 +465,11 @@ def _cmd_seminorm(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
 
 
 def _grid_for(cfg: ExperimentConfig, domain: geo.Domain) -> quad.GridSpec:
+    # the size comes first: a bounding box holds d coordinates per corner
+    res, d = cfg.resolution, domain.d
+    if d * math.log2(res) > _MAX_GRID_LOG2:
+        raise ConfigError("resolution", f"a grid of {res}**{d} cells exceeds the limit"
+                          f" of 2**{_MAX_GRID_LOG2} cells")
     box = cfg.raw.get("support_box")
     if box is not None:
         try:
@@ -458,14 +477,12 @@ def _grid_for(cfg: ExperimentConfig, domain: geo.Domain) -> quad.GridSpec:
             box = geo.Box(_numbers(lo), _numbers(hi))
         except (TypeError, ValueError) as e:
             raise ConfigError("support_box", f"must be [lo, hi] number lists: {e}") from e
+        if box.d != d:
+            raise ConfigError("support_box", f"has dimension {box.d}, the domain {d}")
     else:
         box = domain.bounding_box()
         if box is None:
             raise ConfigError("support_box", "required for unbounded domains (truncation box)")
-    res = cfg.resolution
-    if box.d * math.log2(res) > _MAX_GRID_LOG2:
-        raise ConfigError("resolution", f"a grid of {res}**{box.d} cells exceeds the limit"
-                          f" of 2**{_MAX_GRID_LOG2} cells")
     return quad.GridSpec(res, box)
 
 
@@ -474,7 +491,7 @@ def _cmd_hardy_check(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
     domain = cfg.domain()
     u = cfg.test_function()
     spec = _grid_for(cfg, domain)
-    w, lhs, denom = hardy.hardy_terms(u, domain, case, spec, cfg.scale())
+    w, lhs, denom = hardy.hardy_terms(u, domain, case, spec, cfg.scale(), cfg.threads)
     ratio = lhs / denom
     results = {
         "lhs": lhs,
@@ -493,8 +510,7 @@ def _family_from_config(cfg: ExperimentConfig) -> exp.FunctionFamily:
         raise ConfigError("family", "must be an object")
     kind = spec.get("kind")
     if kind == "log_spike":
-        lev = _level_range(spec.get("level_range", [3, 8]), "family.level_range")
-        return exp.LogSpikeFamily(level_range=lev)
+        return _log_spike_family(spec.get("level_range", [3, 8]), "family.level_range")
     if kind not in ("boundary_bump", "tensor_bump_grid"):
         raise ConfigError("family.kind", f"unknown family kind {kind!r}")
     try:
@@ -521,7 +537,8 @@ def _cmd_estimate_constant(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
     domain = cfg.domain()
     family = _family_from_config(cfg)
     spec = _grid_for(cfg, domain)
-    res = exp.estimate_constant(family, case, domain, cfg.search(), spec, R=cfg.scale())
+    res = exp.estimate_constant(family, case, domain, cfg.search(), spec, R=cfg.scale(),
+                                threads=cfg.threads)
     results = {
         "best_ratio": res.best_ratio,
         "best_params": list(res.best_params),
@@ -541,7 +558,8 @@ def _cmd_blowup_probe(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
     case = cfg.case()
     offsets = cfg.beta_offsets()
     probes = exp.blowup_probe(case, offsets, cfg.domain(), cfg.probe_family(),
-                              cfg.cells_per_block(), cfg.number("growth_threshold", 1.15))
+                              cfg.cells_per_block(), cfg.number("growth_threshold", 1.15),
+                              threads=cfg.threads)
     results = {"beta_table": str(hardy.critical_exponents(case).beta)}
     series = {}
     verdicts = {}
@@ -607,7 +625,7 @@ def _cmd_telescope(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
     rows = []
     cs = []
     for m in cfg.depths():
-        rep = exp.telescoping_reconstruction(domain, u, fp, m, cells)
+        rep = exp.telescoping_reconstruction(domain, u, fp, m, cells, cfg.threads)
         cs.append(rep.minimal_c)
         rows.append(
             {
@@ -635,19 +653,10 @@ _DISPATCH = {
 
 
 def run(config: ExperimentConfig) -> ExperimentRecord:
-    """Dispatch a validated config and collect the record.
-
-    The config's thread count holds for this run only; the caller's
-    setting is restored afterwards.
-    """
-    caller_threads = quad.get_num_threads()
-    quad.set_num_threads(config.threads)
-    try:
-        start = time.perf_counter()
-        results, series, verdicts = _DISPATCH[config.command](config)
-        elapsed = time.perf_counter() - start
-    finally:
-        quad.set_num_threads(caller_threads)
+    """Dispatch a validated config and collect the record."""
+    start = time.perf_counter()
+    results, series, verdicts = _DISPATCH[config.command](config)
+    elapsed = time.perf_counter() - start
     return ExperimentRecord(
         config_digest=config.digest(),
         command=config.command,

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 from scipy import optimize
@@ -59,31 +60,19 @@ __all__ = [
 # graded meshes for the slab
 
 
-def slab_graded_grid(depth_levels: int, cells_per_block: int = 8, d: int = 1,
-                     transverse: geo.Box | None = None) -> Grid:
-    """Geometrically graded mesh of the slab height (0, 1).
+def slab_graded_grid(depth_levels: int, cells_per_block: int = 8) -> Grid:
+    """Geometrically graded mesh of the height interval (0, 1).
 
     One uniform block per dyadic level [2^{-j-1}, 2^{-j}], j = 0..J with
     J = depth_levels; cells refine toward the bottom boundary at the same
-    rate the dyadic blocks shrink.  For d > 1 each block is the product of
-    ``transverse`` with the height interval.  A d = 1 grid records its
-    blocks, which lets the seminorm sum its pairs by block offset.
+    rate the dyadic blocks shrink.  The grid records its blocks, which lets
+    the seminorm sum its pairs by block offset.
     """
     if depth_levels < 1:
         raise ParameterError("need at least one dyadic level")
-    boxes = []
-    for j in range(depth_levels + 1):
-        lo_d, hi_d = 2.0 ** (-j - 1), 2.0 ** (-j)
-        if d == 1:
-            boxes.append(geo.Box((lo_d,), (hi_d,)))
-        else:
-            if transverse is None:
-                raise ParameterError("d > 1 needs a transverse box")
-            boxes.append(geo.Box(transverse.lo + (lo_d,), transverse.hi + (hi_d,)))
+    boxes = [geo.Box((2.0 ** (-j - 1),), (2.0 ** (-j),)) for j in range(depth_levels + 1)]
     grid = quad.union_grid(boxes, cells_per_block)
-    if d == 1:
-        grid = replace(grid, dyadic=quad.DyadicBlocks(depth_levels + 1, cells_per_block))
-    return grid
+    return replace(grid, dyadic=quad.DyadicBlocks(depth_levels + 1, cells_per_block))
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +130,22 @@ class LogSpikeFamily(FunctionFamily):
     Level m maps to a profile whose ramps and plateau each span
     2^{m-1} dyadic levels of the slab height; each level doubles the
     concentration depth, which is what makes growth factors across levels
-    scale-free.  Depths are capped so the cell weights and the diagonal
-    patch of the deepest block stay inside the double-precision range.
+    scale-free.  Depths are capped at ``max_depth`` so the cell weights and
+    the diagonal patch of the deepest block stay inside the double-precision
+    range, and the level range stops at the cap's level 1 + log2(max_depth),
+    above which a level would reuse the capped member.
     """
 
     level_range: tuple[int, int] = (3, 8)
     t0: float = 1.5
-    max_depth: float = 128.0
+    max_depth: ClassVar[float] = 128.0
+
+    def __post_init__(self):
+        lo, hi = self.level_range
+        top = 1 + int(math.log2(self.max_depth))
+        if not 1 <= lo <= hi <= top:
+            raise ParameterError(f"level range needs 1 <= lo <= hi <= {top},"
+                                 f" got {self.level_range!r}")
 
     @property
     def bounds(self):  # type: ignore[override]
@@ -221,6 +219,7 @@ def estimate_constant(
     search: SearchConfig,
     grid,
     R: float | None = None,
+    threads: int = 1,
 ) -> EstimateResult:
     """Maximize the Hardy ratio over the family; a lower bound on C.
 
@@ -232,7 +231,7 @@ def estimate_constant(
 
     def objective(params: np.ndarray) -> float:
         u = family.make(params)
-        return -hardy.hardy_ratio(u, domain, case, g, R=R)
+        return -hardy.hardy_ratio(u, domain, case, g, R=R, threads=threads)
 
     best_ratio = -math.inf
     best_params: np.ndarray | None = None
@@ -297,6 +296,7 @@ def blowup_probe(
     cells_per_block: int = 8,
     growth_threshold: float = 1.15,
     min_levels: int = 4,
+    threads: int = 1,
 ) -> tuple[ProbeResult, ...]:
     """Classify each weight exponent beta' = beta + offset as bounded or diverging.
 
@@ -325,7 +325,7 @@ def blowup_probe(
         try:
             u = family.member(m)
             g = family.grid(m, cells_per_block)
-            denom = hardy.hardy_denominator(u, domain, case.fp, g)
+            denom = hardy.hardy_denominator(u, domain, case.fp, g, threads=threads)
         except (ArithmeticError, FloatingPointError):
             truncated = [True] * len(weights)
             break
@@ -420,6 +420,7 @@ def telescoping_reconstruction(
     fp: FracParams,
     m: int,
     cells_per_cube: int = 4,
+    threads: int = 1,
 ) -> TelescopeReport:
     """Reconstruct the dyadic transfer chain and its smallest constant.
 
@@ -465,7 +466,7 @@ def telescoping_reconstruction(
         if k < -1:
             boxes = boxes + geo.DyadicLayer(k + 1, slab.n, slab.d).region_boxes()
         g = quad.union_grid(boxes, cells_per_cube)
-        semi = quad.gagliardo_seminorm(u, None, fp, g)
+        semi = quad.gagliardo_seminorm(u, None, fp, g, threads)
         semis.append(semi**tau)
 
     lhs = 0.0

@@ -232,12 +232,13 @@ def hardy_lhs(u, domain: geo.Domain | None, w: WeightSpec, tau, grid) -> float:
     return total ** (1.0 / tau)
 
 
-def hardy_denominator(u, domain, fp: FracParams, grid) -> float:
-    """Full norm (||u||_p^p + [u]_p^p)^{1/p} on the grid's region."""
+def hardy_denominator(u, domain, fp: FracParams, grid, threads: int = 1) -> float:
+    """Full norm (||u||_p^p + [u]_p^p)^{1/p} on the grid's region; the
+    seminorm's pair sum runs on ``threads`` worker threads."""
     g = quad.as_grid(grid, domain)
     p = float(fp.p)
     lp = quad.lp_norm(u, None, p, g)
-    semi = quad.gagliardo_seminorm(u, None, fp, g)
+    semi = quad.gagliardo_seminorm(u, None, fp, g, threads)
     return (lp**p + semi**p) ** (1.0 / p)
 
 
@@ -290,6 +291,7 @@ def hardy_terms(
     case: HardyCase,
     grid,
     R: float | None = None,
+    threads: int = 1,
 ) -> tuple[WeightSpec, float, float]:
     """The case's weight, lhs(u) and ||u||_{W^{s,p}}, each evaluated once."""
     g = quad.as_grid(grid, domain)
@@ -298,7 +300,7 @@ def hardy_terms(
         if w.R is None:
             raise ParameterError("case 3 needs the strip scale R")
         _check_strip_condition(u, domain, w.R)
-    denom = hardy_denominator(u, domain, case.fp, g)
+    denom = hardy_denominator(u, domain, case.fp, g, threads=threads)
     if denom == 0.0:
         raise DegenerateInputError("test function vanishes on the grid")
     lhs = hardy_lhs(u, domain, w, case.fp.tau, g)
@@ -311,6 +313,7 @@ def hardy_ratio(
     case: HardyCase,
     grid,
     R: float | None = None,
+    threads: int = 1,
 ) -> float:
     """Empirical constant lhs(u) / ||u||_{W^{s,p}} for one test function.
 
@@ -318,7 +321,7 @@ def hardy_ratio(
     content of the inequality is that its supremum over admissible u is
     finite.
     """
-    _, lhs, denom = hardy_terms(u, domain, case, grid, R)
+    _, lhs, denom = hardy_terms(u, domain, case, grid, R, threads)
     return lhs / denom
 
 

@@ -4,7 +4,7 @@ Everything is a midpoint rule on axis-aligned cells.  Uniform tensor grids
 come from a ``GridSpec``; unions of boxes (dyadic layers, geometrically
 graded meshes toward a boundary) and masked boxes (annuli, epigraph clips)
 produce the same ``Grid`` value, so every functional below works on any of
-them.  Uniform and masked boxes also carry their ``Lattice``, and the
+them.  A single box, whole or masked, also carries its ``Lattice``, and the
 1-D dyadic graded mesh its ``DyadicBlocks``, which lets the seminorm's pair
 sum run over index or block offsets instead of cell pairs.
 
@@ -14,8 +14,9 @@ pairs is split into fixed pieces whose partial sums are combined in a fixed
 order: on a lattice grid one piece per axis-0 offset and fixed-size chunk
 of in-plane rows, in offset order; one partial per block offset on graded
 grids (and fixed-size chunk of a block's cells), in offset order; on any
-other grid fixed-size row blocks, in block order.  Worker threads only compute partials, so results are
-bit-identical for any thread count.
+other grid fixed-size row blocks, in block order.  The worker thread count
+is an argument of ``gagliardo_seminorm``; the threads only compute
+partials, so results are bit-identical for any thread count.
 
 The Gagliardo seminorm
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -60,8 +61,6 @@ __all__ = [
     "lp_norm",
     "average",
     "gagliardo_seminorm",
-    "set_num_threads",
-    "get_num_threads",
     "kahan_sum",
 ]
 
@@ -207,9 +206,16 @@ class Grid:
         return kahan_sum(self.weights)
 
 
-def _boxes_mesh(boxes: Sequence[Box], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoints and sides of ``n`` cells per axis in each box, box by box,
-    each box's cells in C order."""
+def union_grid(boxes: Sequence[Box], cells_per_axis: int) -> Grid:
+    """Concatenated per-box uniform grids, in the given box order.
+
+    The boxes are assumed disjoint; each gets ``cells_per_axis`` cells per
+    axis, in C order, so geometrically graded meshes refine toward small
+    boxes.  A single box records its ``Lattice``.
+    """
+    if not boxes:
+        raise ParameterError("need at least one box")
+    n = cells_per_axis
     lo = np.array([b.lo for b in boxes], dtype=float)  # (B, d)
     h = (np.array([b.hi for b in boxes], dtype=float) - lo) / n
     ticks = lo[..., None] + h[..., None] * (np.arange(n) + 0.5)  # (B, d, n)
@@ -217,36 +223,23 @@ def _boxes_mesh(boxes: Sequence[Box], n: int) -> tuple[np.ndarray, np.ndarray]:
     centers = np.empty((B,) + (n,) * d + (d,))
     for a in range(d):
         centers[..., a] = ticks[:, a].reshape((B,) + (1,) * a + (n,) + (1,) * (d - a - 1))
-    return centers.reshape(-1, d), np.repeat(h, n**d, axis=0)
+    sides = np.repeat(h, n**d, axis=0)
+    lattice = Lattice((n,) * d) if B == 1 else None
+    return Grid(centers.reshape(-1, d), sides, np.prod(sides, axis=-1), lattice)
 
 
 def uniform_grid(spec: GridSpec) -> Grid:
-    counts = (spec.resolution,) * spec.support_box.d
-    centers, sides = _boxes_mesh([spec.support_box], spec.resolution)
-    return Grid(centers, sides, np.prod(sides, axis=-1), Lattice(counts))
+    return union_grid([spec.support_box], spec.resolution)
 
 
 def masked_grid(spec: GridSpec, keep: Callable[[np.ndarray], np.ndarray]) -> Grid:
     """Uniform grid restricted to cells whose centers satisfy ``keep``."""
-    counts = (spec.resolution,) * spec.support_box.d
-    centers, sides = _boxes_mesh([spec.support_box], spec.resolution)
-    mask = np.asarray(keep(centers), dtype=bool)
+    g = uniform_grid(spec)
+    mask = np.asarray(keep(g.centers), dtype=bool)
     if not np.any(mask):
         raise ParameterError("mask removed every cell of the grid")
-    centers, sides = centers[mask], sides[mask]
-    return Grid(centers, sides, np.prod(sides, axis=-1), Lattice(counts, np.flatnonzero(mask)))
-
-
-def union_grid(boxes: Sequence[Box], cells_per_axis: int) -> Grid:
-    """Concatenated per-box uniform grids, in the given box order.
-
-    The boxes are assumed disjoint; each gets ``cells_per_axis`` cells per
-    axis, so geometrically graded meshes refine toward small boxes.
-    """
-    if not boxes:
-        raise ParameterError("need at least one box")
-    centers, sides = _boxes_mesh(boxes, cells_per_axis)
-    return Grid(centers, sides, np.prod(sides, axis=-1))
+    kept = replace(g.lattice, kept=np.flatnonzero(mask))
+    return Grid(g.centers[mask], g.sides[mask], g.weights[mask], kept)
 
 
 def domain_grid(domain: geo.Domain, spec: GridSpec) -> Grid:
@@ -280,24 +273,10 @@ def kahan_sum(values: np.ndarray) -> float:
     return math.fsum(np.asarray(values, dtype=float).ravel().tolist())
 
 
-_NUM_THREADS = 1
-
 #: row-block size of the pair loop, and element budget of one chunk of the
 #: plane sweep; fixed so partial sums are independent of the thread count
 _PAIR_BLOCK = 128
 _LATTICE_CHUNK = 1 << 17
-
-
-def set_num_threads(n: int) -> None:
-    """Worker threads for the cell-pair double sum (results are unchanged)."""
-    global _NUM_THREADS
-    if n < 1:
-        raise ParameterError("thread count must be >= 1")
-    _NUM_THREADS = int(n)
-
-
-def get_num_threads() -> int:
-    return _NUM_THREADS
 
 
 # ---------------------------------------------------------------------------
@@ -520,11 +499,11 @@ def lp_norm(u, domain: geo.Domain | None, p, grid) -> float:
 def _region_grid(region, resolution_or_cells) -> Grid:
     if isinstance(region, Grid):
         return region
-    if isinstance(region, Box):
-        return union_grid([region], resolution_or_cells)
     if isinstance(region, geo.Annulus):
         spec = GridSpec(resolution_or_cells, region.bounding_box())
         return masked_grid(spec, region.contains)
+    if isinstance(region, Box):
+        region = [region]
     if isinstance(region, (list, tuple)):
         return union_grid(list(region), resolution_or_cells)
     raise ParameterError(f"unsupported region type {type(region).__name__}")
@@ -575,10 +554,11 @@ def _diagonal_patch(grid: Grid, lips: np.ndarray, p: float, sp: float) -> float:
     return kahan_sum(lips**p * vol * radial)
 
 
-def _map_in_order(fn, items) -> list:
-    """``[fn(item) for item in items]``, on the worker threads if there are any."""
-    if _NUM_THREADS > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=_NUM_THREADS) as ex:
+def _map_in_order(fn, items, threads: int) -> list:
+    """``[fn(item) for item in items]``, on ``threads`` worker threads if
+    there is more than one."""
+    if threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
             return list(ex.map(fn, items))
     return [fn(item) for item in items]
 
@@ -598,7 +578,7 @@ def _abs_pow(x: np.ndarray, p: float) -> np.ndarray:
     return x
 
 
-def _pair_block_sums(vals, grid: Grid, p, kernel_expo):
+def _pair_block_sums(vals, grid: Grid, p, kernel_expo, threads: int):
     """Partial sums over ordered pairs (i < j), one entry per row block.
 
     Block [i0, i1) pairs its rows with the columns i0..M; the strict upper
@@ -617,10 +597,10 @@ def _pair_block_sums(vals, grid: Grid, p, kernel_expo):
             )
         return float(np.sum(np.triu(contrib, 1)))
 
-    return _map_in_order(one_block, range(0, M, _PAIR_BLOCK))
+    return _map_in_order(one_block, range(0, M, _PAIR_BLOCK), threads)
 
 
-def _plane_sweep(U, p, kernel, weight, m=None, scale=None):
+def _plane_sweep(U, p, kernel, weight, threads, m=None, scale=None):
     """Pair sums of the cells of n0 planes of n_rest cells, by plane offset.
 
     ``U`` holds the values, shape (n0, n_rest).  Two distinct cells are
@@ -662,10 +642,10 @@ def _plane_sweep(U, p, kernel, weight, m=None, scale=None):
         return weight[k0] * float(np.sum(TK))
 
     items = [(k0, a0) for k0 in range(n0) for a0 in range(0, n_rest, rows)]
-    return _map_in_order(one_chunk, items)
+    return _map_in_order(one_chunk, items, threads)
 
 
-def _lattice_pair_sums(vals, grid: Grid, p, kernel_expo):
+def _lattice_pair_sums(vals, grid: Grid, p, kernel_expo, threads: int):
     """The pair sum of ``_pair_block_sums`` on a lattice grid, by offsets.
 
     The box is read as n0 planes of n_rest cells (a 1-D box as one plane),
@@ -702,10 +682,10 @@ def _lattice_pair_sums(vals, grid: Grid, p, kernel_expo):
         return kernel[k0][gather]
 
     w2 = np.full(n0, float(grid.weights[0]) ** 2)
-    return _plane_sweep(U, p, gathered, w2, m)
+    return _plane_sweep(U, p, gathered, w2, threads, m)
 
 
-def _dyadic_pair_sums(vals, grid: Grid, p, kernel_expo):
+def _dyadic_pair_sums(vals, grid: Grid, p, kernel_expo, threads: int):
     """The pair sum of ``_pair_block_sums`` on a dyadic graded grid, by block offset.
 
     Cell a of block j sits at 2^{-j-1} xi_a, xi_a = 1 + (a + 1/2)/n, and
@@ -732,15 +712,20 @@ def _dyadic_pair_sums(vals, grid: Grid, p, kernel_expo):
         return K
 
     weight = np.exp2(-np.arange(n0, dtype=float)) / n**2
-    return _plane_sweep(vals.reshape(n0, n), p, local, weight, scale=scale)
+    return _plane_sweep(vals.reshape(n0, n), p, local, weight, threads, scale=scale)
 
 
-def gagliardo_seminorm(u, domain: geo.Domain | None, fp: FracParams, grid) -> float:
+def gagliardo_seminorm(u, domain: geo.Domain | None, fp: FracParams, grid,
+                       threads: int = 1) -> float:
     """[u]_{W^{s,p}} over (domain x domain), truncated to the grid's region.
 
     For compactly supported u on unbounded domains the grid's box is the
-    far-field truncation; widen it to capture more of the tail.
+    far-field truncation; widen it to capture more of the tail.  The pair
+    sum runs on ``threads`` worker threads; the value does not depend on
+    their number.
     """
+    if threads < 1:
+        raise ParameterError("thread count must be >= 1")
     g = as_grid(grid, domain)
     if g.d != fp.d:
         raise ParameterError(f"grid dimension {g.d} != parameter dimension {fp.d}")
@@ -753,7 +738,7 @@ def gagliardo_seminorm(u, domain: geo.Domain | None, fp: FracParams, grid) -> fl
         pair_sums = _dyadic_pair_sums
     else:
         pair_sums = _pair_block_sums
-    partials = pair_sums(vals, g, p, fp.d + sp)
+    partials = pair_sums(vals, g, p, fp.d + sp, threads)
     off_diag = 2.0 * kahan_sum(np.asarray(partials))
     lips = _local_lipschitz(u, g)
     diag = _diagonal_patch(g, lips, p, sp)

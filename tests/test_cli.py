@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -251,6 +252,19 @@ def test_flag_overrides(tmp_path: Path):
               frac={"d": 3, "p": "2", "s": "1/2", "tau": "2"}, resolution=1048576), "resolution"),
         # level 6 grids 101 dyadic blocks: 101 * 16384 cells exceed 2**20
         (dict(PROBE_CFG, cells_per_block=16384), "cells_per_block"),
+        (dict(LEMMA_CFG, elementary_count=2**20 + 1), "elementary_count"),
+        (dict(LEMMA_CFG, pair_count=2**16 + 1), "pair_count"),
+        (dict(ESTIMATE_CFG, search={"starts": 2**10 + 1}), "search.starts"),
+        (dict(ESTIMATE_CFG, search={"budget_per_start": 2**14 + 1}), "search.budget_per_start"),
+        # rejected while validating: no thread is started
+        (dict(SEMINORM_CFG, threads=65), "threads"),
+        (dict(TELESCOPE_CFG, domain={"kind": "slab", "n": 1, "d": 29916160961},
+              frac={"d": 29916160961, "p": "2", "s": "1/2", "tau": "2"}), "depths"),
+        # rejected before the d-dimensional bounding box is built
+        (dict(ESTIMATE_CFG, case="1a", domain={"kind": "slab", "n": 1, "d": 29916160961},
+              frac={"d": 29916160961, "p": "2", "s": "1/2", "tau": "2"}), "resolution"),
+        (dict(SEMINORM_CFG, resolution=1024, support_box=[[0.0] * 3, [1.0] * 3]), "support_box"),
+        (dict(SEMINORM_CFG, threads=True), "threads"),
     ],
 )
 def test_main_malformed_field_exit_2(tmp_path: Path, capsys, cfg, field):
@@ -270,13 +284,52 @@ def test_probe_cells_per_block_limit():
         ExperimentConfig.from_dict(dict(PROBE_CFG, cells_per_block=2**20 // 101 + 1))
 
 
-def test_run_restores_caller_thread_count():
-    quad.set_num_threads(3)
-    try:
-        cli.run(ExperimentConfig.from_dict(dict(SEMINORM_CFG, threads=2)))
-        assert quad.get_num_threads() == 3
-    finally:
-        quad.set_num_threads(1)
+def test_telescope_grid_limit():
+    # the deepest seminorm's grid: layers m and m + 1 below layer -1, layer
+    # -1 alone; in d = 1 each layer is one cube of cells_per_cube cells
+    ExperimentConfig.from_dict(dict(TELESCOPE_CFG, depths=[-2], cells_per_cube=2**19))
+    with pytest.raises(ConfigError, match="depths"):
+        ExperimentConfig.from_dict(dict(TELESCOPE_CFG, depths=[-2], cells_per_cube=2**19 + 1))
+    ExperimentConfig.from_dict(dict(TELESCOPE_CFG, depths=[-1], cells_per_cube=2**20))
+    # d = 2, n = 1, 4 cells per cube: (2^{1-m} + 2^{-m}) * 16 cells
+    slab2 = dict(TELESCOPE_CFG, domain={"kind": "slab", "n": 1, "d": 2},
+                 frac={"d": 2, "p": "2", "s": "1/2", "tau": "2"})
+    ExperimentConfig.from_dict(dict(slab2, depths=[-3, -14]))
+    with pytest.raises(ConfigError, match="depths"):
+        ExperimentConfig.from_dict(dict(slab2, depths=[-3, -15]))
+
+
+def test_threads_reach_every_pair_sum(monkeypatch):
+    # each command that sums cell pairs hands the config's thread count to
+    # every call of the pair-sum map
+    calls = []
+    map_in_order = quad._map_in_order
+
+    def recording(fn, items, threads):
+        calls.append(threads)
+        return map_in_order(fn, items, threads)
+
+    monkeypatch.setattr(quad, "_map_in_order", recording)
+    configs = [
+        SEMINORM_CFG,
+        HARDY_CFG,
+        ESTIMATE_CFG,
+        dict(PROBE_CFG, levels=[3, 4]),
+        dict(TELESCOPE_CFG, depths=[-2]),
+    ]
+    for cfg in configs:
+        calls.clear()
+        cli.run(ExperimentConfig.from_dict(dict(cfg, threads=2)))
+        assert calls and set(calls) == {2}, cfg["command"]
+
+
+def test_package_has_no_global_statements():
+    # module state that functions rebind is shared by every caller; pass
+    # what a call needs as an argument instead
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assigned = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)]
+        assert not assigned, f"{path.name}: global statement at line(s) {assigned}"
 
 
 @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)

@@ -8,7 +8,7 @@ from hardylab import experiments as exp
 from hardylab import geometry as geo
 from hardylab import hardy
 from hardylab import quadrature as quad
-from hardylab.errors import UnsupportedDomainError
+from hardylab.errors import ParameterError, UnsupportedDomainError
 
 
 def fp(d, p, s, tau):
@@ -94,9 +94,9 @@ def test_probe_builds_each_level_norm_once(monkeypatch):
     calls = []
     denominator = hardy.hardy_denominator
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return denominator(*args)
+        return denominator(*args, **kwargs)
 
     monkeypatch.setattr(hardy, "hardy_denominator", counting)
     exp.three_point_signature(CASE_1B, SLAB_1D, exp.LogSpikeFamily(level_range=(3, 5)))
@@ -126,10 +126,10 @@ def test_probe_truncation_shared_and_per_offset(monkeypatch, bad_lhs):
     assert [m for m, _ in at.levels] == [3, 4] and at.truncated
     assert [m for m, _ in below.levels] == [3, 4, 5, 6] and not below.truncated
 
-    def denominator_fails_at_level_5(u, domain, fp, g):
+    def denominator_fails_at_level_5(u, domain, fp, g, threads=1):
         if u.depth >= 16:
             raise FloatingPointError("overflow")
-        return denominator(u, domain, fp, g)
+        return denominator(u, domain, fp, g, threads=threads)
 
     monkeypatch.setattr(hardy, "hardy_denominator", denominator_fails_at_level_5)
     for res in exp.blowup_probe(CASE_1B, (-1, 0), SLAB_1D, family):
@@ -243,3 +243,12 @@ def test_log_spike_family_depth_doubles_then_caps():
     assert family.depth(4) == 8.0
     assert family.depth(8) == 128.0
     assert family.depth(9) == 128.0  # capped
+
+
+@pytest.mark.parametrize("levels", [(3, 9), (3, 10), (0, 4), (5, 4)])
+def test_log_spike_family_rejects_levels_past_the_cap(levels):
+    # 1 + log2(max_depth) = 8 is the last level with a member of its own; a
+    # deeper level would reuse the level-8 member
+    exp.LogSpikeFamily(level_range=(1, 8))
+    with pytest.raises(ParameterError, match="level range"):
+        exp.LogSpikeFamily(level_range=levels)

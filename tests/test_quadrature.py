@@ -231,14 +231,10 @@ def test_seminorm_threads_bit_identical():
          fp(2, "2", "1/2"), quad.union_grid(layers, 4)),
     ]
     for u, dom, params, grid in cases:
-        results = []
-        for n in (1, 2, 8):
-            quad.set_num_threads(n)
-            try:
-                results.append(quad.gagliardo_seminorm(u, dom, params, grid))
-            finally:
-                quad.set_num_threads(1)
+        results = [quad.gagliardo_seminorm(u, dom, params, grid, threads=n) for n in (1, 2, 8)]
         assert results[0] == results[1] == results[2]
+    with pytest.raises(ParameterError, match="thread count"):
+        quad.gagliardo_seminorm(u, dom, params, grid, threads=0)
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
@@ -252,8 +248,9 @@ def test_seminorm_threads_bit_identical():
         quad.domain_grid(L_SHAPE, quad.GridSpec(32, SQUARE)),
         quad.domain_grid(geo.ExteriorBall(1.0, 2), quad.GridSpec(32, geo.Box((-2.5,) * 2, (2.5,) * 2))),
         quad.uniform_grid(quad.GridSpec(8, CUBE)),
+        quad.union_grid([SQUARE], 32),
     ],
-    ids=["1d-128", "2d-32", "2d-clipped", "l-shape", "exterior-ball", "3d-8"],
+    ids=["1d-128", "2d-32", "2d-clipped", "l-shape", "exterior-ball", "3d-8", "union-one-box"],
 )
 def test_lattice_sum_matches_pair_blocks(grid, p, monkeypatch):
     # the offset sweep and the row-block sum see the same Grid and must
@@ -262,10 +259,10 @@ def test_lattice_sum_matches_pair_blocks(grid, p, monkeypatch):
     assert grid.lattice is not None
     vals = np.random.default_rng(7).standard_normal(grid.ncells)
     kernel_expo = grid.d + p / 3
-    blocks = quad.kahan_sum(quad._pair_block_sums(vals, grid, p, kernel_expo))
+    blocks = quad.kahan_sum(quad._pair_block_sums(vals, grid, p, kernel_expo, 1))
     for chunk in (quad._LATTICE_CHUNK, 256):
         monkeypatch.setattr(quad, "_LATTICE_CHUNK", chunk)
-        lattice = quad.kahan_sum(quad._lattice_pair_sums(vals, grid, p, kernel_expo))
+        lattice = quad.kahan_sum(quad._lattice_pair_sums(vals, grid, p, kernel_expo, 1))
         assert lattice == pytest.approx(blocks, rel=1e-12)
 
 
@@ -282,10 +279,10 @@ def test_graded_sum_matches_pair_blocks(levels, n, p, sp, monkeypatch):
     grid = slab_graded_grid(levels, n)
     assert grid.dyadic == quad.DyadicBlocks(levels + 1, n)
     vals = np.random.default_rng(11).standard_normal(grid.ncells)
-    blocks = quad.kahan_sum(quad._pair_block_sums(vals, grid, float(p), 1 + sp))
+    blocks = quad.kahan_sum(quad._pair_block_sums(vals, grid, float(p), 1 + sp, 1))
     for chunk in (quad._LATTICE_CHUNK, 3 * n):
         monkeypatch.setattr(quad, "_LATTICE_CHUNK", chunk)
-        graded = quad.kahan_sum(quad._dyadic_pair_sums(vals, grid, float(p), 1 + sp))
+        graded = quad.kahan_sum(quad._dyadic_pair_sums(vals, grid, float(p), 1 + sp, 1))
         assert graded == pytest.approx(blocks, rel=1e-12)
 
 
