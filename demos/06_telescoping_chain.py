@@ -28,20 +28,22 @@ battery = {
     "wide deep bump": quad.TensorBump((0.2, 0.4), (0.7, 0.37)),
 }
 
+depths = (-4, -5, -6)
+reports = {}
 for name, u in battery.items():
+    # one call walks the layers once and reports every depth
+    reports[name] = exp.telescoping_reconstruction(slab, u, fp, depths, cells_per_cube=4)
     print(f"{name}:")
-    for m in (-4, -5, -6):
-        rep = exp.telescoping_reconstruction(slab, u, fp, m, cells_per_cube=4)
+    for rep in reports[name]:
         print(
-            f"  depth m={m}: minimal C = {rep.minimal_c:.6f}, "
+            f"  depth m={rep.m}: minimal C = {rep.minimal_c:.6f}, "
             f"lhs = {rep.lhs:.6f}, top term = {rep.top_term:.6f}, "
             f"skipped layers = {list(rep.skipped_layers)}"
         )
     print()
 
 # one full report in detail
-u = battery["deep bump"]
-rep = exp.telescoping_reconstruction(slab, u, fp, -5, cells_per_cube=4)
+rep = reports["deep bump"][depths.index(-5)]
 print("layer-by-layer at m = -5 (k, cubes, a_k, seminorm^tau term):")
 for k, count, a_k, s_k in zip(
     range(-5, 0), rep.layer_counts, rep.layer_sums, rep.seminorm_terms

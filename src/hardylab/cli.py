@@ -59,6 +59,10 @@ class ConfigError(ParameterError):
 #: few box-sized arrays, and the pair sum grows with the square of the cells
 _MAX_GRID_LOG2 = 20
 
+#: -log2 of the smallest telescope cell side: the row-block kernel squares
+#: the side, and 2**-1022 is the smallest normal double
+_MIN_CELL_SIDE_LOG2 = 511
+
 #: positive-int fields: default and largest value.  A cell count is bounded
 #: by the grid limit (the probe and telescope check their whole grid too);
 #: the other bounds cap the work one config can ask for
@@ -83,6 +87,8 @@ def _require(cfg: dict, key: str, where: str):
 
 
 def _fraction_field(value, path: str) -> Fraction:
+    if isinstance(value, bool):
+        raise ConfigError(path, f"must be an int, a float or a 'num/den' string, got {value!r}")
     try:
         return quad._as_fraction(value)
     except (ParameterError, ValueError, ZeroDivisionError, OverflowError) as e:
@@ -187,7 +193,8 @@ class ExperimentConfig:
 
     def depths(self) -> list[int]:
         """Telescope depths; the deepest layer pair's grid stays within the
-        grid limit."""
+        grid limit, and the square of its cell side 2^m / cells_per_cube
+        stays a normal double."""
         depths = self.raw.get("depths", [-4, -5, -6])
         if not (isinstance(depths, (list, tuple)) and depths
                 and all(_is_int(m) and m <= -1 for m in depths)):
@@ -199,6 +206,9 @@ class ExperimentConfig:
         # deepest seminorm joins layers m and m + 1 (layer -1 stands alone);
         # layer m alone is tested in log2 first, so a huge d costs nothing
         m, d = min(depths), slab.d
+        if m < math.log2(cells) - _MIN_CELL_SIDE_LOG2:  # int against float: no big int
+            raise ConfigError("depths", f"depth {m} with {cells} cells per cube makes cells of"
+                              f" side below 2**-{_MIN_CELL_SIDE_LOG2}, whose square is subnormal")
         if ((d - 1) * (math.log2(slab.n) + 1 - m) + d * math.log2(cells) > _MAX_GRID_LOG2
                 or sum(geo.DyadicLayer(k, slab.n, d).count for k in range(m, min(m + 2, 0)))
                 * cells**d > 2**_MAX_GRID_LOG2):
@@ -242,14 +252,14 @@ class ExperimentConfig:
     @property
     def resolution(self) -> int:
         res = self.raw.get("resolution", 64)
-        if not isinstance(res, int) or res < 8 or (res & (res - 1)) != 0:
+        if not _is_int(res) or res < 8 or not quad._is_power_of_two(res):
             raise ConfigError("resolution", f"must be a power-of-two int >= 8, got {res!r}")
         return res
 
     @property
     def seed(self) -> int:
         seed = self.raw.get("seed", 0)
-        if not isinstance(seed, int) or seed < 0:
+        if not _is_int(seed) or seed < 0:
             raise ConfigError("seed", f"must be a nonnegative int, got {seed!r}")
         return seed
 
@@ -265,7 +275,7 @@ class ExperimentConfig:
         if not isinstance(spec, dict):
             raise ConfigError("frac", "must be an object")
         d = _require(spec, "d", "frac")
-        if not isinstance(d, int) or d < 1:
+        if not _is_int(d) or d < 1:
             raise ConfigError("frac.d", f"must be a positive int, got {d!r}")
         try:
             return quad.FracParams(
@@ -621,21 +631,19 @@ def _cmd_telescope(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
     fp = cfg.frac_params()
     domain = cfg.domain()
     u = cfg.test_function()
-    cells = cfg.count("cells_per_cube")
-    rows = []
-    cs = []
-    for m in cfg.depths():
-        rep = exp.telescoping_reconstruction(domain, u, fp, m, cells, cfg.threads)
-        cs.append(rep.minimal_c)
-        rows.append(
-            {
-                "m": rep.m,
-                "minimal_c": rep.minimal_c,
-                "lhs": rep.lhs,
-                "top_term": rep.top_term,
-                "skipped": len(rep.skipped_layers),
-            }
-        )
+    reports = exp.telescoping_reconstruction(domain, u, fp, cfg.depths(),
+                                             cfg.count("cells_per_cube"), cfg.threads)
+    cs = [rep.minimal_c for rep in reports]
+    rows = [
+        {
+            "m": rep.m,
+            "minimal_c": rep.minimal_c,
+            "lhs": rep.lhs,
+            "top_term": rep.top_term,
+            "skipped": len(rep.skipped_layers),
+        }
+        for rep in reports
+    ]
     stable = max(cs) <= 1.5 * min(cs) + 1e-12
     results = {"minimal_c": cs, "stable_within_50pct": stable}
     return results, {"telescope": rows}, {"stable": stable}

@@ -15,7 +15,8 @@ Three experiment drivers sit on top of the functionals:
   form of weight optimality.
 * ``telescoping_reconstruction`` rebuilds the layer-by-layer transfer
   argument on a slab (cube averages, weighted layer sums, overlapping
-  seminorms) and reports the smallest constant closing the chain.
+  seminorms) and reports the smallest constant closing the chain at each
+  depth; each layer's terms are computed once for all depths.
 
 Deep log profiles cannot be resolved by a uniform grid at desk scale, so
 the probe integrates on geometrically graded meshes: one fixed-size grid
@@ -387,7 +388,9 @@ class TelescopeReport:
     by the top-layer term plus a constant times the overlapping seminorms
     sum_k [u]^tau over (layer k union layer k+1).  ``minimal_c`` is the
     smallest constant closing the inequality; the content mirrored here is
-    that it stays bounded in the depth m and across test functions.
+    that it stays bounded in the depth m and across test functions.  The
+    layer terms do not depend on m: the reports of one
+    ``telescoping_reconstruction`` call share them, computed once.
     """
 
     m: int
@@ -402,12 +405,8 @@ class TelescopeReport:
     skipped_layers: tuple[int, ...]
 
 
-def _layer_grid(layer: geo.DyadicLayer, cells_per_cube: int) -> Grid:
-    return quad.union_grid(layer.region_boxes(), cells_per_cube)
-
-
 def _cube_averages(u, layer: geo.DyadicLayer, cells_per_cube: int) -> np.ndarray:
-    g = _layer_grid(layer, cells_per_cube)
+    g = quad.union_grid(layer.region_boxes(), cells_per_cube)
     vals = np.asarray(u(g.centers), dtype=float)
     per_cube = cells_per_cube ** layer.d
     # uniform cells within each cube: the cube average is the plain mean
@@ -418,38 +417,38 @@ def telescoping_reconstruction(
     slab: geo.Domain,
     u: TestFunction,
     fp: FracParams,
-    m: int,
+    depths,
     cells_per_cube: int = 4,
     threads: int = 1,
-) -> TelescopeReport:
-    """Reconstruct the dyadic transfer chain and its smallest constant.
+) -> tuple[TelescopeReport, ...]:
+    """Reconstruct the dyadic transfer chain and its smallest constant at
+    each depth m, one report per depth, in order.
 
-    Layers whose closure misses the support of u contribute exact zeros;
-    they are recorded in ``skipped_layers`` (their averages and seminorms
-    are not computed).
+    One pass computes each layer's average sum and overlapping seminorm
+    for all depths; depth m's report takes the layers k >= m.  Layers whose
+    closure misses the support of u contribute exact zeros; they are
+    recorded in ``skipped_layers`` (their averages and seminorms are not
+    computed).
     """
     if not isinstance(slab, geo.Slab):
         raise UnsupportedDomainError("telescoping runs on slab domains")
-    if m > -1:
-        raise ParameterError("depth m must be <= -1")
-    case_letter = "a" if slab.d > 1 else "b"
-    case = HardyCase(f"1{case_letter}", fp)
-    w = hardy.critical_exponents(case)
-    alpha = float(w.alpha)
+    depths = tuple(depths)
+    if not depths or max(depths) > -1:
+        raise ParameterError(f"depths must be a non-empty list of ints <= -1, got {depths!r}")
+    case = HardyCase("1a" if slab.d > 1 else "1b", fp)
+    alpha = float(hardy.critical_exponents(case).alpha)
     tau = float(fp.tau)
     d = slab.d
-    p = float(fp.p)
 
-    layers = geo.dyadic_layers(slab, m)
+    deepest = min(depths)
+    layers = geo.dyadic_layers(slab, deepest)
     support_lo = u.support.lo[-1]
     support_hi = u.support.hi[-1]
 
     layer_sums = []
-    counts = []
     skipped = []
     semis = []
     for layer in layers:
-        counts.append(layer.count)
         k = layer.k
         lo_k, hi_k = 2.0**k, 2.0 ** (k + 1)
         if hi_k <= support_lo or lo_k >= support_hi:
@@ -469,28 +468,31 @@ def telescoping_reconstruction(
         semi = quad.gagliardo_seminorm(u, None, fp, g, threads)
         semis.append(semi**tau)
 
-    lhs = 0.0
-    for layer, a_k in zip(layers, layer_sums):
-        k = layer.k
-        lhs += 2.0 ** (k * (d - alpha)) * (-k) ** (-tau) * a_k
-    a_top = layer_sums[-1]  # layer -1 is last (layers run m..-1)
+    a_top = layer_sums[-1]  # layer -1 is last (layers run deepest..-1)
     top_term = ((2.0 / 3.0) ** (tau - 1.0) + 1.0) * 2.0 ** (alpha - d) * a_top
-    total_semi = float(np.sum(semis))
-    if lhs <= top_term:
-        minimal_c = 0.0
-    elif total_semi == 0.0:
-        minimal_c = math.inf
-    else:
-        minimal_c = (lhs - top_term) / total_semi
-    return TelescopeReport(
-        m=m,
-        tau=tau,
-        alpha=alpha,
-        layer_counts=tuple(counts),
-        layer_sums=tuple(layer_sums),
-        seminorm_terms=tuple(float(s) for s in semis),
-        lhs=lhs,
-        top_term=top_term,
-        minimal_c=minimal_c,
-        skipped_layers=tuple(skipped),
-    )
+    reports = []
+    for m in depths:
+        tail = slice(m - deepest, None)  # layers k = m..-1
+        lhs = 0.0
+        for k, a_k in zip(range(m, 0), layer_sums[tail]):
+            lhs += 2.0 ** (k * (d - alpha)) * (-k) ** (-tau) * a_k
+        total_semi = float(np.sum(semis[tail]))
+        if lhs <= top_term:
+            minimal_c = 0.0
+        elif total_semi == 0.0:
+            minimal_c = math.inf
+        else:
+            minimal_c = (lhs - top_term) / total_semi
+        reports.append(TelescopeReport(
+            m=m,
+            tau=tau,
+            alpha=alpha,
+            layer_counts=tuple(layer.count for layer in layers[tail]),
+            layer_sums=tuple(layer_sums[tail]),
+            seminorm_terms=tuple(float(s) for s in semis[tail]),
+            lhs=lhs,
+            top_term=top_term,
+            minimal_c=minimal_c,
+            skipped_layers=tuple(k for k in skipped if k >= m),
+        ))
+    return tuple(reports)

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -76,6 +77,7 @@ TELESCOPE_CFG = {
 }
 
 DEMO_CONFIGS = sorted((Path(__file__).parent.parent / "demos" / "configs").glob("*.json"))
+DEMO_SCRIPTS = sorted((Path(__file__).parent.parent / "demos").glob("0*.py"))
 
 
 def test_config_rejects_unknown_command():
@@ -265,6 +267,14 @@ def test_flag_overrides(tmp_path: Path):
               frac={"d": 29916160961, "p": "2", "s": "1/2", "tau": "2"}), "resolution"),
         (dict(SEMINORM_CFG, resolution=1024, support_box=[[0.0] * 3, [1.0] * 3]), "support_box"),
         (dict(SEMINORM_CFG, threads=True), "threads"),
+        # the cell side 2**-536 / 4 squares to zero: rejected, not a failed gate
+        (dict(TELESCOPE_CFG, u={"kind": "tensor_bump", "center": [0.1], "radius": [0.2]},
+              depths=[-536]), "depths"),
+        (dict(TELESCOPE_CFG, depths=[-100000]), "depths"),
+        # JSON booleans are not numbers
+        (dict(LEMMA_CFG, seed=True), "seed"),
+        (dict(SEMINORM_CFG, frac={"d": True, "p": "2", "s": "1/2", "tau": "2"}), "frac.d"),
+        (dict(SEMINORM_CFG, frac={"d": 1, "p": "2", "s": "1/2", "tau": True}), "frac.tau"),
     ],
 )
 def test_main_malformed_field_exit_2(tmp_path: Path, capsys, cfg, field):
@@ -291,12 +301,32 @@ def test_telescope_grid_limit():
     with pytest.raises(ConfigError, match="depths"):
         ExperimentConfig.from_dict(dict(TELESCOPE_CFG, depths=[-2], cells_per_cube=2**19 + 1))
     ExperimentConfig.from_dict(dict(TELESCOPE_CFG, depths=[-1], cells_per_cube=2**20))
+    # the deepest cell side 2^m / cells_per_cube squared stays a normal
+    # double: m - log2(cells_per_cube) >= -511
+    ExperimentConfig.from_dict(dict(TELESCOPE_CFG, depths=[-3, -509], cells_per_cube=4))
+    with pytest.raises(ConfigError, match="depths"):
+        ExperimentConfig.from_dict(dict(TELESCOPE_CFG, depths=[-3, -510], cells_per_cube=4))
     # d = 2, n = 1, 4 cells per cube: (2^{1-m} + 2^{-m}) * 16 cells
     slab2 = dict(TELESCOPE_CFG, domain={"kind": "slab", "n": 1, "d": 2},
                  frac={"d": 2, "p": "2", "s": "1/2", "tau": "2"})
     ExperimentConfig.from_dict(dict(slab2, depths=[-3, -14]))
     with pytest.raises(ConfigError, match="depths"):
         ExperimentConfig.from_dict(dict(slab2, depths=[-3, -15]))
+
+
+def test_telescope_computes_each_layer_once(monkeypatch):
+    # depths -3 and -4 share layers -3..-1: four layer seminorms, not 3 + 4
+    calls = []
+    seminorm = quad.gagliardo_seminorm
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return seminorm(*args, **kwargs)
+
+    monkeypatch.setattr(quad, "gagliardo_seminorm", counting)
+    record = cli.run(ExperimentConfig.from_dict(TELESCOPE_CFG))
+    assert [row["m"] for row in record.series["telescope"]] == [-3, -4]
+    assert len(calls) == 4
 
 
 def test_threads_reach_every_pair_sum(monkeypatch):
@@ -335,6 +365,13 @@ def test_package_has_no_global_statements():
 @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)
 def test_demo_config_runs(tmp_path: Path, path: Path):
     assert cli.main(["--config", str(path), "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("path", DEMO_SCRIPTS, ids=lambda p: p.stem)
+def test_demo_script_runs(capsys, path: Path):
+    # in-process: the scripts only import hardylab and print
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out
 
 
 def test_python_m_hardylab_runs_without_warning(tmp_path: Path):

@@ -167,7 +167,7 @@ class BandPlateau(quad.TestFunction):
 def test_telescope_layer_counts_match_geometry():
     slab = geo.Slab(n=1, d=2)
     u = quad.TensorBump((0.0, 0.5), (0.6, 0.35))
-    rep = exp.telescoping_reconstruction(slab, u, fp(2, "2", "1/2", "2"), -4)
+    (rep,) = exp.telescoping_reconstruction(slab, u, fp(2, "2", "1/2", "2"), [-4])
     expected = tuple(
         layer.count for layer in geo.dyadic_layers(slab, -4)
     )
@@ -183,10 +183,8 @@ def test_telescope_minimal_c_stable_across_depths():
         quad.TensorBump((0.2, 0.4), (0.7, 0.37)),
     ]
     for u in battery:
-        cs = [
-            exp.telescoping_reconstruction(slab, u, params, m).minimal_c
-            for m in (-4, -5, -6)
-        ]
+        reports = exp.telescoping_reconstruction(slab, u, params, (-4, -5, -6))
+        cs = [rep.minimal_c for rep in reports]
         assert max(cs) <= 1.5 * min(cs) + 1e-12  # within +-50%
         # uniformity in depth: deeper reconstructions do not inflate C
         assert cs[2] <= cs[0] * 1.5 + 1e-12
@@ -198,7 +196,7 @@ def test_telescope_constant_band_structure():
     slab = geo.Slab(n=1, d=2)
     u = BandPlateau(lo=2.0**-4, hi=0.75, ramp=2.0**-5)
     params = fp(2, "2", "1/2", "2")
-    rep = exp.telescoping_reconstruction(slab, u, params, -3, cells_per_cube=4)
+    (rep,) = exp.telescoping_reconstruction(slab, u, params, [-3], cells_per_cube=4)
     layer = geo.DyadicLayer(-3, 1, 2)  # heights [1/8, 1/4): u = 1 there
     avgs = exp._cube_averages(u, layer, 4)
     assert np.allclose(avgs, 1.0)
@@ -209,7 +207,7 @@ def test_telescope_constant_band_structure():
 def test_telescope_skips_layers_outside_support():
     slab = geo.Slab(n=1, d=2)
     u = quad.TensorBump((0.0, 0.5), (0.6, 0.35))  # support heights [0.15, 0.85]
-    rep = exp.telescoping_reconstruction(slab, u, fp(2, "2", "1/2", "2"), -6)
+    (rep,) = exp.telescoping_reconstruction(slab, u, fp(2, "2", "1/2", "2"), [-6])
     assert set(rep.skipped_layers) == {-6, -5, -4}
     for k, a in zip(range(-6, 0), rep.layer_sums):
         if k in rep.skipped_layers:
@@ -222,7 +220,28 @@ def test_telescope_rejects_non_slab():
             geo.ExteriorBall(1.0, 2),
             quad.TensorBump((2.0, 2.0), (0.3, 0.3)),
             fp(2, "2", "1/2", "2"),
-            -4,
+            [-4],
+        )
+
+
+def test_telescope_one_pass_matches_one_depth_calls():
+    # the benchmark's 2-D log spike has mass in every layer: the shared
+    # layer pass gives each depth the report of a call at that depth alone
+    slab = geo.Slab(n=1, d=2)
+    u = quad.LogSpike(depth=2.0, t0=1.0, transverse=geo.Box((-0.6,), (0.6,)))
+    params = fp(2, "2", "1/2", "2")
+    reports = exp.telescoping_reconstruction(slab, u, params, (-4, -5, -6))
+    singles = tuple(exp.telescoping_reconstruction(slab, u, params, (m,))[0]
+                    for m in (-4, -5, -6))
+    assert [rep.m for rep in reports] == [-4, -5, -6]
+    assert reports == singles
+
+
+@pytest.mark.parametrize("depths", [(), (-3, 0), [-1, 2]])
+def test_telescope_rejects_bad_depths(depths):
+    with pytest.raises(ParameterError):
+        exp.telescoping_reconstruction(
+            geo.Slab(n=1, d=1), quad.TensorBump((0.3,), (0.25,)), fp(1, "2", "1/2", "2"), depths
         )
 
 
