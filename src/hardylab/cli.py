@@ -5,7 +5,9 @@ as "num/den" strings so criticality is decided exactly).  Results land in
 an output directory as one ``summary.json`` plus one CSV per series; the
 numeric payload byte-reproduces for a fixed config and seed, independent
 of the thread count.  Exit status is 0 when every gated verdict passes and
-1 otherwise, so CI can gate on the lemma suites.
+1 otherwise, so CI can gate on the lemma suites; a malformed config exits 2
+with the dotted path of the offending field.  This module alone knows the
+config format.
 
 Commands: exponents, seminorm, hardy-check, estimate-constant,
 blowup-probe, lemma-suite, telescope.
@@ -20,9 +22,11 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -35,16 +39,6 @@ from . import quadrature as quad
 from .errors import HardyLabError, ParameterError
 
 __all__ = ["ExperimentConfig", "ExperimentRecord", "run", "main", "COMMANDS"]
-
-COMMANDS = (
-    "exponents",
-    "seminorm",
-    "hardy-check",
-    "estimate-constant",
-    "blowup-probe",
-    "lemma-suite",
-    "telescope",
-)
 
 
 class ConfigError(ParameterError):
@@ -63,261 +57,267 @@ _MAX_GRID_LOG2 = 20
 #: the side, and 2**-1022 is the smallest normal double
 _MIN_CELL_SIDE_LOG2 = 511
 
-#: positive-int fields: default and largest value.  A cell count is bounded
-#: by the grid limit (the probe and telescope check their whole grid too);
-#: the other bounds cap the work one config can ask for
-_COUNT_DEFAULTS = {
-    "cells_per_block": (8, 2**_MAX_GRID_LOG2),
-    "elementary_count": (100_000, 2**20),
-    "pair_count": (200, 2**16),
-    "search.starts": (8, 2**10),
-    "search.budget_per_start": (200, 2**14),
-    "cells_per_cube": (4, 2**_MAX_GRID_LOG2),
-}
-
 #: most worker threads a config may ask for; the pair sum starts up to
 #: min(threads, pieces) OS threads, and a 2**20-cell grid has 8192 row blocks
 _MAX_THREADS = 64
 
-
-def _require(cfg: dict, key: str, where: str):
-    if key not in cfg:
-        raise ConfigError(f"{where}.{key}" if where else key, "missing")
-    return cfg[key]
+#: default of a required field
+_REQUIRED = object()
 
 
-def _fraction_field(value, path: str) -> Fraction:
-    if isinstance(value, bool):
-        raise ConfigError(path, f"must be an int, a float or a 'num/den' string, got {value!r}")
+@contextmanager
+def _field(path: str):
+    """Report a constructor's rejection of the values read under ``path``
+    as a fault of that field."""
     try:
-        return quad._as_fraction(value)
-    except (ParameterError, ValueError, ZeroDivisionError, OverflowError) as e:
+        yield
+    except ConfigError:
+        raise
+    except HardyLabError as e:
         raise ConfigError(path, str(e)) from e
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description (one command per run)."""
+    """Experiment description (one command per run).
+
+    Every field is read through the typed readers below, where it is used:
+    each command reads all its fields before it starts its work, so running
+    those reads is the config's validation.
+    """
 
     command: str
     raw: dict = field(repr=False)
 
     @staticmethod
-    def parse(text: str) -> "ExperimentConfig":
+    def parse(text: str, overrides: dict | None = None) -> "ExperimentConfig":
+        """The config in the JSON ``text``, with the fields in ``overrides``
+        replaced."""
         try:
             data = json.loads(text)
         except json.JSONDecodeError as e:
             raise ConfigError("<root>", f"not valid JSON: {e}") from e
         if not isinstance(data, dict):
             raise ConfigError("<root>", "config must be a JSON object")
-        return ExperimentConfig.from_dict(data)
+        return ExperimentConfig.from_dict({**data, **(overrides or {})})
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
-        command = _require(data, "command", "")
+        command = data.get("command")
         if command not in COMMANDS:
             raise ConfigError("command", f"unknown command {command!r}; choose from {COMMANDS}")
         cfg = ExperimentConfig(command=command, raw=dict(data))
         cfg.validate()
         return cfg
 
-    # -- field accessors with validation ------------------------------------
-
     def validate(self) -> None:
+        """Check the fields every command has, then run the command's reads
+        (not its work)."""
         self.resolution  # noqa: B018 - property access runs the checks
         self.seed
         self.threads
-        if not isinstance(self.raw.get("out", ""), str):
+        if not isinstance(self.get("out", ""), str):
             raise ConfigError("out", f"must be a path string, got {self.raw['out']!r}")
-        if self.command in ("seminorm", "hardy-check", "estimate-constant", "telescope"):
-            self.frac_params()
-        if self.command in ("exponents", "hardy-check", "estimate-constant", "blowup-probe"):
-            self.case()
-        if self.command in ("seminorm", "hardy-check", "estimate-constant",
-                            "blowup-probe", "telescope"):
-            d, frac_d = self.domain().d, self.frac_params().d
-            if d != frac_d:
-                raise ConfigError("domain.d", f"domain dimension {d} differs from frac.d {frac_d}")
-        if self.command in ("seminorm", "hardy-check", "telescope"):
-            self.test_function()
-        if self.command in ("seminorm", "hardy-check", "estimate-constant"):
-            _grid_for(self, self.domain())
-        if self.command in ("hardy-check", "estimate-constant"):
-            self.scale()
-        if self.command == "estimate-constant":
-            _family_from_config(self)
-            self.search()
-        if self.command == "blowup-probe":
-            self.expect()  # reads and checks beta_offsets
-            self.cells_per_block()
-            self.number("growth_threshold", 1.15)
-        if self.command == "lemma-suite":
-            self.count("elementary_count")
-            self.count("pair_count")
-            self.number("tolerance", 1e-9)
-        if self.command == "telescope":
-            self.depths()
-            self.count("cells_per_cube")
+        _DISPATCH[self.command](self)
 
-    def beta_offsets(self) -> list[int]:
-        offsets = self.raw.get("beta_offsets", [-1, 0, 1])
-        if not (isinstance(offsets, (list, tuple)) and offsets and all(_is_int(o) for o in offsets)):
-            raise ConfigError("beta_offsets", f"must be a non-empty list of ints, got {offsets!r}")
-        return offsets
+    # -- typed readers: a JSON boolean is never a number ---------------------
 
-    def expect(self) -> dict[str, str]:
-        """Expected verdict per probed offset, keyed by the offset as a string."""
-        expect = self.raw.get("expect", {})
-        probed = [str(off) for off in self.beta_offsets()]
-        if not (
-            isinstance(expect, dict)
-            and all(k in probed and v in ("diverging", "bounded") for k, v in expect.items())
-        ):
-            raise ConfigError("expect", f"must map offsets from {probed} to 'diverging' or"
-                              f" 'bounded', got {expect!r}")
-        return expect
+    def get(self, path: str, default=_REQUIRED):
+        """The value at the dotted ``path``, or ``default`` when it is absent
+        (a field without a default is required)."""
+        parts = path.split(".")
+        node = self.raw
+        for depth, key in enumerate(parts):
+            if not isinstance(node, dict):
+                raise ConfigError(".".join(parts[:depth]), "must be an object")
+            if key not in node:
+                if default is _REQUIRED:
+                    raise ConfigError(".".join(parts[: depth + 1]), "missing")
+                return default
+            node = node[key]
+        return node
 
-    def probe_family(self) -> exp.LogSpikeFamily:
-        return _log_spike_family(self.raw.get("levels", [3, 8]), "levels")
-
-    def cells_per_block(self) -> int:
-        """Cells per dyadic block; the top level's graded grid stays within
-        the grid limit."""
-        cells = self.count("cells_per_block")
-        family = self.probe_family()
-        blocks = family.grid_levels(family.level_range[1]) + 1
-        if blocks * cells > 2**_MAX_GRID_LOG2:
-            raise ConfigError("cells_per_block", f"{blocks} blocks of {cells} cells exceed the"
-                              f" limit of 2**{_MAX_GRID_LOG2} cells")
-        return cells
-
-    def depths(self) -> list[int]:
-        """Telescope depths; the deepest layer pair's grid stays within the
-        grid limit, and the square of its cell side 2^m / cells_per_cube
-        stays a normal double."""
-        depths = self.raw.get("depths", [-4, -5, -6])
-        if not (isinstance(depths, (list, tuple)) and depths
-                and all(_is_int(m) and m <= -1 for m in depths)):
-            raise ConfigError("depths", f"must be a non-empty list of ints <= -1, got {depths!r}")
-        slab, cells = self.domain(), self.count("cells_per_cube")
-        if not isinstance(slab, geo.Slab):
-            raise ConfigError("domain", "the telescope runs on slab domains")
-        # layer k has (n 2^{1-k})^{d-1} cubes of cells^d cells, and the
-        # deepest seminorm joins layers m and m + 1 (layer -1 stands alone);
-        # layer m alone is tested in log2 first, so a huge d costs nothing
-        m, d = min(depths), slab.d
-        if m < math.log2(cells) - _MIN_CELL_SIDE_LOG2:  # int against float: no big int
-            raise ConfigError("depths", f"depth {m} with {cells} cells per cube makes cells of"
-                              f" side below 2**-{_MIN_CELL_SIDE_LOG2}, whose square is subnormal")
-        if ((d - 1) * (math.log2(slab.n) + 1 - m) + d * math.log2(cells) > _MAX_GRID_LOG2
-                or sum(geo.DyadicLayer(k, slab.n, d).count for k in range(m, min(m + 2, 0)))
-                * cells**d > 2**_MAX_GRID_LOG2):
-            raise ConfigError("depths", f"the layers at depth {m} exceed the limit of"
-                              f" 2**{_MAX_GRID_LOG2} cells")
-        return depths
-
-    def number(self, key: str, default: float) -> float:
-        """Finite-number field."""
-        value = self.raw.get(key, default)
-        if not _is_finite(value):
-            raise ConfigError(key, f"must be a finite number, got {value!r}")
-        return float(value)
-
-    def scale(self) -> float | None:
-        """The weight scale R; None lets the weight pick its default."""
-        R = self.raw.get("R")
-        if R is not None and not (_is_finite(R) and R > 0):
-            raise ConfigError("R", f"must be null or a positive finite number, got {R!r}")
-        return R
-
-    def count(self, path: str) -> int:
-        """Positive-int field at ``path``: a key, or ``object.key``."""
-        where, _, key = path.rpartition(".")
-        spec = self.raw.get(where, {}) if where else self.raw
-        if not isinstance(spec, dict):
-            raise ConfigError(where, "must be an object")
-        default, top = _COUNT_DEFAULTS[path]
-        value = spec.get(key, default)
-        if not _is_int(value) or not 1 <= value <= top:
-            raise ConfigError(path, f"must be an int in [1, {top}], got {value!r}")
+    def integer(self, path: str, default=_REQUIRED, lo: int = 1, hi: int | None = None) -> int:
+        """An int in [lo, hi], unbounded above when ``hi`` is None."""
+        value = self.get(path, default)
+        if not (_is_int(value) and lo <= value and (hi is None or value <= hi)):
+            bounds = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
+            raise ConfigError(path, f"must be an int {bounds}, got {value!r}")
         return value
 
-    def search(self) -> exp.SearchConfig:
-        return exp.SearchConfig(
-            starts=self.count("search.starts"),
-            budget_per_start=self.count("search.budget_per_start"),
-            seed=self.seed,
-        )
+    def number(self, path: str, default=_REQUIRED) -> float:
+        """A finite number, as a float; ``default`` as it is when absent."""
+        value = self.get(path, default)
+        if value is default:
+            return value
+        if not _is_finite(value):
+            raise ConfigError(path, f"must be a finite number, got {value!r}")
+        return float(value)
+
+    def numbers(self, path: str, default=_REQUIRED, length: int | None = None,
+                ints: bool = False) -> tuple:
+        """A non-empty list of finite numbers (of ints if ``ints``), ``length``
+        long if given, as a tuple."""
+        return _numbers(self.get(path, default), path, length, ints)
+
+    def pairs(self, path: str) -> tuple[tuple[float, float], ...]:
+        """A non-empty list of [a, b] number pairs, as float pairs."""
+        rows = self.get(path)
+        if not (isinstance(rows, (list, tuple)) and rows):
+            raise ConfigError(path, f"must be a non-empty list of number pairs, got {rows!r}")
+        return tuple(tuple(map(float, _numbers(row, path, 2))) for row in rows)
+
+    def box(self, path: str, default=_REQUIRED) -> geo.Box | None:
+        """A box given as [lo, hi] number lists; ``default`` when absent."""
+        value = self.get(path, default)
+        if value is default:
+            return value
+        if not (isinstance(value, (list, tuple)) and len(value) == 2):
+            raise ConfigError(path, f"must be [lo, hi] number lists, got {value!r}")
+        with _field(path):
+            return geo.Box(_numbers(value[0], path), _numbers(value[1], path))
+
+    def fraction(self, path: str) -> Fraction:
+        """An exact rational: an int, an integral float or a 'num/den' string."""
+        value = self.get(path)
+        if isinstance(value, bool):
+            raise ConfigError(path, f"must be an int, a float or a 'num/den' string,"
+                              f" got {value!r}")
+        try:
+            return quad._as_fraction(value)
+        except (ParameterError, ValueError, ZeroDivisionError, OverflowError) as e:
+            raise ConfigError(path, str(e)) from e
+
+    # -- fields every command has --------------------------------------------
 
     @property
     def resolution(self) -> int:
-        res = self.raw.get("resolution", 64)
-        if not _is_int(res) or res < 8 or not quad._is_power_of_two(res):
+        res = self.integer("resolution", 64, lo=8)
+        if not quad._is_power_of_two(res):
             raise ConfigError("resolution", f"must be a power-of-two int >= 8, got {res!r}")
         return res
 
     @property
     def seed(self) -> int:
-        seed = self.raw.get("seed", 0)
-        if not _is_int(seed) or seed < 0:
-            raise ConfigError("seed", f"must be a nonnegative int, got {seed!r}")
-        return seed
+        return self.integer("seed", 0, lo=0)
 
     @property
     def threads(self) -> int:
-        t = self.raw.get("threads", 1)
-        if not _is_int(t) or not 1 <= t <= _MAX_THREADS:
-            raise ConfigError("threads", f"must be an int in [1, {_MAX_THREADS}], got {t!r}")
-        return t
+        return self.integer("threads", 1, hi=_MAX_THREADS)
 
-    def frac_params(self) -> quad.FracParams:
-        spec = _require(self.raw, "frac", "")
-        if not isinstance(spec, dict):
-            raise ConfigError("frac", "must be an object")
-        d = _require(spec, "d", "frac")
-        if not _is_int(d) or d < 1:
-            raise ConfigError("frac.d", f"must be a positive int, got {d!r}")
-        try:
-            return quad.FracParams(
-                d=d,
-                p=_fraction_field(_require(spec, "p", "frac"), "frac.p"),
-                s=_fraction_field(_require(spec, "s", "frac"), "frac.s"),
-                tau=_fraction_field(_require(spec, "tau", "frac"), "frac.tau"),
-            )
-        except ParameterError as e:
-            if isinstance(e, ConfigError):
-                raise
-            raise ConfigError("frac", str(e)) from e
+    # -- objects shared by several commands ----------------------------------
 
-    def case(self) -> hardy.HardyCase | None:
-        case_id = self.raw.get("case")
-        if case_id is None:
-            if self.command in ("exponents", "hardy-check", "estimate-constant", "blowup-probe"):
-                raise ConfigError("case", "missing")
-            return None
-        try:
-            return hardy.HardyCase(case_id, self.frac_params())
-        except HardyLabError as e:
-            raise ConfigError("case", str(e)) from e
+    def frac(self) -> quad.FracParams:
+        d = self.integer("frac.d")
+        p, s, tau = (self.fraction(f"frac.{k}") for k in ("p", "s", "tau"))
+        with _field("frac"):
+            return quad.FracParams(d=d, p=p, s=s, tau=tau)
 
-    def domain(self) -> geo.Domain:
-        spec = _require(self.raw, "domain", "")
-        if not isinstance(spec, dict):
-            raise ConfigError("domain", "must be an object")
-        try:
-            return geo.domain_from_dict(spec)
-        except (HardyLabError, KeyError, TypeError, ValueError, OverflowError) as e:
-            raise ConfigError("domain", str(e)) from e
+    def case(self) -> hardy.HardyCase:
+        fp = self.frac()
+        case_id = self.get("case")
+        with _field("case"):
+            return hardy.HardyCase(case_id, fp)
+
+    def domain(self, d: int) -> geo.Domain:
+        """The domain, whose dimension must be ``d`` (frac.d)."""
+        kind = self.get("domain.kind")
+        with _field("domain"):
+            if kind == "slab":
+                domain = geo.Slab(n=self.integer("domain.n"), d=self.integer("domain.d"))
+            elif kind == "exterior_ball":
+                domain = geo.ExteriorBall(R=self.number("domain.R"), d=self.integer("domain.d"))
+            elif kind == "box":
+                box = geo.Box(self.numbers("domain.lo"), self.numbers("domain.hi"))
+                domain = geo.BoxDomain(box)
+            elif kind == "polygon":
+                domain = geo.Polygon2D(self.pairs("domain.vertices"))
+            elif kind == "epigraph":
+                dim = self.integer("domain.d", lo=2)
+                domain = geo.Epigraph(self._graph(dim), d=dim)
+            else:
+                raise ConfigError("domain.kind", f"unknown domain kind {kind!r}")
+        if domain.d != d:
+            raise ConfigError("domain.d", f"domain dimension {domain.d} differs from frac.d {d}")
+        return domain
+
+    def _graph(self, d: int) -> geo.LipschitzGraph:
+        kind = self.get("domain.graph.kind")
+        if kind == "flat":
+            return geo.FlatGraph()
+        if kind == "affine":
+            return geo.AffineGraph(self.numbers("domain.graph.slope", length=d - 1),
+                                   self.number("domain.graph.offset", 0.0))
+        if kind == "cone":
+            return geo.ConeGraph(self.number("domain.graph.slope"))
+        if kind == "piecewise_linear":
+            return geo.PiecewiseLinearGraph(self.pairs("domain.graph.breakpoints"))
+        raise ConfigError("domain.graph.kind", f"unknown graph kind {kind!r}")
 
     def test_function(self) -> quad.TestFunction:
-        spec = _require(self.raw, "u", "")
-        return _test_function_from_dict(spec)
+        kind = self.get("u.kind")
+        with _field("u"):
+            if kind == "tensor_bump":
+                return quad.TensorBump(self.numbers("u.center"), self.numbers("u.radius"))
+            if kind == "log_spike":
+                return quad.LogSpike(depth=self.number("u.depth"), t0=self.number("u.t0", 1.5),
+                                     transverse=self.box("u.transverse", None))
+            if kind == "polynomial":
+                support = self.box("u.support")
+                return quad.AxisPolynomial(self.numbers("u.coeffs"), support,
+                                           self.integer("u.axis", 0, lo=0, hi=support.d - 1))
+            if kind == "constant":
+                return quad.Constant(self.number("u.value"), self.box("u.support"))
+        raise ConfigError("u.kind", f"unknown test function kind {kind!r}")
 
-    def to_dict(self) -> dict:
-        return dict(self.raw)
+    def grid(self, domain: geo.Domain) -> quad.GridSpec:
+        """``resolution`` cells per axis on ``support_box``, by default the
+        domain's bounding box."""
+        # the size comes first: a bounding box holds d coordinates per corner
+        res, d = self.resolution, domain.d
+        if d * math.log2(res) > _MAX_GRID_LOG2:
+            raise ConfigError("resolution", f"a grid of {res}**{d} cells exceeds the limit"
+                              f" of 2**{_MAX_GRID_LOG2} cells")
+        box = self.box("support_box", None) or domain.bounding_box()
+        if box is None:
+            raise ConfigError("support_box", "required for unbounded domains (truncation box)")
+        if box.d != d:
+            raise ConfigError("support_box", f"has dimension {box.d}, the domain {d}")
+        return quad.GridSpec(res, box)
+
+    def scale(self) -> float | None:
+        """The weight scale R; None lets the weight pick its default."""
+        R = self.number("R", None)
+        if R is not None and R <= 0:
+            raise ConfigError("R", f"must be null or a positive finite number, got {R!r}")
+        return R
+
+    def log_spike_family(self, path: str) -> exp.LogSpikeFamily:
+        """Log-spike family over the level range [lo, hi] at ``path``; the
+        family bounds the levels by its depth cap."""
+        levels = self.numbers(path, (3, 8), length=2, ints=True)
+        with _field(path):
+            return exp.LogSpikeFamily(level_range=levels)
+
+    def family(self) -> exp.FunctionFamily:
+        kind = self.get("family.kind", "boundary_bump")
+        if kind == "log_spike":
+            family = self.log_spike_family("family.level_range")
+        elif kind == "boundary_bump":
+            lo, hi = self.numbers("family.log2_h_range", (-7.0, -2.0), length=2)
+            family = exp.BoundaryBumpFamily(log2_h_range=(float(lo), float(hi)),
+                                            width=self.number("family.width", 0.5))
+        elif kind == "tensor_bump_grid":
+            family = exp.TensorBumpGridFamily(center_bounds=self.pairs("family.center_bounds"),
+                                              radius_bounds=self.pairs("family.radius_bounds"))
+        else:
+            raise ConfigError("family.kind", f"unknown family kind {kind!r}")
+        if not all(lo <= hi for lo, hi in family.bounds):
+            raise ConfigError("family", f"parameter bounds need lo <= hi, got {family.bounds}")
+        return family
 
     def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
@@ -334,53 +334,15 @@ def _is_finite(value) -> bool:
         return False
 
 
-def _numbers(value) -> tuple:
-    """A non-empty list of finite numbers, as a tuple."""
-    if not (isinstance(value, (list, tuple)) and value and all(map(_is_finite, value))):
-        raise ValueError(f"need a non-empty list of finite numbers, got {value!r}")
+def _numbers(value, path: str, length: int | None = None, ints: bool = False) -> tuple:
+    """``value`` as a tuple, if it is a non-empty list of finite numbers (of
+    ints if ``ints``), ``length`` long if given."""
+    if not (isinstance(value, (list, tuple)) and value
+            and (length is None or len(value) == length)
+            and all(map(_is_int if ints else _is_finite, value))):
+        raise ConfigError(path, f"must be a list of {length or 'one or more'}"
+                          f" {'ints' if ints else 'finite numbers'}, got {value!r}")
     return tuple(value)
-
-
-def _log_spike_family(lev, path: str) -> exp.LogSpikeFamily:
-    """Log-spike family over the level range ``lev`` = [lo, hi]; the family
-    bounds the levels by its depth cap."""
-    if not (isinstance(lev, (list, tuple)) and len(lev) == 2 and all(_is_int(v) for v in lev)):
-        raise ConfigError(path, f"must be [lo, hi] ints, got {lev!r}")
-    try:
-        return exp.LogSpikeFamily(level_range=(lev[0], lev[1]))
-    except ParameterError as e:
-        raise ConfigError(path, str(e)) from e
-
-
-def _test_function_from_dict(spec: dict) -> quad.TestFunction:
-    if not isinstance(spec, dict):
-        raise ConfigError("u", "must be an object")
-    kind = spec.get("kind")
-    try:
-        if kind == "tensor_bump":
-            return quad.TensorBump(_numbers(spec["center"]), _numbers(spec["radius"]))
-        if kind == "log_spike":
-            transverse = None
-            if "transverse" in spec:
-                lo, hi = spec["transverse"]
-                transverse = geo.Box(_numbers(lo), _numbers(hi))
-            return quad.LogSpike(
-                depth=float(spec["depth"]), t0=float(spec.get("t0", 1.5)), transverse=transverse
-            )
-        if kind == "polynomial":
-            lo, hi = spec["support"]
-            axis = spec.get("axis", 0)
-            if not _is_int(axis):
-                raise ValueError(f"axis must be an int, got {axis!r}")
-            return quad.AxisPolynomial(
-                _numbers(spec["coeffs"]), geo.Box(_numbers(lo), _numbers(hi)), axis
-            )
-        if kind == "constant":
-            lo, hi = spec["support"]
-            return quad.Constant(float(spec["value"]), geo.Box(_numbers(lo), _numbers(hi)))
-    except (KeyError, TypeError, ValueError, OverflowError, HardyLabError) as e:
-        raise ConfigError("u", f"bad {kind!r} spec: {e}") from e
-    raise ConfigError("u.kind", f"unknown test function kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +408,15 @@ def _csv_cell(v):
 # command implementations
 
 
-def _cmd_exponents(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
+#: what a ``_cmd_*`` returns once it has read every field its command uses
+#: (``validate`` runs only these reads): the work, giving (results, series,
+#: verdicts)
+Work = Callable[[], tuple[dict, dict, dict]]
+
+
+def _cmd_exponents(cfg: ExperimentConfig) -> Work:
     case = cfg.case()
-    w = hardy.critical_exponents(case)
+    w = hardy.critical_exponents(case)  # a table lookup
     results = {
         "case": case.case_id,
         "alpha": str(w.alpha),
@@ -457,196 +425,215 @@ def _cmd_exponents(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
         "beta_float": float(w.beta),
         "rho_kind": w.rho_kind,
     }
-    return results, {}, {}
+    return lambda: (results, {}, {})
 
 
-def _cmd_seminorm(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
-    fp = cfg.frac_params()
-    domain = cfg.domain()
+def _cmd_seminorm(cfg: ExperimentConfig) -> Work:
+    fp = cfg.frac()
+    domain = cfg.domain(fp.d)
     u = cfg.test_function()
-    spec = _grid_for(cfg, domain)
-    value = quad.gagliardo_seminorm(u, domain, fp, spec, threads=cfg.threads)
-    results = {
-        "seminorm": value,
-        "resolution": cfg.resolution,
-        "truncation_box": [list(spec.support_box.lo), list(spec.support_box.hi)],
-    }
-    return results, {}, {}
+    spec = cfg.grid(domain)
+    threads = cfg.threads
+
+    def work():
+        value = quad.gagliardo_seminorm(u, domain, fp, spec, threads=threads)
+        results = {
+            "seminorm": value,
+            "resolution": spec.resolution,
+            "truncation_box": [list(spec.support_box.lo), list(spec.support_box.hi)],
+        }
+        return results, {}, {}
+
+    return work
 
 
-def _grid_for(cfg: ExperimentConfig, domain: geo.Domain) -> quad.GridSpec:
-    # the size comes first: a bounding box holds d coordinates per corner
-    res, d = cfg.resolution, domain.d
-    if d * math.log2(res) > _MAX_GRID_LOG2:
-        raise ConfigError("resolution", f"a grid of {res}**{d} cells exceeds the limit"
-                          f" of 2**{_MAX_GRID_LOG2} cells")
-    box = cfg.raw.get("support_box")
-    if box is not None:
-        try:
-            lo, hi = box
-            box = geo.Box(_numbers(lo), _numbers(hi))
-        except (TypeError, ValueError) as e:
-            raise ConfigError("support_box", f"must be [lo, hi] number lists: {e}") from e
-        if box.d != d:
-            raise ConfigError("support_box", f"has dimension {box.d}, the domain {d}")
-    else:
-        box = domain.bounding_box()
-        if box is None:
-            raise ConfigError("support_box", "required for unbounded domains (truncation box)")
-    return quad.GridSpec(res, box)
-
-
-def _cmd_hardy_check(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
+def _cmd_hardy_check(cfg: ExperimentConfig) -> Work:
     case = cfg.case()
-    domain = cfg.domain()
+    domain = cfg.domain(case.fp.d)
     u = cfg.test_function()
-    spec = _grid_for(cfg, domain)
-    w, lhs, denom = hardy.hardy_terms(u, domain, case, spec, cfg.scale(), cfg.threads)
-    ratio = lhs / denom
-    results = {
-        "lhs": lhs,
-        "norm": denom,
-        "ratio": ratio,
-        "alpha": str(w.alpha),
-        "beta": str(w.beta),
-        "rho_kind": w.rho_kind,
-    }
-    return results, {}, {"finite": bool(np.isfinite(ratio))}
+    spec = cfg.grid(domain)
+    R, threads = cfg.scale(), cfg.threads
+
+    def work():
+        w, lhs, denom = hardy.hardy_terms(u, domain, case, spec, R, threads)
+        ratio = lhs / denom
+        results = {
+            "lhs": lhs,
+            "norm": denom,
+            "ratio": ratio,
+            "alpha": str(w.alpha),
+            "beta": str(w.beta),
+            "rho_kind": w.rho_kind,
+        }
+        return results, {}, {"finite": bool(np.isfinite(ratio))}
+
+    return work
 
 
-def _family_from_config(cfg: ExperimentConfig) -> exp.FunctionFamily:
-    spec = cfg.raw.get("family", {"kind": "boundary_bump"})
-    if not isinstance(spec, dict):
-        raise ConfigError("family", "must be an object")
-    kind = spec.get("kind")
-    if kind == "log_spike":
-        return _log_spike_family(spec.get("level_range", [3, 8]), "family.level_range")
-    if kind not in ("boundary_bump", "tensor_bump_grid"):
-        raise ConfigError("family.kind", f"unknown family kind {kind!r}")
-    try:
-        if kind == "boundary_bump":
-            rng = spec.get("log2_h_range", (-7.0, -2.0))
-            family = exp.BoundaryBumpFamily(
-                log2_h_range=(float(rng[0]), float(rng[1])),
-                width=float(spec.get("width", 0.5)),
-            )
-        else:
-            family = exp.TensorBumpGridFamily(
-                center_bounds=tuple((float(a), float(b)) for a, b in spec["center_bounds"]),
-                radius_bounds=tuple((float(a), float(b)) for a, b in spec["radius_bounds"]),
-            )
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError("family", f"bad {kind!r} spec: {e}") from e
-    if not all(lo <= hi for lo, hi in family.bounds):
-        raise ConfigError("family", f"parameter bounds need lo <= hi, got {family.bounds}")
-    return family
-
-
-def _cmd_estimate_constant(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
+def _cmd_estimate_constant(cfg: ExperimentConfig) -> Work:
     case = cfg.case()
-    domain = cfg.domain()
-    family = _family_from_config(cfg)
-    spec = _grid_for(cfg, domain)
-    res = exp.estimate_constant(family, case, domain, cfg.search(), spec, R=cfg.scale(),
-                                threads=cfg.threads)
-    results = {
-        "best_ratio": res.best_ratio,
-        "best_params": list(res.best_params),
-        "best_start": res.best_start,
-        "evaluations": res.evaluations,
-        "budget_exhausted": res.budget_exhausted,
-    }
-    series = {
-        "starts": [
-            {"start": i, "ratio": r} for i, r in enumerate(res.start_ratios)
-        ]
-    }
-    return results, series, {}
+    domain = cfg.domain(case.fp.d)
+    spec = cfg.grid(domain)
+    R, threads = cfg.scale(), cfg.threads
+    family = cfg.family()
+    search = exp.SearchConfig(
+        starts=cfg.integer("search.starts", 8, hi=2**10),
+        budget_per_start=cfg.integer("search.budget_per_start", 200, hi=2**14),
+        seed=cfg.seed,
+    )
+
+    def work():
+        res = exp.estimate_constant(family, case, domain, search, spec, R=R, threads=threads)
+        results = {
+            "best_ratio": res.best_ratio,
+            "best_params": list(res.best_params),
+            "best_start": res.best_start,
+            "evaluations": res.evaluations,
+            "budget_exhausted": res.budget_exhausted,
+        }
+        series = {
+            "starts": [
+                {"start": i, "ratio": r} for i, r in enumerate(res.start_ratios)
+            ]
+        }
+        return results, series, {}
+
+    return work
 
 
-def _cmd_blowup_probe(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
+def _cmd_blowup_probe(cfg: ExperimentConfig) -> Work:
     case = cfg.case()
-    offsets = cfg.beta_offsets()
-    probes = exp.blowup_probe(case, offsets, cfg.domain(), cfg.probe_family(),
-                              cfg.cells_per_block(), cfg.number("growth_threshold", 1.15),
-                              threads=cfg.threads)
-    results = {"beta_table": str(hardy.critical_exponents(case).beta)}
-    series = {}
-    verdicts = {}
-    expect = cfg.expect()
-    for off, probe in zip(offsets, probes):
-        key = f"offset_{off:+d}"
-        results[key] = probe.verdict
-        series[key] = [
-            {"level": m, "ratio": r} for m, r in probe.levels
-        ]
-        if str(off) in expect:
-            verdicts[key] = probe.verdict == expect[str(off)]
-    return results, series, verdicts
+    domain = cfg.domain(case.fp.d)
+    if not (isinstance(domain, geo.Slab) and domain.d == 1):
+        raise ConfigError("domain", "the log-spike probe runs on the d = 1 slab")
+    offsets = cfg.numbers("beta_offsets", (-1, 0, 1), ints=True)
+    # expected verdict per probed offset, keyed by the offset as a string
+    expect = cfg.get("expect", {})
+    probed = [str(off) for off in offsets]
+    if not (
+        isinstance(expect, dict)
+        and all(k in probed and v in ("diverging", "bounded") for k, v in expect.items())
+    ):
+        raise ConfigError("expect", f"must map offsets from {probed} to 'diverging' or"
+                          f" 'bounded', got {expect!r}")
+    family = cfg.log_spike_family("levels")
+    # cells per dyadic block: the top level's graded grid stays within the
+    # grid limit
+    cells = cfg.integer("cells_per_block", 8, hi=2**_MAX_GRID_LOG2)
+    blocks = family.grid_levels(family.level_range[1]) + 1
+    if blocks * cells > 2**_MAX_GRID_LOG2:
+        raise ConfigError("cells_per_block", f"{blocks} blocks of {cells} cells exceed the"
+                          f" limit of 2**{_MAX_GRID_LOG2} cells")
+    threshold, threads = cfg.number("growth_threshold", 1.15), cfg.threads
+
+    def work():
+        probes = exp.blowup_probe(case, offsets, domain, family, cells, threshold,
+                                  threads=threads)
+        results = {"beta_table": str(hardy.critical_exponents(case).beta)}
+        series = {}
+        verdicts = {}
+        for off, probe in zip(offsets, probes):
+            key = f"offset_{off:+d}"
+            results[key] = probe.verdict
+            series[key] = [
+                {"level": m, "ratio": r} for m, r in probe.levels
+            ]
+            if str(off) in expect:
+                verdicts[key] = probe.verdict == expect[str(off)]
+        return results, series, verdicts
+
+    return work
 
 
-def _cmd_lemma_suite(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
+def _cmd_lemma_suite(cfg: ExperimentConfig) -> Work:
     seed = cfg.seed
     tolerance = cfg.number("tolerance", 1e-9)
-    elementary_count = cfg.count("elementary_count")
-    pair_count = cfg.count("pair_count")
+    elementary_count = cfg.integer("elementary_count", 100_000, hi=2**20)
+    pair_count = cfg.integer("pair_count", 200, hi=2**16)
 
-    worst_elem, elem_info = lemmas.elementary_inequality_sweep(elementary_count, seed)
-    worst_pair, pairs_run = lemmas.adjacent_pair_battery(pair_count, seed)
+    def work():
+        worst_elem, elem_info = lemmas.elementary_inequality_sweep(elementary_count, seed)
+        worst_pair, pairs_run = lemmas.adjacent_pair_battery(pair_count, seed)
 
-    rng = np.random.default_rng(seed)
-    power_rows = []
-    worst_power = np.inf
-    for _ in range(200):
-        values = rng.uniform(-5, 5, size=rng.integers(1, 10))
-        beta = float(rng.uniform(1, 5))
-        rep = lemmas.power_sum_slack(values, beta)
-        worst_power = min(worst_power, rep.slack)
-        power_rows.append({"n": len(values), "beta": beta, "slack": rep.slack})
+        rng = np.random.default_rng(seed)
+        power_rows = []
+        worst_power = np.inf
+        for _ in range(200):
+            values = rng.uniform(-5, 5, size=rng.integers(1, 10))
+            beta = float(rng.uniform(1, 5))
+            rep = lemmas.power_sum_slack(values, beta)
+            worst_power = min(worst_power, rep.slack)
+            power_rows.append({"n": len(values), "beta": beta, "slack": rep.slack})
 
-    ident_ok = True
-    for k in range(-40, -1):
-        a, b = lemmas.telescoping_coefficient_parts(k)
-        ident_ok = ident_ok and (a == b)
+        ident_ok = True
+        for k in range(-40, -1):
+            a, b = lemmas.telescoping_coefficient_parts(k)
+            ident_ok = ident_ok and (a == b)
 
-    results = {
-        "elementary_min_slack": worst_elem,
-        "elementary_count": elementary_count,
-        "pair_min_slack": worst_pair,
-        "pair_count": pairs_run,
-        "power_sum_min_slack": float(worst_power),
-        "telescoping_identity_exact": ident_ok,
-    }
-    series = {"power_sum": power_rows}
-    verdicts = {
-        "elementary": worst_elem >= -1e-12,
-        "average_difference": worst_pair >= -tolerance,
-        "power_sum": worst_power >= -tolerance,
-        "telescoping_identity": ident_ok,
-    }
-    return results, series, verdicts
-
-
-def _cmd_telescope(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
-    fp = cfg.frac_params()
-    domain = cfg.domain()
-    u = cfg.test_function()
-    reports = exp.telescoping_reconstruction(domain, u, fp, cfg.depths(),
-                                             cfg.count("cells_per_cube"), cfg.threads)
-    cs = [rep.minimal_c for rep in reports]
-    rows = [
-        {
-            "m": rep.m,
-            "minimal_c": rep.minimal_c,
-            "lhs": rep.lhs,
-            "top_term": rep.top_term,
-            "skipped": len(rep.skipped_layers),
+        results = {
+            "elementary_min_slack": worst_elem,
+            "elementary_count": elementary_count,
+            "pair_min_slack": worst_pair,
+            "pair_count": pairs_run,
+            "power_sum_min_slack": float(worst_power),
+            "telescoping_identity_exact": ident_ok,
         }
-        for rep in reports
-    ]
-    stable = max(cs) <= 1.5 * min(cs) + 1e-12
-    results = {"minimal_c": cs, "stable_within_50pct": stable}
-    return results, {"telescope": rows}, {"stable": stable}
+        series = {"power_sum": power_rows}
+        verdicts = {
+            "elementary": worst_elem >= -1e-12,
+            "average_difference": worst_pair >= -tolerance,
+            "power_sum": worst_power >= -tolerance,
+            "telescoping_identity": ident_ok,
+        }
+        return results, series, verdicts
+
+    return work
+
+
+def _cmd_telescope(cfg: ExperimentConfig) -> Work:
+    fp = cfg.frac()
+    slab = cfg.domain(fp.d)
+    u = cfg.test_function()
+    depths = cfg.numbers("depths", (-4, -5, -6), ints=True)
+    if max(depths) > -1:
+        raise ConfigError("depths", f"must be ints <= -1, got {list(depths)!r}")
+    cells = cfg.integer("cells_per_cube", 4, hi=2**_MAX_GRID_LOG2)
+    if not isinstance(slab, geo.Slab):
+        raise ConfigError("domain", "the telescope runs on slab domains")
+    # the deepest layer pair's grid stays within the grid limit, and the
+    # square of its cell side 2^m / cells stays a normal double.  Layer k
+    # has (n 2^{1-k})^{d-1} cubes of cells^d cells, and the deepest
+    # seminorm joins layers m and m + 1 (layer -1 stands alone); layer m
+    # alone is tested in log2 first, so a huge d costs nothing
+    m, d = min(depths), slab.d
+    if m < math.log2(cells) - _MIN_CELL_SIDE_LOG2:  # int against float: no big int
+        raise ConfigError("depths", f"depth {m} with {cells} cells per cube makes cells of"
+                          f" side below 2**-{_MIN_CELL_SIDE_LOG2}, whose square is subnormal")
+    if ((d - 1) * (math.log2(slab.n) + 1 - m) + d * math.log2(cells) > _MAX_GRID_LOG2
+            or sum(geo.DyadicLayer(k, slab.n, d).count for k in range(m, min(m + 2, 0)))
+            * cells**d > 2**_MAX_GRID_LOG2):
+        raise ConfigError("depths", f"the layers at depth {m} exceed the limit of"
+                          f" 2**{_MAX_GRID_LOG2} cells")
+    threads = cfg.threads
+
+    def work():
+        reports = exp.telescoping_reconstruction(slab, u, fp, depths, cells, threads)
+        cs = [rep.minimal_c for rep in reports]
+        rows = [
+            {
+                "m": rep.m,
+                "minimal_c": rep.minimal_c,
+                "lhs": rep.lhs,
+                "top_term": rep.top_term,
+                "skipped": len(rep.skipped_layers),
+            }
+            for rep in reports
+        ]
+        stable = max(cs) <= 1.5 * min(cs) + 1e-12
+        results = {"minimal_c": cs, "stable_within_50pct": stable}
+        return results, {"telescope": rows}, {"stable": stable}
+
+    return work
 
 
 _DISPATCH = {
@@ -659,11 +646,13 @@ _DISPATCH = {
     "telescope": _cmd_telescope,
 }
 
+COMMANDS = tuple(_DISPATCH)
+
 
 def run(config: ExperimentConfig) -> ExperimentRecord:
-    """Dispatch a validated config and collect the record."""
+    """Read a validated config's fields, do its work and collect the record."""
     start = time.perf_counter()
-    results, series, verdicts = _DISPATCH[config.command](config)
+    results, series, verdicts = _DISPATCH[config.command](config)()
     elapsed = time.perf_counter() - start
     return ExperimentRecord(
         config_digest=config.digest(),
@@ -688,20 +677,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        data = json.loads(Path(args.config).read_text())
-    except OSError as e:
+        text = Path(args.config).read_text()
+    except (OSError, UnicodeDecodeError) as e:
         print(f"cannot read config {args.config!r}: {e}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as e:
-        print(f"config {args.config!r} is not valid JSON: {e}", file=sys.stderr)
-        return 2
 
-    for key in ("threads", "seed", "resolution"):
-        val = getattr(args, key)
-        if val is not None:
-            data[key] = val
+    overrides = {key: val for key in ("threads", "seed", "resolution")
+                 if (val := getattr(args, key)) is not None}
     try:
-        config = ExperimentConfig.from_dict(data)
+        config = ExperimentConfig.parse(text, overrides)
         record = run(config)
     except HardyLabError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -710,7 +694,7 @@ def main(argv=None) -> int:
         print(f"error: numeric overflow, the config is out of range: {e}", file=sys.stderr)
         return 2
 
-    out_dir = args.out or data.get("out", "results")
+    out_dir = args.out or config.get("out", "results")
     try:
         summary = record.write(out_dir)
     except OSError as e:

@@ -59,8 +59,6 @@ __all__ = [
     "parent_cube",
     "annuli",
     "unit_ball_volume",
-    "domain_from_dict",
-    "domain_to_dict",
 ]
 
 
@@ -757,66 +755,3 @@ def annuli(R: float, m: int, d: int = 2) -> list[Annulus]:
     if m < 0:
         raise ParameterError("m must be >= 0")
     return [Annulus(2**k * R, 2 ** (k + 1) * R, d) for k in range(m + 1)]
-
-
-# ---------------------------------------------------------------------------
-# serialization (experiment config round trips)
-
-
-def domain_to_dict(domain: Domain) -> dict:
-    if isinstance(domain, Slab):
-        return {"kind": "slab", "n": domain.n, "d": domain.d}
-    if isinstance(domain, ExteriorBall):
-        return {"kind": "exterior_ball", "R": domain.R, "d": domain.d}
-    if isinstance(domain, BoxDomain):
-        return {"kind": "box", "lo": list(domain.box.lo), "hi": list(domain.box.hi)}
-    if isinstance(domain, Polygon2D):
-        return {"kind": "polygon", "vertices": [list(v) for v in domain.vertices]}
-    if isinstance(domain, Epigraph):
-        g = domain.graph
-        if isinstance(g, FlatGraph):
-            gd = {"kind": "flat"}
-        elif isinstance(g, AffineGraph):
-            gd = {"kind": "affine", "slope": list(g.slope), "offset": g.offset}
-        elif isinstance(g, ConeGraph):
-            gd = {"kind": "cone", "slope": g.slope}
-        elif isinstance(g, PiecewiseLinearGraph):
-            gd = {"kind": "piecewise_linear", "breakpoints": [list(b) for b in g.breakpoints]}
-        else:  # pragma: no cover
-            raise UnsupportedDomainError(f"cannot serialize graph {type(g).__name__}")
-        return {"kind": "epigraph", "graph": gd, "d": domain.d}
-    raise UnsupportedDomainError(f"cannot serialize domain {type(domain).__name__}")
-
-
-def _int_field(spec: dict, key: str) -> int:
-    value = spec[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParameterError(f"domain field {key!r} must be an int, got {value!r}")
-    return value
-
-
-def domain_from_dict(spec: dict) -> Domain:
-    kind = spec.get("kind")
-    if kind == "slab":
-        return Slab(n=_int_field(spec, "n"), d=_int_field(spec, "d"))
-    if kind == "exterior_ball":
-        return ExteriorBall(R=float(spec["R"]), d=_int_field(spec, "d"))
-    if kind == "box":
-        return BoxDomain(Box(tuple(spec["lo"]), tuple(spec["hi"])))
-    if kind == "polygon":
-        return Polygon2D(tuple(tuple(v) for v in spec["vertices"]))
-    if kind == "epigraph":
-        g = spec["graph"]
-        gkind = g.get("kind")
-        if gkind == "flat":
-            graph: LipschitzGraph = FlatGraph()
-        elif gkind == "affine":
-            graph = AffineGraph(tuple(g["slope"]), float(g.get("offset", 0.0)))
-        elif gkind == "cone":
-            graph = ConeGraph(float(g["slope"]))
-        elif gkind == "piecewise_linear":
-            graph = PiecewiseLinearGraph(tuple(tuple(b) for b in g["breakpoints"]))
-        else:
-            raise ParameterError(f"unknown graph kind {gkind!r}")
-        return Epigraph(graph, d=_int_field(spec, "d"))
-    raise ParameterError(f"unknown domain kind {kind!r}")

@@ -241,7 +241,7 @@ def average_difference_slack(
 
 
 def adjacent_pair_battery(
-    count: int = 1000, seed: int = 0, cells_per_axis: int = 8, tolerance: float = 1e-9
+    count: int = 1000, seed: int = 0, cells_per_axis: int = 8
 ) -> tuple[float, int]:
     """Randomized adjacent-dyadic-cube battery; returns (min slack, n run).
 
@@ -272,7 +272,7 @@ def adjacent_pair_battery(
         radius = tuple(rng.uniform(0.2, 1.0) * s for s in E.sides())
         u = quad.TensorBump(center, radius)
         tau = float(rng.uniform(1.0, 4.0))
-        rep = average_difference_slack(u, E, F, tau, cells_per_axis, tolerance)
+        rep = average_difference_slack(u, E, F, tau, cells_per_axis)
         worst = min(worst, rep.slack)
         ran += 1
     return worst, ran

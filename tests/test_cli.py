@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import copy
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hardylab import cli
+from hardylab import geometry as geo
 from hardylab import quadrature as quad
 from hardylab.cli import ConfigError, ExperimentConfig
 
@@ -76,6 +78,30 @@ TELESCOPE_CFG = {
     "depths": [-3, -4],
 }
 
+FRAC_2D = {"d": 2, "p": "2", "s": "1/2", "tau": "2"}
+
+EXTERIOR_CFG = dict(
+    HARDY_CFG,
+    case="2a",
+    domain={"kind": "exterior_ball", "R": 1.0, "d": 1},
+    u={"kind": "tensor_bump", "center": [1.5], "radius": [0.25]},
+    support_box=[[-2.0], [2.0]],
+)
+
+BOX_CFG = dict(
+    SEMINORM_CFG,
+    domain={"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+    frac=FRAC_2D,
+    u={"kind": "tensor_bump", "center": [0.5, 0.5], "radius": [0.25, 0.25]},
+)
+
+CONE_CFG = dict(
+    BOX_CFG,
+    domain={"kind": "epigraph", "graph": {"kind": "cone", "slope": 0.5}, "d": 2},
+    u={"kind": "tensor_bump", "center": [0.0, 1.0], "radius": [0.25, 0.25]},
+    support_box=[[-0.5, 0.5], [0.5, 1.5]],
+)
+
 DEMO_CONFIGS = sorted((Path(__file__).parent.parent / "demos" / "configs").glob("*.json"))
 DEMO_SCRIPTS = sorted((Path(__file__).parent.parent / "demos").glob("0*.py"))
 
@@ -116,6 +142,30 @@ def test_config_roundtrip_idempotent():
     again = ExperimentConfig.parse(text)
     assert again.canonical_json() == text
     assert again.digest() == cfg.digest()
+
+
+def test_domain_from_config_spec():
+    # every domain kind and graph kind, read from its config spec
+    cases = [
+        ({"kind": "slab", "n": 2, "d": 3}, geo.Slab(n=2, d=3)),
+        ({"kind": "exterior_ball", "R": 1.5, "d": 2}, geo.ExteriorBall(R=1.5, d=2)),
+        ({"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 2.0]},
+         geo.BoxDomain(geo.Box((0.0, 0.0), (1.0, 2.0)))),
+        ({"kind": "polygon", "vertices": [[0, 0], [1, 0], [0.5, 1]]},
+         geo.Polygon2D(((0.0, 0.0), (1.0, 0.0), (0.5, 1.0)))),
+        ({"kind": "epigraph", "graph": {"kind": "cone", "slope": 0.5}, "d": 2},
+         geo.Epigraph(geo.ConeGraph(0.5), d=2)),
+        ({"kind": "epigraph", "graph": {"kind": "piecewise_linear",
+                                        "breakpoints": [[-1.0, 0.0], [1.0, 1.0]]}, "d": 2},
+         geo.Epigraph(geo.PiecewiseLinearGraph(((-1.0, 0.0), (1.0, 1.0))), d=2)),
+        ({"kind": "epigraph", "graph": {"kind": "flat"}, "d": 3},
+         geo.Epigraph(geo.FlatGraph(), d=3)),
+        ({"kind": "epigraph", "graph": {"kind": "affine", "slope": [0.5, -1.0], "offset": 0.25},
+          "d": 3},
+         geo.Epigraph(geo.AffineGraph((0.5, -1.0), 0.25), d=3)),
+    ]
+    for spec, domain in cases:
+        assert ExperimentConfig("seminorm", {"domain": spec}).domain(domain.d) == domain
 
 
 def test_exponents_record():
@@ -194,6 +244,10 @@ def test_main_bad_config_exit_2(tmp_path: Path):
     cfg_path.write_text("{not json")
     assert cli.main(["--config", str(cfg_path)]) == 2
     cfg_path.write_text(json.dumps({"command": "exponents"}))  # missing case/frac
+    assert cli.main(["--config", str(cfg_path)]) == 2
+    cfg_path.write_text("[1, 2]")  # not an object, with a field override
+    assert cli.main(["--config", str(cfg_path), "--threads", "2"]) == 2
+    cfg_path.write_bytes(b"\xff\xfe")  # not UTF-8
     assert cli.main(["--config", str(cfg_path)]) == 2
 
 
@@ -275,6 +329,20 @@ def test_flag_overrides(tmp_path: Path):
         (dict(LEMMA_CFG, seed=True), "seed"),
         (dict(SEMINORM_CFG, frac={"d": True, "p": "2", "s": "1/2", "tau": "2"}), "frac.d"),
         (dict(SEMINORM_CFG, frac={"d": 1, "p": "2", "s": "1/2", "tau": True}), "frac.tau"),
+        (dict(TELESCOPE_CFG, u={"kind": "log_spike", "depth": True}), "u.depth"),
+        (dict(HARDY_CFG, u={"kind": "constant", "value": True, "support": [[0.2], [0.4]]}),
+         "u.value"),
+        (dict(ESTIMATE_CFG, family={"kind": "boundary_bump", "width": True}), "family.width"),
+        # a short search: were true read as 1.0, it would still run
+        (dict(ESTIMATE_CFG, search={"starts": 1, "budget_per_start": 3},
+              family={"kind": "boundary_bump", "log2_h_range": [-7, True]}), "family.log2_h_range"),
+        (dict(EXTERIOR_CFG, domain={"kind": "exterior_ball", "R": True, "d": 1}), "domain.R"),
+        (dict(SEMINORM_CFG, domain={"kind": "box", "lo": [False], "hi": [1.0]}), "domain.lo"),
+        (dict(CONE_CFG, domain={"kind": "epigraph", "graph": {"kind": "cone", "slope": True},
+                                "d": 2}), "domain.graph.slope"),
+        (dict(BOX_CFG, domain={"kind": "polygon",
+                               "vertices": [[0, 0], [1, 0], [1, 1], [False, True]]}),
+         "domain.vertices"),
     ],
 )
 def test_main_malformed_field_exit_2(tmp_path: Path, capsys, cfg, field):
@@ -387,17 +455,28 @@ def test_python_m_hardylab_runs_without_warning(tmp_path: Path):
     assert (tmp_path / "summary.json").exists()
 
 
-#: cheap, valid configs of every command; the fuzz test swaps one field,
-#: top-level or one level inside an object field
+#: cheap, valid configs of every command, every test function kind and
+#: several domain and family kinds; the fuzz test swaps one value at any
+#: depth, a field or an element of a list
 FUZZ_BASES = [
     EXPONENTS_CFG,
     dict(SEMINORM_CFG, resolution=8, support_box=[[0.0], [1.0]]),
     dict(HARDY_CFG, resolution=8, R=None),
+    dict(HARDY_CFG, resolution=8,
+         u={"kind": "constant", "value": 1.0, "support": [[0.2], [0.4]]}),
+    dict(EXTERIOR_CFG, resolution=8),
+    dict(BOX_CFG, resolution=8),
+    dict(CONE_CFG, resolution=8),
     dict(ESTIMATE_CFG, resolution=8, search={"starts": 1, "budget_per_start": 3},
-         family={"kind": "boundary_bump"}, R=None),
+         family={"kind": "boundary_bump", "log2_h_range": [-4.0, -2.0], "width": 0.5}, R=None),
+    dict(ESTIMATE_CFG, resolution=8, search={"starts": 1, "budget_per_start": 3},
+         family={"kind": "tensor_bump_grid", "center_bounds": [[0.3, 0.7]],
+                 "radius_bounds": [[0.1, 0.2]]}),
     dict(PROBE_CFG, levels=[3, 4], cells_per_block=2, growth_threshold=1.15),
     dict(LEMMA_CFG, elementary_count=10, pair_count=2, tolerance=1e-9),
     dict(TELESCOPE_CFG, depths=[-2], cells_per_cube=2),
+    dict(TELESCOPE_CFG, depths=[-2], cells_per_cube=2,
+         u={"kind": "log_spike", "depth": 1.0, "t0": 1.0}),
 ]
 
 # no ints: a drawn int could ask for a huge grid or sample count
@@ -411,19 +490,28 @@ _VALUES = st.one_of(
 )
 
 
+def _field_paths(node, prefix=()):
+    """The path of every value inside objects and lists, at any depth."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _field_paths(value, prefix + (key,))
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_fuzzed_config_field_never_crashes(data):
     base = data.draw(st.sampled_from(FUZZ_BASES), label="base")
-    paths = [(k,) for k in base if k != "command"]
-    paths += [(k, sub) for k, v in base.items() if isinstance(v, dict) for sub in v]
-    path = data.draw(st.sampled_from(sorted(paths)), label="field")
-    value = data.draw(_VALUES, label="value")
-    cfg = dict(base)
-    if len(path) == 1:
-        cfg[path[0]] = value
-    else:
-        cfg[path[0]] = dict(base[path[0]], **{path[1]: value})
+    paths = [path for path in _field_paths(base) if path != ("command",)]
+    path = data.draw(st.sampled_from(paths), label="field")
+    cfg = copy.deepcopy(base)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(_VALUES, label="value")
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = Path(tmp) / "cfg.json"

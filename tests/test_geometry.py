@@ -350,21 +350,3 @@ def test_annulus_measure_2d():
     for k, ring in enumerate(geo.annuli(R, 2, d=2)):
         expected = math.pi * (4 ** (k + 1) - 4**k) * R * R
         assert ring.measure == pytest.approx(expected, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# serialization round trip
-
-
-def test_domain_dict_roundtrip():
-    domains = [
-        geo.Slab(n=2, d=3),
-        geo.ExteriorBall(R=1.5, d=2),
-        geo.BoxDomain(geo.Box((0.0, 0.0), (1.0, 2.0))),
-        geo.Polygon2D(((0.0, 0.0), (1.0, 0.0), (0.5, 1.0))),
-        geo.Epigraph(geo.ConeGraph(0.5), d=2),
-        geo.Epigraph(geo.PiecewiseLinearGraph(((-1.0, 0.0), (1.0, 1.0))), d=2),
-    ]
-    for dom in domains:
-        spec = geo.domain_to_dict(dom)
-        assert geo.domain_from_dict(spec) == dom
