@@ -53,12 +53,12 @@ class ConfigError(ParameterError):
 #: few box-sized arrays, and the pair sum grows with the square of the cells
 _MAX_GRID_LOG2 = 20
 
-#: -log2 of the smallest telescope cell side: the row-block kernel squares
-#: the side, and 2**-1022 is the smallest normal double
+#: -log2 of the smallest telescope cell side: the pair kernel squares the
+#: side, and 2**-1022 is the smallest normal double
 _MIN_CELL_SIDE_LOG2 = 511
 
 #: most worker threads a config may ask for; the pair sum starts up to
-#: min(threads, pieces) OS threads, and a 2**20-cell grid has 8192 row blocks
+#: min(threads, plane chunks) OS threads, thousands on a 2**20-cell grid
 _MAX_THREADS = 64
 
 #: default of a required field
@@ -305,8 +305,10 @@ class ExperimentConfig:
             family = self.log_spike_family("family.level_range")
         elif kind == "boundary_bump":
             lo, hi = self.numbers("family.log2_h_range", (-7.0, -2.0), length=2)
-            family = exp.BoundaryBumpFamily(log2_h_range=(float(lo), float(hi)),
-                                            width=self.number("family.width", 0.5))
+            width = self.number("family.width", 0.5)
+            if width <= 0:
+                raise ConfigError("family.width", f"must be positive, got {width!r}")
+            family = exp.BoundaryBumpFamily(log2_h_range=(float(lo), float(hi)), width=width)
         elif kind == "tensor_bump_grid":
             family = exp.TensorBumpGridFamily(center_bounds=self.pairs("family.center_bounds"),
                                               radius_bounds=self.pairs("family.radius_bounds"))
@@ -476,6 +478,13 @@ def _cmd_estimate_constant(cfg: ExperimentConfig) -> Work:
     spec = cfg.grid(domain)
     R, threads = cfg.scale(), cfg.threads
     family = cfg.family()
+    if isinstance(family, exp.BoundaryBumpFamily):  # each member [h, h + width] in the box
+        with np.errstate(over="ignore"):
+            h_lo, h_hi = np.exp2(family.log2_h_range)
+        a, b = spec.support_box.lo[-1], spec.support_box.hi[-1]
+        if not (a <= h_lo and h_hi + family.width <= b):
+            raise ConfigError("family.log2_h_range", f"bumps [h, h + {family.width}] for h in"
+                              f" [{h_lo}, {h_hi}] leave the support box [{a}, {b}]")
     search = exp.SearchConfig(
         starts=cfg.integer("search.starts", 8, hi=2**10),
         budget_per_start=cfg.integer("search.budget_per_start", 200, hi=2**14),

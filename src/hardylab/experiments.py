@@ -73,7 +73,7 @@ def slab_graded_grid(depth_levels: int, cells_per_block: int = 8) -> Grid:
         raise ParameterError("need at least one dyadic level")
     boxes = [geo.Box((2.0 ** (-j - 1),), (2.0 ** (-j),)) for j in range(depth_levels + 1)]
     grid = quad.union_grid(boxes, cells_per_block)
-    return replace(grid, dyadic=quad.DyadicBlocks(depth_levels + 1, cells_per_block))
+    return replace(grid, planes=depth_levels + 1, dyadic=True)
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +272,16 @@ def estimate_constant(
 # ---------------------------------------------------------------------------
 # weight-optimality probe
 
+#: fewest evaluated levels a diverging verdict needs
+_MIN_LEVELS = 4
+
 
 @dataclass(frozen=True)
 class ProbeResult:
     """Ratios of the concentrating family against one weight exponent.
 
     ``verdict`` is diverging iff every consecutive growth factor reaches
-    the threshold and at least ``min_levels`` levels were evaluated.
+    the threshold and at least four levels (``_MIN_LEVELS``) were evaluated.
     """
 
     beta_used: float
@@ -296,7 +299,6 @@ def blowup_probe(
     family: LogSpikeFamily | None = None,
     cells_per_block: int = 8,
     growth_threshold: float = 1.15,
-    min_levels: int = 4,
     threads: int = 1,
 ) -> tuple[ProbeResult, ...]:
     """Classify each weight exponent beta' = beta + offset as bounded or diverging.
@@ -345,7 +347,7 @@ def blowup_probe(
     for w, lev, trunc in zip(weights, levels, truncated):
         growth = tuple(b / a for (_, a), (_, b) in zip(lev, lev[1:]))
         diverging = (
-            len(lev) >= min_levels
+            len(lev) >= _MIN_LEVELS
             and len(growth) > 0
             and all(f >= growth_threshold for f in growth)
         )
@@ -461,10 +463,14 @@ def telescoping_reconstruction(
         if hi_k <= support_lo:
             semis.append(0.0)
             continue
-        boxes = layer.region_boxes()
-        if k < -1:
-            boxes = boxes + geo.DyadicLayer(k + 1, slab.n, slab.d).region_boxes()
-        g = quad.union_grid(boxes, cells_per_cube)
+        # layer k with the layer above (layer -1 alone), in d > 1 by columns of
+        # upper cubes along axis 0: equal runs, each the first one moved
+        top = geo.DyadicLayer(min(k + 1, -1), slab.n, d)
+        boxes = layer.region_boxes() + (top.region_boxes() if k < -1 else [])
+        runs = top.cubes_per_axis if d > 1 else 1
+        if d > 1:
+            boxes.sort(key=lambda b: b.lo[0] // 2.0**top.k)
+        g = replace(quad.union_grid(boxes, cells_per_cube), planes=runs)
         semi = quad.gagliardo_seminorm(u, None, fp, g, threads)
         semis.append(semi**tau)
 

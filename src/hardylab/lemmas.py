@@ -72,15 +72,6 @@ class SlackReport:
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
 
-    def to_dict(self) -> dict:
-        return {
-            "lemma_id": self.lemma_id,
-            "inputs": self.inputs,
-            "slack": self.slack,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-        }
-
 
 # ---------------------------------------------------------------------------
 # elementary two-term bound
@@ -120,9 +111,7 @@ def elementary_inequality_slack(a, b, c, tau, tolerance: float = 1e-12) -> Slack
     )
 
 
-def elementary_inequality_sweep(
-    count: int = 100_000, seed: int = 0, tolerance: float = 1e-12
-) -> tuple[float, dict]:
+def elementary_inequality_sweep(count: int = 100_000, seed: int = 0) -> tuple[float, dict]:
     """Vectorized randomized battery; returns (min slack, worst inputs).
 
     Draws a, b in [-10, 10], c in (1, 10], tau in (1, 6].  Borderline
@@ -150,7 +139,6 @@ def elementary_inequality_sweep(
         "tau": float(tau[worst]),
         "count": count,
         "seed": seed,
-        "tolerance": tolerance,
     }
 
 

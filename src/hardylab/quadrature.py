@@ -4,19 +4,19 @@ Everything is a midpoint rule on axis-aligned cells.  Uniform tensor grids
 come from a ``GridSpec``; unions of boxes (dyadic layers, geometrically
 graded meshes toward a boundary) and masked boxes (annuli, epigraph clips)
 produce the same ``Grid`` value, so every functional below works on any of
-them.  A single box, whole or masked, also carries its ``Lattice``, and the
-1-D dyadic graded mesh its ``DyadicBlocks``, which lets the seminorm's pair
-sum run over index or block offsets instead of cell pairs.
+them.  A single box, whole or masked, also carries its ``Lattice``; any
+other grid is ``planes`` equal runs of cells (the 1-D dyadic graded mesh:
+its blocks), so one plane sweep sums the seminorm's cell pairs by index,
+run or block offset.
 
 Determinism contract: single sums are correctly rounded (``math.fsum``),
 so they do not depend on the summation order.  The double sum over cell
 pairs is split into fixed pieces whose partial sums are combined in a fixed
-order: on a lattice grid one piece per axis-0 offset and fixed-size chunk
-of in-plane rows, in offset order; one partial per block offset on graded
-grids (and fixed-size chunk of a block's cells), in offset order; on any
-other grid fixed-size row blocks, in block order.  The worker thread count
-is an argument of ``gagliardo_seminorm``; the threads only compute
-partials, so results are bit-identical for any thread count.
+order: one partial per plane offset and fixed-size chunk of a plane's
+rows, in offset order, where the planes are the axis-0 planes of a lattice
+grid, the runs of any other grid and the blocks of a graded grid.  The
+worker thread count is an argument of ``gagliardo_seminorm``; the threads
+only compute partials, so results are bit-identical for any thread count.
 
 The Gagliardo seminorm
 
@@ -165,33 +165,29 @@ class Lattice:
 
 
 @dataclass(frozen=True)
-class DyadicBlocks:
-    """A 1-D mesh of ``count`` dyadic blocks [2^{-j-1}, 2^{-j}], j = 0, 1,
-    ..., each split into ``cells`` uniform cells, in that order."""
-
-    count: int
-    cells: int
-
-
-@dataclass(frozen=True)
 class Grid:
     """Concrete quadrature mesh: midpoint nodes with per-cell sides/weights.
 
     Node order is the construction order and is part of the value; all
     summation contracts reference it.  ``lattice`` is set when the cells
-    are (a subset of) one uniform box mesh, in mesh order; ``dyadic`` when
-    they are the dyadic blocks it describes.
+    are (a subset of) one uniform box mesh, in mesh order.  Otherwise they
+    are ``planes`` equal runs, each the first one moved by a multiple of one
+    step, with the same weights; if ``dyadic``, the runs are the uniformly
+    split blocks [2^{-j-1}, 2^{-j}], j = 0, 1, ..., of a 1-D mesh.
     """
 
     centers: np.ndarray  # (M, d)
     sides: np.ndarray  # (M, d)
     weights: np.ndarray  # (M,)
     lattice: Lattice | None = None
-    dyadic: DyadicBlocks | None = None
+    planes: int = 1
+    dyadic: bool = False
 
     def __post_init__(self):
         if len(self.centers) == 0:
             raise ParameterError("grid has no cells")
+        if self.planes < 1 or self.ncells % self.planes:
+            raise ParameterError(f"{self.ncells} cells do not split into {self.planes} runs")
 
     @property
     def d(self) -> int:
@@ -273,9 +269,8 @@ def kahan_sum(values: np.ndarray) -> float:
     return math.fsum(np.asarray(values, dtype=float).ravel().tolist())
 
 
-#: row-block size of the pair loop, and element budget of one chunk of the
-#: plane sweep; fixed so partial sums are independent of the thread count
-_PAIR_BLOCK = 128
+#: element budget of one chunk of the plane sweep; fixed so partial sums
+#: are independent of the thread count
 _LATTICE_CHUNK = 1 << 17
 
 
@@ -578,28 +573,6 @@ def _abs_pow(x: np.ndarray, p: float) -> np.ndarray:
     return x
 
 
-def _pair_block_sums(vals, grid: Grid, p, kernel_expo, threads: int):
-    """Partial sums over ordered pairs (i < j), one entry per row block.
-
-    Block [i0, i1) pairs its rows with the columns i0..M; the strict upper
-    triangle of that rectangle holds exactly the pairs with i < j.
-    """
-    M = len(vals)
-    centers, weights = grid.centers, grid.weights
-
-    def one_block(i0: int) -> float:
-        i1 = min(i0 + _PAIR_BLOCK, M)
-        d2 = sum((x[: i1 - i0, None] - x[None, :]) ** 2 for x in centers[i0:].T)
-        du = np.abs(vals[i0:i1, None] - vals[None, i0:])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            contrib = du**p / d2 ** (0.5 * kernel_expo) * (
-                weights[i0:i1, None] * weights[None, i0:]
-            )
-        return float(np.sum(np.triu(contrib, 1)))
-
-    return _map_in_order(one_block, range(0, M, _PAIR_BLOCK), threads)
-
-
 def _plane_sweep(U, p, kernel, weight, threads, m=None, scale=None):
     """Pair sums of the cells of n0 planes of n_rest cells, by plane offset.
 
@@ -645,8 +618,30 @@ def _plane_sweep(U, p, kernel, weight, threads, m=None, scale=None):
     return _map_in_order(one_chunk, items, threads)
 
 
+def _shifted_pair_sums(vals, grid: Grid, p, kernel_expo, threads: int):
+    """Partial sums of |u_i - u_j|^p |x_i - x_j|^{-kernel_expo} w_i w_j
+    over the cell pairs i < j, by run offset: the runs are the planes of
+    ``_plane_sweep``, and as run x0 is run 0 moved, cell a of run x0 and
+    cell b of run x0 + k0 have the kernel and weights of cell a of run 0
+    and cell b of run k0."""
+    n0 = grid.planes
+    n = grid.ncells // n0
+    runs = grid.centers.reshape(n0, n, grid.d)
+    w = grid.weights[:n]
+
+    def kernel(k0, a0, a1, c0):
+        d2 = sum((y[None, c0:] - x[a0:a1, None]) ** 2 for x, y in zip(runs[0].T, runs[k0].T))
+        with np.errstate(divide="ignore"):
+            K = d2 ** (-0.5 * kernel_expo) * (w[a0:a1, None] * w[None, c0:])
+        if k0 == 0:
+            np.fill_diagonal(K, 0.0)  # a cell with itself; T is 0 there
+        return K
+
+    return _plane_sweep(vals.reshape(n0, n), p, kernel, np.ones(n0), threads)
+
+
 def _lattice_pair_sums(vals, grid: Grid, p, kernel_expo, threads: int):
-    """The pair sum of ``_pair_block_sums`` on a lattice grid, by offsets.
+    """The pair sum of ``_shifted_pair_sums`` on a lattice grid, by offsets.
 
     The box is read as n0 planes of n_rest cells (a 1-D box as one plane),
     with the values and the mask scattered into it, and swept by
@@ -686,7 +681,7 @@ def _lattice_pair_sums(vals, grid: Grid, p, kernel_expo, threads: int):
 
 
 def _dyadic_pair_sums(vals, grid: Grid, p, kernel_expo, threads: int):
-    """The pair sum of ``_pair_block_sums`` on a dyadic graded grid, by block offset.
+    """The pair sum of ``_shifted_pair_sums`` on a dyadic graded grid, by block offset.
 
     Cell a of block j sits at 2^{-j-1} xi_a, xi_a = 1 + (a + 1/2)/n, and
     weighs 2^{-j-1}/n, so with e = kernel_expo the pair of cell a of block
@@ -699,7 +694,8 @@ def _dyadic_pair_sums(vals, grid: Grid, p, kernel_expo, threads: int):
     the second is the weight of offset k, and the third, the kernel in
     block-local coordinates, is one n x n table per offset.
     """
-    n0, n = grid.dyadic.count, grid.dyadic.cells
+    n0 = grid.planes
+    n = grid.ncells // n0
     xi = 1.0 + (np.arange(n) + 0.5) / n
     grading = kernel_expo - 2.0
     scale = None if grading == 0 else np.exp2((np.arange(n0) + 1.0) * grading)
@@ -734,10 +730,10 @@ def gagliardo_seminorm(u, domain: geo.Domain | None, fp: FracParams, grid,
     vals = _evaluate(u, g)
     if g.lattice is not None:
         pair_sums = _lattice_pair_sums
-    elif g.dyadic is not None:
+    elif g.dyadic:
         pair_sums = _dyadic_pair_sums
     else:
-        pair_sums = _pair_block_sums
+        pair_sums = _shifted_pair_sums
     partials = pair_sums(vals, g, p, fp.d + sp, threads)
     off_diag = 2.0 * kahan_sum(np.asarray(partials))
     lips = _local_lipschitz(u, g)

@@ -343,6 +343,16 @@ def test_flag_overrides(tmp_path: Path):
         (dict(BOX_CFG, domain={"kind": "polygon",
                                "vertices": [[0, 0], [1, 0], [1, 1], [False, True]]}),
          "domain.vertices"),
+        # boundary bumps on [h, h + width] must stay inside the grid's box
+        (dict(ESTIMATE_CFG, family={"kind": "boundary_bump", "log2_h_range": [-7, 0.5]}),
+         "family.log2_h_range"),
+        (dict(ESTIMATE_CFG, family={"kind": "boundary_bump", "log2_h_range": [-7, -0.9]}),
+         "family.log2_h_range"),
+        (dict(ESTIMATE_CFG, family={"kind": "boundary_bump", "width": 5}), "family.log2_h_range"),
+        (dict(ESTIMATE_CFG, family={"kind": "boundary_bump", "log2_h_range": [-7, 2000]}),
+         "family.log2_h_range"),
+        (dict(ESTIMATE_CFG, family={"kind": "boundary_bump", "width": 0}), "family.width"),
+        (dict(ESTIMATE_CFG, family={"kind": "boundary_bump", "width": -0.5}), "family.width"),
     ],
 )
 def test_main_malformed_field_exit_2(tmp_path: Path, capsys, cfg, field):

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hardylab import experiments as exp
 from hardylab import geometry as geo
 from hardylab import quadrature as quad
 from hardylab.errors import EvaluationError, ParameterError
@@ -132,6 +134,60 @@ def fp(d, p, s, tau="2"):
     return quad.FracParams(d=d, p=Fraction(p), s=Fraction(s), tau=Fraction(tau))
 
 
+#: rows per block of the row-block oracle
+_PAIR_BLOCK = 128
+
+
+def row_block_sums(vals, grid, p, kernel_expo):
+    """Oracle for the plane sweeps: partial sums of the pair sum over the
+    cell pairs i < j, one per block of rows.
+
+    Block [i0, i1) pairs its rows with the columns i0..M, cell by cell and
+    in any node order; the strict upper triangle of that rectangle holds
+    exactly the pairs with i < j.
+    """
+    M = len(vals)
+    centers, weights = grid.centers, grid.weights
+
+    def one_block(i0):
+        i1 = min(i0 + _PAIR_BLOCK, M)
+        d2 = sum((x[: i1 - i0, None] - x[None, :]) ** 2 for x in centers[i0:].T)
+        du = np.abs(vals[i0:i1, None] - vals[None, i0:])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            contrib = du**p / d2 ** (0.5 * kernel_expo) * (
+                weights[i0:i1, None] * weights[None, i0:]
+            )
+        return float(np.sum(np.triu(contrib, 1)))
+
+    return [one_block(i0) for i0 in range(0, M, _PAIR_BLOCK)]
+
+
+def telescope_grids(d, depth, cells_per_cube):
+    """The grids the telescope hands to the seminorm at one depth on the
+    n = 1 slab: each layer pair from the deepest up, then layer -1 alone."""
+    grids = []
+    seminorm = quad.gagliardo_seminorm
+
+    def capture(*args):
+        grids.append(args[3])
+        return seminorm(*args)
+
+    # support over the whole slab height: no layer is skipped
+    u = quad.TensorBump((0.0,) * (d - 1) + (0.5,), (1.2,) * (d - 1) + (0.6,))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quad, "gagliardo_seminorm", capture)
+        exp.telescoping_reconstruction(geo.Slab(n=1, d=d), u, fp(d, "2", "1/2"), [depth],
+                                       cells_per_cube)
+    assert len(grids) == -depth
+    return grids
+
+
+def reversed_grid(grid):
+    """The grid's cells in reverse order, as one run."""
+    return quad.Grid(grid.centers[::-1].copy(), grid.sides[::-1].copy(),
+                     grid.weights[::-1].copy())
+
+
 def test_seminorm_vanishes_on_constants():
     dom = geo.Slab(n=1, d=1)
     u = quad.Constant(4.0, dom.box)
@@ -150,14 +206,12 @@ def test_seminorm_linear_critical_exact():
 
 def test_seminorm_independent_of_cell_order():
     """Every unordered cell pair is counted exactly once whatever the node
-    order.  The graded grid takes the block-offset sweep; reversed, it is a
-    plain union of cells and takes the row blocks, where a mask that also
-    kept part of the lower triangle would change the value."""
-    from hardylab.experiments import slab_graded_grid
-
-    g = slab_graded_grid(10, 16)
-    assert g.dyadic is not None
-    rev = quad.Grid(g.centers[::-1].copy(), g.sides[::-1].copy(), g.weights[::-1].copy())
+    order.  The graded grid takes the block-offset sweep; reversed, it is
+    one run of cells, whose chunks would change the value if they also
+    kept part of the lower triangle."""
+    g = exp.slab_graded_grid(10, 16)
+    assert g.dyadic
+    rev = reversed_grid(g)
     u = quad.LogSpike(depth=2.0)
     params = fp(1, "2", "1/2")
     a = quad.gagliardo_seminorm(u, None, params, g)
@@ -208,17 +262,16 @@ CUBE = geo.Box((0.0,) * 3, (1.0,) * 3)
 
 
 def test_seminorm_threads_bit_identical():
-    from hardylab.experiments import slab_graded_grid
-
     slab2, slab3 = geo.Slab(n=1, d=2), geo.Slab(n=1, d=3)
-    graded = slab_graded_grid(6, 16)
-    reversed_graded = quad.Grid(graded.centers[::-1].copy(), graded.sides[::-1].copy(),
-                                graded.weights[::-1].copy())
+    graded = exp.slab_graded_grid(6, 16)
+    reversed_graded = reversed_grid(graded)
     layers = geo.DyadicLayer(-3, 1, 2).region_boxes() + geo.DyadicLayer(-2, 1, 2).region_boxes()
+    layer_pair = telescope_grids(2, -3, 4)[0]
+    assert layer_pair.planes > 1
     cases = [
         # uniform lattice, masked lattice, 3-D lattice, a graded grid (block
-        # offsets), then the row blocks: the graded grid reversed and a
-        # telescope layer pair
+        # offsets), then runs: the graded grid reversed and a union of two
+        # layers as one run each, and the telescope's layer pair as 8 runs
         (quad.TensorBump((0.0, 0.5), (0.5, 0.3)), slab2, fp(2, "2", "1/2"),
          quad.GridSpec(16, slab2.box)),
         (quad.TensorBump((0.3, 0.3), (0.18, 0.18)), L_SHAPE, fp(2, "2", "1/2"),
@@ -229,6 +282,8 @@ def test_seminorm_threads_bit_identical():
         (quad.LogSpike(depth=2.0), None, fp(1, "2", "1/2"), reversed_graded),
         (quad.LogSpike(depth=1.0, t0=1.0, transverse=geo.Box((-0.6,), (0.6,))), None,
          fp(2, "2", "1/2"), quad.union_grid(layers, 4)),
+        (quad.LogSpike(depth=1.0, t0=1.0, transverse=geo.Box((-0.6,), (0.6,))), None,
+         fp(2, "2", "1/2"), layer_pair),
     ]
     for u, dom, params, grid in cases:
         results = [quad.gagliardo_seminorm(u, dom, params, grid, threads=n) for n in (1, 2, 8)]
@@ -259,7 +314,7 @@ def test_lattice_sum_matches_pair_blocks(grid, p, monkeypatch):
     assert grid.lattice is not None
     vals = np.random.default_rng(7).standard_normal(grid.ncells)
     kernel_expo = grid.d + p / 3
-    blocks = quad.kahan_sum(quad._pair_block_sums(vals, grid, p, kernel_expo, 1))
+    blocks = quad.kahan_sum(row_block_sums(vals, grid, p, kernel_expo))
     for chunk in (quad._LATTICE_CHUNK, 256):
         monkeypatch.setattr(quad, "_LATTICE_CHUNK", chunk)
         lattice = quad.kahan_sum(quad._lattice_pair_sums(vals, grid, p, kernel_expo, 1))
@@ -274,16 +329,50 @@ def test_graded_sum_matches_pair_blocks(levels, n, p, sp, monkeypatch):
     # and must count the same pairs with the same kernel and weights; a
     # chunk of 3n splits each block into row chunks of 3 and sums T one
     # block at a time
-    from hardylab.experiments import slab_graded_grid
-
-    grid = slab_graded_grid(levels, n)
-    assert grid.dyadic == quad.DyadicBlocks(levels + 1, n)
+    grid = exp.slab_graded_grid(levels, n)
+    assert grid.dyadic and (grid.planes, grid.ncells) == (levels + 1, (levels + 1) * n)
     vals = np.random.default_rng(11).standard_normal(grid.ncells)
-    blocks = quad.kahan_sum(quad._pair_block_sums(vals, grid, float(p), 1 + sp, 1))
+    blocks = quad.kahan_sum(row_block_sums(vals, grid, float(p), 1 + sp))
     for chunk in (quad._LATTICE_CHUNK, 3 * n):
         monkeypatch.setattr(quad, "_LATTICE_CHUNK", chunk)
         graded = quad.kahan_sum(quad._dyadic_pair_sums(vals, grid, float(p), 1 + sp, 1))
         assert graded == pytest.approx(blocks, rel=1e-12)
+
+
+SHIFTED_GRIDS = {
+    # every layer pair the telescope builds, deepest first, and layer -1 alone
+    **{f"telescope-{d}d-{i}": g for d, depth, cells in ((1, -3, 4), (2, -4, 4), (3, -3, 2))
+       for i, g in enumerate(telescope_grids(d, depth, cells))},
+    "two-boxes": quad.union_grid([SQUARE, geo.Box((1.0, 0.25), (1.5, 0.75))], 8),
+    "reversed-graded": reversed_grid(exp.slab_graded_grid(10, 16)),
+}
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("name", list(SHIFTED_GRIDS))
+def test_shifted_sum_matches_pair_blocks(name, p, monkeypatch):
+    # the run-offset sweep and the row-block sum see the same Grid and must
+    # count the same pairs with the same kernel and weights; a chunk of 3
+    # rows of a run splits each run into row chunks and sums T one run at
+    # a time
+    grid = SHIFTED_GRIDS[name]
+    assert (grid.planes > 1) == (name.startswith("telescope") and grid.d > 1)
+    vals = np.random.default_rng(5).standard_normal(grid.ncells)
+    kernel_expo = grid.d + p / 3
+    blocks = quad.kahan_sum(row_block_sums(vals, grid, p, kernel_expo))
+    for chunk in (quad._LATTICE_CHUNK, 3 * grid.ncells // grid.planes):
+        monkeypatch.setattr(quad, "_LATTICE_CHUNK", chunk)
+        shifted = quad.kahan_sum(quad._shifted_pair_sums(vals, grid, p, kernel_expo, 1))
+        assert shifted == pytest.approx(blocks, rel=1e-12)
+
+
+def test_grid_planes_divide_cells():
+    grid = quad.union_grid([SQUARE, SQUARE.scaled(2.0)], 4)  # 32 cells
+    assert grid.planes == 1
+    assert replace(grid, planes=8).planes == 8
+    for planes in (0, 3, 64):
+        with pytest.raises(ParameterError, match="runs"):
+            replace(grid, planes=planes)
 
 
 @pytest.mark.parametrize("p,s", [(2, Fraction(1, 2)), (3, Fraction(1, 3))])
