@@ -299,8 +299,11 @@ class ExperimentConfig:
         with _field(path):
             return exp.LogSpikeFamily(level_range=levels)
 
-    def family(self) -> exp.FunctionFamily:
+    def family(self, d: int) -> exp.FunctionFamily:
+        """The test function family of a d-dimensional (frac.d) search."""
         kind = self.get("family.kind", "boundary_bump")
+        if kind in ("log_spike", "boundary_bump") and d > 1:
+            raise ConfigError("family.kind", f"{kind!r} is a family on (0, 1); frac.d is {d}")
         if kind == "log_spike":
             family = self.log_spike_family("family.level_range")
         elif kind == "boundary_bump":
@@ -310,8 +313,13 @@ class ExperimentConfig:
                 raise ConfigError("family.width", f"must be positive, got {width!r}")
             family = exp.BoundaryBumpFamily(log2_h_range=(float(lo), float(hi)), width=width)
         elif kind == "tensor_bump_grid":
-            family = exp.TensorBumpGridFamily(center_bounds=self.pairs("family.center_bounds"),
-                                              radius_bounds=self.pairs("family.radius_bounds"))
+            bounds = {}
+            for key in ("center_bounds", "radius_bounds"):
+                bounds[key] = self.pairs(f"family.{key}")
+                if len(bounds[key]) != d:
+                    raise ConfigError(f"family.{key}", f"needs one [lo, hi] pair per axis"
+                                      f" ({d}), got {len(bounds[key])}")
+            family = exp.TensorBumpGridFamily(**bounds)
         else:
             raise ConfigError("family.kind", f"unknown family kind {kind!r}")
         if not all(lo <= hi for lo, hi in family.bounds):
@@ -477,7 +485,7 @@ def _cmd_estimate_constant(cfg: ExperimentConfig) -> Work:
     domain = cfg.domain(case.fp.d)
     spec = cfg.grid(domain)
     R, threads = cfg.scale(), cfg.threads
-    family = cfg.family()
+    family = cfg.family(case.fp.d)
     if isinstance(family, exp.BoundaryBumpFamily):  # each member [h, h + width] in the box
         with np.errstate(over="ignore"):
             h_lo, h_hi = np.exp2(family.log2_h_range)

@@ -228,11 +228,10 @@ def estimate_constant(
     unreliable, and the simplex tolerates the piecewise-smooth parameter
     dependence.  Deterministic for fixed seeds; ties broken by start index.
     """
-    g = quad.as_grid(grid, domain)
+    tables = hardy.HardyTables(domain, case, grid, R)
 
     def objective(params: np.ndarray) -> float:
-        u = family.make(params)
-        return -hardy.hardy_ratio(u, domain, case, g, R=R, threads=threads)
+        return -tables.ratio(family.make(params), threads)
 
     best_ratio = -math.inf
     best_params: np.ndarray | None = None

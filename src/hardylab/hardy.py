@@ -45,6 +45,7 @@ __all__ = [
     "hardy_denominator",
     "hardy_terms",
     "hardy_ratio",
+    "HardyTables",
     "holder_interpolation_check",
     "divergence_ladder",
     "DivergenceLadder",
@@ -208,8 +209,8 @@ def weight_value(w: WeightSpec, domain: geo.Domain | None, x) -> float | np.ndar
 # the functional
 
 
-def _weighted_power_integral(u, domain, w: WeightSpec, tau: float, g: Grid) -> float:
-    vals = np.abs(quad._evaluate(u, g))
+def _weighted_power_integral(vals, domain, w: WeightSpec, tau: float, g: Grid) -> float:
+    """int |u|^tau * weight over the grid, from |u| at its cell centres."""
     out = np.zeros(g.ncells)
     mask = vals > 0
     if np.any(mask):
@@ -228,7 +229,7 @@ def hardy_lhs(u, domain: geo.Domain | None, w: WeightSpec, tau, grid) -> float:
     if tau < 1:
         raise ParameterError("tau must be >= 1")
     g = quad.as_grid(grid, domain)
-    total = _weighted_power_integral(u, domain, w, tau, g)
+    total = _weighted_power_integral(np.abs(quad._evaluate(u, g)), domain, w, tau, g)
     return total ** (1.0 / tau)
 
 
@@ -285,6 +286,47 @@ def _check_strip_condition(u: TestFunction, domain: geo.Epigraph, R: float) -> N
         )
 
 
+class HardyTables:
+    """The member-independent work of ``hardy_terms`` on one grid for one
+    case, done once: the case's weight and the grid's ``SeminormTables``.
+
+    ``terms`` and ``ratio`` then call a member twice, so a sweep over
+    members (``estimate_constant``) builds the tables once; ``hardy_terms``
+    and ``hardy_ratio`` build them for their one member.
+    """
+
+    def __init__(self, domain: geo.Domain, case: HardyCase, grid, R: float | None = None):
+        g = quad.as_grid(grid, domain)
+        self.domain, self.case = domain, case
+        self.weight = weight_for(case, domain, g, R)
+        self._strip = case.group == "3" and isinstance(domain, geo.Epigraph)
+        if self._strip and self.weight.R is None:
+            raise ParameterError("case 3 needs the strip scale R")
+        self.tables = quad.SeminormTables(g, case.fp)
+
+    def terms(self, u: TestFunction, threads: int = 1) -> tuple[WeightSpec, float, float]:
+        """The case's weight, lhs(u) and ||u||_{W^{s,p}}: the values of
+        ``hardy_lhs`` and ``hardy_denominator``, from one evaluation of u."""
+        w, g = self.weight, self.tables.grid
+        if self._strip:
+            _check_strip_condition(u, self.domain, w.R)
+        vals, lips = self.tables.evaluate(u)
+        mag, p = np.abs(vals), self.tables.p
+        lp = quad.kahan_sum(mag**p * g.weights) ** (1.0 / p)
+        semi = self.tables.seminorm(vals, lips, threads)
+        denom = (lp**p + semi**p) ** (1.0 / p)
+        if denom == 0.0:
+            raise DegenerateInputError("test function vanishes on the grid")
+        tau = float(self.case.fp.tau)
+        lhs = _weighted_power_integral(mag, self.domain, w, tau, g) ** (1.0 / tau)
+        return w, lhs, denom
+
+    def ratio(self, u: TestFunction, threads: int = 1) -> float:
+        """Empirical constant lhs(u) / ||u||_{W^{s,p}}."""
+        _, lhs, denom = self.terms(u, threads)
+        return lhs / denom
+
+
 def hardy_terms(
     u: TestFunction,
     domain: geo.Domain,
@@ -294,17 +336,7 @@ def hardy_terms(
     threads: int = 1,
 ) -> tuple[WeightSpec, float, float]:
     """The case's weight, lhs(u) and ||u||_{W^{s,p}}, each evaluated once."""
-    g = quad.as_grid(grid, domain)
-    w = weight_for(case, domain, g, R)
-    if case.group == "3" and isinstance(domain, geo.Epigraph):
-        if w.R is None:
-            raise ParameterError("case 3 needs the strip scale R")
-        _check_strip_condition(u, domain, w.R)
-    denom = hardy_denominator(u, domain, case.fp, g, threads=threads)
-    if denom == 0.0:
-        raise DegenerateInputError("test function vanishes on the grid")
-    lhs = hardy_lhs(u, domain, w, case.fp.tau, g)
-    return w, lhs, denom
+    return HardyTables(domain, case, grid, R).terms(u, threads)
 
 
 def hardy_ratio(
@@ -321,8 +353,7 @@ def hardy_ratio(
     content of the inequality is that its supremum over admissible u is
     finite.
     """
-    _, lhs, denom = hardy_terms(u, domain, case, grid, R, threads)
-    return lhs / denom
+    return HardyTables(domain, case, grid, R).ratio(u, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +427,7 @@ def divergence_ladder(
     spec = base_spec
     for _ in range(doublings + 1):
         g = quad.as_grid(spec, domain)
-        values.append(_weighted_power_integral(u, domain, w, tau, g))
+        values.append(_weighted_power_integral(np.abs(quad._evaluate(u, g)), domain, w, tau, g))
         spec = spec.refined()
     factors = tuple(b / a if a > 0 else np.inf for a, b in zip(values, values[1:]))
     divergent = all(f >= growth for f in factors)

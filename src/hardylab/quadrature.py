@@ -61,6 +61,7 @@ __all__ = [
     "lp_norm",
     "average",
     "gagliardo_seminorm",
+    "SeminormTables",
     "kahan_sum",
 ]
 
@@ -332,6 +333,14 @@ def _bump_profile(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _tensor_profile(t: np.ndarray) -> np.ndarray:
+    """Product of the cos^2 bumps of the columns of t, in column order."""
+    vals = np.ones(len(t))
+    for a in range(t.shape[1]):
+        vals *= _bump_profile(t[:, a])
+    return vals
+
+
 @dataclass(frozen=True)
 class TensorBump(TestFunction):
     """Product of per-axis cos^2 bumps centered at ``center`` with ``radius``."""
@@ -354,11 +363,7 @@ class TensorBump(TestFunction):
 
     def __call__(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        t = (pts - np.asarray(self.center)) / np.asarray(self.radius)
-        vals = np.ones(len(pts))
-        for a in range(pts.shape[1]):
-            vals *= _bump_profile(t[:, a])
-        return vals
+        return _tensor_profile((pts - np.asarray(self.center)) / np.asarray(self.radius))
 
 
 @dataclass(frozen=True)
@@ -518,37 +523,6 @@ def average(u, region, cells_per_axis: int = 16) -> float:
 # Gagliardo seminorm
 
 
-def _local_lipschitz(u, grid: Grid) -> np.ndarray:
-    """Per-cell slope estimate |grad u| at cell centers (central differences)."""
-    grads = np.zeros(grid.ncells)
-    for a in range(grid.d):
-        h = grid.sides[:, a] * 0.25
-        plus = grid.centers.copy()
-        plus[:, a] += h
-        minus = grid.centers.copy()
-        minus[:, a] -= h
-        ga = (np.asarray(u(plus), dtype=float) - np.asarray(u(minus), dtype=float)) / (2 * h)
-        grads += ga * ga
-    return np.sqrt(grads)
-
-
-def _diagonal_patch(grid: Grid, lips: np.ndarray, p: float, sp: float) -> float:
-    """Same-cell seminorm mass: L^p * int int |x-y|^{p-d-sp} over the cell.
-
-    The inner integral is evaluated in closed form over the ball of the
-    same volume as the cell, giving vol * d w_d r^{p-sp} / (p - sp) with
-    r = (vol / w_d)^{1/d}; exact for d = 1 and first-order accurate above.
-    """
-    d = grid.d
-    if p - sp <= 0:
-        raise ParameterError("diagonal patch requires sp < p")
-    wd = geo.unit_ball_volume(d)
-    vol = grid.weights
-    r_eq = (vol / wd) ** (1.0 / d)
-    radial = d * wd * r_eq ** (p - sp) / (p - sp)
-    return kahan_sum(lips**p * vol * radial)
-
-
 def _map_in_order(fn, items, threads: int) -> list:
     """``[fn(item) for item in items]``, on ``threads`` worker threads if
     there is more than one."""
@@ -618,12 +592,12 @@ def _plane_sweep(U, p, kernel, weight, threads, m=None, scale=None):
     return _map_in_order(one_chunk, items, threads)
 
 
-def _shifted_pair_sums(vals, grid: Grid, p, kernel_expo, threads: int):
-    """Partial sums of |u_i - u_j|^p |x_i - x_j|^{-kernel_expo} w_i w_j
-    over the cell pairs i < j, by run offset: the runs are the planes of
-    ``_plane_sweep``, and as run x0 is run 0 moved, cell a of run x0 and
-    cell b of run x0 + k0 have the kernel and weights of cell a of run 0
-    and cell b of run k0."""
+def _shifted_pair_sums(grid: Grid, p, kernel_expo):
+    """The partial sums of |u_i - u_j|^p |x_i - x_j|^{-kernel_expo} w_i w_j
+    over the cell pairs i < j, as a function of the values and the thread
+    count, by run offset: the runs are the planes of ``_plane_sweep``, and
+    as run x0 is run 0 moved, cell a of run x0 and cell b of run x0 + k0
+    have the kernel and weights of cell a of run 0 and cell b of run k0."""
     n0 = grid.planes
     n = grid.ncells // n0
     runs = grid.centers.reshape(n0, n, grid.d)
@@ -637,29 +611,32 @@ def _shifted_pair_sums(vals, grid: Grid, p, kernel_expo, threads: int):
             np.fill_diagonal(K, 0.0)  # a cell with itself; T is 0 there
         return K
 
-    return _plane_sweep(vals.reshape(n0, n), p, kernel, np.ones(n0), threads)
+    def sums(vals, threads):
+        return _plane_sweep(vals.reshape(n0, n), p, kernel, np.ones(n0), threads)
+
+    return sums
 
 
-def _lattice_pair_sums(vals, grid: Grid, p, kernel_expo, threads: int):
-    """The pair sum of ``_shifted_pair_sums`` on a lattice grid, by offsets.
+def _lattice_pair_sums(grid: Grid, p, kernel_expo):
+    """The pair sums of ``_shifted_pair_sums`` on a lattice grid, by offsets.
 
     The box is read as n0 planes of n_rest cells (a 1-D box as one plane),
     with the values and the mask scattered into it, and swept by
     ``_plane_sweep``.  The kernel depends only on k0 and on |a - b| per
-    axis and so is gathered from the n_rest powers of that offset.  The
-    cell weight w is the same everywhere, so w^2 is a common factor.
+    axis and so is gathered from the n_rest powers of that offset, by an
+    index that depends only on the row chunk.  The cell weight w is the
+    same everywhere, so w^2 is a common factor.
     """
     lat = grid.lattice
     counts = lat.counts if grid.d > 1 else (1,) + lat.counts
     h = grid.sides[0] if grid.d > 1 else np.concatenate(([0.0], grid.sides[0]))
     n0, rest = counts[0], counts[1:]
     n_rest = math.prod(rest)
-    if lat.kept is None:
-        U, m = vals.reshape(n0, n_rest), None
-    else:
-        U, m = np.zeros(n0 * n_rest), np.zeros(n0 * n_rest)
-        U[lat.kept], m[lat.kept] = vals, 1.0
-        U, m = U.reshape(n0, n_rest), m.reshape(n0, n_rest)
+    m = None
+    if lat.kept is not None:
+        m = np.zeros(n0 * n_rest)
+        m[lat.kept] = 1.0
+        m = m.reshape(n0, n_rest)
 
     # kernel[k0, j]: plane offset k0 and in-plane offset with flat index j
     offs = np.indices(rest).reshape(len(rest), n_rest)
@@ -669,19 +646,40 @@ def _lattice_pair_sums(vals, grid: Grid, p, kernel_expo, threads: int):
     kernel[0, 0] = 0.0  # a cell with itself; T is 0 there
     # the flat index of an in-plane offset is the sum of these per axis
     steps = [o * math.prod(rest[k + 1 :]) for k, o in enumerate(offs)]
+    # each row chunk's index, over all columns, serves every k0 and every
+    # member; it is kept while the indices of all chunks together fit in
+    # eight chunks, so a long plane (a long 1-D box) does not hold n_rest^2
+    # indices but builds each per use.  Two threads may build one twice;
+    # the two are equal.
+    index = {}
+    keep = n_rest * n_rest <= 8 * _LATTICE_CHUNK
 
     def gathered(k0, a0, a1, c0):
-        gather = np.abs(steps[0][a0:a1, None] - steps[0][None, c0:])
-        for st in steps[1:]:
-            gather += np.abs(st[a0:a1, None] - st[None, c0:])
-        return kernel[k0][gather]
+        gather = index.get((a0, a1))
+        if gather is None:
+            gather = np.abs(steps[0][a0:a1, None] - steps[0][None, :])
+            for st in steps[1:]:
+                gather += np.abs(st[a0:a1, None] - st[None, :])
+            if keep:
+                index[a0, a1] = gather
+        return kernel[k0][gather[:, c0:]]
 
     w2 = np.full(n0, float(grid.weights[0]) ** 2)
-    return _plane_sweep(U, p, gathered, w2, threads, m)
+
+    def sums(vals, threads):
+        if lat.kept is None:
+            U = vals.reshape(n0, n_rest)
+        else:
+            U = np.zeros(n0 * n_rest)
+            U[lat.kept] = vals
+            U = U.reshape(n0, n_rest)
+        return _plane_sweep(U, p, gathered, w2, threads, m)
+
+    return sums
 
 
-def _dyadic_pair_sums(vals, grid: Grid, p, kernel_expo, threads: int):
-    """The pair sum of ``_shifted_pair_sums`` on a dyadic graded grid, by block offset.
+def _dyadic_pair_sums(grid: Grid, p, kernel_expo):
+    """The pair sums of ``_shifted_pair_sums`` on a dyadic graded grid, by block offset.
 
     Cell a of block j sits at 2^{-j-1} xi_a, xi_a = 1 + (a + 1/2)/n, and
     weighs 2^{-j-1}/n, so with e = kernel_expo the pair of cell a of block
@@ -708,7 +706,76 @@ def _dyadic_pair_sums(vals, grid: Grid, p, kernel_expo, threads: int):
         return K
 
     weight = np.exp2(-np.arange(n0, dtype=float)) / n**2
-    return _plane_sweep(vals.reshape(n0, n), p, local, weight, threads, scale=scale)
+
+    def sums(vals, threads):
+        return _plane_sweep(vals.reshape(n0, n), p, local, weight, threads, scale=scale)
+
+    return sums
+
+
+class SeminormTables:
+    """The grid-only work of the Gagliardo seminorm on one grid for one
+    (p, s), done once: the pair sum's kernel tables, the probe points of
+    the slope estimate and the diagonal patch's radial factor.
+
+    ``evaluate`` calls a member twice and ``seminorm`` sums its pairs, so a
+    sweep over members builds the tables once.  ``gagliardo_seminorm``
+    builds them for its one member.
+    """
+
+    def __init__(self, grid: Grid, fp: FracParams):
+        if grid.d != fp.d:
+            raise ParameterError(f"grid dimension {grid.d} != parameter dimension {fp.d}")
+        p, sp = float(fp.p), float(fp.sp)
+        if p - sp <= 0:
+            raise ParameterError("diagonal patch requires sp < p")
+        if grid.lattice is not None:
+            pair_sums = _lattice_pair_sums
+        elif grid.dyadic:
+            pair_sums = _dyadic_pair_sums
+        else:
+            pair_sums = _shifted_pair_sums
+        self.grid, self.p = grid, p
+        self._pair_sums = pair_sums(grid, p, fp.d + sp)
+        # the points a quarter side above and below each centre, axis by
+        # axis, and the distance across each pair
+        d, quarter = grid.d, grid.sides * 0.25
+        probes = np.repeat(grid.centers[None], 2 * d, axis=0)
+        for a in range(d):
+            probes[2 * a, :, a] += quarter[:, a]
+            probes[2 * a + 1, :, a] -= quarter[:, a]
+        self._probes = probes.reshape(-1, d)
+        self._spans = 2 * quarter.T
+        # the diagonal patch: the same-cell integral of |x-y|^{p-d-sp} in
+        # closed form over the ball of the cell's volume, vol * d w_d
+        # r^{p-sp} / (p - sp) with r = (vol / w_d)^{1/d}; exact for d = 1
+        # and first-order accurate above
+        wd = geo.unit_ball_volume(d)
+        r_eq = (grid.weights / wd) ** (1.0 / d)
+        self._radial = d * wd * r_eq ** (p - sp) / (p - sp)
+
+    def evaluate(self, u) -> tuple[np.ndarray, np.ndarray]:
+        """u at the cell centres and the per-cell slope estimate |grad u|
+        (central differences), from one call of u on the centres and one
+        on the probe points of every axis."""
+        vals = _evaluate(u, self.grid)
+        pm = np.asarray(u(self._probes), dtype=float).reshape(self.grid.d, 2, self.grid.ncells)
+        grads = np.zeros(self.grid.ncells)
+        for (plus, minus), span in zip(pm, self._spans):
+            ga = (plus - minus) / span
+            grads += ga * ga
+        return vals, np.sqrt(grads)
+
+    def seminorm(self, vals: np.ndarray, lips: np.ndarray, threads: int = 1) -> float:
+        """[u]_{W^{s,p}} from ``evaluate``'s values and slopes.  The pair
+        sum runs on ``threads`` worker threads; the value does not depend
+        on their number."""
+        if threads < 1:
+            raise ParameterError("thread count must be >= 1")
+        off_diag = 2.0 * kahan_sum(np.asarray(self._pair_sums(vals, threads)))
+        # the same-cell mass L^p * int int |x-y|^{p-d-sp} over each cell
+        diag = kahan_sum(lips**self.p * self.grid.weights * self._radial)
+        return (off_diag + diag) ** (1.0 / self.p)
 
 
 def gagliardo_seminorm(u, domain: geo.Domain | None, fp: FracParams, grid,
@@ -720,22 +787,5 @@ def gagliardo_seminorm(u, domain: geo.Domain | None, fp: FracParams, grid,
     sum runs on ``threads`` worker threads; the value does not depend on
     their number.
     """
-    if threads < 1:
-        raise ParameterError("thread count must be >= 1")
-    g = as_grid(grid, domain)
-    if g.d != fp.d:
-        raise ParameterError(f"grid dimension {g.d} != parameter dimension {fp.d}")
-    p = float(fp.p)
-    sp = float(fp.sp)
-    vals = _evaluate(u, g)
-    if g.lattice is not None:
-        pair_sums = _lattice_pair_sums
-    elif g.dyadic:
-        pair_sums = _dyadic_pair_sums
-    else:
-        pair_sums = _shifted_pair_sums
-    partials = pair_sums(vals, g, p, fp.d + sp, threads)
-    off_diag = 2.0 * kahan_sum(np.asarray(partials))
-    lips = _local_lipschitz(u, g)
-    diag = _diagonal_patch(g, lips, p, sp)
-    return (off_diag + diag) ** (1.0 / p)
+    tables = SeminormTables(as_grid(grid, domain), fp)
+    return tables.seminorm(*tables.evaluate(u), threads)

@@ -61,6 +61,11 @@ ESTIMATE_CFG = {
     "resolution": 32,
 }
 
+# the d=2 slab at case 1a, with a short search
+ESTIMATE_2D_CFG = dict(ESTIMATE_CFG, case="1a", domain={"kind": "slab", "n": 1, "d": 2},
+                       frac={"d": 2, "p": "2", "s": "1/2", "tau": "2"}, resolution=16,
+                       search={"starts": 1, "budget_per_start": 5})
+
 HARDY_CFG = {
     "command": "hardy-check",
     "domain": {"kind": "slab", "n": 1, "d": 1},
@@ -353,6 +358,19 @@ def test_flag_overrides(tmp_path: Path):
          "family.log2_h_range"),
         (dict(ESTIMATE_CFG, family={"kind": "boundary_bump", "width": 0}), "family.width"),
         (dict(ESTIMATE_CFG, family={"kind": "boundary_bump", "width": -0.5}), "family.width"),
+        # a family's members must have the dimension of the domain
+        (dict(ESTIMATE_2D_CFG, family={"kind": "boundary_bump"}), "family.kind"),
+        (dict(ESTIMATE_2D_CFG, family={"kind": "log_spike", "level_range": [3, 5]}),
+         "family.kind"),
+        (dict(ESTIMATE_2D_CFG, family={"kind": "tensor_bump_grid", "center_bounds": [[0.2, 0.8]],
+                                       "radius_bounds": [[0.1, 0.3]]}), "family.center_bounds"),
+        (dict(ESTIMATE_2D_CFG, family={"kind": "tensor_bump_grid",
+                                       "center_bounds": [[-0.5, 0.5], [0.2, 0.8]],
+                                       "radius_bounds": [[0.1, 0.3]]}), "family.radius_bounds"),
+        (dict(ESTIMATE_CFG, family={"kind": "tensor_bump_grid",
+                                    "center_bounds": [[0.2, 0.8], [0.2, 0.8]],
+                                    "radius_bounds": [[0.1, 0.3], [0.1, 0.3]]}),
+         "family.center_bounds"),
     ],
 )
 def test_main_malformed_field_exit_2(tmp_path: Path, capsys, cfg, field):

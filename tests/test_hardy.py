@@ -169,6 +169,24 @@ def test_hardy_terms_match_ratio():
     assert lhs / norm == hardy.hardy_ratio(u, dom, case, spec)
 
 
+def test_hardy_ratio_calls_the_member_twice():
+    # once on the cell centres, once on the probe points of every axis
+    dom = geo.Slab(n=1, d=2)
+    case = hardy.HardyCase("1a", fp(2, "2", "1/2", "2"))
+    bump = quad.TensorBump((0.0, 0.5), (0.5, 0.3))
+    calls = []
+
+    class Counting(quad.TestFunction):
+        support = bump.support
+
+        def __call__(self, pts):
+            calls.append(len(pts))
+            return bump(pts)
+
+    hardy.hardy_ratio(Counting(), dom, case, quad.GridSpec(16, dom.box))
+    assert calls == [256, 4 * 256]
+
+
 def test_hardy_ratio_degenerate_input():
     dom = geo.Slab(n=1, d=1)
     case = hardy.HardyCase("1b", fp(1, "2", "1/2", "2"))

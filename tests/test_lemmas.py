@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -139,6 +140,28 @@ def test_adjacent_pair_battery_small():
     worst, ran = lemmas.adjacent_pair_battery(count=60, seed=3)
     assert ran == 60
     assert worst >= -1e-9
+
+
+@pytest.mark.parametrize("cells", [8, 16])
+@pytest.mark.parametrize("seed", range(4))
+def test_battery_slacks_match_one_pair_at_a_time(seed, cells):
+    # the battery grids the cubes of all trials of one dimension at once
+    # and evaluates all their bumps at once; each trial's slack must be
+    # the one the public function gives for that trial alone, bit for bit
+    trials, slacks = lemmas._adjacent_pair_slacks(1000, seed, cells)
+    assert len(trials) == len(slacks) == 1000
+    for (E, F, center, radius, tau), slack in zip(trials, slacks):
+        rep = lemmas.average_difference_slack(quad.TensorBump(center, radius), E, F, tau, cells)
+        assert slack == rep.slack
+    assert lemmas.adjacent_pair_battery(1000, seed, cells) == (min(slacks), 1000)
+
+
+def test_battery_draws_pinned():
+    # the trials are drawn in a fixed RNG order; the sum of the slacks at
+    # seed 0 pins it (the minimum is 0.0 at every seed, see ROADMAP item 3)
+    _, slacks = lemmas._adjacent_pair_slacks(1000, 0, 8)
+    assert math.fsum(slacks) == 831.6175703055362
+    assert sum(s == 0.0 for s in slacks) == 110
 
 
 # ---------------------------------------------------------------------------

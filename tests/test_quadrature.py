@@ -7,6 +7,7 @@ import pytest
 
 from hardylab import experiments as exp
 from hardylab import geometry as geo
+from hardylab import hardy
 from hardylab import quadrature as quad
 from hardylab.errors import EvaluationError, ParameterError
 
@@ -292,6 +293,45 @@ def test_seminorm_threads_bit_identical():
         quad.gagliardo_seminorm(u, dom, params, grid, threads=0)
 
 
+def reuse_cases():
+    """Grids with one domain, case and sweep of members each: the 1-D
+    lattice, the masked L-shape, a graded grid and a telescope layer pair."""
+    slab1, slab2 = geo.Slab(n=1, d=1), geo.Slab(n=1, d=2)
+    fp1, fp2 = fp(1, "2", "1/2"), fp(2, "2", "1/2")
+    layer_pair = telescope_grids(2, -3, 4)[0]
+    assert layer_pair.planes > 1
+    transverse = geo.Box((-0.6,), (0.6,))
+    return {
+        "1d-lattice": (slab1, "1b", fp1, quad.domain_grid(slab1, spec1d(128, slab1.box)),
+                       [quad.TensorBump((h + 0.25,), (0.25,)) for h in 2.0 ** -np.arange(2, 8)]),
+        "l-shape": (L_SHAPE, "1a", fp2, quad.domain_grid(L_SHAPE, quad.GridSpec(32, SQUARE)),
+                    [quad.TensorBump((c, 0.3), (0.18, 0.18)) for c in (0.2, 0.3, 0.5, 0.7)]),
+        "graded": (slab1, "1b", fp1, exp.slab_graded_grid(6, 16),
+                   [quad.LogSpike(depth=x) for x in (1.0, 1.5, 2.0)]
+                   + [quad.TensorBump((0.3,), (0.25,))]),
+        "layer-pair": (slab2, "1a", fp2, layer_pair,
+                       [quad.LogSpike(depth=x, t0=1.0, transverse=transverse) for x in (1.0, 2.0)]
+                       + [quad.TensorBump((0.0, 0.4), (0.5, 0.3))]),
+    }
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", ["1d-lattice", "l-shape", "graded", "layer-pair"])
+def test_tables_built_once_match_fresh_calls(name, threads):
+    # one set of tables applied to a sweep of members gives the bits of a
+    # fresh gagliardo_seminorm or hardy_ratio per member
+    domain, case_id, params, grid, members = reuse_cases()[name]
+    case = hardy.HardyCase(case_id, params)
+    tables = quad.SeminormTables(grid, params)
+    hardy_tables = hardy.HardyTables(domain, case, grid)
+    for u in members:
+        semi = tables.seminorm(*tables.evaluate(u), threads)
+        assert semi > 0
+        assert semi == quad.gagliardo_seminorm(u, None, params, grid, threads)
+        assert hardy_tables.ratio(u, threads) == hardy.hardy_ratio(u, domain, case, grid,
+                                                                   threads=threads)
+
+
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
 @pytest.mark.parametrize(
     "grid",
@@ -317,7 +357,7 @@ def test_lattice_sum_matches_pair_blocks(grid, p, monkeypatch):
     blocks = quad.kahan_sum(row_block_sums(vals, grid, p, kernel_expo))
     for chunk in (quad._LATTICE_CHUNK, 256):
         monkeypatch.setattr(quad, "_LATTICE_CHUNK", chunk)
-        lattice = quad.kahan_sum(quad._lattice_pair_sums(vals, grid, p, kernel_expo, 1))
+        lattice = quad.kahan_sum(quad._lattice_pair_sums(grid, p, kernel_expo)(vals, 1))
         assert lattice == pytest.approx(blocks, rel=1e-12)
 
 
@@ -335,7 +375,7 @@ def test_graded_sum_matches_pair_blocks(levels, n, p, sp, monkeypatch):
     blocks = quad.kahan_sum(row_block_sums(vals, grid, float(p), 1 + sp))
     for chunk in (quad._LATTICE_CHUNK, 3 * n):
         monkeypatch.setattr(quad, "_LATTICE_CHUNK", chunk)
-        graded = quad.kahan_sum(quad._dyadic_pair_sums(vals, grid, float(p), 1 + sp, 1))
+        graded = quad.kahan_sum(quad._dyadic_pair_sums(grid, float(p), 1 + sp)(vals, 1))
         assert graded == pytest.approx(blocks, rel=1e-12)
 
 
@@ -362,7 +402,7 @@ def test_shifted_sum_matches_pair_blocks(name, p, monkeypatch):
     blocks = quad.kahan_sum(row_block_sums(vals, grid, p, kernel_expo))
     for chunk in (quad._LATTICE_CHUNK, 3 * grid.ncells // grid.planes):
         monkeypatch.setattr(quad, "_LATTICE_CHUNK", chunk)
-        shifted = quad.kahan_sum(quad._shifted_pair_sums(vals, grid, p, kernel_expo, 1))
+        shifted = quad.kahan_sum(quad._shifted_pair_sums(grid, p, kernel_expo)(vals, 1))
         assert shifted == pytest.approx(blocks, rel=1e-12)
 
 
