@@ -8,7 +8,7 @@ Three experiment drivers sit on top of the functionals:
 * ``blowup_probe`` drives a concentrating log-profile family toward the
   boundary and classifies candidate weight exponents beta' as bounded or
   diverging from the growth of the ratios across depths; each depth's
-  member, grid and norm are built once for all candidates.  At the
+  member, grid, evaluation and norm are made once for all candidates.  At the
   tabulated beta the ratios stabilize; one unit below they grow
   geometrically (about sqrt(2) per level for the default family); one
   unit above they decay.  That three-point signature is the operational
@@ -16,7 +16,8 @@ Three experiment drivers sit on top of the functionals:
 * ``telescoping_reconstruction`` rebuilds the layer-by-layer transfer
   argument on a slab (cube averages, weighted layer sums, overlapping
   seminorms) and reports the smallest constant closing the chain at each
-  depth; each layer's terms are computed once for all depths.
+  depth; each layer's terms are computed once for all depths, from one
+  evaluation of u on the grid of the layer and the layer above.
 
 Deep log profiles cannot be resolved by a uniform grid at desk scale, so
 the probe integrates on geometrically graded meshes: one fixed-size grid
@@ -306,9 +307,10 @@ def blowup_probe(
     exponent replaced by beta'; at the tabulated beta the theory guarantees
     bounded ratios, so geometric growth across all levels is the numerical
     signature of an inadmissible (too weak a log) exponent.  The member,
-    grid and norm do not depend on beta', so each level builds them once;
-    a failure there truncates every offset, a non-finite or underflowed
-    (zero) ratio only its own.  Returns one result per offset, in order.
+    grid, its evaluation and the norm do not depend on beta', so each level
+    makes them once and every offset weighs the same |u|; a failure there
+    truncates every offset, a non-finite or underflowed (zero) ratio only
+    its own.  Returns one result per offset, in order.
     """
     if not isinstance(domain, geo.Slab) or domain.d != 1:
         raise UnsupportedDomainError("the log-spike probe runs on the d = 1 slab")
@@ -325,17 +327,20 @@ def blowup_probe(
         if all(truncated):
             break
         try:
-            u = family.member(m)
             g = family.grid(m, cells_per_block)
-            denom = hardy.hardy_denominator(u, domain, case.fp, g, threads=threads)
+            tables = quad.SeminormTables(g, case.fp)
+            vals, lips = tables.evaluate(family.member(m))
+            denom = tables.norm(vals, lips, threads)
         except (ArithmeticError, FloatingPointError):
             truncated = [True] * len(weights)
             break
+        mag = np.abs(vals)
         for i, w in enumerate(weights):
             if truncated[i]:
                 continue
             try:
-                ratio = hardy.hardy_lhs(u, domain, w, tau, g) / denom
+                lhs = hardy._weighted_power_integral(mag, domain, w, tau, g) ** (1.0 / tau)
+                ratio = lhs / denom
                 truncated[i] = not (math.isfinite(ratio) and ratio > 0)
             except (ArithmeticError, FloatingPointError):
                 truncated[i] = True
@@ -406,14 +411,6 @@ class TelescopeReport:
     skipped_layers: tuple[int, ...]
 
 
-def _cube_averages(u, layer: geo.DyadicLayer, cells_per_cube: int) -> np.ndarray:
-    g = quad.union_grid(layer.region_boxes(), cells_per_cube)
-    vals = np.asarray(u(g.centers), dtype=float)
-    per_cube = cells_per_cube ** layer.d
-    # uniform cells within each cube: the cube average is the plain mean
-    return vals.reshape(layer.count, per_cube).mean(axis=1)
-
-
 def telescoping_reconstruction(
     slab: geo.Domain,
     u: TestFunction,
@@ -426,10 +423,11 @@ def telescoping_reconstruction(
     each depth m, one report per depth, in order.
 
     One pass computes each layer's average sum and overlapping seminorm
-    for all depths; depth m's report takes the layers k >= m.  Layers whose
-    closure misses the support of u contribute exact zeros; they are
-    recorded in ``skipped_layers`` (their averages and seminorms are not
-    computed).
+    for all depths, from one evaluation of u on the grid of the layer and
+    the layer above; depth m's report takes the layers k >= m.  Layers
+    whose closure misses the support of u contribute exact zeros; they are
+    recorded in ``skipped_layers`` (their cube averages are not computed,
+    and below the support neither is their seminorm).
     """
     if not isinstance(slab, geo.Slab):
         raise UnsupportedDomainError("telescoping runs on slab domains")
@@ -452,26 +450,32 @@ def telescoping_reconstruction(
     for layer in layers:
         k = layer.k
         lo_k, hi_k = 2.0**k, 2.0 ** (k + 1)
-        if hi_k <= support_lo or lo_k >= support_hi:
+        if hi_k <= support_lo:  # below the support: nothing to compute
             skipped.append(k)
             layer_sums.append(0.0)
-        else:
-            avgs = _cube_averages(u, layer, cells_per_cube)
-            layer_sums.append(float(np.sum(np.abs(avgs) ** tau)))
-        # overlapping seminorm: layer k with the layer above (k = -1 alone)
-        if hi_k <= support_lo:
             semis.append(0.0)
             continue
-        # layer k with the layer above (layer -1 alone), in d > 1 by columns of
-        # upper cubes along axis 0: equal runs, each the first one moved
+        # overlapping seminorm: layer k with the layer above (layer -1
+        # alone), by columns of upper cubes along axis 0: in d > 1 equal
+        # runs, each the first one moved (in d = 1 the order is unchanged)
         top = geo.DyadicLayer(min(k + 1, -1), slab.n, d)
         boxes = layer.region_boxes() + (top.region_boxes() if k < -1 else [])
+        order = sorted(range(len(boxes)), key=lambda i: boxes[i].lo[0] // 2.0**top.k)
         runs = top.cubes_per_axis if d > 1 else 1
-        if d > 1:
-            boxes.sort(key=lambda b: b.lo[0] // 2.0**top.k)
-        g = replace(quad.union_grid(boxes, cells_per_cube), planes=runs)
-        semi = quad.gagliardo_seminorm(u, None, fp, g, threads)
-        semis.append(semi**tau)
+        g = replace(quad.union_grid([boxes[i] for i in order], cells_per_cube), planes=runs)
+        tables = quad.SeminormTables(g, fp)
+        vals, lips = tables.evaluate(u)
+        semis.append(tables.seminorm(vals, lips, threads) ** tau)
+        if lo_k >= support_hi:
+            skipped.append(k)
+            layer_sums.append(0.0)
+            continue
+        # uniform cells within each cube: the cube average is the plain
+        # mean; layer k's cubes are the first boxes, taken back out of the
+        # column order
+        means = vals.reshape(len(boxes), -1).mean(axis=1)
+        avgs = means[np.argsort(order)[: layer.count]]
+        layer_sums.append(float(np.sum(np.abs(avgs) ** tau)))
 
     a_top = layer_sums[-1]  # layer -1 is last (layers run deepest..-1)
     top_term = ((2.0 / 3.0) ** (tau - 1.0) + 1.0) * 2.0 ** (alpha - d) * a_top

@@ -42,8 +42,6 @@ __all__ = [
     "weight_value",
     "weight_for",
     "hardy_lhs",
-    "hardy_denominator",
-    "hardy_terms",
     "hardy_ratio",
     "HardyTables",
     "holder_interpolation_check",
@@ -233,16 +231,6 @@ def hardy_lhs(u, domain: geo.Domain | None, w: WeightSpec, tau, grid) -> float:
     return total ** (1.0 / tau)
 
 
-def hardy_denominator(u, domain, fp: FracParams, grid, threads: int = 1) -> float:
-    """Full norm (||u||_p^p + [u]_p^p)^{1/p} on the grid's region; the
-    seminorm's pair sum runs on ``threads`` worker threads."""
-    g = quad.as_grid(grid, domain)
-    p = float(fp.p)
-    lp = quad.lp_norm(u, None, p, g)
-    semi = quad.gagliardo_seminorm(u, None, fp, g, threads)
-    return (lp**p + semi**p) ** (1.0 / p)
-
-
 def weight_for(
     case: HardyCase,
     domain: geo.Domain,
@@ -287,12 +275,13 @@ def _check_strip_condition(u: TestFunction, domain: geo.Epigraph, R: float) -> N
 
 
 class HardyTables:
-    """The member-independent work of ``hardy_terms`` on one grid for one
+    """The member-independent work of the Hardy ratio on one grid for one
     case, done once: the case's weight and the grid's ``SeminormTables``.
 
-    ``terms`` and ``ratio`` then call a member twice, so a sweep over
-    members (``estimate_constant``) builds the tables once; ``hardy_terms``
-    and ``hardy_ratio`` build them for their one member.
+    ``terms`` and ``ratio`` take both sides from one ``SeminormTables``
+    evaluation (two calls of the member), so a sweep over members
+    (``estimate_constant``) builds the tables once; ``hardy_ratio`` builds
+    them for its one member.
     """
 
     def __init__(self, domain: geo.Domain, case: HardyCase, grid, R: float | None = None):
@@ -305,38 +294,23 @@ class HardyTables:
         self.tables = quad.SeminormTables(g, case.fp)
 
     def terms(self, u: TestFunction, threads: int = 1) -> tuple[WeightSpec, float, float]:
-        """The case's weight, lhs(u) and ||u||_{W^{s,p}}: the values of
-        ``hardy_lhs`` and ``hardy_denominator``, from one evaluation of u."""
+        """The case's weight, lhs(u) (the value of ``hardy_lhs``) and
+        ||u||_{W^{s,p}}, from one evaluation of u."""
         w, g = self.weight, self.tables.grid
         if self._strip:
             _check_strip_condition(u, self.domain, w.R)
         vals, lips = self.tables.evaluate(u)
-        mag, p = np.abs(vals), self.tables.p
-        lp = quad.kahan_sum(mag**p * g.weights) ** (1.0 / p)
-        semi = self.tables.seminorm(vals, lips, threads)
-        denom = (lp**p + semi**p) ** (1.0 / p)
+        denom = self.tables.norm(vals, lips, threads)
         if denom == 0.0:
             raise DegenerateInputError("test function vanishes on the grid")
         tau = float(self.case.fp.tau)
-        lhs = _weighted_power_integral(mag, self.domain, w, tau, g) ** (1.0 / tau)
+        lhs = _weighted_power_integral(np.abs(vals), self.domain, w, tau, g) ** (1.0 / tau)
         return w, lhs, denom
 
     def ratio(self, u: TestFunction, threads: int = 1) -> float:
         """Empirical constant lhs(u) / ||u||_{W^{s,p}}."""
         _, lhs, denom = self.terms(u, threads)
         return lhs / denom
-
-
-def hardy_terms(
-    u: TestFunction,
-    domain: geo.Domain,
-    case: HardyCase,
-    grid,
-    R: float | None = None,
-    threads: int = 1,
-) -> tuple[WeightSpec, float, float]:
-    """The case's weight, lhs(u) and ||u||_{W^{s,p}}, each evaluated once."""
-    return HardyTables(domain, case, grid, R).terms(u, threads)
 
 
 def hardy_ratio(
@@ -377,18 +351,15 @@ def holder_interpolation_check(u, fp: FracParams, theta: float, grid) -> float:
     p = float(fp.p)
     p_star = float(fp.p_star)
     vals = np.abs(quad._evaluate(u, g))
-    xd = g.centers[:, -1]
-    if np.any(xd <= 0):
+    if np.any(g.centers[:, -1] <= 0):
         raise ParameterError("grid must sit in the upper half-space x_d > 0")
-    logs = np.log(2.0 / xd)
-    sobolev_part = quad.kahan_sum(vals**p_star * g.weights)
     if theta == 0.0:
         return 0.0  # both sides equal the Sobolev-endpoint integral
     tau = theta * p + (1.0 - theta) * p_star
-    a = theta
-    b = theta * p
-    lhs = quad.kahan_sum(vals**tau / (xd**a * logs**b) * g.weights)
-    base = quad.kahan_sum(vals**p / (xd * logs**p) * g.weights)
+    a = Fraction(theta)
+    lhs = _weighted_power_integral(vals, None, WeightSpec(a, a * fp.p, "flat_slab"), tau, g)
+    base = _weighted_power_integral(vals, None, WeightSpec(Fraction(1), fp.p, "flat_slab"), p, g)
+    sobolev_part = quad.kahan_sum(vals**p_star * g.weights)
     rhs = base**theta * sobolev_part ** (1.0 - theta)
     return rhs - lhs
 
@@ -418,7 +389,8 @@ def divergence_ladder(
     """Evaluate the weighted integral on successively doubled grids.
 
     The verdict is ``divergent`` when every doubling grows the value by at
-    least ``growth``; convergent integrals stabilize instead.
+    least ``growth``; convergent integrals stabilize instead.  A value that
+    stays 0 has growth factor 1; one that leaves 0 has an infinite one.
     """
     if doublings < 1:
         raise ParameterError("need at least one doubling")
@@ -429,6 +401,7 @@ def divergence_ladder(
         g = quad.as_grid(spec, domain)
         values.append(_weighted_power_integral(np.abs(quad._evaluate(u, g)), domain, w, tau, g))
         spec = spec.refined()
-    factors = tuple(b / a if a > 0 else np.inf for a, b in zip(values, values[1:]))
+    factors = tuple(b / a if a > 0 else (np.inf if b > 0 else 1.0)
+                    for a, b in zip(values, values[1:]))
     divergent = all(f >= growth for f in factors)
     return DivergenceLadder(tuple(values), factors, divergent)

@@ -216,14 +216,15 @@ def average_difference_slack(
     convexity (factor 2^{tau-1} on each term), bound each term by Jensen,
     then enlarge both denominators to min(|E|, |F|).  The chain also holds
     for the discrete midpoint measure, so the slack is nonnegative at any
-    resolution up to rounding.
+    resolution up to rounding.  A member that is not finite at a cell
+    centre raises ``EvaluationError`` with that node.
     """
     if tau < 1:
         raise ParameterError("tau must be >= 1")
     if not _boxes_disjoint(E, F):
         raise ParameterError("regions must be disjoint")
     g = quad.union_grid([E, F], cells_per_axis)
-    vals = np.asarray(u(g.centers), dtype=float)
+    vals = quad._evaluate(u, g)
     c = g.ncells // 2
     slack = _average_difference(vals[:c], g.weights[:c], vals[c:], g.weights[c:], tau)
     return SlackReport(
@@ -341,14 +342,14 @@ def scaled_sobolev_ratio(
     if not isinstance(base, (geo.Box, geo.Annulus)):
         raise ParameterError("region must be a Box or an Annulus")
     g = quad._region_grid(base.scaled(lam), resolution)
-    ul = u.dilated(lam)
-    vals = np.asarray(ul(g.centers), dtype=float)
+    tables = quad.SeminormTables(g, fp)
+    vals, lips = tables.evaluate(u.dilated(lam))
     mean = quad.kahan_sum(vals * g.weights) / g.total_weight
     osc = quad.kahan_sum(np.abs(vals - mean) ** tau * g.weights) / g.total_weight
     lhs = osc ** (1.0 / tau)
     if lhs == 0.0 and np.allclose(vals, vals[0]):
         return 0.0  # constant profile: zero oscillation, zero ratio
-    semi = quad.gagliardo_seminorm(ul, None, fp, g)
+    semi = tables.seminorm(vals, lips)
     p = float(fp.p)
     rhs = (lam ** (float(fp.sp) - fp.d) * semi**p) ** (1.0 / p)
     if rhs == 0.0:

@@ -718,9 +718,11 @@ class SeminormTables:
     (p, s), done once: the pair sum's kernel tables, the probe points of
     the slope estimate and the diagonal patch's radial factor.
 
-    ``evaluate`` calls a member twice and ``seminorm`` sums its pairs, so a
-    sweep over members builds the tables once.  ``gagliardo_seminorm``
-    builds them for its one member.
+    ``evaluate`` is the one place that turns a member into values and
+    slopes on the grid, with two calls of the member; ``seminorm`` and
+    ``norm`` take their terms from that one evaluation.  A sweep over
+    members builds the tables once; ``gagliardo_seminorm`` builds them for
+    its one member.
     """
 
     def __init__(self, grid: Grid, fp: FracParams):
@@ -776,6 +778,14 @@ class SeminormTables:
         # the same-cell mass L^p * int int |x-y|^{p-d-sp} over each cell
         diag = kahan_sum(lips**self.p * self.grid.weights * self._radial)
         return (off_diag + diag) ** (1.0 / self.p)
+
+    def norm(self, vals: np.ndarray, lips: np.ndarray, threads: int = 1) -> float:
+        """The full norm (||u||_p^p + [u]_{W^{s,p}}^p)^{1/p} from
+        ``evaluate``'s values and slopes; the L^p term is ``lp_norm``'s."""
+        p = self.p
+        lp = kahan_sum(np.abs(vals) ** p * self.grid.weights) ** (1.0 / p)
+        semi = self.seminorm(vals, lips, threads)
+        return (lp**p + semi**p) ** (1.0 / p)
 
 
 def gagliardo_seminorm(u, domain: geo.Domain | None, fp: FracParams, grid,

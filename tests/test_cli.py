@@ -3,6 +3,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import runpy
 import subprocess
@@ -411,18 +412,43 @@ def test_telescope_grid_limit():
 
 
 def test_telescope_computes_each_layer_once(monkeypatch):
-    # depths -3 and -4 share layers -3..-1: four layer seminorms, not 3 + 4
-    calls = []
-    seminorm = quad.gagliardo_seminorm
+    # depths -3 and -4 share layers -3..-1: four layer pair grids, not 3 + 4,
+    # and two member calls on each (its centres and its slope probes), from
+    # which the layer's cube averages are read too
+    tables, calls = [], []
+    bump = quad.TensorBump.__call__
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return seminorm(*args, **kwargs)
+    class Counting(quad.SeminormTables):
+        def __init__(self, grid, fp):
+            tables.append(grid)
+            super().__init__(grid, fp)
 
-    monkeypatch.setattr(quad, "gagliardo_seminorm", counting)
+    def counting(self, pts):
+        calls.append(len(pts))
+        return bump(self, pts)
+
+    monkeypatch.setattr(quad, "SeminormTables", Counting)
+    monkeypatch.setattr(quad.TensorBump, "__call__", counting)
     record = cli.run(ExperimentConfig.from_dict(TELESCOPE_CFG))
     assert [row["m"] for row in record.series["telescope"]] == [-3, -4]
-    assert len(calls) == 4
+    assert len(tables) == 4
+    assert len(calls) == 2 * 4
+
+
+def test_telescope_gate_fails_when_the_deepest_layer_is_skipped(tmp_path: Path):
+    # the former demo bump sits at heights [0.15, 0.85]: depths -4, -5 and
+    # -6 skip their deepest 1, 2 and 3 layers and repeat one chain, so the
+    # equal constants must not pass the gate
+    bump = dict(json.loads(next(p for p in DEMO_CONFIGS if p.stem == "telescope").read_text()),
+                u={"kind": "tensor_bump", "center": [0.0, 0.5], "radius": [0.6, 0.35]})
+    cfg_path = tmp_path / "bump.json"
+    cfg_path.write_text(json.dumps(bump))
+    out = tmp_path / "o"
+    assert cli.main(["--config", str(cfg_path), "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["verdicts"] == {"stable": False}
+    assert summary["results"]["stable_within_50pct"]
+    assert [row["skipped"] for row in summary["series"]["telescope"]] == [1, 2, 3]
 
 
 def test_threads_reach_every_pair_sum(monkeypatch):
@@ -461,6 +487,40 @@ def test_package_has_no_global_statements():
 @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)
 def test_demo_config_runs(tmp_path: Path, path: Path):
     assert cli.main(["--config", str(path), "--out", str(tmp_path)]) == 0
+
+
+#: command, results, series and verdicts of each demo config, recorded
+#: before the probe, the telescope and the Hardy terms shared one member
+#: evaluation per grid
+DEMO_PAYLOADS = json.loads((Path(__file__).parent / "data" / "demo_payloads.json").read_text())
+
+
+def _assert_payload_equal(got, want, where="payload"):
+    """Floats equal to a relative 1e-12 (exact bits may differ between
+    CPUs), every other value exactly."""
+    assert type(got) is type(want), f"{where}: {got!r} != {want!r}"
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for key in want:
+            _assert_payload_equal(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_payload_equal(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), f"{where}: {got!r} != {want!r}"
+    else:
+        assert got == want, f"{where}: {got!r} != {want!r}"
+
+
+@pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)
+def test_demo_config_payload_pinned(path: Path):
+    assert sorted(DEMO_PAYLOADS) == [p.stem for p in DEMO_CONFIGS]
+    record = cli.run(ExperimentConfig.parse(path.read_text()))
+    # through JSON, as summary.json holds it: tuples become lists
+    payload = json.loads(json.dumps(record.numeric_payload()))
+    want = DEMO_PAYLOADS[path.stem]
+    _assert_payload_equal({key: payload[key] for key in want}, want, path.stem)
 
 
 @pytest.mark.parametrize("path", DEMO_SCRIPTS, ids=lambda p: p.stem)

@@ -91,16 +91,23 @@ def test_probe_requires_1d_slab():
 
 
 def test_probe_builds_each_level_norm_once(monkeypatch):
-    calls = []
-    denominator = hardy.hardy_denominator
+    norms, calls = [], []
+    norm, spike = quad.SeminormTables.norm, quad.LogSpike.__call__
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return denominator(*args, **kwargs)
+    def counting_norm(self, *args, **kwargs):
+        norms.append(self.grid.ncells)
+        return norm(self, *args, **kwargs)
 
-    monkeypatch.setattr(hardy, "hardy_denominator", counting)
+    def counting_spike(self, pts):
+        calls.append(len(pts))
+        return spike(self, pts)
+
+    monkeypatch.setattr(quad.SeminormTables, "norm", counting_norm)
+    monkeypatch.setattr(quad.LogSpike, "__call__", counting_spike)
     exp.three_point_signature(CASE_1B, SLAB_1D, exp.LogSpikeFamily(level_range=(3, 5)))
-    assert len(calls) == 3  # one per level, shared by the three offsets
+    assert len(norms) == 3  # one per level, shared by the three offsets
+    # two member calls per level: the cell centres and the slope probes
+    assert len(calls) == 2 * 3
 
 
 def test_joint_probe_matches_single_offset_probes():
@@ -115,23 +122,28 @@ def test_joint_probe_matches_single_offset_probes():
 
 @pytest.mark.parametrize("bad_lhs", [np.inf, np.nan, 0.0])
 def test_probe_truncation_shared_and_per_offset(monkeypatch, bad_lhs):
+    # the per-offset lhs and the shared norm, from level 5 on: the levels
+    # are told apart by their graded grids, whose block count grows
     family = exp.LogSpikeFamily(level_range=(3, 6))
-    lhs, denominator = hardy.hardy_lhs, hardy.hardy_denominator
+    from_level_5 = family.grid_levels(5) + 1
+    integral, norm = hardy._weighted_power_integral, quad.SeminormTables.norm
 
-    def lhs_bad_at_beta_from_level_5(u, domain, w, tau, g):
-        return bad_lhs if w.beta == 2 and u.depth >= 16 else lhs(u, domain, w, tau, g)
+    def lhs_bad_at_beta_from_level_5(vals, domain, w, tau, g):
+        if w.beta == 2 and g.planes >= from_level_5:
+            return bad_lhs
+        return integral(vals, domain, w, tau, g)
 
-    monkeypatch.setattr(hardy, "hardy_lhs", lhs_bad_at_beta_from_level_5)
+    monkeypatch.setattr(hardy, "_weighted_power_integral", lhs_bad_at_beta_from_level_5)
     below, at = exp.blowup_probe(CASE_1B, (-1, 0), SLAB_1D, family)
     assert [m for m, _ in at.levels] == [3, 4] and at.truncated
     assert [m for m, _ in below.levels] == [3, 4, 5, 6] and not below.truncated
 
-    def denominator_fails_at_level_5(u, domain, fp, g, threads=1):
-        if u.depth >= 16:
+    def norm_fails_at_level_5(self, vals, lips, threads=1):
+        if self.grid.planes >= from_level_5:
             raise FloatingPointError("overflow")
-        return denominator(u, domain, fp, g, threads=threads)
+        return norm(self, vals, lips, threads)
 
-    monkeypatch.setattr(hardy, "hardy_denominator", denominator_fails_at_level_5)
+    monkeypatch.setattr(quad.SeminormTables, "norm", norm_fails_at_level_5)
     for res in exp.blowup_probe(CASE_1B, (-1, 0), SLAB_1D, family):
         assert [m for m, _ in res.levels] == [3, 4] and res.truncated
 
@@ -198,10 +210,29 @@ def test_telescope_constant_band_structure():
     params = fp(2, "2", "1/2", "2")
     (rep,) = exp.telescoping_reconstruction(slab, u, params, [-3], cells_per_cube=4)
     layer = geo.DyadicLayer(-3, 1, 2)  # heights [1/8, 1/4): u = 1 there
-    avgs = exp._cube_averages(u, layer, 4)
+    avgs = [quad.average(u, box, 4) for box in layer.region_boxes()]
     assert np.allclose(avgs, 1.0)
     assert rep.layer_sums[0] == pytest.approx(layer.count, rel=1e-12)
     assert np.isfinite(rep.minimal_c)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_telescope_layer_sums_match_cube_averages(d):
+    # the layer sums read from the layer pair grids, whose boxes run by
+    # columns in d > 1, equal the sums of separately computed cube
+    # averages; the spike is lopsided across x' so a cube read from the
+    # wrong place changes the sum
+    slab = geo.Slab(n=1, d=d)
+    transverse = geo.Box((-0.7,) * (d - 1), (0.3,) * (d - 1)) if d > 1 else None
+    u = quad.LogSpike(depth=1.5, t0=1.0, transverse=transverse)
+    params = fp(d, "2", "1/2", "2")
+    depth = -4 if d < 3 else -3
+    (rep,) = exp.telescoping_reconstruction(slab, u, params, [depth], cells_per_cube=2)
+    assert rep.skipped_layers == ()
+    for layer, a_k in zip(geo.dyadic_layers(slab, depth), rep.layer_sums):
+        avgs = np.array([quad.average(u, box, 2) for box in layer.region_boxes()])
+        assert a_k > 0
+        assert a_k == pytest.approx(float(np.sum(np.abs(avgs) ** 2)), rel=1e-12)
 
 
 def test_telescope_skips_layers_outside_support():

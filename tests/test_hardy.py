@@ -162,10 +162,15 @@ def test_hardy_terms_match_ratio():
     case = hardy.HardyCase("1a", fp(2, "2", "1/2", "2"))
     u = quad.TensorBump((0.0, 0.5), (0.5, 0.3))
     spec = quad.GridSpec(16, dom.box)
-    w, lhs, norm = hardy.hardy_terms(u, dom, case, spec)
+    w, lhs, norm = hardy.HardyTables(dom, case, spec).terms(u)
     assert w == hardy.weight_for(case, dom, spec)
     assert lhs == hardy.hardy_lhs(u, dom, w, case.fp.tau, spec)
-    assert norm == hardy.hardy_denominator(u, dom, case.fp, spec)
+    # the full norm from the one-member L^p norm and seminorm, in the same
+    # arithmetic: the root of the L^p sum, raised to p again
+    p = float(case.fp.p)
+    lp = quad.lp_norm(u, dom, p, spec)
+    semi = quad.gagliardo_seminorm(u, dom, case.fp, spec)
+    assert norm == (lp**p + semi**p) ** (1.0 / p)
     assert lhs / norm == hardy.hardy_ratio(u, dom, case, spec)
 
 
@@ -329,6 +334,17 @@ def test_divergence_ladder_flags_power_blowup():
     ladder = hardy.divergence_ladder(u, dom, w, 2.0, quad.GridSpec(16, dom.box))
     assert ladder.divergent
     assert all(f >= 2.0 for f in ladder.growth_factors)
+
+
+def test_divergence_ladder_zero_integral_does_not_grow():
+    # 0 -> 0 is no growth (factor 1), not an infinite one
+    dom = geo.Slab(n=1, d=1)
+    u = quad.Constant(0.0, dom.box)
+    w = hardy.WeightSpec(Fraction(2), Fraction(0), "flat_slab")
+    ladder = hardy.divergence_ladder(u, dom, w, 2.0, quad.GridSpec(16, dom.box))
+    assert ladder.values == (0.0,) * 4
+    assert ladder.growth_factors == (1.0,) * 3
+    assert not ladder.divergent
 
 
 def test_divergence_ladder_converges_for_bumps():

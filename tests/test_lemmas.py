@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hardylab import geometry as geo
 from hardylab import lemmas
 from hardylab import quadrature as quad
-from hardylab.errors import ParameterError
+from hardylab.errors import EvaluationError, ParameterError
 
 
 def fp(d, p, s, tau="2"):
@@ -128,6 +128,17 @@ def test_average_difference_constant_has_zero_slack():
     assert rep.slack == pytest.approx(0.0, abs=1e-14)
 
 
+def test_average_difference_non_finite_member_names_the_node():
+    # a NaN slack would silently count as a fail; the member is at fault
+    u = quad.Constant(math.inf, geo.Box((0.0,), (1.0,)))
+    E = geo.Box((0.0,), (0.5,))
+    F = geo.Box((0.5,), (1.0,))
+    with pytest.raises(EvaluationError, match="not finite") as err:
+        lemmas.average_difference_slack(u, E, F, 2.0, cells_per_axis=4)
+    assert err.value.node is not None
+    assert tuple(err.value.node) == (0.0625,)  # the first cell centre of E
+
+
 def test_average_difference_rejects_overlap():
     u = quad.Constant(1.0, geo.Box((0.0,), (1.0,)))
     with pytest.raises(ParameterError):
@@ -175,6 +186,21 @@ def test_scaled_ratio_is_dilation_invariant_on_cubes():
     r_half = lemmas.scaled_sobolev_ratio(u, 0.5, params, 2.0, resolution=128, region=base)
     r_quarter = lemmas.scaled_sobolev_ratio(u, 0.25, params, 2.0, resolution=128, region=base)
     assert r_half / r_quarter == pytest.approx(1.0, abs=0.02)
+
+
+def test_scaled_ratio_evaluates_the_member_once(monkeypatch):
+    # one SeminormTables evaluation: the cell centres and the slope probes
+    calls = []
+    bump = quad.TensorBump.__call__
+
+    def counting(self, pts):
+        calls.append(len(pts))
+        return bump(self, pts)
+
+    monkeypatch.setattr(quad.TensorBump, "__call__", counting)
+    u = quad.TensorBump((0.5,), (0.4,))
+    assert lemmas.scaled_sobolev_ratio(u, 0.5, fp(1, "2", "1/2"), 2.0, resolution=32) > 0
+    assert calls == [32, 2 * 32]
 
 
 def test_scaled_ratio_constant_profile_is_zero():

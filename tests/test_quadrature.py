@@ -167,16 +167,16 @@ def telescope_grids(d, depth, cells_per_cube):
     """The grids the telescope hands to the seminorm at one depth on the
     n = 1 slab: each layer pair from the deepest up, then layer -1 alone."""
     grids = []
-    seminorm = quad.gagliardo_seminorm
 
-    def capture(*args):
-        grids.append(args[3])
-        return seminorm(*args)
+    class Capturing(quad.SeminormTables):
+        def __init__(self, grid, params):
+            grids.append(grid)
+            super().__init__(grid, params)
 
     # support over the whole slab height: no layer is skipped
     u = quad.TensorBump((0.0,) * (d - 1) + (0.5,), (1.2,) * (d - 1) + (0.6,))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quad, "gagliardo_seminorm", capture)
+        mp.setattr(quad, "SeminormTables", Capturing)
         exp.telescoping_reconstruction(geo.Slab(n=1, d=d), u, fp(d, "2", "1/2"), [depth],
                                        cells_per_cube)
     assert len(grids) == -depth
