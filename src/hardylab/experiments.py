@@ -67,14 +67,14 @@ def slab_graded_grid(depth_levels: int, cells_per_block: int = 8) -> Grid:
 
     One uniform block per dyadic level [2^{-j-1}, 2^{-j}], j = 0..J with
     J = depth_levels; cells refine toward the bottom boundary at the same
-    rate the dyadic blocks shrink.  The grid records its blocks, which lets
-    the seminorm sum its pairs by block offset.
+    rate the dyadic blocks shrink.  Block j is block 0 scaled by 2^{-j},
+    so the blocks are the grid's runs and the seminorm sums its pairs by
+    block offset.
     """
     if depth_levels < 1:
         raise ParameterError("need at least one dyadic level")
     boxes = [geo.Box((2.0 ** (-j - 1),), (2.0 ** (-j),)) for j in range(depth_levels + 1)]
-    grid = quad.union_grid(boxes, cells_per_block)
-    return replace(grid, planes=depth_levels + 1, dyadic=True)
+    return replace(quad.union_grid(boxes, cells_per_block), planes=depth_levels + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +396,9 @@ class TelescopeReport:
     smallest constant closing the inequality; the content mirrored here is
     that it stays bounded in the depth m and across test functions.  The
     layer terms do not depend on m: the reports of one
-    ``telescoping_reconstruction`` call share them, computed once.
+    ``telescoping_reconstruction`` call share them, computed once.  A
+    skipped layer's a_k is 0, but its seminorm term is not 0 when the layer
+    above meets the support of u.
     """
 
     m: int
@@ -425,9 +427,11 @@ def telescoping_reconstruction(
     One pass computes each layer's average sum and overlapping seminorm
     for all depths, from one evaluation of u on the grid of the layer and
     the layer above; depth m's report takes the layers k >= m.  Layers
-    whose closure misses the support of u contribute exact zeros; they are
-    recorded in ``skipped_layers`` (their cube averages are not computed,
-    and below the support neither is their seminorm).
+    whose heights miss the support of u have an average sum of exactly 0;
+    they are recorded in ``skipped_layers``, and their cube averages are
+    not computed.  A layer's seminorm term is computed when the heights of
+    the layer and the layer above meet the support, and is exactly 0
+    otherwise (no grid is built for it).
     """
     if not isinstance(slab, geo.Slab):
         raise UnsupportedDomainError("telescoping runs on slab domains")
@@ -449,15 +453,19 @@ def telescoping_reconstruction(
     semis = []
     for layer in layers:
         k = layer.k
-        lo_k, hi_k = 2.0**k, 2.0 ** (k + 1)
-        if hi_k <= support_lo:  # below the support: nothing to compute
+        # u vanishes on a layer, or on the layer pair of layer k and the
+        # layer above (heights (2^k, 2^{k+2}), layer -1 alone (1/2, 1)),
+        # that misses its support: the term is exactly 0, not computed
+        layer_meets = 2.0**k < support_hi and 2.0 ** (k + 1) > support_lo
+        if not layer_meets:
             skipped.append(k)
             layer_sums.append(0.0)
+        if not (2.0**k < support_hi and min(2.0 ** (k + 2), 1.0) > support_lo):
             semis.append(0.0)
             continue
-        # overlapping seminorm: layer k with the layer above (layer -1
-        # alone), by columns of upper cubes along axis 0: in d > 1 equal
-        # runs, each the first one moved (in d = 1 the order is unchanged)
+        # overlapping seminorm, by columns of upper cubes along axis 0: in
+        # d > 1 equal runs, each the first one moved (in d = 1 the order is
+        # unchanged)
         top = geo.DyadicLayer(min(k + 1, -1), slab.n, d)
         boxes = layer.region_boxes() + (top.region_boxes() if k < -1 else [])
         order = sorted(range(len(boxes)), key=lambda i: boxes[i].lo[0] // 2.0**top.k)
@@ -466,9 +474,7 @@ def telescoping_reconstruction(
         tables = quad.SeminormTables(g, fp)
         vals, lips = tables.evaluate(u)
         semis.append(tables.seminorm(vals, lips, threads) ** tau)
-        if lo_k >= support_hi:
-            skipped.append(k)
-            layer_sums.append(0.0)
+        if not layer_meets:
             continue
         # uniform cells within each cube: the cube average is the plain
         # mean; layer k's cubes are the first boxes, taken back out of the

@@ -5,18 +5,19 @@ come from a ``GridSpec``; unions of boxes (dyadic layers, geometrically
 graded meshes toward a boundary) and masked boxes (annuli, epigraph clips)
 produce the same ``Grid`` value, so every functional below works on any of
 them.  A single box, whole or masked, also carries its ``Lattice``; any
-other grid is ``planes`` equal runs of cells (the 1-D dyadic graded mesh:
-its blocks), so one plane sweep sums the seminorm's cell pairs by index,
-run or block offset.
+other grid is ``planes`` runs of cells, each the image of the first under
+a power of one similarity (a telescope layer pair's columns of cubes, the
+dyadic blocks of the 1-D graded mesh), so one plane sweep sums the
+seminorm's cell pairs by index or run offset.
 
 Determinism contract: single sums are correctly rounded (``math.fsum``),
 so they do not depend on the summation order.  The double sum over cell
 pairs is split into fixed pieces whose partial sums are combined in a fixed
 order: one partial per plane offset and fixed-size chunk of a plane's
 rows, in offset order, where the planes are the axis-0 planes of a lattice
-grid, the runs of any other grid and the blocks of a graded grid.  The
-worker thread count is an argument of ``gagliardo_seminorm``; the threads
-only compute partials, so results are bit-identical for any thread count.
+grid and the runs of any other grid.  The worker thread count is an
+argument of ``gagliardo_seminorm``; the threads only compute partials, so
+results are bit-identical for any thread count.
 
 The Gagliardo seminorm
 
@@ -172,9 +173,10 @@ class Grid:
     Node order is the construction order and is part of the value; all
     summation contracts reference it.  ``lattice`` is set when the cells
     are (a subset of) one uniform box mesh, in mesh order.  Otherwise they
-    are ``planes`` equal runs, each the first one moved by a multiple of one
-    step, with the same weights; if ``dyadic``, the runs are the uniformly
-    split blocks [2^{-j-1}, 2^{-j}], j = 0, 1, ..., of a 1-D mesh.
+    are ``planes`` runs of equally many cells, and run j is the image of
+    run 0 under the j-th power of one similarity x -> lam x + t, cell by
+    cell: centres mapped, sides times lam^j.  lam is 1 when each run is
+    the first one moved by a multiple of one step.
     """
 
     centers: np.ndarray  # (M, d)
@@ -182,7 +184,6 @@ class Grid:
     weights: np.ndarray  # (M,)
     lattice: Lattice | None = None
     planes: int = 1
-    dyadic: bool = False
 
     def __post_init__(self):
         if len(self.centers) == 0:
@@ -557,11 +558,11 @@ def _plane_sweep(U, p, kernel, weight, threads, m=None, scale=None):
 
     (a factor left as None is 1) is contracted with ``kernel(k0, a0, a1,
     c0)``, the kernel between the rows a0:a1 of a plane and the columns c0:
-    of the plane k0 further on, and scaled by ``weight[k0]``.  At k0 = 0
-    only the pairs b > a count (the strict upper triangle): a chunk's
-    columns start at its first row, and its leading square, which is
-    symmetric with a zero diagonal, counts half.  One partial per (k0, row
-    chunk), in that order.
+    of the plane k0 further on, and scaled by the number ``weight``.  At
+    k0 = 0 only the pairs b > a count (the strict upper triangle): a
+    chunk's columns start at its first row, and its leading square, which
+    is symmetric with a zero diagonal, counts half.  One partial per (k0,
+    row chunk), in that order.
     """
     n0, n_rest = U.shape
     rows = max(1, _LATTICE_CHUNK // n_rest)
@@ -585,34 +586,52 @@ def _plane_sweep(U, p, kernel, weight, threads, m=None, scale=None):
         with np.errstate(invalid="ignore"):
             TK = T * kernel(k0, a0, a1, c0)
         if k0 == 0:  # the leading square holds each pair twice
-            return weight[k0] * (0.5 * float(np.sum(TK[:, : a1 - a0])) + float(np.sum(TK[:, a1 - a0 :])))
-        return weight[k0] * float(np.sum(TK))
+            return weight * (0.5 * float(np.sum(TK[:, : a1 - a0])) + float(np.sum(TK[:, a1 - a0 :])))
+        return weight * float(np.sum(TK))
 
     items = [(k0, a0) for k0 in range(n0) for a0 in range(0, n_rest, rows)]
     return _map_in_order(one_chunk, items, threads)
 
 
 def _shifted_pair_sums(grid: Grid, p, kernel_expo):
-    """The partial sums of |u_i - u_j|^p |x_i - x_j|^{-kernel_expo} w_i w_j
-    over the cell pairs i < j, as a function of the values and the thread
-    count, by run offset: the runs are the planes of ``_plane_sweep``, and
-    as run x0 is run 0 moved, cell a of run x0 and cell b of run x0 + k0
-    have the kernel and weights of cell a of run 0 and cell b of run k0."""
+    """The partial sums of |u_i - u_j|^p |x_i - x_j|^{-e} w_i w_j, e =
+    ``kernel_expo``, over the cell pairs i < j, as a function of the values
+    and the thread count, by run offset.
+
+    The runs are the planes of ``_plane_sweep``.  Run x0 is the image of
+    run 0 under the x0-th power of one similarity x -> lam x + t (see
+    ``Grid``), so cell a of run x0 and cell b of run x0 + k0 lie lam^{x0}
+    times as far apart as cell a of run 0 and cell b of run k0, and each
+    weighs lam^{x0 d} times as much: their kernel x weights is that of run
+    0 and run k0, one table per offset, times lam^{x0 (2d - e)}, which
+    scales the rows of run x0 (no scale when lam = 1 or 2d = e).
+    """
     n0 = grid.planes
     n = grid.ncells // n0
-    runs = grid.centers.reshape(n0, n, grid.d)
-    w = grid.weights[:n]
+    axes = grid.centers.reshape(n0, n, grid.d).transpose(0, 2, 1).copy()  # (run, axis, cell)
+    w = grid.weights.reshape(n0, n)
+    lam = grid.sides[n, 0] / grid.sides[0, 0] if n0 > 1 else 1.0
+    grading = 2 * grid.d - kernel_expo
+    scale = None if lam == 1 or grading == 0 else lam ** (np.arange(n0) * grading)
 
     def kernel(k0, a0, a1, c0):
-        d2 = sum((y[None, c0:] - x[a0:a1, None]) ** 2 for x, y in zip(runs[0].T, runs[k0].T))
+        x, y = axes[0, :, a0:a1, None], axes[k0, :, None, c0:]
+        K = y[0] - x[0]
+        if grid.d == 1:
+            np.abs(K, out=K)
+        else:  # the squared distance
+            K *= K
+            for ya, xa in zip(y[1:], x[1:]):
+                K += (ya - xa) ** 2
         with np.errstate(divide="ignore"):
-            K = d2 ** (-0.5 * kernel_expo) * (w[a0:a1, None] * w[None, c0:])
+            K **= -kernel_expo / min(grid.d, 2)
+        K *= w[0, a0:a1, None] * w[k0, None, c0:]
         if k0 == 0:
             np.fill_diagonal(K, 0.0)  # a cell with itself; T is 0 there
         return K
 
     def sums(vals, threads):
-        return _plane_sweep(vals.reshape(n0, n), p, kernel, np.ones(n0), threads)
+        return _plane_sweep(vals.reshape(n0, n), p, kernel, 1.0, threads, scale=scale)
 
     return sums
 
@@ -664,7 +683,7 @@ def _lattice_pair_sums(grid: Grid, p, kernel_expo):
                 index[a0, a1] = gather
         return kernel[k0][gather[:, c0:]]
 
-    w2 = np.full(n0, float(grid.weights[0]) ** 2)
+    w2 = float(grid.weights[0]) ** 2
 
     def sums(vals, threads):
         if lat.kept is None:
@@ -674,41 +693,6 @@ def _lattice_pair_sums(grid: Grid, p, kernel_expo):
             U[lat.kept] = vals
             U = U.reshape(n0, n_rest)
         return _plane_sweep(U, p, gathered, w2, threads, m)
-
-    return sums
-
-
-def _dyadic_pair_sums(grid: Grid, p, kernel_expo):
-    """The pair sums of ``_shifted_pair_sums`` on a dyadic graded grid, by block offset.
-
-    Cell a of block j sits at 2^{-j-1} xi_a, xi_a = 1 + (a + 1/2)/n, and
-    weighs 2^{-j-1}/n, so with e = kernel_expo the pair of cell a of block
-    j and cell b of block j + k has
-
-        kernel x weights = 2^{(j+1)(e-2)} * 2^{-k}/n^2 * |xi_a - 2^{-k} xi_b|^{-e}.
-
-    The blocks are the planes of ``_plane_sweep``: the first factor scales
-    the rows of plane j (it is 1 at e = 2, the critical sp = 1 in d = 1),
-    the second is the weight of offset k, and the third, the kernel in
-    block-local coordinates, is one n x n table per offset.
-    """
-    n0 = grid.planes
-    n = grid.ncells // n0
-    xi = 1.0 + (np.arange(n) + 0.5) / n
-    grading = kernel_expo - 2.0
-    scale = None if grading == 0 else np.exp2((np.arange(n0) + 1.0) * grading)
-
-    def local(k0, a0, a1, c0):
-        with np.errstate(divide="ignore"):
-            K = np.abs(xi[a0:a1, None] - np.exp2(-k0) * xi[None, c0:]) ** -kernel_expo
-        if k0 == 0:
-            np.fill_diagonal(K, 0.0)  # a cell with itself; T is 0 there
-        return K
-
-    weight = np.exp2(-np.arange(n0, dtype=float)) / n**2
-
-    def sums(vals, threads):
-        return _plane_sweep(vals.reshape(n0, n), p, local, weight, threads, scale=scale)
 
     return sums
 
@@ -731,12 +715,7 @@ class SeminormTables:
         p, sp = float(fp.p), float(fp.sp)
         if p - sp <= 0:
             raise ParameterError("diagonal patch requires sp < p")
-        if grid.lattice is not None:
-            pair_sums = _lattice_pair_sums
-        elif grid.dyadic:
-            pair_sums = _dyadic_pair_sums
-        else:
-            pair_sums = _shifted_pair_sums
+        pair_sums = _shifted_pair_sums if grid.lattice is None else _lattice_pair_sums
         self.grid, self.p = grid, p
         self._pair_sums = pair_sums(grid, p, fp.d + sp)
         # the points a quarter side above and below each centre, axis by

@@ -245,6 +245,49 @@ def test_telescope_skips_layers_outside_support():
             assert a == 0.0
 
 
+# support heights [0.04, 0.2]: layers -6 and -2, -1 miss it, and the pairs
+# of layers -2 and -1 miss it too
+LOW_BUMP = quad.TensorBump((0.0, 0.12), (0.5, 0.08))
+
+
+def test_telescope_builds_no_grid_for_pairs_off_the_support(monkeypatch):
+    tables, calls = [], []
+    init, bump = quad.SeminormTables.__init__, quad.TensorBump.__call__
+
+    def counting_init(self, grid, params):
+        tables.append(grid.ncells)
+        init(self, grid, params)
+
+    def counting_bump(self, pts):
+        calls.append(len(pts))
+        return bump(self, pts)
+
+    monkeypatch.setattr(quad.SeminormTables, "__init__", counting_init)
+    monkeypatch.setattr(quad.TensorBump, "__call__", counting_bump)
+    reports = exp.telescoping_reconstruction(geo.Slab(n=1, d=2), LOW_BUMP, fp(2, "2", "1/2", "2"),
+                                             (-4, -5, -6))
+    # the pairs of layers -6, -5, -4 and -3, two member calls each
+    assert len(tables) == 4
+    assert len(calls) == 2 * 4
+    for rep in reports:
+        assert rep.seminorm_terms[-2:] == (0.0, 0.0)
+        assert rep.skipped_layers[-2:] == (-2, -1)
+
+
+def test_telescope_seminorm_below_the_support():
+    # layer -6 misses the support but the layer above meets it: its pair
+    # seminorm is the layer pair's, and the deeper chain lowers C
+    slab = geo.Slab(n=1, d=2)
+    params = fp(2, "2", "1/2", "2")
+    rep5, rep6 = exp.telescoping_reconstruction(slab, LOW_BUMP, params, (-5, -6))
+    assert rep6.skipped_layers == (-6, -2, -1)
+    pair = geo.DyadicLayer(-6, 1, 2).region_boxes() + geo.DyadicLayer(-5, 1, 2).region_boxes()
+    semi = quad.gagliardo_seminorm(LOW_BUMP, None, params, quad.union_grid(pair, 4))
+    assert rep6.seminorm_terms[0] == pytest.approx(semi**2, rel=1e-12)
+    assert rep6.seminorm_terms[0] > 0
+    assert rep6.minimal_c < rep5.minimal_c
+
+
 def test_telescope_rejects_non_slab():
     with pytest.raises(UnsupportedDomainError):
         exp.telescoping_reconstruction(

@@ -207,11 +207,11 @@ def test_seminorm_linear_critical_exact():
 
 def test_seminorm_independent_of_cell_order():
     """Every unordered cell pair is counted exactly once whatever the node
-    order.  The graded grid takes the block-offset sweep; reversed, it is
-    one run of cells, whose chunks would change the value if they also
-    kept part of the lower triangle."""
+    order.  The graded grid is swept by block offset, its blocks being its
+    runs; reversed, it is one run of cells, whose chunks would change the
+    value if they also kept part of the lower triangle."""
     g = exp.slab_graded_grid(10, 16)
-    assert g.dyadic
+    assert g.planes == 11
     rev = reversed_grid(g)
     u = quad.LogSpike(depth=2.0)
     params = fp(1, "2", "1/2")
@@ -270,8 +270,8 @@ def test_seminorm_threads_bit_identical():
     layer_pair = telescope_grids(2, -3, 4)[0]
     assert layer_pair.planes > 1
     cases = [
-        # uniform lattice, masked lattice, 3-D lattice, a graded grid (block
-        # offsets), then runs: the graded grid reversed and a union of two
+        # uniform lattice, masked lattice, 3-D lattice, then runs: a graded
+        # grid (its blocks), the graded grid reversed and a union of two
         # layers as one run each, and the telescope's layer pair as 8 runs
         (quad.TensorBump((0.0, 0.5), (0.5, 0.3)), slab2, fp(2, "2", "1/2"),
          quad.GridSpec(16, slab2.box)),
@@ -365,17 +365,17 @@ def test_lattice_sum_matches_pair_blocks(grid, p, monkeypatch):
 @pytest.mark.parametrize("n", [8, 16])
 @pytest.mark.parametrize("levels", [6, 52, 100])
 def test_graded_sum_matches_pair_blocks(levels, n, p, sp, monkeypatch):
-    # the block-offset sweep and the row-block sum see the same graded grid
-    # and must count the same pairs with the same kernel and weights; a
-    # chunk of 3n splits each block into row chunks of 3 and sums T one
-    # block at a time
+    # the run-offset sweep over the blocks of a graded grid and the
+    # row-block sum see the same grid and must count the same pairs with
+    # the same kernel and weights; a chunk of 3n splits each block into row
+    # chunks of 3 and sums T one block at a time
     grid = exp.slab_graded_grid(levels, n)
-    assert grid.dyadic and (grid.planes, grid.ncells) == (levels + 1, (levels + 1) * n)
+    assert (grid.planes, grid.ncells) == (levels + 1, (levels + 1) * n)
     vals = np.random.default_rng(11).standard_normal(grid.ncells)
     blocks = quad.kahan_sum(row_block_sums(vals, grid, float(p), 1 + sp))
     for chunk in (quad._LATTICE_CHUNK, 3 * n):
         monkeypatch.setattr(quad, "_LATTICE_CHUNK", chunk)
-        graded = quad.kahan_sum(quad._dyadic_pair_sums(grid, float(p), 1 + sp)(vals, 1))
+        graded = quad.kahan_sum(quad._shifted_pair_sums(grid, float(p), 1 + sp)(vals, 1))
         assert graded == pytest.approx(blocks, rel=1e-12)
 
 
@@ -385,6 +385,10 @@ SHIFTED_GRIDS = {
        for i, g in enumerate(telescope_grids(d, depth, cells))},
     "two-boxes": quad.union_grid([SQUARE, geo.Box((1.0, 0.25), (1.5, 0.75))], 8),
     "reversed-graded": reversed_grid(exp.slab_graded_grid(10, 16)),
+    # the boxes 2^{-j} [1/2, 1]^2: run j is run 0 scaled by 2^{-j} in d = 2,
+    # so each run's rows are scaled by 2^{-j (2d - e)}
+    "similar-2d": replace(quad.union_grid([geo.Box((0.5, 0.5), (1.0, 1.0)).scaled(0.5**j)
+                                           for j in range(6)], 4), planes=6),
 }
 
 
@@ -396,7 +400,8 @@ def test_shifted_sum_matches_pair_blocks(name, p, monkeypatch):
     # rows of a run splits each run into row chunks and sums T one run at
     # a time
     grid = SHIFTED_GRIDS[name]
-    assert (grid.planes > 1) == (name.startswith("telescope") and grid.d > 1)
+    runs = name == "similar-2d" or (name.startswith("telescope") and grid.d > 1)
+    assert (grid.planes > 1) == runs
     vals = np.random.default_rng(5).standard_normal(grid.ncells)
     kernel_expo = grid.d + p / 3
     blocks = quad.kahan_sum(row_block_sums(vals, grid, p, kernel_expo))
