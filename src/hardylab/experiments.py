@@ -27,7 +27,7 @@ per dyadic block of the slab height.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar
 
@@ -67,14 +67,14 @@ def slab_graded_grid(depth_levels: int, cells_per_block: int = 8) -> Grid:
 
     One uniform block per dyadic level [2^{-j-1}, 2^{-j}], j = 0..J with
     J = depth_levels; cells refine toward the bottom boundary at the same
-    rate the dyadic blocks shrink.  Block j is block 0 scaled by 2^{-j},
-    so the blocks are the grid's runs and the seminorm sums its pairs by
-    block offset.
+    rate the dyadic blocks shrink.  Block j is block 0 = [1/2, 1] scaled
+    by 2^{-j}: the blocks are the runs of ``quad.run_grid``, and the
+    seminorm sums their pairs by block offset.
     """
     if depth_levels < 1:
         raise ParameterError("need at least one dyadic level")
-    boxes = [geo.Box((2.0 ** (-j - 1),), (2.0 ** (-j),)) for j in range(depth_levels + 1)]
-    return replace(quad.union_grid(boxes, cells_per_block), planes=depth_levels + 1)
+    block = quad.union_grid([geo.Box((0.5,), (1.0,))], cells_per_block)
+    return quad.run_grid(block, depth_levels + 1, scale=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -91,14 +91,11 @@ class FunctionFamily:
         raise NotImplementedError
 
     def clip(self, params: np.ndarray) -> np.ndarray:
-        lo = np.array([b[0] for b in self.bounds])
-        hi = np.array([b[1] for b in self.bounds])
+        lo, hi = np.array(self.bounds, dtype=float).T
         return np.clip(np.asarray(params, dtype=float), lo, hi)
 
     def initial_params(self, rng: np.random.Generator) -> np.ndarray:
-        lo = np.array([b[0] for b in self.bounds])
-        hi = np.array([b[1] for b in self.bounds])
-        return rng.uniform(lo, hi)
+        return rng.uniform(*np.array(self.bounds, dtype=float).T)
 
 
 @dataclass(frozen=True)
@@ -431,7 +428,10 @@ def telescoping_reconstruction(
     they are recorded in ``skipped_layers``, and their cube averages are
     not computed.  A layer's seminorm term is computed when the heights of
     the layer and the layer above meet the support, and is exactly 0
-    otherwise (no grid is built for it).
+    otherwise (no grid is built for it).  In d > 1 the grid of a layer
+    pair is ``quad.run_grid`` of its first column of upper cubes along
+    axis 0, with the cubes of layer k below each upper cube; only that
+    column's cubes are listed.
     """
     if not isinstance(slab, geo.Slab):
         raise UnsupportedDomainError("telescoping runs on slab domains")
@@ -463,24 +463,27 @@ def telescoping_reconstruction(
         if not (2.0**k < support_hi and min(2.0 ** (k + 2), 1.0) > support_lo):
             semis.append(0.0)
             continue
-        # overlapping seminorm, by columns of upper cubes along axis 0: in
-        # d > 1 equal runs, each the first one moved (in d = 1 the order is
-        # unchanged)
+        # overlapping seminorm, by columns of upper cubes along axis 0 (in
+        # d = 1 one column): column 0 is the first cubes of layer k and of
+        # the layer above, as axis 0 varies slowest, and column j is
+        # column 0 moved j upper cube sides along axis 0
         top = geo.DyadicLayer(min(k + 1, -1), slab.n, d)
-        boxes = layer.region_boxes() + (top.region_boxes() if k < -1 else [])
-        order = sorted(range(len(boxes)), key=lambda i: boxes[i].lo[0] // 2.0**top.k)
         runs = top.cubes_per_axis if d > 1 else 1
-        g = replace(quad.union_grid([boxes[i] for i in order], cells_per_cube), planes=runs)
+        low = layer.count // runs
+        col = [layer.cube(i).box() for i in range(low)]
+        if k < -1:
+            col += [top.cube(i).box() for i in range(top.count // runs)]
+        step = (2.0**top.k,) + (0.0,) * (d - 1)
+        g = quad.run_grid(quad.union_grid(col, cells_per_cube), runs, step=step)
         tables = quad.SeminormTables(g, fp)
         vals, lips = tables.evaluate(u)
         semis.append(tables.seminorm(vals, lips, threads) ** tau)
         if not layer_meets:
             continue
         # uniform cells within each cube: the cube average is the plain
-        # mean; layer k's cubes are the first boxes, taken back out of the
-        # column order
-        means = vals.reshape(len(boxes), -1).mean(axis=1)
-        avgs = means[np.argsort(order)[: layer.count]]
+        # mean; the first cubes of each column, column by column, are
+        # layer k's in its cube order
+        avgs = vals.reshape(runs, len(col), -1).mean(axis=2)[:, :low].ravel()
         layer_sums.append(float(np.sum(np.abs(avgs) ** tau)))
 
     a_top = layer_sums[-1]  # layer -1 is last (layers run deepest..-1)

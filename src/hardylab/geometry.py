@@ -316,7 +316,8 @@ class Domain:
         raise NotImplementedError
 
     def distance(self, pts: np.ndarray) -> np.ndarray:
-        """Distance to the boundary for points of the closed domain."""
+        """Distance to the boundary of each of the (N, d) points of the
+        closed domain, as ``distance_to_boundary`` has checked them."""
         raise NotImplementedError
 
     def bounding_box(self) -> Box | None:
@@ -347,11 +348,9 @@ class BoxShaped(Domain):
         return self.box.contains(pts, strict=False)
 
     def distance(self, pts):
-        pts, scalar = _as_points(pts, self.d)
         box = self.box
         gaps = np.minimum(pts - np.asarray(box.lo), np.asarray(box.hi) - pts)
-        dist = np.min(gaps, axis=-1)
-        return dist[0] if scalar else dist
+        return np.min(gaps, axis=-1)
 
     def bounding_box(self) -> Box:
         return self.box
@@ -403,9 +402,7 @@ class ExteriorBall(Domain):
         return np.linalg.norm(pts, axis=-1) >= self.R
 
     def distance(self, pts):
-        pts, scalar = _as_points(pts, self.d)
-        dist = np.linalg.norm(pts, axis=-1) - self.R
-        return dist[0] if scalar else dist
+        return np.linalg.norm(pts, axis=-1) - self.R
 
 
 @dataclass(frozen=True)
@@ -431,7 +428,6 @@ class Epigraph(Domain):
         return pts[..., -1] >= self.graph.gamma(pts[..., :-1])
 
     def distance(self, pts):
-        pts, scalar = _as_points(pts, self.d)
         g = self.graph
         xp = pts[..., :-1]
         xd = pts[..., -1]
@@ -450,7 +446,7 @@ class Epigraph(Domain):
             dist = self._polyline_distance(pts)
         else:  # pragma: no cover - catalog is closed
             raise UnsupportedDomainError(f"no exact distance rule for {type(g).__name__}")
-        return dist[0] if scalar else dist
+        return dist
 
     def _polyline_distance(self, pts: np.ndarray) -> np.ndarray:
         g: PiecewiseLinearGraph = self.graph  # type: ignore[assignment]
@@ -563,9 +559,7 @@ class Polygon2D(Domain):
         return best
 
     def distance(self, pts):
-        pts, scalar = _as_points(pts, 2)
-        dist = self._edge_distance(pts)
-        return dist[0] if scalar else dist
+        return self._edge_distance(pts)
 
     def bounding_box(self) -> Box:
         v = np.asarray(self.vertices, dtype=float)

@@ -77,18 +77,21 @@ class SlackReport:
 # elementary two-term bound
 
 
-def _elementary_terms(a: float, b: float, c: float, tau: float):
-    coeff = (1.0 - c ** (-1.0 / (tau - 1.0))) ** (1.0 - tau)
-    rhs = c * abs(a) ** tau + coeff * abs(b) ** tau
-    lhs = (abs(a) + abs(b)) ** tau
-    return lhs, rhs
-
-
-def _elementary_slack_mp(a, b, c, tau) -> float:
-    with mpmath.workdps(50):
-        a, b, c, tau = map(mpmath.mpf, (abs(a), abs(b), c, tau))
-        coeff = (1 - c ** (-1 / (tau - 1))) ** (1 - tau)
-        return float(c * a**tau + coeff * b**tau - (a + b) ** tau)
+def _elementary_slacks(a, b, c, tau) -> np.ndarray:
+    """RHS - LHS of the two-term bound for each instance of the arrays;
+    near equality the float path loses digits, so those instances are
+    settled at 50 digits."""
+    a, b = np.abs(a), np.abs(b)
+    lhs = (a + b) ** tau
+    rhs = c * a**tau + maximum_value(c, tau) * b**tau
+    slack = rhs - lhs
+    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
+    for i in np.flatnonzero(slack < 1e-6 * scale):
+        with mpmath.workdps(50):
+            am, bm, cm, tm = (mpmath.mpf(x[i]) for x in (a, b, c, tau))
+            coeff = (1 - cm ** (-1 / (tm - 1))) ** (1 - tm)
+            slack[i] = float(cm * am**tm + coeff * bm**tm - (am + bm) ** tm)
+    return slack
 
 
 def elementary_inequality_slack(a, b, c, tau, tolerance: float = 1e-12) -> SlackReport:
@@ -97,12 +100,7 @@ def elementary_inequality_slack(a, b, c, tau, tolerance: float = 1e-12) -> Slack
         raise ParameterError("c must exceed 1")
     if tau <= 1:
         raise ParameterError("tau must exceed 1")
-    lhs, rhs = _elementary_terms(a, b, c, tau)
-    slack = rhs - lhs
-    scale = max(abs(lhs), abs(rhs), 1.0)
-    if slack < 1e-6 * scale:
-        # near equality the float path loses digits; settle it at 50 digits
-        slack = _elementary_slack_mp(a, b, c, tau)
+    slack = _elementary_slacks(*np.array([[a], [b], [c], [tau]], dtype=float))[0]
     return SlackReport(
         "two_term_power_bound",
         {"a": float(a), "b": float(b), "c": float(c), "tau": float(tau)},
@@ -122,15 +120,7 @@ def elementary_inequality_sweep(count: int = 100_000, seed: int = 0) -> tuple[fl
     b = rng.uniform(-10, 10, size=count)
     c = rng.uniform(1.0 + 1e-6, 10.0, size=count)
     tau = rng.uniform(1.0 + 1e-3, 6.0, size=count)
-
-    coeff = (1.0 - c ** (-1.0 / (tau - 1.0))) ** (1.0 - tau)
-    rhs = c * np.abs(a) ** tau + coeff * np.abs(b) ** tau
-    lhs = (np.abs(a) + np.abs(b)) ** tau
-    slack = rhs - lhs
-    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
-    borderline = np.flatnonzero(slack < 1e-6 * scale)
-    for i in borderline:
-        slack[i] = _elementary_slack_mp(a[i], b[i], c[i], tau[i])
+    slack = _elementary_slacks(a, b, c, tau)
     worst = int(np.argmin(slack))
     return float(slack[worst]), {
         "a": float(a[worst]),
@@ -178,10 +168,6 @@ def stationarity_residual(c, tau, rel_step: float = 1e-10) -> float:
 # average-difference bound on disjoint regions
 
 
-def _boxes_disjoint(e: geo.Box, f: geo.Box) -> bool:
-    return e.intersect(f) is None
-
-
 def _average_difference(uE, weights_E, uF, weights_F, tau: float) -> float:
     """RHS - LHS of the average-difference bound from the values and cell
     weights on E and on F; one correctly rounded sum per sum."""
@@ -221,10 +207,10 @@ def average_difference_slack(
     """
     if tau < 1:
         raise ParameterError("tau must be >= 1")
-    if not _boxes_disjoint(E, F):
+    if E.intersect(F) is not None:
         raise ParameterError("regions must be disjoint")
     g = quad.union_grid([E, F], cells_per_axis)
-    vals = quad._evaluate(u, g)
+    vals = quad._evaluate(u, g.centers)
     c = g.ncells // 2
     slack = _average_difference(vals[:c], g.weights[:c], vals[c:], g.weights[c:], tau)
     return SlackReport(
@@ -341,7 +327,7 @@ def scaled_sobolev_ratio(
     base = region if region is not None else u.support
     if not isinstance(base, (geo.Box, geo.Annulus)):
         raise ParameterError("region must be a Box or an Annulus")
-    g = quad._region_grid(base.scaled(lam), resolution)
+    g = quad.as_grid(base.scaled(lam), cells=resolution)
     tables = quad.SeminormTables(g, fp)
     vals, lips = tables.evaluate(u.dilated(lam))
     mean = quad.kahan_sum(vals * g.weights) / g.total_weight

@@ -1,14 +1,14 @@
 """Deterministic quadrature: L^p norms, averages, and the Gagliardo seminorm.
 
 Everything is a midpoint rule on axis-aligned cells.  Uniform tensor grids
-come from a ``GridSpec``; unions of boxes (dyadic layers, geometrically
-graded meshes toward a boundary) and masked boxes (annuli, epigraph clips)
-produce the same ``Grid`` value, so every functional below works on any of
-them.  A single box, whole or masked, also carries its ``Lattice``; any
-other grid is ``planes`` runs of cells, each the image of the first under
-a power of one similarity (a telescope layer pair's columns of cubes, the
-dyadic blocks of the 1-D graded mesh), so one plane sweep sums the
-seminorm's cell pairs by index or run offset.
+come from a ``GridSpec``; unions of boxes and masked boxes (annuli,
+epigraph clips) produce the same ``Grid`` value, so every functional below
+works on any of them.  A single box, whole or masked, also carries its
+``Lattice``.  ``run_grid`` repeats a base grid under the powers of one
+similarity (a telescope layer pair's columns of cubes, the dyadic blocks of
+the 1-D graded mesh) and is the only code that sets a grid's runs; any
+other grid is one run.  One plane sweep sums the seminorm's cell pairs by
+index or run offset.
 
 Determinism contract: single sums are correctly rounded (``math.fsum``),
 so they do not depend on the summation order.  The double sum over cell
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -56,6 +56,7 @@ __all__ = [
     "uniform_grid",
     "masked_grid",
     "union_grid",
+    "run_grid",
     "domain_grid",
     "as_grid",
     "integrate",
@@ -72,19 +73,13 @@ __all__ = [
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        if x != int(x):
-            raise ParameterError(
-                f"exponent {x!r} must be given exactly (int, Fraction or 'num/den' string)"
-            )
-        return Fraction(int(x))
-    raise ParameterError(f"cannot interpret {x!r} as an exact rational")
+    if isinstance(x, float) and x != int(x):
+        raise ParameterError(
+            f"exponent {x!r} must be given exactly (int, Fraction or 'num/den' string)"
+        )
+    if not isinstance(x, (Fraction, int, str, float)):
+        raise ParameterError(f"cannot interpret {x!r} as an exact rational")
+    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -173,23 +168,21 @@ class Grid:
     Node order is the construction order and is part of the value; all
     summation contracts reference it.  ``lattice`` is set when the cells
     are (a subset of) one uniform box mesh, in mesh order.  Otherwise they
-    are ``planes`` runs of equally many cells, and run j is the image of
-    run 0 under the j-th power of one similarity x -> lam x + t, cell by
-    cell: centres mapped, sides times lam^j.  lam is 1 when each run is
-    the first one moved by a multiple of one step.
+    are ``planes`` runs of equally many cells, run j the image of run 0
+    under the j-th power of one similarity (see ``run_grid``).  Only
+    ``run_grid`` sets ``planes``: a constructor or ``dataclasses.replace``
+    cannot, and a grid built either way is one run.
     """
 
     centers: np.ndarray  # (M, d)
     sides: np.ndarray  # (M, d)
     weights: np.ndarray  # (M,)
     lattice: Lattice | None = None
-    planes: int = 1
+    planes: int = field(default=1, init=False)
 
     def __post_init__(self):
         if len(self.centers) == 0:
             raise ParameterError("grid has no cells")
-        if self.planes < 1 or self.ncells % self.planes:
-            raise ParameterError(f"{self.ncells} cells do not split into {self.planes} runs")
 
     @property
     def d(self) -> int:
@@ -226,6 +219,26 @@ def union_grid(boxes: Sequence[Box], cells_per_axis: int) -> Grid:
     return Grid(centers.reshape(-1, d), sides, np.prod(sides, axis=-1), lattice)
 
 
+def run_grid(base: Grid, runs: int, scale: float = 1.0, step=0.0) -> Grid:
+    """``runs`` copies of ``base``, run j its image under the j-th power of
+    the similarity x -> scale x + step, cell by cell: centres mapped, sides
+    times scale^j, weights the product of the sides.
+
+    The seminorm sums the pairs of such a grid by run offset, from one
+    kernel table per offset between run 0 and that run.
+    """
+    if runs < 1:
+        raise ParameterError("need at least one run")
+    centers, sides = [base.centers], [base.sides]
+    for _ in range(runs - 1):
+        centers.append(scale * centers[-1] + step)
+        sides.append(scale * sides[-1])
+    sides = np.concatenate(sides)
+    grid = Grid(np.concatenate(centers), sides, np.prod(sides, axis=-1))
+    object.__setattr__(grid, "planes", runs)
+    return grid
+
+
 def uniform_grid(spec: GridSpec) -> Grid:
     return union_grid([spec.support_box], spec.resolution)
 
@@ -254,12 +267,23 @@ def domain_grid(domain: geo.Domain, spec: GridSpec) -> Grid:
     return masked_grid(spec, domain.contains)
 
 
-def as_grid(grid, domain: geo.Domain | None = None) -> Grid:
-    if isinstance(grid, Grid):
-        return grid
-    if isinstance(grid, GridSpec):
-        return domain_grid(domain, grid) if domain is not None else uniform_grid(grid)
-    raise ParameterError(f"expected GridSpec or Grid, got {type(grid).__name__}")
+def as_grid(region, domain: geo.Domain | None = None, cells: int | None = None) -> Grid:
+    """The grid of a region: a ``Grid`` itself, a ``GridSpec``'s grid
+    (clipped to ``domain`` if given), or ``cells`` cells per axis on a box,
+    on each box of a list, or on an annulus's bounding box, masked to it."""
+    if isinstance(region, Grid):
+        return region
+    if isinstance(region, GridSpec):
+        return domain_grid(domain, region) if domain is not None else uniform_grid(region)
+    if cells is None:
+        raise ParameterError(f"expected GridSpec or Grid, got {type(region).__name__}")
+    if isinstance(region, geo.Annulus):
+        return masked_grid(GridSpec(cells, region.bounding_box()), region.contains)
+    if isinstance(region, Box):
+        region = [region]
+    if isinstance(region, (list, tuple)):
+        return union_grid(list(region), cells)
+    raise ParameterError(f"unsupported region type {type(region).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -463,15 +487,16 @@ class Constant(TestFunction):
 # integrals
 
 
-def _evaluate(f: Callable[[np.ndarray], np.ndarray], grid: Grid) -> np.ndarray:
-    vals = np.asarray(f(grid.centers), dtype=float)
-    if vals.shape != (grid.ncells,):
+def _evaluate(f: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:
+    """f at the (N, d) points, checked: one finite value per point."""
+    vals = np.asarray(f(points), dtype=float)
+    if vals.shape != (len(points),):
         raise EvaluationError(
-            f"integrand returned shape {vals.shape}, expected ({grid.ncells},)"
+            f"integrand returned shape {vals.shape}, expected ({len(points)},)"
         )
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        node = grid.centers[np.argmax(bad)]
+        node = points[np.argmax(bad)]
         raise EvaluationError(f"integrand is not finite at node {tuple(node)}", node=node)
     return vals
 
@@ -483,7 +508,7 @@ def integrate(f, grid, domain: geo.Domain | None = None) -> float:
     GridSpec (optionally clipped to ``domain``) or a prebuilt Grid.
     """
     g = as_grid(grid, domain)
-    vals = _evaluate(f, g)
+    vals = _evaluate(f, g.centers)
     return kahan_sum(vals * g.weights)
 
 
@@ -493,30 +518,17 @@ def lp_norm(u, domain: geo.Domain | None, p, grid) -> float:
     if p < 1:
         raise ParameterError("p must be >= 1")
     g = as_grid(grid, domain)
-    vals = np.abs(_evaluate(u, g))
+    vals = np.abs(_evaluate(u, g.centers))
     return kahan_sum(vals**p * g.weights) ** (1.0 / p)
-
-
-def _region_grid(region, resolution_or_cells) -> Grid:
-    if isinstance(region, Grid):
-        return region
-    if isinstance(region, geo.Annulus):
-        spec = GridSpec(resolution_or_cells, region.bounding_box())
-        return masked_grid(spec, region.contains)
-    if isinstance(region, Box):
-        region = [region]
-    if isinstance(region, (list, tuple)):
-        return union_grid(list(region), resolution_or_cells)
-    raise ParameterError(f"unsupported region type {type(region).__name__}")
 
 
 def average(u, region, cells_per_axis: int = 16) -> float:
     """Mean value of u over a box, union of boxes, annulus, or prebuilt grid."""
-    g = _region_grid(region, cells_per_axis)
+    g = as_grid(region, cells=cells_per_axis)
     total = g.total_weight
     if total <= 0:
         raise ParameterError("region has zero measure")
-    vals = _evaluate(u, g)
+    vals = _evaluate(u, g.centers)
     return kahan_sum(vals * g.weights) / total
 
 
@@ -598,9 +610,9 @@ def _shifted_pair_sums(grid: Grid, p, kernel_expo):
     ``kernel_expo``, over the cell pairs i < j, as a function of the values
     and the thread count, by run offset.
 
-    The runs are the planes of ``_plane_sweep``.  Run x0 is the image of
-    run 0 under the x0-th power of one similarity x -> lam x + t (see
-    ``Grid``), so cell a of run x0 and cell b of run x0 + k0 lie lam^{x0}
+    The runs are the planes of ``_plane_sweep``.  ``run_grid`` made run x0
+    the image of run 0 under the x0-th power of one similarity x -> lam x
+    + t, so cell a of run x0 and cell b of run x0 + k0 lie lam^{x0}
     times as far apart as cell a of run 0 and cell b of run k0, and each
     weighs lam^{x0 d} times as much: their kernel x weights is that of run
     0 and run k0, one table per offset, times lam^{x0 (2d - e)}, which
@@ -739,8 +751,8 @@ class SeminormTables:
         """u at the cell centres and the per-cell slope estimate |grad u|
         (central differences), from one call of u on the centres and one
         on the probe points of every axis."""
-        vals = _evaluate(u, self.grid)
-        pm = np.asarray(u(self._probes), dtype=float).reshape(self.grid.d, 2, self.grid.ncells)
+        vals = _evaluate(u, self.grid.centers)
+        pm = _evaluate(u, self._probes).reshape(self.grid.d, 2, self.grid.ncells)
         grads = np.zeros(self.grid.ncells)
         for (plus, minus), span in zip(pm, self._spans):
             ga = (plus - minus) / span

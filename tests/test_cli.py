@@ -111,6 +111,13 @@ CONE_CFG = dict(
 DEMO_CONFIGS = sorted((Path(__file__).parent.parent / "demos" / "configs").glob("*.json"))
 DEMO_SCRIPTS = sorted((Path(__file__).parent.parent / "demos").glob("0*.py"))
 
+# the former demo bump, at heights [0.15, 0.85]: depths -4, -5 and -6 skip
+# their deepest 1, 2 and 3 layers and repeat one chain
+SKIPPING_TELESCOPE_CFG = dict(
+    json.loads(next(p for p in DEMO_CONFIGS if p.stem == "telescope").read_text()),
+    u={"kind": "tensor_bump", "center": [0.0, 0.5], "radius": [0.6, 0.35]},
+)
+
 
 def test_config_rejects_unknown_command():
     with pytest.raises(ConfigError) as err:
@@ -436,19 +443,66 @@ def test_telescope_computes_each_layer_once(monkeypatch):
 
 
 def test_telescope_gate_fails_when_the_deepest_layer_is_skipped(tmp_path: Path):
-    # the former demo bump sits at heights [0.15, 0.85]: depths -4, -5 and
-    # -6 skip their deepest 1, 2 and 3 layers and repeat one chain, so the
-    # equal constants must not pass the gate
-    bump = dict(json.loads(next(p for p in DEMO_CONFIGS if p.stem == "telescope").read_text()),
-                u={"kind": "tensor_bump", "center": [0.0, 0.5], "radius": [0.6, 0.35]})
+    # the skipping bump repeats one chain at every depth, so the equal
+    # constants must not pass the gate
     cfg_path = tmp_path / "bump.json"
-    cfg_path.write_text(json.dumps(bump))
+    cfg_path.write_text(json.dumps(SKIPPING_TELESCOPE_CFG))
     out = tmp_path / "o"
     assert cli.main(["--config", str(cfg_path), "--out", str(out)]) == 1
     summary = json.loads((out / "summary.json").read_text())
     assert summary["verdicts"] == {"stable": False}
     assert summary["results"]["stable_within_50pct"]
     assert [row["skipped"] for row in summary["series"]["telescope"]] == [1, 2, 3]
+
+
+#: one base config per command; their verdict keys are every key checked
+#: by the witness tables below
+BASE_CONFIGS = {
+    "exponents": EXPONENTS_CFG,
+    "seminorm": SEMINORM_CFG,
+    "hardy-check": HARDY_CFG,
+    "estimate-constant": ESTIMATE_CFG,
+    "blowup-probe": PROBE_CFG,
+    "lemma-suite": LEMMA_CFG,
+    "telescope": TELESCOPE_CFG,
+}
+
+#: a config that makes each verdict false: a gate that cannot fail is vacuous
+WITNESSES = {
+    "offset_-1": dict(PROBE_CFG, expect={"-1": "bounded"}),
+    "offset_+0": dict(PROBE_CFG, expect={"0": "diverging"}),
+    "average_difference": dict(LEMMA_CFG, tolerance=-1),
+    "power_sum": dict(LEMMA_CFG, tolerance=-1),
+    "stable": SKIPPING_TELESCOPE_CFG,
+}
+
+#: verdicts no config is known to make false, and why (ROADMAP item 1 is
+#: to give each of them a gate that can fail)
+KNOWN_VACUOUS = {
+    "finite": "hardy-check passes a member outside W^{s,p}, such as an indicator,"
+              " whose ratio is finite on every grid (ROADMAP item 1)",
+    "elementary": "the two-term bound is a theorem and its near-equal instances are"
+                  " settled at 50 digits, so no draw fails it (ROADMAP item 1)",
+    "telescoping_identity": "an identity of exact rationals that no config input"
+                            " reaches (ROADMAP item 1)",
+}
+
+
+def test_every_verdict_has_a_witness_or_is_known_vacuous():
+    assert set(BASE_CONFIGS) == set(cli.COMMANDS)
+    keys = set()
+    for cfg in BASE_CONFIGS.values():
+        keys |= set(cli.run(ExperimentConfig.from_dict(cfg)).verdicts)
+    assert not WITNESSES.keys() & KNOWN_VACUOUS.keys()
+    # a new key needs a witness or a reason; a listed key must still exist
+    assert keys == WITNESSES.keys() | KNOWN_VACUOUS.keys()
+
+
+@pytest.mark.parametrize("key", sorted(WITNESSES))
+def test_verdict_witness_makes_its_key_false(key):
+    record = cli.run(ExperimentConfig.from_dict(WITNESSES[key]))
+    assert record.verdicts[key] is False
+    assert not record.passed
 
 
 def test_threads_reach_every_pair_sum(monkeypatch):
@@ -589,6 +643,10 @@ def _field_paths(node, prefix=()):
         yield from _field_paths(value, prefix + (key,))
 
 
+# a drawn extreme value may overflow with a RuntimeWarning (a support box
+# corner at -1.4e154 squares to inf in ConeGraph.gamma); that is not a
+# crash, which is all this test checks, so it keeps numpy's default action
+@pytest.mark.filterwarnings("default::RuntimeWarning")
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_fuzzed_config_field_never_crashes(data):

@@ -183,10 +183,62 @@ def telescope_grids(d, depth, cells_per_cube):
     return grids
 
 
+def sorted_cube_union(d, k, cells_per_cube):
+    """Reference for the telescope's grid of layer k and the layer above on
+    the n = 1 slab: every cube box of both layers, stably sorted by column
+    of upper cubes along axis 0, one uniform box mesh each."""
+    layer = geo.DyadicLayer(k, 1, d)
+    top = geo.DyadicLayer(min(k + 1, -1), 1, d)
+    boxes = layer.region_boxes() + (top.region_boxes() if k < -1 else [])
+    boxes.sort(key=lambda box: box.lo[0] // 2.0**top.k)
+    return quad.union_grid(boxes, cells_per_cube)
+
+
+@pytest.mark.parametrize("cells", [2, 3, 4])
+@pytest.mark.parametrize("d,depth", [(1, -3), (2, -4), (3, -3)])
+def test_telescope_run_grids_match_sorted_cube_union(d, depth, cells):
+    # run j of a layer pair is its first column moved j upper cube sides:
+    # the same cells as the sorted union of every cube, exactly when the
+    # cell side is a dyadic rational and within an ulp of the unit slab
+    # otherwise; in d = 1 one run.  The telescope reads layer k's cube
+    # averages as the first cubes of each run, run by run, which must be
+    # layer k's cubes in cubes() order
+    def same(a, b):
+        return np.allclose(a, b, rtol=0, atol=np.spacing(1.0) if cells == 3 else 0.0)
+
+    for k, grid in enumerate(telescope_grids(d, depth, cells), start=depth):
+        layer = geo.DyadicLayer(k, 1, d)
+        runs = geo.DyadicLayer(min(k + 1, -1), 1, d).cubes_per_axis if d > 1 else 1
+        ref = sorted_cube_union(d, k, cells)
+        assert grid.planes == runs
+        assert np.array_equal(grid.sides, ref.sides)
+        assert np.array_equal(grid.weights, ref.weights)
+        assert same(grid.centers, ref.centers)
+        first = grid.centers.reshape(runs, -1, cells**d, d)[:, : layer.count // runs]
+        assert same(first.reshape(-1, d),
+                    quad.union_grid([c.box() for c in layer.cubes()], cells).centers)
+
+
 def reversed_grid(grid):
     """The grid's cells in reverse order, as one run."""
     return quad.Grid(grid.centers[::-1].copy(), grid.sides[::-1].copy(),
                      grid.weights[::-1].copy())
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_seminorm_rejects_non_finite_slope_probe(bad):
+    # finite at the 8 centres, not finite at the slope probe a quarter side
+    # above the first centre (0.0625 + 0.03125): the probe values are
+    # checked like the centre values and the error names the node
+    def u(pts):
+        x = pts[:, 0]
+        return np.where(x == 0.09375, bad, x)
+
+    grid = quad.uniform_grid(spec1d(8))
+    assert np.all(np.isfinite(u(grid.centers)))
+    with pytest.raises(EvaluationError, match="0.09375") as err:
+        quad.gagliardo_seminorm(u, None, fp(1, "2", "1/2"), grid)
+    assert tuple(err.value.node) == (0.09375,)
 
 
 def test_seminorm_vanishes_on_constants():
@@ -387,8 +439,8 @@ SHIFTED_GRIDS = {
     "reversed-graded": reversed_grid(exp.slab_graded_grid(10, 16)),
     # the boxes 2^{-j} [1/2, 1]^2: run j is run 0 scaled by 2^{-j} in d = 2,
     # so each run's rows are scaled by 2^{-j (2d - e)}
-    "similar-2d": replace(quad.union_grid([geo.Box((0.5, 0.5), (1.0, 1.0)).scaled(0.5**j)
-                                           for j in range(6)], 4), planes=6),
+    "similar-2d": quad.run_grid(quad.union_grid([geo.Box((0.5, 0.5), (1.0, 1.0))], 4), 6,
+                                scale=0.5),
 }
 
 
@@ -412,12 +464,24 @@ def test_shifted_sum_matches_pair_blocks(name, p, monkeypatch):
 
 
 def test_grid_planes_divide_cells():
+    # only run_grid sets the runs: a grid whose halves are not one run
+    # moved cannot be declared as 8 runs, and a run grid passed through
+    # replace is one run, whose pair sum is right for any cells
     grid = quad.union_grid([SQUARE, SQUARE.scaled(2.0)], 4)  # 32 cells
     assert grid.planes == 1
-    assert replace(grid, planes=8).planes == 8
-    for planes in (0, 3, 64):
-        with pytest.raises(ParameterError, match="runs"):
+    for planes in (0, 3, 8, 64):
+        with pytest.raises(ValueError, match="planes"):
             replace(grid, planes=planes)
+    with pytest.raises(TypeError):
+        quad.Grid(grid.centers, grid.sides, grid.weights, planes=8)
+    runs = quad.run_grid(quad.union_grid([SQUARE], 4), 8, step=(1.0, 0.0))
+    assert (runs.planes, replace(runs).planes) == (8, 1)
+    u, params = quad.TensorBump((0.8, 0.8), (0.7, 0.7)), fp(2, "2", "1/2")
+    assert quad.gagliardo_seminorm(u, None, params, grid) == pytest.approx(4.597, abs=1e-3)
+    assert (quad.gagliardo_seminorm(u, None, params, replace(runs))
+            == pytest.approx(quad.gagliardo_seminorm(u, None, params, runs), rel=1e-12))
+    with pytest.raises(ParameterError, match="run"):
+        quad.run_grid(grid, 0)
 
 
 @pytest.mark.parametrize("p,s", [(2, Fraction(1, 2)), (3, Fraction(1, 3))])
