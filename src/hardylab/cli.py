@@ -49,8 +49,8 @@ class ConfigError(ParameterError):
         self.field_path = field_path
 
 
-#: log2 of the largest grid a config may ask for; a lattice seminorm keeps a
-#: few box-sized arrays, and the pair sum grows with the square of the cells
+#: log2 of the largest grid a config may ask for; a seminorm keeps a few
+#: grid-sized arrays, and the pair sum grows with the square of the cells
 _MAX_GRID_LOG2 = 20
 
 #: -log2 of the smallest telescope cell side: the pair kernel squares the
@@ -146,18 +146,18 @@ class ExperimentConfig:
         return value
 
     def number(self, path: str, default=_REQUIRED) -> float:
-        """A finite number, as a float; ``default`` as it is when absent."""
+        """A number as ``_is_finite`` takes it, as a float; ``default`` when absent."""
         value = self.get(path, default)
         if value is default:
             return value
         if not _is_finite(value):
-            raise ConfigError(path, f"must be a finite number, got {value!r}")
+            raise ConfigError(path, f"must be a number in [-2**500, 2**500], got {value!r}")
         return float(value)
 
     def numbers(self, path: str, default=_REQUIRED, length: int | None = None,
                 ints: bool = False) -> tuple:
-        """A non-empty list of finite numbers (of ints if ``ints``), ``length``
-        long if given, as a tuple."""
+        """A non-empty list of numbers as ``number`` reads them (of ints if
+        ``ints``), ``length`` long if given, as a tuple."""
         return _numbers(self.get(path, default), path, length, ints)
 
     def pairs(self, path: str) -> tuple[tuple[float, float], ...]:
@@ -319,6 +319,9 @@ class ExperimentConfig:
                 if len(bounds[key]) != d:
                     raise ConfigError(f"family.{key}", f"needs one [lo, hi] pair per axis"
                                       f" ({d}), got {len(bounds[key])}")
+            if any(lo <= 0 for lo, _ in bounds["radius_bounds"]):
+                raise ConfigError("family.radius_bounds", f"radii need lo > 0,"
+                                  f" got {bounds['radius_bounds']}")
             family = exp.TensorBumpGridFamily(**bounds)
         else:
             raise ConfigError("family.kind", f"unknown family kind {kind!r}")
@@ -338,20 +341,22 @@ def _is_int(value) -> bool:
 
 
 def _is_finite(value) -> bool:
+    """A number, not a JSON boolean, of magnitude at most 2**500, so the
+    square of the difference of two coordinates stays a finite double."""
     try:
-        return not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
+        return not isinstance(value, bool) and abs(value) <= 2.0**500
+    except TypeError:
         return False
 
 
 def _numbers(value, path: str, length: int | None = None, ints: bool = False) -> tuple:
-    """``value`` as a tuple, if it is a non-empty list of finite numbers (of
-    ints if ``ints``), ``length`` long if given."""
+    """``value`` as a tuple, if it is a non-empty list of numbers that pass
+    ``_is_finite`` (of ints if ``ints``), ``length`` long if given."""
     if not (isinstance(value, (list, tuple)) and value
             and (length is None or len(value) == length)
             and all(map(_is_int if ints else _is_finite, value))):
         raise ConfigError(path, f"must be a list of {length or 'one or more'}"
-                          f" {'ints' if ints else 'finite numbers'}, got {value!r}")
+                          f" {'ints' if ints else 'numbers in [-2**500, 2**500]'}, got {value!r}")
     return tuple(value)
 
 

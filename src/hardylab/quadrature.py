@@ -3,21 +3,20 @@
 Everything is a midpoint rule on axis-aligned cells.  Uniform tensor grids
 come from a ``GridSpec``; unions of boxes and masked boxes (annuli,
 epigraph clips) produce the same ``Grid`` value, so every functional below
-works on any of them.  A single box, whole or masked, also carries its
-``Lattice``.  ``run_grid`` repeats a base grid under the powers of one
-similarity (a telescope layer pair's columns of cubes, the dyadic blocks of
-the 1-D graded mesh) and is the only code that sets a grid's runs; any
-other grid is one run.  One plane sweep sums the seminorm's cell pairs by
-index or run offset.
+works on any of them.  ``run_grid`` repeats a base grid under the powers of
+one similarity (the axis-0 planes of a box, a telescope layer pair's
+columns of cubes, the dyadic blocks of the 1-D graded mesh) and is the
+only code that sets a grid's runs; any other grid is one run.  A masked
+box keeps its whole box grid, whose runs its pair sum sweeps.  One plane
+sweep sums the seminorm's cell pairs by run offset.
 
 Determinism contract: single sums are correctly rounded (``math.fsum``),
 so they do not depend on the summation order.  The double sum over cell
 pairs is split into fixed pieces whose partial sums are combined in a fixed
-order: one partial per plane offset and fixed-size chunk of a plane's
-rows, in offset order, where the planes are the axis-0 planes of a lattice
-grid and the runs of any other grid.  The worker thread count is an
-argument of ``gagliardo_seminorm``; the threads only compute partials, so
-results are bit-identical for any thread count.
+order: one partial per run offset and fixed-size chunk of a run's cells,
+in offset order.  The worker thread count is an argument of
+``gagliardo_seminorm``; the threads only compute partials, so results are
+bit-identical for any thread count.
 
 The Gagliardo seminorm
 
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -153,32 +152,24 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class Lattice:
-    """Cell counts per axis of a uniform box mesh and the flat (C-order)
-    indices of the cells a grid keeps; ``kept`` is None when it keeps all."""
-
-    counts: tuple[int, ...]
-    kept: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class Grid:
     """Concrete quadrature mesh: midpoint nodes with per-cell sides/weights.
 
     Node order is the construction order and is part of the value; all
-    summation contracts reference it.  ``lattice`` is set when the cells
-    are (a subset of) one uniform box mesh, in mesh order.  Otherwise they
-    are ``planes`` runs of equally many cells, run j the image of run 0
-    under the j-th power of one similarity (see ``run_grid``).  Only
-    ``run_grid`` sets ``planes``: a constructor or ``dataclasses.replace``
-    cannot, and a grid built either way is one run.
+    summation contracts reference it.  The cells are ``planes`` runs of
+    equally many cells, run j the image of run 0 under the j-th power of
+    one similarity (see ``run_grid``).  Only ``run_grid`` sets ``planes``,
+    and only ``masked_grid`` sets ``within``: the box grid whose cells it
+    keeps and the flat indices of the kept cells in it.  A constructor or
+    ``dataclasses.replace`` can set neither, so a grid built either way is
+    one run that stands alone.
     """
 
     centers: np.ndarray  # (M, d)
     sides: np.ndarray  # (M, d)
     weights: np.ndarray  # (M,)
-    lattice: Lattice | None = None
     planes: int = field(default=1, init=False)
+    within: tuple[Grid, np.ndarray] | None = field(default=None, init=False)
 
     def __post_init__(self):
         if len(self.centers) == 0:
@@ -202,7 +193,8 @@ def union_grid(boxes: Sequence[Box], cells_per_axis: int) -> Grid:
 
     The boxes are assumed disjoint; each gets ``cells_per_axis`` cells per
     axis, in C order, so geometrically graded meshes refine toward small
-    boxes.  A single box records its ``Lattice``.
+    boxes.  A single box in d >= 2 is the ``run_grid`` of its first axis-0
+    plane of cells: plane j is plane 0 moved j cell sides along axis 0.
     """
     if not boxes:
         raise ParameterError("need at least one box")
@@ -211,12 +203,14 @@ def union_grid(boxes: Sequence[Box], cells_per_axis: int) -> Grid:
     h = (np.array([b.hi for b in boxes], dtype=float) - lo) / n
     ticks = lo[..., None] + h[..., None] * (np.arange(n) + 0.5)  # (B, d, n)
     B, d = lo.shape
-    centers = np.empty((B,) + (n,) * d + (d,))
-    for a in range(d):
-        centers[..., a] = ticks[:, a].reshape((B,) + (1,) * a + (n,) + (1,) * (d - a - 1))
-    sides = np.repeat(h, n**d, axis=0)
-    lattice = Lattice((n,) * d) if B == 1 else None
-    return Grid(centers.reshape(-1, d), sides, np.prod(sides, axis=-1), lattice)
+    runs = n if B == 1 and d > 1 else 1
+    counts = (n // runs,) + (n,) * (d - 1)  # cells per axis of the first run
+    centers = np.empty((B,) + counts + (d,))
+    for a, k in enumerate(counts):
+        centers[..., a] = ticks[:, a, :k].reshape((B,) + (1,) * a + (k,) + (1,) * (d - a - 1))
+    sides = np.repeat(h, math.prod(counts), axis=0)
+    grid = Grid(centers.reshape(-1, d), sides, np.prod(sides, axis=-1))
+    return grid if runs == 1 else run_grid(grid, runs, step=np.eye(d)[0] * h[0, 0])
 
 
 def run_grid(base: Grid, runs: int, scale: float = 1.0, step=0.0) -> Grid:
@@ -244,13 +238,16 @@ def uniform_grid(spec: GridSpec) -> Grid:
 
 
 def masked_grid(spec: GridSpec, keep: Callable[[np.ndarray], np.ndarray]) -> Grid:
-    """Uniform grid restricted to cells whose centers satisfy ``keep``."""
+    """Uniform grid restricted to cells whose centers satisfy ``keep``, in
+    the box grid's order; ``within`` holds that grid and the kept indices."""
     g = uniform_grid(spec)
     mask = np.asarray(keep(g.centers), dtype=bool)
     if not np.any(mask):
         raise ParameterError("mask removed every cell of the grid")
-    kept = replace(g.lattice, kept=np.flatnonzero(mask))
-    return Grid(g.centers[mask], g.sides[mask], g.weights[mask], kept)
+    kept = np.flatnonzero(mask)
+    grid = Grid(g.centers[kept], g.sides[kept], g.weights[kept])
+    object.__setattr__(grid, "within", (g, kept))
+    return grid
 
 
 def domain_grid(domain: geo.Domain, spec: GridSpec) -> Grid:
@@ -297,7 +294,7 @@ def kahan_sum(values: np.ndarray) -> float:
 
 #: element budget of one chunk of the plane sweep; fixed so partial sums
 #: are independent of the thread count
-_LATTICE_CHUNK = 1 << 17
+_PAIR_CHUNK = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +557,7 @@ def _abs_pow(x: np.ndarray, p: float) -> np.ndarray:
     return x
 
 
-def _plane_sweep(U, p, kernel, weight, threads, m=None, scale=None):
+def _plane_sweep(U, p, kernel, threads, m=None, scale=None):
     """Pair sums of the cells of n0 planes of n_rest cells, by plane offset.
 
     ``U`` holds the values, shape (n0, n_rest).  Two distinct cells are
@@ -570,21 +567,20 @@ def _plane_sweep(U, p, kernel, weight, threads, m=None, scale=None):
 
     (a factor left as None is 1) is contracted with ``kernel(k0, a0, a1,
     c0)``, the kernel between the rows a0:a1 of a plane and the columns c0:
-    of the plane k0 further on, and scaled by the number ``weight``.  At
-    k0 = 0 only the pairs b > a count (the strict upper triangle): a
-    chunk's columns start at its first row, and its leading square, which
-    is symmetric with a zero diagonal, counts half.  One partial per (k0,
-    row chunk), in that order.
+    of the plane k0 further on.  At k0 = 0 only the pairs b > a count (the
+    strict upper triangle): a chunk's columns start at its first row, and
+    its leading square, which is symmetric with a zero diagonal, counts
+    half.  One partial per (k0, row chunk), in that order.
     """
     n0, n_rest = U.shape
-    rows = max(1, _LATTICE_CHUNK // n_rest)
+    rows = max(1, _PAIR_CHUNK // n_rest)
 
     def one_chunk(item) -> float:
         k0, a0 = item
         a1 = min(a0 + rows, n_rest)
         c0 = a0 if k0 == 0 else 0
         T = np.zeros((a1 - a0, n_rest - c0))
-        step = max(1, _LATTICE_CHUNK // T.size)
+        step = max(1, _PAIR_CHUNK // T.size)
         for x0 in range(0, n0 - k0, step):
             x1 = min(x0 + step, n0 - k0)
             diff = U[x0:x1, a0:a1, None] - U[x0 + k0 : x1 + k0, None, c0:]
@@ -598,25 +594,30 @@ def _plane_sweep(U, p, kernel, weight, threads, m=None, scale=None):
         with np.errstate(invalid="ignore"):
             TK = T * kernel(k0, a0, a1, c0)
         if k0 == 0:  # the leading square holds each pair twice
-            return weight * (0.5 * float(np.sum(TK[:, : a1 - a0])) + float(np.sum(TK[:, a1 - a0 :])))
-        return weight * float(np.sum(TK))
+            return 0.5 * float(np.sum(TK[:, : a1 - a0])) + float(np.sum(TK[:, a1 - a0 :]))
+        return float(np.sum(TK))
 
     items = [(k0, a0) for k0 in range(n0) for a0 in range(0, n_rest, rows)]
     return _map_in_order(one_chunk, items, threads)
 
 
-def _shifted_pair_sums(grid: Grid, p, kernel_expo):
+def _pair_sums(grid: Grid, p, kernel_expo, kept=None):
     """The partial sums of |u_i - u_j|^p |x_i - x_j|^{-e} w_i w_j, e =
     ``kernel_expo``, over the cell pairs i < j, as a function of the values
-    and the thread count, by run offset.
+    and the thread count, by run offset.  With ``kept``, the values are
+    those of the cells of ``grid`` at the flat indices ``kept``: they are
+    scattered into the grid, and the other cells are masked out.
 
     The runs are the planes of ``_plane_sweep``.  ``run_grid`` made run x0
     the image of run 0 under the x0-th power of one similarity x -> lam x
     + t, so cell a of run x0 and cell b of run x0 + k0 lie lam^{x0}
     times as far apart as cell a of run 0 and cell b of run k0, and each
     weighs lam^{x0 d} times as much: their kernel x weights is that of run
-    0 and run k0, one table per offset, times lam^{x0 (2d - e)}, which
-    scales the rows of run x0 (no scale when lam = 1 or 2d = e).
+    0 and run k0, one table per offset and row chunk, times lam^{x0 (2d -
+    e)}, which scales the rows of run x0 (no scale when lam = 1 or 2d = e).
+    The tables are kept for the next values while all of them fit in one
+    chunk (n0 n^2 <= ``_PAIR_CHUNK`` for n0 runs of n cells) and built per
+    use above that.  Two threads may build one twice; the two are equal.
     """
     n0 = grid.planes
     n = grid.ncells // n0
@@ -626,7 +627,18 @@ def _shifted_pair_sums(grid: Grid, p, kernel_expo):
     grading = 2 * grid.d - kernel_expo
     scale = None if lam == 1 or grading == 0 else lam ** (np.arange(n0) * grading)
 
+    def scattered(values):
+        U = np.zeros(grid.ncells)
+        U[kept] = values
+        return U.reshape(n0, n)
+
+    m = None if kept is None else scattered(1.0)
+    tables, keep = {}, n0 * n * n <= _PAIR_CHUNK
+
     def kernel(k0, a0, a1, c0):
+        K = tables.get((k0, a0))
+        if K is not None:
+            return K
         x, y = axes[0, :, a0:a1, None], axes[k0, :, None, c0:]
         K = y[0] - x[0]
         if grid.d == 1:
@@ -640,79 +652,22 @@ def _shifted_pair_sums(grid: Grid, p, kernel_expo):
         K *= w[0, a0:a1, None] * w[k0, None, c0:]
         if k0 == 0:
             np.fill_diagonal(K, 0.0)  # a cell with itself; T is 0 there
+        if keep:
+            tables[k0, a0] = K
         return K
 
     def sums(vals, threads):
-        return _plane_sweep(vals.reshape(n0, n), p, kernel, 1.0, threads, scale=scale)
-
-    return sums
-
-
-def _lattice_pair_sums(grid: Grid, p, kernel_expo):
-    """The pair sums of ``_shifted_pair_sums`` on a lattice grid, by offsets.
-
-    The box is read as n0 planes of n_rest cells (a 1-D box as one plane),
-    with the values and the mask scattered into it, and swept by
-    ``_plane_sweep``.  The kernel depends only on k0 and on |a - b| per
-    axis and so is gathered from the n_rest powers of that offset, by an
-    index that depends only on the row chunk.  The cell weight w is the
-    same everywhere, so w^2 is a common factor.
-    """
-    lat = grid.lattice
-    counts = lat.counts if grid.d > 1 else (1,) + lat.counts
-    h = grid.sides[0] if grid.d > 1 else np.concatenate(([0.0], grid.sides[0]))
-    n0, rest = counts[0], counts[1:]
-    n_rest = math.prod(rest)
-    m = None
-    if lat.kept is not None:
-        m = np.zeros(n0 * n_rest)
-        m[lat.kept] = 1.0
-        m = m.reshape(n0, n_rest)
-
-    # kernel[k0, j]: plane offset k0 and in-plane offset with flat index j
-    offs = np.indices(rest).reshape(len(rest), n_rest)
-    r2 = sum((hk * o) ** 2 for hk, o in zip(h[1:], offs))
-    with np.errstate(divide="ignore", over="ignore"):
-        kernel = ((h[0] * np.arange(n0))[:, None] ** 2 + r2) ** (-0.5 * kernel_expo)
-    kernel[0, 0] = 0.0  # a cell with itself; T is 0 there
-    # the flat index of an in-plane offset is the sum of these per axis
-    steps = [o * math.prod(rest[k + 1 :]) for k, o in enumerate(offs)]
-    # each row chunk's index, over all columns, serves every k0 and every
-    # member; it is kept while the indices of all chunks together fit in
-    # eight chunks, so a long plane (a long 1-D box) does not hold n_rest^2
-    # indices but builds each per use.  Two threads may build one twice;
-    # the two are equal.
-    index = {}
-    keep = n_rest * n_rest <= 8 * _LATTICE_CHUNK
-
-    def gathered(k0, a0, a1, c0):
-        gather = index.get((a0, a1))
-        if gather is None:
-            gather = np.abs(steps[0][a0:a1, None] - steps[0][None, :])
-            for st in steps[1:]:
-                gather += np.abs(st[a0:a1, None] - st[None, :])
-            if keep:
-                index[a0, a1] = gather
-        return kernel[k0][gather[:, c0:]]
-
-    w2 = float(grid.weights[0]) ** 2
-
-    def sums(vals, threads):
-        if lat.kept is None:
-            U = vals.reshape(n0, n_rest)
-        else:
-            U = np.zeros(n0 * n_rest)
-            U[lat.kept] = vals
-            U = U.reshape(n0, n_rest)
-        return _plane_sweep(U, p, gathered, w2, threads, m)
+        U = vals.reshape(n0, n) if kept is None else scattered(vals)
+        return _plane_sweep(U, p, kernel, threads, m, scale)
 
     return sums
 
 
 class SeminormTables:
     """The grid-only work of the Gagliardo seminorm on one grid for one
-    (p, s), done once: the pair sum's kernel tables, the probe points of
-    the slope estimate and the diagonal patch's radial factor.
+    (p, s), done once: the pair sum over the grid's runs (over its box's
+    runs for a masked grid), with the kernel tables it keeps, the probe
+    points of the slope estimate and the diagonal patch's radial factor.
 
     ``evaluate`` is the one place that turns a member into values and
     slopes on the grid, with two calls of the member; ``seminorm`` and
@@ -727,9 +682,9 @@ class SeminormTables:
         p, sp = float(fp.p), float(fp.sp)
         if p - sp <= 0:
             raise ParameterError("diagonal patch requires sp < p")
-        pair_sums = _shifted_pair_sums if grid.lattice is None else _lattice_pair_sums
         self.grid, self.p = grid, p
-        self._pair_sums = pair_sums(grid, p, fp.d + sp)
+        box, kept = grid.within or (grid, None)
+        self._pair_sums = _pair_sums(box, p, fp.d + sp, kept)
         # the points a quarter side above and below each centre, axis by
         # axis, and the distance across each pair
         d, quarter = grid.d, grid.sides * 0.25

@@ -379,6 +379,16 @@ def test_flag_overrides(tmp_path: Path):
                                     "center_bounds": [[0.2, 0.8], [0.2, 0.8]],
                                     "radius_bounds": [[0.1, 0.3], [0.1, 0.3]]}),
          "family.center_bounds"),
+        # a coordinate above 2**500 in magnitude would overflow a squared
+        # distance
+        (dict(EXTERIOR_CFG, support_box=[[-1e300], [1e300]]), "support_box"),
+        (dict(BOX_CFG, domain={"kind": "box", "lo": [-1e300, 0.0], "hi": [1e300, 1.0]}),
+         "domain.lo"),
+        # a member's radii must be positive
+        (dict(ESTIMATE_CFG, family={"kind": "tensor_bump_grid", "center_bounds": [[0.3, 0.7]],
+                                    "radius_bounds": [[0.0, 0.0]]}), "family.radius_bounds"),
+        (dict(ESTIMATE_CFG, family={"kind": "tensor_bump_grid", "center_bounds": [[0.3, 0.7]],
+                                    "radius_bounds": [[-0.2, 0.1]]}), "family.radius_bounds"),
     ],
 )
 def test_main_malformed_field_exit_2(tmp_path: Path, capsys, cfg, field):

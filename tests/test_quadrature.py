@@ -322,9 +322,10 @@ def test_seminorm_threads_bit_identical():
     layer_pair = telescope_grids(2, -3, 4)[0]
     assert layer_pair.planes > 1
     cases = [
-        # uniform lattice, masked lattice, 3-D lattice, then runs: a graded
-        # grid (its blocks), the graded grid reversed and a union of two
-        # layers as one run each, and the telescope's layer pair as 8 runs
+        # a uniform box, a masked box and a 3-D box as the runs of their
+        # axis-0 planes, then a graded grid (its blocks), the graded grid
+        # reversed and a union of two layers as one run each, and the
+        # telescope's layer pair as 8 runs
         (quad.TensorBump((0.0, 0.5), (0.5, 0.3)), slab2, fp(2, "2", "1/2"),
          quad.GridSpec(16, slab2.box)),
         (quad.TensorBump((0.3, 0.3), (0.18, 0.18)), L_SHAPE, fp(2, "2", "1/2"),
@@ -347,7 +348,7 @@ def test_seminorm_threads_bit_identical():
 
 def reuse_cases():
     """Grids with one domain, case and sweep of members each: the 1-D
-    lattice, the masked L-shape, a graded grid and a telescope layer pair."""
+    box, the masked L-shape, a graded grid and a telescope layer pair."""
     slab1, slab2 = geo.Slab(n=1, d=1), geo.Slab(n=1, d=2)
     fp1, fp2 = fp(1, "2", "1/2"), fp(2, "2", "1/2")
     layer_pair = telescope_grids(2, -3, 4)[0]
@@ -384,35 +385,6 @@ def test_tables_built_once_match_fresh_calls(name, threads):
                                                                    threads=threads)
 
 
-@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
-@pytest.mark.parametrize(
-    "grid",
-    [
-        quad.uniform_grid(quad.GridSpec(128, UNIT)),
-        quad.uniform_grid(quad.GridSpec(32, SQUARE)),
-        # clipped to (-0.7, 0.9) x (0, 1): a different h on each axis
-        quad.domain_grid(geo.Slab(n=1, d=2), quad.GridSpec(32, geo.Box((-0.7, -0.5), (0.9, 1.5)))),
-        quad.domain_grid(L_SHAPE, quad.GridSpec(32, SQUARE)),
-        quad.domain_grid(geo.ExteriorBall(1.0, 2), quad.GridSpec(32, geo.Box((-2.5,) * 2, (2.5,) * 2))),
-        quad.uniform_grid(quad.GridSpec(8, CUBE)),
-        quad.union_grid([SQUARE], 32),
-    ],
-    ids=["1d-128", "2d-32", "2d-clipped", "l-shape", "exterior-ball", "3d-8", "union-one-box"],
-)
-def test_lattice_sum_matches_pair_blocks(grid, p, monkeypatch):
-    # the offset sweep and the row-block sum see the same Grid and must
-    # count the same pairs with the same kernel; a small chunk splits each
-    # plane into several row chunks
-    assert grid.lattice is not None
-    vals = np.random.default_rng(7).standard_normal(grid.ncells)
-    kernel_expo = grid.d + p / 3
-    blocks = quad.kahan_sum(row_block_sums(vals, grid, p, kernel_expo))
-    for chunk in (quad._LATTICE_CHUNK, 256):
-        monkeypatch.setattr(quad, "_LATTICE_CHUNK", chunk)
-        lattice = quad.kahan_sum(quad._lattice_pair_sums(grid, p, kernel_expo)(vals, 1))
-        assert lattice == pytest.approx(blocks, rel=1e-12)
-
-
 @pytest.mark.parametrize("p,sp", [(2, 1.0), (3, 1.5), (2, 0.5), (4, 2.0)])
 @pytest.mark.parametrize("n", [8, 16])
 @pytest.mark.parametrize("levels", [6, 52, 100])
@@ -425,13 +397,24 @@ def test_graded_sum_matches_pair_blocks(levels, n, p, sp, monkeypatch):
     assert (grid.planes, grid.ncells) == (levels + 1, (levels + 1) * n)
     vals = np.random.default_rng(11).standard_normal(grid.ncells)
     blocks = quad.kahan_sum(row_block_sums(vals, grid, float(p), 1 + sp))
-    for chunk in (quad._LATTICE_CHUNK, 3 * n):
-        monkeypatch.setattr(quad, "_LATTICE_CHUNK", chunk)
-        graded = quad.kahan_sum(quad._shifted_pair_sums(grid, float(p), 1 + sp)(vals, 1))
+    for chunk in (quad._PAIR_CHUNK, 3 * n):
+        monkeypatch.setattr(quad, "_PAIR_CHUNK", chunk)
+        graded = quad.kahan_sum(quad._pair_sums(grid, float(p), 1 + sp)(vals, 1))
         assert graded == pytest.approx(blocks, rel=1e-12)
 
 
 SHIFTED_GRIDS = {
+    # single boxes, whole, clipped to (-0.7, 0.9) x (0, 1) (a different h
+    # on each axis) and masked
+    "1d-128": quad.uniform_grid(quad.GridSpec(128, UNIT)),
+    "2d-32": quad.uniform_grid(quad.GridSpec(32, SQUARE)),
+    "2d-clipped": quad.domain_grid(geo.Slab(n=1, d=2),
+                                   quad.GridSpec(32, geo.Box((-0.7, -0.5), (0.9, 1.5)))),
+    "l-shape": quad.domain_grid(L_SHAPE, quad.GridSpec(32, SQUARE)),
+    "exterior-ball": quad.domain_grid(geo.ExteriorBall(1.0, 2),
+                                      quad.GridSpec(32, geo.Box((-2.5,) * 2, (2.5,) * 2))),
+    "3d-8": quad.uniform_grid(quad.GridSpec(8, CUBE)),
+    "union-one-box": quad.union_grid([SQUARE], 32),
     # every layer pair the telescope builds, deepest first, and layer -1 alone
     **{f"telescope-{d}d-{i}": g for d, depth, cells in ((1, -3, 4), (2, -4, 4), (3, -3, 2))
        for i, g in enumerate(telescope_grids(d, depth, cells))},
@@ -443,24 +426,62 @@ SHIFTED_GRIDS = {
                                 scale=0.5),
 }
 
+#: the cells per axis of each single box, whole or masked
+BOX_CELLS = {"1d-128": 128, "2d-32": 32, "2d-clipped": 32, "l-shape": 32, "exterior-ball": 32,
+             "3d-8": 8, "union-one-box": 32}
 
-@pytest.mark.parametrize("p", [2.0, 3.0])
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
 @pytest.mark.parametrize("name", list(SHIFTED_GRIDS))
 def test_shifted_sum_matches_pair_blocks(name, p, monkeypatch):
-    # the run-offset sweep and the row-block sum see the same Grid and must
-    # count the same pairs with the same kernel and weights; a chunk of 3
-    # rows of a run splits each run into row chunks and sums T one run at
-    # a time
+    # the run-offset sweep and the row-block sum see the same cells and
+    # must count the same pairs with the same kernel and weights; a chunk
+    # of 256 elements or of 3 rows of a run splits each run into row chunks
+    # and sums T one run at a time.  A single box in d >= 2 is the runs of
+    # its axis-0 planes, and a masked box is swept as its whole box with
+    # its values scattered and the other cells masked out
     grid = SHIFTED_GRIDS[name]
-    runs = name == "similar-2d" or (name.startswith("telescope") and grid.d > 1)
-    assert (grid.planes > 1) == runs
+    box, kept = grid.within or (grid, None)
+    assert (kept is not None) == (name in ("l-shape", "exterior-ball"))
+    if name in BOX_CELLS:
+        n = BOX_CELLS[name]
+        assert (box.ncells, box.planes) == (n**grid.d, n if grid.d > 1 else 1)
+    else:
+        runs = name == "similar-2d" or (name.startswith("telescope") and grid.d > 1)
+        assert (grid.planes > 1) == runs
     vals = np.random.default_rng(5).standard_normal(grid.ncells)
     kernel_expo = grid.d + p / 3
     blocks = quad.kahan_sum(row_block_sums(vals, grid, p, kernel_expo))
-    for chunk in (quad._LATTICE_CHUNK, 3 * grid.ncells // grid.planes):
-        monkeypatch.setattr(quad, "_LATTICE_CHUNK", chunk)
-        shifted = quad.kahan_sum(quad._shifted_pair_sums(grid, p, kernel_expo)(vals, 1))
+    for chunk in (quad._PAIR_CHUNK, 256, 3 * box.ncells // box.planes):
+        monkeypatch.setattr(quad, "_PAIR_CHUNK", chunk)
+        shifted = quad.kahan_sum(quad._pair_sums(box, p, kernel_expo, kept)(vals, 1))
         assert shifted == pytest.approx(blocks, rel=1e-12)
+
+
+@pytest.mark.parametrize("n,d,builds", [(128, 1, 1), (64, 2, 2 * 64)])
+def test_pair_tables_kept_within_one_chunk(n, d, builds, monkeypatch):
+    # the 128 cells of a 1-D box are one run of one row chunk: its one
+    # kernel table serves a whole sweep of members.  The 64 runs of a 64^2
+    # box hold 64^3 table entries, more than one chunk: each of two
+    # members builds its 64 tables anew.  Every table the sweep is handed
+    # is held here, so two distinct tables never share an id
+    handed = []
+    sweep = quad._plane_sweep
+
+    def recording(U, p, kernel, *rest):
+        def kernel_seen(*args):
+            handed.append(kernel(*args))
+            return handed[-1]
+
+        return sweep(U, p, kernel_seen, *rest)
+
+    monkeypatch.setattr(quad, "_plane_sweep", recording)
+    box = geo.Box((0.0,) * d, (1.0,) * d)
+    tables = quad.SeminormTables(quad.uniform_grid(quad.GridSpec(n, box)), fp(d, "2", "1/2"))
+    members = [quad.TensorBump((h + 0.25,) * d, (0.25,) * d) for h in 2.0 ** -np.arange(2, 8)]
+    for u in members[: 6 if d == 1 else 2]:
+        assert tables.seminorm(*tables.evaluate(u)) > 0
+    assert len({id(K) for K in handed}) == builds
 
 
 def test_grid_planes_divide_cells():
