@@ -8,15 +8,20 @@ one similarity (the axis-0 planes of a box, a telescope layer pair's
 columns of cubes, the dyadic blocks of the 1-D graded mesh) and is the
 only code that sets a grid's runs; any other grid is one run.  A masked
 box keeps its whole box grid, whose runs its pair sum sweeps.  One plane
-sweep sums the seminorm's cell pairs by run offset.
+sweep sums the seminorm's cell pairs by run offset, except on a box in
+d >= 2 at an even integer p <= 8, whose pair sum is a few FFT
+convolutions with the box's table of offset powers.
 
 Determinism contract: single sums are correctly rounded (``math.fsum``),
 so they do not depend on the summation order.  The double sum over cell
 pairs is split into fixed pieces whose partial sums are combined in a fixed
 order: one partial per run offset and fixed-size chunk of a run's cells,
-in offset order.  The worker thread count is an argument of
-``gagliardo_seminorm``; the threads only compute partials, so results are
-bit-identical for any thread count.
+in offset order.  On an even-p box it is one partial from FFTs on one
+worker, of the values less their median; where its positive terms exceed
+it by more than ``_FFT_CANCELLATION`` times, the sweep's partials replace
+it.  The worker thread count is an argument of ``gagliardo_seminorm``; the
+threads only compute the sweep's partials, so results are bit-identical
+for any thread count.
 
 The Gagliardo seminorm
 
@@ -38,6 +43,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.fft as sfft
 
 from . import geometry as geo
 from .errors import EvaluationError, ParameterError
@@ -295,6 +301,16 @@ def kahan_sum(values: np.ndarray) -> float:
 #: element budget of one chunk of the plane sweep; fixed so partial sums
 #: are independent of the thread count
 _PAIR_CHUNK = 1 << 17
+
+#: rounding tolerance of the box test, in ulps of an axis's largest
+#: coordinate magnitude per cell of the axis (see ``_lattice_sides``)
+_LATTICE_ULPS = 4
+
+#: largest ratio of the FFT pair sum's positive terms to the sum itself,
+#: past which the sweep sums the pairs instead.  On boxes of 32^2 to 256^2
+#: cells at p = 2 and 4 the FFT's relative error stayed below the double
+#: epsilon times this ratio, so the bound keeps it below about 2.2e-13
+_FFT_CANCELLATION = 1e3
 
 
 # ---------------------------------------------------------------------------
@@ -601,27 +617,107 @@ def _plane_sweep(U, p, kernel, threads, m=None, scale=None):
     return _map_in_order(one_chunk, items, threads)
 
 
+def _lattice_sides(grid: Grid) -> np.ndarray | None:
+    """The cell sides h of a grid that is the n^d cells of one box in C
+    order, d >= 2, n = ``grid.planes``; None for any other grid.
+
+    All of these must hold: ``planes ** d == ncells``, every cell has the
+    sides of the first, and every centre lies on lo + h (i + 1/2), i its
+    multi-index and lo the first centre less h/2, to within
+    ``_LATTICE_ULPS`` n ulps of the largest coordinate magnitude on its
+    axis (``run_grid`` steps along axis 0 n times, one rounding each).
+    Runs spaced otherwise than one cell side fail the last test.
+    """
+    n, d = grid.planes, grid.d
+    if d < 2 or n**d != grid.ncells or np.any(grid.sides != grid.sides[0]):
+        return None
+    h = grid.sides[0]
+    index = np.indices((n,) * d).reshape(d, -1).T
+    lattice = (grid.centers[0] - 0.5 * h) + h * (index + 0.5)
+    tol = _LATTICE_ULPS * n * np.finfo(float).eps * np.max(np.abs(grid.centers), axis=0)
+    return h if np.all(np.abs(grid.centers - lattice) <= tol) else None
+
+
+def _offset_powers(n: int, h: np.ndarray, kernel_expo: float) -> np.ndarray:
+    """(sum_a (k_a h_a)^2)^{-e/2} at the cell offsets k of an n^d box of
+    cell sides h, e = ``kernel_expo``; 0 at k = 0."""
+    d = len(h)
+    sq = sum(((np.arange(n) * ha) ** 2).reshape((n,) + (1,) * (d - 1 - a))
+             for a, ha in enumerate(h))
+    with np.errstate(divide="ignore"):
+        table = sq ** (-kernel_expo / 2)
+    table.flat[0] = 0.0
+    return table
+
+
+def _fft_pair_sum(table: np.ndarray, m: np.ndarray | None, p: int):
+    """The pair sum over i != j of |U_i - U_j|^p K(i - j) M_i M_j on an n^d
+    box, K the offset powers ``table``, M the mask ``m`` (None: every
+    cell), as a function of U on the box (0 off the mask).
+
+    With the binomial expansion it is sum_j C(p, j) (-1)^j <M U^{p-j},
+    K * (M U^j)>, the convolutions on the box zero-padded to
+    ``next_fast_len(2n - 1)`` per axis, one ``scipy.fft`` worker each.
+    Terms j and p - j are equal, and K * M is made here, so p = 2 takes
+    one convolution per call and p = 4 two.  Returns the sum and its
+    positive terms, whose excess over the sum measures the cancellation.
+    """
+    n, d = table.shape[0], table.ndim
+    size = (sfft.next_fast_len(2 * n - 1, real=True),) * d
+    axes = tuple(range(d))
+    offset = np.minimum(np.arange(size[0]), size[0] - np.arange(size[0]))
+    inside = offset < n
+    K = table[np.ix_(*(np.where(inside, offset, 0),) * d)]
+    for a in axes:
+        K[(slice(None),) * a + (~inside,)] = 0.0
+    K_hat = sfft.rfftn(K, axes=axes)
+    box = (slice(n),) * d
+
+    def conv(b):
+        return sfft.irfftn(sfft.rfftn(b, s=size, axes=axes) * K_hat, s=size, axes=axes)[box]
+
+    M = np.ones(table.shape) if m is None else m
+    KM = conv(M)
+
+    def pair_sum(U):
+        powers = [M, U] + [U**j for j in range(2, p + 1)]
+        terms = [math.comb(p, j) * (-1) ** j * (1 if 2 * j == p else 2)
+                 * float(np.sum(powers[p - j] * (KM if j == 0 else conv(powers[j]))))
+                 for j in range(p // 2 + 1)]
+        return math.fsum(terms), math.fsum(t for t in terms if t > 0)
+
+    return pair_sum
+
+
 def _pair_sums(grid: Grid, p, kernel_expo, kept=None):
     """The partial sums of |u_i - u_j|^p |x_i - x_j|^{-e} w_i w_j, e =
     ``kernel_expo``, over the cell pairs i < j, as a function of the values
-    and the thread count, by run offset.  With ``kept``, the values are
-    those of the cells of ``grid`` at the flat indices ``kept``: they are
-    scattered into the grid, and the other cells are masked out.
+    and the thread count.  With ``kept``, the values are those of the cells
+    of ``grid`` at the flat indices ``kept``: they are scattered into the
+    grid, and the other cells are masked out.
 
-    The runs are the planes of ``_plane_sweep``.  ``run_grid`` made run x0
-    the image of run 0 under the x0-th power of one similarity x -> lam x
-    + t, so cell a of run x0 and cell b of run x0 + k0 lie lam^{x0}
-    times as far apart as cell a of run 0 and cell b of run k0, and each
-    weighs lam^{x0 d} times as much: their kernel x weights is that of run
-    0 and run k0, one table per offset and row chunk, times lam^{x0 (2d -
-    e)}, which scales the rows of run x0 (no scale when lam = 1 or 2d = e).
-    The tables are kept for the next values while all of them fit in one
-    chunk (n0 n^2 <= ``_PAIR_CHUNK`` for n0 runs of n cells) and built per
-    use above that.  Two threads may build one twice; the two are equal.
+    A box in d >= 2 (``_lattice_sides``) has one table of offset powers,
+    made here.  At an even integer p <= 8 its sum is one partial, from
+    ``_fft_pair_sum`` on the values less their median (which leaves every
+    difference as it is); if the positive terms exceed that sum more than
+    ``_FFT_CANCELLATION`` times, or at any other p, it is the sweep's.
+
+    The sweep takes the runs as the planes of ``_plane_sweep``, one partial
+    per run offset and row chunk.  ``run_grid`` made run x0 the image of
+    run 0 under the x0-th power of one similarity x -> lam x + t, so cell a
+    of run x0 and cell b of run x0 + k0 lie lam^{x0} times as far apart as
+    cell a of run 0 and cell b of run k0, and each weighs lam^{x0 d} times
+    as much: their kernel x weights is that of run 0 and run k0, one table
+    per offset and row chunk, times lam^{x0 (2d - e)}, which scales the
+    rows of run x0 (no scale when lam = 1 or 2d = e).  A box gathers each
+    table from its offset powers; any other grid raises the distances of
+    run 0 and run k0 to the power.  The tables are kept for the next values
+    while all of them fit in one chunk (n0 n^2 <= ``_PAIR_CHUNK`` for n0
+    runs of n cells) and built per use above that.  Two threads may build
+    one twice; the two are equal.
     """
     n0 = grid.planes
     n = grid.ncells // n0
-    axes = grid.centers.reshape(n0, n, grid.d).transpose(0, 2, 1).copy()  # (run, axis, cell)
     w = grid.weights.reshape(n0, n)
     lam = grid.sides[n, 0] / grid.sides[0, 0] if n0 > 1 else 1.0
     grading = 2 * grid.d - kernel_expo
@@ -634,29 +730,59 @@ def _pair_sums(grid: Grid, p, kernel_expo, kept=None):
 
     m = None if kept is None else scattered(1.0)
     tables, keep = {}, n0 * n * n <= _PAIR_CHUNK
+    h, fft = _lattice_sides(grid), None
+    if h is None:
+        axes = grid.centers.reshape(n0, n, grid.d).transpose(0, 2, 1).copy()  # (run, axis, cell)
+
+        def build(k0, a0, a1, c0):
+            x, y = axes[0, :, a0:a1, None], axes[k0, :, None, c0:]
+            K = y[0] - x[0]
+            if grid.d == 1:
+                np.abs(K, out=K)
+            else:  # the squared distance
+                K *= K
+                for ya, xa in zip(y[1:], x[1:]):
+                    K += (ya - xa) ** 2
+            with np.errstate(divide="ignore"):
+                K **= -kernel_expo / min(grid.d, 2)
+            K *= w[0, a0:a1, None] * w[k0, None, c0:]
+            if k0 == 0:
+                np.fill_diagonal(K, 0.0)  # a cell with itself; T is 0 there
+            return K
+    else:
+        offsets = _offset_powers(n0, h, kernel_expo)
+        planar = offsets.reshape(n0, n)  # (axis-0 offset, offset within a plane)
+        index = np.indices((n0,) * (grid.d - 1)).reshape(grid.d - 1, -1)
+        strides = n0 ** np.arange(grid.d - 2, -1, -1)
+        w2 = w[0, 0] * w[0, 0]
+
+        def plane_offsets(a0, a1, c0):  # flat offsets within a plane
+            return sum(np.abs(i[a0:a1, None] - i[None, c0:]) * s for i, s in zip(index, strides))
+
+        whole = plane_offsets(0, n, 0) if n * n <= _PAIR_CHUNK else None
+
+        def build(k0, a0, a1, c0):
+            flat = plane_offsets(a0, a1, c0) if whole is None else whole[a0:a1, c0:]
+            return planar[k0][flat] * w2
+
+        if p.is_integer() and p % 2 == 0 and p <= 8:
+            fft = _fft_pair_sum(offsets, None if m is None else m.reshape(offsets.shape), int(p))
 
     def kernel(k0, a0, a1, c0):
         K = tables.get((k0, a0))
-        if K is not None:
-            return K
-        x, y = axes[0, :, a0:a1, None], axes[k0, :, None, c0:]
-        K = y[0] - x[0]
-        if grid.d == 1:
-            np.abs(K, out=K)
-        else:  # the squared distance
-            K *= K
-            for ya, xa in zip(y[1:], x[1:]):
-                K += (ya - xa) ** 2
-        with np.errstate(divide="ignore"):
-            K **= -kernel_expo / min(grid.d, 2)
-        K *= w[0, a0:a1, None] * w[k0, None, c0:]
-        if k0 == 0:
-            np.fill_diagonal(K, 0.0)  # a cell with itself; T is 0 there
-        if keep:
-            tables[k0, a0] = K
+        if K is None:
+            K = build(k0, a0, a1, c0)
+            if keep:
+                tables[k0, a0] = K
         return K
 
     def sums(vals, threads):
+        if fft is not None:
+            centred = vals - np.median(vals)
+            U = centred if kept is None else scattered(centred)
+            total, positive = fft(U.reshape(offsets.shape))
+            if positive <= _FFT_CANCELLATION * total:
+                return [0.5 * w2 * total]
         U = vals.reshape(n0, n) if kept is None else scattered(vals)
         return _plane_sweep(U, p, kernel, threads, m, scale)
 
@@ -666,8 +792,10 @@ def _pair_sums(grid: Grid, p, kernel_expo, kept=None):
 class SeminormTables:
     """The grid-only work of the Gagliardo seminorm on one grid for one
     (p, s), done once: the pair sum over the grid's runs (over its box's
-    runs for a masked grid), with the kernel tables it keeps, the probe
-    points of the slope estimate and the diagonal patch's radial factor.
+    runs for a masked grid), with the kernel tables it keeps (on a box in
+    d >= 2, its offset powers and, at an even p, their padded FFT and
+    their convolution with the mask), the probe points of the slope
+    estimate and the diagonal patch's radial factor.
 
     ``evaluate`` is the one place that turns a member into values and
     slopes on the grid, with two calls of the member; ``seminorm`` and
@@ -721,8 +849,16 @@ class SeminormTables:
         if threads < 1:
             raise ParameterError("thread count must be >= 1")
         off_diag = 2.0 * kahan_sum(np.asarray(self._pair_sums(vals, threads)))
-        # the same-cell mass L^p * int int |x-y|^{p-d-sp} over each cell
-        diag = kahan_sum(lips**self.p * self.grid.weights * self._radial)
+        # the same-cell mass L^p * int int |x-y|^{p-d-sp} over each cell;
+        # where L^p alone overflows (steep members on tiny cells), the
+        # term is recomputed as (L (w r)^{1/p})^p, and no other term moves
+        with np.errstate(over="ignore"):
+            diag = lips**self.p * self.grid.weights * self._radial
+        over = np.isinf(diag)
+        if np.any(over):
+            diag[over] = (lips[over] * (self.grid.weights[over] * self._radial[over])
+                          ** (1.0 / self.p)) ** self.p
+        diag = kahan_sum(diag)
         return (off_diag + diag) ** (1.0 / self.p)
 
     def norm(self, vals: np.ndarray, lips: np.ndarray, threads: int = 1) -> float:

@@ -148,6 +148,19 @@ def test_probe_truncation_shared_and_per_offset(monkeypatch, bad_lhs):
         assert [m for m, _ in res.levels] == [3, 4] and res.truncated
 
 
+def test_probe_keeps_its_deepest_level_at_p3():
+    # at (p, s, tau) = (3, 1/3, 3) the slopes of the level-8 member reach
+    # about 2^388 on the deepest cells, so L^p alone overflows: the
+    # diagonal patch recomputes those terms and level 8 is kept, with no
+    # offset truncated and no overflow warning (RuntimeWarnings are errors)
+    case = hardy.HardyCase("1b", fp(1, "3", "1/3", "3"))
+    results = exp.blowup_probe(case, (-1, 0, 1), SLAB_1D)
+    for res, ratio in zip(results, (1.476, 0.355, 0.106)):
+        assert not res.truncated
+        assert [m for m, _ in res.levels] == [3, 4, 5, 6, 7, 8]
+        assert res.levels[-1][1] == pytest.approx(ratio, abs=5e-4)
+
+
 def test_probe_records_growth_threshold(signature):
     assert signature["below"].growth_threshold == 1.15
 

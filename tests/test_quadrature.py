@@ -403,6 +403,12 @@ def test_graded_sum_matches_pair_blocks(levels, n, p, sp, monkeypatch):
         assert graded == pytest.approx(blocks, rel=1e-12)
 
 
+def first_run(grid):
+    """Run 0 of a run grid, as a grid of one run."""
+    n = grid.ncells // grid.planes
+    return quad.Grid(grid.centers[:n], grid.sides[:n], grid.weights[:n])
+
+
 SHIFTED_GRIDS = {
     # single boxes, whole, clipped to (-0.7, 0.9) x (0, 1) (a different h
     # on each axis) and masked
@@ -424,6 +430,9 @@ SHIFTED_GRIDS = {
     # so each run's rows are scaled by 2^{-j (2d - e)}
     "similar-2d": quad.run_grid(quad.union_grid([geo.Box((0.5, 0.5), (1.0, 1.0))], 4), 6,
                                 scale=0.5),
+    # the first axis-0 plane of the 32^2 box in 32 runs two cell sides
+    # apart: 32^2 cells of one size, but not a box
+    "gapped-2d": quad.run_grid(first_run(quad.union_grid([SQUARE], 32)), 32, step=(2 / 32, 0.0)),
 }
 
 #: the cells per axis of each single box, whole or masked
@@ -447,8 +456,17 @@ def test_shifted_sum_matches_pair_blocks(name, p, monkeypatch):
         n = BOX_CELLS[name]
         assert (box.ncells, box.planes) == (n**grid.d, n if grid.d > 1 else 1)
     else:
-        runs = name == "similar-2d" or (name.startswith("telescope") and grid.d > 1)
+        runs = name in ("similar-2d", "gapped-2d") or (name.startswith("telescope")
+                                                       and grid.d > 1)
         assert (grid.planes > 1) == runs
+    # a box in d >= 2 sums by FFT at an even p and gathers its sweep tables
+    # from its offset powers; the gapped runs pass the cell count test only
+    lattice = name in BOX_CELLS and grid.d > 1
+    assert (box.planes**box.d == box.ncells) == (lattice or name == "gapped-2d")
+    assert (quad._lattice_sides(box) is not None) == lattice
+    sweeps = []
+    sweep = quad._plane_sweep
+    monkeypatch.setattr(quad, "_plane_sweep", lambda *args: sweeps.append(1) or sweep(*args))
     vals = np.random.default_rng(5).standard_normal(grid.ncells)
     kernel_expo = grid.d + p / 3
     blocks = quad.kahan_sum(row_block_sums(vals, grid, p, kernel_expo))
@@ -456,15 +474,39 @@ def test_shifted_sum_matches_pair_blocks(name, p, monkeypatch):
         monkeypatch.setattr(quad, "_PAIR_CHUNK", chunk)
         shifted = quad.kahan_sum(quad._pair_sums(box, p, kernel_expo, kept)(vals, 1))
         assert shifted == pytest.approx(blocks, rel=1e-12)
+    assert len(sweeps) == (0 if lattice and p != 3 else 3)
+
+
+@pytest.mark.parametrize("bound,sweeps", [(None, None), (math.inf, 0), (1.0, 1)])
+def test_fft_cancellation_falls_back_to_sweep(bound, sweeps, monkeypatch):
+    # u = 1 + 1e-3 bump at p = 4: the FFT sums the values less their
+    # median, whose differences are those of u, and either matches the
+    # row-block oracle to 1e-12 or leaves the pairs to the sweep.  A bound
+    # of infinity forces the FFT, and one of 1 the sweep (the positive
+    # terms of a nonzero sum exceed it)
+    if bound is not None:
+        monkeypatch.setattr(quad, "_FFT_CANCELLATION", bound)
+    calls = []
+    sweep = quad._plane_sweep
+    monkeypatch.setattr(quad, "_plane_sweep", lambda *args: calls.append(1) or sweep(*args))
+    grid = quad.uniform_grid(quad.GridSpec(64, SQUARE))
+    bump = quad.TensorBump((0.5, 0.5), (0.3, 0.3))
+    vals = 1.0 + 1e-3 * bump(grid.centers)
+    kernel_expo = 2 + 4 / 2
+    got = quad.kahan_sum(quad._pair_sums(grid, 4.0, kernel_expo)(vals, 1))
+    assert got == pytest.approx(quad.kahan_sum(row_block_sums(vals, grid, 4.0, kernel_expo)),
+                                rel=1e-12)
+    assert len(calls) in ((0, 1) if sweeps is None else (sweeps,))
 
 
 @pytest.mark.parametrize("n,d,builds", [(128, 1, 1), (64, 2, 2 * 64)])
 def test_pair_tables_kept_within_one_chunk(n, d, builds, monkeypatch):
     # the 128 cells of a 1-D box are one run of one row chunk: its one
-    # kernel table serves a whole sweep of members.  The 64 runs of a 64^2
-    # box hold 64^3 table entries, more than one chunk: each of two
-    # members builds its 64 tables anew.  Every table the sweep is handed
-    # is held here, so two distinct tables never share an id
+    # kernel table serves a whole sweep of members at p = 2.  The 64 runs
+    # of a 64^2 box hold 64^3 table entries, more than one chunk: each of
+    # two members builds its 64 tables anew at p = 3 (at an even p a box
+    # in d >= 2 is summed by FFT, without the sweep).  Every table the
+    # sweep is handed is held here, so two distinct tables never share an id
     handed = []
     sweep = quad._plane_sweep
 
@@ -477,7 +519,8 @@ def test_pair_tables_kept_within_one_chunk(n, d, builds, monkeypatch):
 
     monkeypatch.setattr(quad, "_plane_sweep", recording)
     box = geo.Box((0.0,) * d, (1.0,) * d)
-    tables = quad.SeminormTables(quad.uniform_grid(quad.GridSpec(n, box)), fp(d, "2", "1/2"))
+    tables = quad.SeminormTables(quad.uniform_grid(quad.GridSpec(n, box)),
+                                 fp(d, "2" if d == 1 else "3", "1/2"))
     members = [quad.TensorBump((h + 0.25,) * d, (0.25,) * d) for h in 2.0 ** -np.arange(2, 8)]
     for u in members[: 6 if d == 1 else 2]:
         assert tables.seminorm(*tables.evaluate(u)) > 0
