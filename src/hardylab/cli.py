@@ -270,19 +270,30 @@ class ExperimentConfig:
                 return quad.Constant(self.number("u.value"), self.box("u.support"))
         raise ConfigError("u.kind", f"unknown test function kind {kind!r}")
 
-    def grid(self, domain: geo.Domain) -> quad.GridSpec:
+    def grid(self, domain: geo.Domain, fp: quad.FracParams) -> quad.GridSpec:
         """``resolution`` cells per axis on ``support_box``, by default the
-        domain's bounding box."""
+        domain's bounding box, with cell sides whose powers in the
+        seminorm of ``fp`` stay normal doubles."""
         # the size comes first: a bounding box holds d coordinates per corner
         res, d = self.resolution, domain.d
         if d * math.log2(res) > _MAX_GRID_LOG2:
             raise ConfigError("resolution", f"a grid of {res}**{d} cells exceeds the limit"
                               f" of 2**{_MAX_GRID_LOG2} cells")
-        box = self.box("support_box", None) or domain.bounding_box()
+        given = self.box("support_box", None)
+        box = given or domain.bounding_box()
         if box is None:
             raise ConfigError("support_box", "required for unbounded domains (truncation box)")
         if box.d != d:
             raise ConfigError("support_box", f"has dimension {box.d}, the domain {d}")
+        # the seminorm raises a cell side h to -(d + sp) (the kernel across
+        # one cell), 2d (the weights of two cells) and d + p - sp (the
+        # diagonal patch); 2**-1022 is the smallest normal double
+        log2_h = max((math.log2(side) - math.log2(res) for side in box.sides()), key=abs)
+        power = float(max(d + fp.sp, 2 * d, d + fp.p - fp.sp))
+        if power * abs(log2_h) > 1022:
+            raise ConfigError("support_box" if given else "domain",
+                              f"{res} cells per axis make cells of side 2**{log2_h:.1f}, whose"
+                              f" power {power:g} in the seminorm leaves the double range")
         return quad.GridSpec(res, box)
 
     def scale(self) -> float | None:
@@ -447,7 +458,7 @@ def _cmd_seminorm(cfg: ExperimentConfig) -> Work:
     fp = cfg.frac()
     domain = cfg.domain(fp.d)
     u = cfg.test_function()
-    spec = cfg.grid(domain)
+    spec = cfg.grid(domain, fp)
     threads = cfg.threads
 
     def work():
@@ -466,7 +477,7 @@ def _cmd_hardy_check(cfg: ExperimentConfig) -> Work:
     case = cfg.case()
     domain = cfg.domain(case.fp.d)
     u = cfg.test_function()
-    spec = cfg.grid(domain)
+    spec = cfg.grid(domain, case.fp)
     R, threads = cfg.scale(), cfg.threads
 
     def work():
@@ -488,7 +499,7 @@ def _cmd_hardy_check(cfg: ExperimentConfig) -> Work:
 def _cmd_estimate_constant(cfg: ExperimentConfig) -> Work:
     case = cfg.case()
     domain = cfg.domain(case.fp.d)
-    spec = cfg.grid(domain)
+    spec = cfg.grid(domain, case.fp)
     R, threads = cfg.scale(), cfg.threads
     family = cfg.family(case.fp.d)
     if isinstance(family, exp.BoundaryBumpFamily):  # each member [h, h + width] in the box

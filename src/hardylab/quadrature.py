@@ -16,12 +16,15 @@ Determinism contract: single sums are correctly rounded (``math.fsum``),
 so they do not depend on the summation order.  The double sum over cell
 pairs is split into fixed pieces whose partial sums are combined in a fixed
 order: one partial per run offset and fixed-size chunk of a run's cells,
-in offset order.  On an even-p box it is one partial from FFTs on one
-worker, of the values less their median; where its positive terms exceed
-it by more than ``_FFT_CANCELLATION`` times, the sweep's partials replace
-it.  The worker thread count is an argument of ``gagliardo_seminorm``; the
-threads only compute the sweep's partials, so results are bit-identical
-for any thread count.
+in offset order.  Where the runs shrink (the dyadic blocks), the offsets
+past the first ``_CUT_HEAD`` stop where a rigorous bound of the rest falls
+to ``_TAIL_CUT`` (2^-53, the unit roundoff) of the sum so far, a point set
+by the grid and the values alone.  On an even-p box it is one partial from
+FFTs on one worker, of the values less their median; where its positive
+terms exceed it by more than ``_FFT_CANCELLATION`` times, the sweep's
+partials replace it.  The worker thread count is an argument of
+``gagliardo_seminorm``; the threads only compute the sweep's partials, so
+results are bit-identical for any thread count.
 
 The Gagliardo seminorm
 
@@ -222,19 +225,30 @@ def union_grid(boxes: Sequence[Box], cells_per_axis: int) -> Grid:
 def run_grid(base: Grid, runs: int, scale: float = 1.0, step=0.0) -> Grid:
     """``runs`` copies of ``base``, run j its image under the j-th power of
     the similarity x -> scale x + step, cell by cell: centres mapped, sides
-    times scale^j, weights the product of the sides.
+    times scale^j, weights the product of the sides.  The similarity is a
+    dilation (``scale``) or a translation (``step``), not both, so run j is
+    run j - 1 times scale or plus step: one ``multiply.accumulate`` or
+    ``add.accumulate`` over the runs.
 
     The seminorm sums the pairs of such a grid by run offset, from one
     kernel table per offset between run 0 and that run.
     """
     if runs < 1:
         raise ParameterError("need at least one run")
-    centers, sides = [base.centers], [base.sides]
-    for _ in range(runs - 1):
-        centers.append(scale * centers[-1] + step)
-        sides.append(scale * sides[-1])
-    sides = np.concatenate(sides)
-    grid = Grid(np.concatenate(centers), sides, np.prod(sides, axis=-1))
+    if not scale > 0:
+        raise ParameterError(f"run scale must be positive, got {scale!r}")
+    if scale != 1 and np.any(np.asarray(step) != 0):
+        raise ParameterError("a run grid's similarity is a scale or a step, not both")
+
+    def repeated(first, op, by):  # first, first op by, (first op by) op by, ...
+        stack = np.empty((runs,) + first.shape)
+        stack[0], stack[1:] = first, by
+        return op.accumulate(stack, axis=0).reshape(-1, first.shape[-1])
+
+    sides = repeated(base.sides, np.multiply, scale)
+    centers = (repeated(base.centers, np.add, step) if scale == 1
+               else repeated(base.centers, np.multiply, scale))
+    grid = Grid(centers, sides, np.prod(sides, axis=-1))
     object.__setattr__(grid, "planes", runs)
     return grid
 
@@ -311,6 +325,12 @@ _LATTICE_ULPS = 4
 #: cells at p = 2 and 4 the FFT's relative error stayed below the double
 #: epsilon times this ratio, so the bound keeps it below about 2.2e-13
 _FFT_CANCELLATION = 1e3
+
+#: run offsets the sweep of a grid of shrinking runs sums before it bounds
+#: the rest, and the share of their sum below which it drops that rest (the
+#: unit roundoff: the sum moves by no more than one rounding of it)
+_CUT_HEAD = 8
+_TAIL_CUT = 2.0**-53
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +593,7 @@ def _abs_pow(x: np.ndarray, p: float) -> np.ndarray:
     return x
 
 
-def _plane_sweep(U, p, kernel, threads, m=None, scale=None):
+def _plane_sweep(U, p, kernel, threads, m=None, scale=None, tail=None):
     """Pair sums of the cells of n0 planes of n_rest cells, by plane offset.
 
     ``U`` holds the values, shape (n0, n_rest).  Two distinct cells are
@@ -587,9 +607,18 @@ def _plane_sweep(U, p, kernel, threads, m=None, scale=None):
     strict upper triangle): a chunk's columns start at its first row, and
     its leading square, which is symmetric with a zero diagonal, counts
     half.  One partial per (k0, row chunk), in that order.
+
+    ``tail[r]``, if given, bounds the sum of the partials of the offsets
+    k0 >= r at values of spread (max U - min U) 1.  The offsets below
+    ``_CUT_HEAD`` are swept first; L is the ``math.fsum`` of their
+    partials, and the sweep stops at the least offset r >= ``_CUT_HEAD``
+    with tail[r] spread^p <= ``_TAIL_CUT`` L.  Every partial is >= 0, so
+    the offsets dropped add at most ``_TAIL_CUT`` of the sum returned.  r
+    depends on the values alone, not on ``threads``.
     """
     n0, n_rest = U.shape
     rows = max(1, _PAIR_CHUNK // n_rest)
+    chunks = range(0, n_rest, rows)
 
     def one_chunk(item) -> float:
         k0, a0 = item
@@ -613,8 +642,41 @@ def _plane_sweep(U, p, kernel, threads, m=None, scale=None):
             return 0.5 * float(np.sum(TK[:, : a1 - a0])) + float(np.sum(TK[:, a1 - a0 :]))
         return float(np.sum(TK))
 
-    items = [(k0, a0) for k0 in range(n0) for a0 in range(0, n_rest, rows)]
-    return _map_in_order(one_chunk, items, threads)
+    def swept(k_lo, k_hi) -> list:
+        items = [(k0, a0) for k0 in range(k_lo, k_hi) for a0 in chunks]
+        return _map_in_order(one_chunk, items, threads)
+
+    if tail is None:
+        return swept(0, n0)
+    head = swept(0, min(_CUT_HEAD, n0))
+    limit = _TAIL_CUT * math.fsum(head)
+    with np.errstate(over="ignore"):
+        spread = float(np.ptp(U) ** p)
+    stop = next((r for r in range(_CUT_HEAD, n0) if tail[r] * spread <= limit), n0)
+    return head + swept(_CUT_HEAD, stop)
+
+
+def _offset_tails(grid: Grid, scale, kernel_expo: float) -> list[float]:
+    """Bounds of the run sweep's partials of offsets k0 >= r, for r = 0..n0,
+    at values of spread 1 (see ``_plane_sweep``).
+
+    Every pair of cells of run 0 and run k >= 1 lies at least delta_k apart,
+    the distance between the bounding boxes of the two runs' centres, so
+    the kernel of offset k sums to at most W_0 W_k / delta_k^e (W_j the
+    weight of run j; infinite where the boxes touch), and its partial to at
+    most that times the sum of the row scales x0 < n0 - k.  Offset 0 has no
+    bound.
+    """
+    n0 = grid.planes
+    centres = grid.centers.reshape(n0, -1, grid.d)
+    lo, hi = centres.min(axis=1), centres.max(axis=1)
+    gap = np.maximum(0.0, np.maximum(lo[1:] - hi[0], lo[0] - hi[1:]))
+    delta = np.sqrt(np.sum(gap * gap, axis=1))  # run offsets 1..n0-1
+    W = grid.weights.reshape(n0, -1).sum(axis=1)
+    rows = np.cumsum(np.ones(n0) if scale is None else scale)[-2::-1]  # x0 < n0 - k
+    with np.errstate(divide="ignore"):
+        bound = rows * W[0] * W[1:] / delta**kernel_expo
+    return [math.inf] + np.cumsum(bound[::-1])[::-1].tolist() + [0.0]
 
 
 def _lattice_sides(grid: Grid) -> np.ndarray | None:
@@ -715,6 +777,14 @@ def _pair_sums(grid: Grid, p, kernel_expo, kept=None):
     while all of them fit in one chunk (n0 n^2 <= ``_PAIR_CHUNK`` for n0
     runs of n cells) and built per use above that.  Two threads may build
     one twice; the two are equal.
+
+    Runs that shrink (lam != 1: the blocks of ``slab_graded_grid``) get the
+    bounds of ``_offset_tails``, made here, and the sweep drops the run
+    offsets whose bounded sum is below ``_TAIL_CUT`` (2^-53) of the sum of
+    the first ``_CUT_HEAD`` (8); at sp = 1 in d = 1 the kernel of blocks k
+    apart decays like 2^-k, and the level-8 probe grid sums 67 to 72 of its
+    389 offsets.  Runs with lam = 1 (boxes, telescope columns) decay only
+    polynomially and are swept whole.
     """
     n0 = grid.planes
     n = grid.ncells // n0
@@ -729,6 +799,7 @@ def _pair_sums(grid: Grid, p, kernel_expo, kept=None):
         return U.reshape(n0, n)
 
     m = None if kept is None else scattered(1.0)
+    tail = None if lam == 1 else _offset_tails(grid, scale, kernel_expo)
     tables, keep = {}, n0 * n * n <= _PAIR_CHUNK
     h, fft = _lattice_sides(grid), None
     if h is None:
@@ -784,7 +855,7 @@ def _pair_sums(grid: Grid, p, kernel_expo, kept=None):
             if positive <= _FFT_CANCELLATION * total:
                 return [0.5 * w2 * total]
         U = vals.reshape(n0, n) if kept is None else scattered(vals)
-        return _plane_sweep(U, p, kernel, threads, m, scale)
+        return _plane_sweep(U, p, kernel, threads, m, scale, tail)
 
     return sums
 

@@ -408,6 +408,32 @@ def test_probe_cells_per_block_limit():
         ExperimentConfig.from_dict(dict(PROBE_CFG, cells_per_block=2**20 // 101 + 1))
 
 
+def test_seminorm_cell_side_range(tmp_path: Path, capsys):
+    # 16 cells per axis on [0, 1e-160]^2 make cells of side 2^-535.5, whose
+    # kernel power h^-3 overflows: exit 2 naming the domain, with no
+    # RuntimeWarning (an error here) and no NaN written.  On [0, 1e-70]^2
+    # every power fits, and the seminorm is the unit box's times
+    # lambda^{(d - sp)/p} = 1e-35
+    def seminorm(hi):
+        cfg = dict(SEMINORM_CFG, domain={"kind": "box", "lo": [0, 0], "hi": [hi, hi]},
+                   frac={"d": 2, "p": "2", "s": "1/2", "tau": "2"}, resolution=16,
+                   u={"kind": "tensor_bump", "center": [hi / 2] * 2, "radius": [0.3 * hi] * 2})
+        cfg_path = tmp_path / "tiny.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        return code, capsys.readouterr().err
+
+    code, err = seminorm(1e-160)
+    assert code == 2 and "'domain'" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+    values = []
+    for hi in (1.0, 1e-70):
+        assert seminorm(hi)[0] == 0
+        values.append(json.loads((tmp_path / "o" / "summary.json").read_text())
+                      ["results"]["seminorm"])
+    assert values[1] == pytest.approx(1e-35 * values[0], rel=1e-9)
+
+
 def test_telescope_grid_limit():
     # the deepest seminorm's grid: layers m and m + 1 below layer -1, layer
     # -1 alone; in d = 1 each layer is one cube of cells_per_cube cells

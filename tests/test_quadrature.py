@@ -403,6 +403,120 @@ def test_graded_sum_matches_pair_blocks(levels, n, p, sp, monkeypatch):
         assert graded == pytest.approx(blocks, rel=1e-12)
 
 
+def swept_offsets(monkeypatch):
+    """The run offsets each later ``_plane_sweep`` call hands its kernel,
+    one set per call."""
+    calls = []
+    sweep = quad._plane_sweep
+
+    def recording(U, p, kernel, *rest):
+        calls.append(set())
+
+        def kernel_seen(k0, *args):
+            calls[-1].add(k0)
+            return kernel(k0, *args)
+
+        return sweep(U, p, kernel_seen, *rest)
+
+    monkeypatch.setattr(quad, "_plane_sweep", recording)
+    return calls
+
+
+def cut_and_full(grid, p, kernel_expo, vals, monkeypatch, threads=1):
+    """The pair sum of the sweep with its tail cut and with the cut off (a
+    share of 0 keeps every offset), and the offsets each swept."""
+    calls = swept_offsets(monkeypatch)
+    cut = quad.kahan_sum(quad._pair_sums(grid, p, kernel_expo)(vals, threads))
+    monkeypatch.setattr(quad, "_TAIL_CUT", 0.0)
+    full = quad.kahan_sum(quad._pair_sums(grid, p, kernel_expo)(vals, threads))
+    monkeypatch.undo()
+    return cut, full, calls
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("n", [8, 16])
+def test_tail_cut_on_the_probe_grid(n, p, monkeypatch):
+    # the level-8 probe grid has 389 blocks; at sp = 1 the pair weight of
+    # blocks k apart decays like 2^-k, so the bounded tail falls below half
+    # an ulp of the sum within 80 offsets, and the sum moves by at most its
+    # rounding
+    family = exp.LogSpikeFamily()
+    grid = family.grid(8, n)
+    assert grid.planes == 389
+    vals = family.member(8)(grid.centers)
+    cut, full, calls = cut_and_full(grid, p, 2.0, vals, monkeypatch)
+    assert cut == pytest.approx(full, rel=2.0**-52, abs=0)
+    assert len(calls) == 2
+    assert calls[0] == set(range(len(calls[0]))) and 63 <= len(calls[0]) <= 80
+    assert calls[1] == set(range(389))
+
+
+@pytest.mark.parametrize("support", ["random", "deep-run"])
+def test_tail_cut_with_row_scales(support, monkeypatch):
+    # d = 1, p = 2, s = 1/4: e = 1.5 != 2d, so run x0's rows are scaled by
+    # 2^{-x0/2}.  Values on one deep run make the head sum L tiny against
+    # the bound, which then keeps more offsets (85 of 101, against 56 at
+    # random values); either way the sum matches the full sweep and the
+    # row-block oracle
+    grid = exp.slab_graded_grid(100, 8)
+    rng = np.random.default_rng(3)
+    if support == "random":
+        vals = rng.standard_normal(grid.ncells)
+    else:
+        vals = np.zeros(grid.ncells)
+        vals[60 * 8 : 61 * 8] = rng.standard_normal(8)
+    cut, full, calls = cut_and_full(grid, 2.0, 1.5, vals, monkeypatch)
+    assert cut == pytest.approx(full, rel=2.0**-52, abs=0)
+    assert cut == pytest.approx(quad.kahan_sum(row_block_sums(vals, grid, 2.0, 1.5)), rel=1e-12)
+    assert len(calls[0]) < grid.planes
+
+
+def test_tail_cut_threads_bit_identical():
+    # the cut point depends on the head sum and the values, which do not
+    # depend on the thread count
+    family = exp.LogSpikeFamily()
+    grid = family.grid(6, 8)
+    vals = family.member(6)(grid.centers)
+    sums = quad._pair_sums(grid, 2.0, 2.0)
+    one = sums(vals, 1)
+    assert len(one) < grid.planes
+    assert sums(vals, 2) == one
+
+
+def test_tail_cut_only_on_shrinking_runs(monkeypatch):
+    # runs moved by a step (lambda = 1) keep every offset: their kernels
+    # decay only polynomially, and they get no bound
+    grid = SHIFTED_GRIDS["gapped-2d"]
+    calls = swept_offsets(monkeypatch)
+    quad._pair_sums(grid, 3.0, 2.5)(np.random.default_rng(2).standard_normal(grid.ncells), 1)
+    assert calls == [set(range(grid.planes))]
+
+
+def loop_run_grid(base, runs, scale=1.0, step=0.0):
+    """Centres and sides of ``run_grid``, one run at a time."""
+    centers, sides = [base.centers], [base.sides]
+    for _ in range(runs - 1):
+        centers.append(scale * centers[-1] + step)
+        sides.append(scale * sides[-1])
+    return np.concatenate(centers), np.concatenate(sides)
+
+
+def test_run_grid_accumulates_like_the_loop():
+    # the level-8 probe grid's blocks (a scale), a box's axis-0 planes and
+    # a telescope layer pair's columns (a step): one accumulate gives the
+    # bits of the loop over the runs
+    for grid, kw in [(exp.LogSpikeFamily().grid(8, 16), {"scale": 0.5}),
+                     (quad.union_grid([SQUARE], 32), {"step": (1 / 32, 0.0)}),
+                     (telescope_grids(2, -3, 4)[0], {"step": (0.25, 0.0)})]:
+        centers, sides = loop_run_grid(first_run(grid), grid.planes, **kw)
+        assert np.array_equal(grid.centers, centers) and np.array_equal(grid.sides, sides)
+        assert np.array_equal(grid.weights, np.prod(sides, axis=-1))
+    with pytest.raises(ParameterError, match="scale or a step"):
+        quad.run_grid(first_run(grid), 4, scale=0.5, step=(0.25, 0.0))
+    with pytest.raises(ParameterError, match="positive"):
+        quad.run_grid(first_run(grid), 4, scale=-0.5)
+
+
 def first_run(grid):
     """Run 0 of a run grid, as a grid of one run."""
     n = grid.ncells // grid.planes
