@@ -6,11 +6,12 @@ epigraph clips) produce the same ``Grid`` value, so every functional below
 works on any of them.  ``run_grid`` repeats a base grid under the powers of
 one similarity (the axis-0 planes of a box, a telescope layer pair's
 columns of cubes, the dyadic blocks of the 1-D graded mesh) and is the
-only code that sets a grid's runs; any other grid is one run.  A masked
-box keeps its whole box grid, whose runs its pair sum sweeps.  One plane
-sweep sums the seminorm's cell pairs by run offset, except on a box in
-d >= 2 at an even integer p <= 8, whose pair sum is a few FFT
-convolutions with the box's table of offset powers.
+only code that sets a grid's runs; any other grid is one run.
+``union_grid`` marks the grid of a single box in d >= 2 as such
+(``Grid.lattice``), and a masked box keeps that grid, whose runs its pair
+sum sweeps.  One plane sweep sums the seminorm's cell pairs by run offset,
+except on a box in d >= 2 at an even integer p <= 8, whose pair sum is a
+few FFT convolutions with the box's table of offset powers.
 
 Determinism contract: single sums are correctly rounded (``math.fsum``),
 so they do not depend on the summation order.  The double sum over cell
@@ -167,17 +168,21 @@ class Grid:
     Node order is the construction order and is part of the value; all
     summation contracts reference it.  The cells are ``planes`` runs of
     equally many cells, run j the image of run 0 under the j-th power of
-    one similarity (see ``run_grid``).  Only ``run_grid`` sets ``planes``,
-    and only ``masked_grid`` sets ``within``: the box grid whose cells it
-    keeps and the flat indices of the kept cells in it.  A constructor or
-    ``dataclasses.replace`` can set neither, so a grid built either way is
-    one run that stands alone.
+    one similarity (see ``run_grid``).  ``lattice`` marks the n^d cells of
+    one box in C order, d >= 2, whose runs are its n axis-0 planes, and
+    ``within`` holds the box grid whose cells a masked grid keeps and the
+    flat indices of the kept cells in it.  Each of these has one setter:
+    ``run_grid`` sets ``planes``, ``union_grid`` sets ``lattice`` and
+    ``masked_grid`` sets ``within``.  A constructor or
+    ``dataclasses.replace`` can set none of them, so a grid built either
+    way is one unmarked run that stands alone.
     """
 
     centers: np.ndarray  # (M, d)
     sides: np.ndarray  # (M, d)
     weights: np.ndarray  # (M,)
     planes: int = field(default=1, init=False)
+    lattice: bool = field(default=False, init=False)
     within: tuple[Grid, np.ndarray] | None = field(default=None, init=False)
 
     def __post_init__(self):
@@ -203,7 +208,8 @@ def union_grid(boxes: Sequence[Box], cells_per_axis: int) -> Grid:
     The boxes are assumed disjoint; each gets ``cells_per_axis`` cells per
     axis, in C order, so geometrically graded meshes refine toward small
     boxes.  A single box in d >= 2 is the ``run_grid`` of its first axis-0
-    plane of cells: plane j is plane 0 moved j cell sides along axis 0.
+    plane of cells, plane j plane 0 moved j cell sides along axis 0, and is
+    marked ``lattice``: the only grid that is.
     """
     if not boxes:
         raise ParameterError("need at least one box")
@@ -219,7 +225,11 @@ def union_grid(boxes: Sequence[Box], cells_per_axis: int) -> Grid:
         centers[..., a] = ticks[:, a, :k].reshape((B,) + (1,) * a + (k,) + (1,) * (d - a - 1))
     sides = np.repeat(h, math.prod(counts), axis=0)
     grid = Grid(centers.reshape(-1, d), sides, np.prod(sides, axis=-1))
-    return grid if runs == 1 else run_grid(grid, runs, step=np.eye(d)[0] * h[0, 0])
+    if runs == 1:
+        return grid
+    box = run_grid(grid, runs, step=np.eye(d)[0] * h[0, 0])
+    object.__setattr__(box, "lattice", True)
+    return box
 
 
 def run_grid(base: Grid, runs: int, scale: float = 1.0, step=0.0) -> Grid:
@@ -315,10 +325,6 @@ def kahan_sum(values: np.ndarray) -> float:
 #: element budget of one chunk of the plane sweep; fixed so partial sums
 #: are independent of the thread count
 _PAIR_CHUNK = 1 << 17
-
-#: rounding tolerance of the box test, in ulps of an axis's largest
-#: coordinate magnitude per cell of the axis (see ``_lattice_sides``)
-_LATTICE_ULPS = 4
 
 #: largest ratio of the FFT pair sum's positive terms to the sum itself,
 #: past which the sweep sums the pairs instead.  On boxes of 32^2 to 256^2
@@ -593,15 +599,15 @@ def _abs_pow(x: np.ndarray, p: float) -> np.ndarray:
     return x
 
 
-def _plane_sweep(U, p, kernel, threads, m=None, scale=None, tail=None):
+def _plane_sweep(U, p, kernel, threads, m=None, tail=None):
     """Pair sums of the cells of n0 planes of n_rest cells, by plane offset.
 
     ``U`` holds the values, shape (n0, n_rest).  Two distinct cells are
     k0 >= 0 planes apart; for each k0 and each chunk of rows a of the plane,
 
-        T[a, b] = sum over x0 of scale(x0) |U(x0, a) - U(x0 + k0, b)|^p m(x0, a) m(x0 + k0, b)
+        T[a, b] = sum over x0 of |U(x0, a) - U(x0 + k0, b)|^p m(x0, a) m(x0 + k0, b)
 
-    (a factor left as None is 1) is contracted with ``kernel(k0, a0, a1,
+    (m left as None is 1) is contracted with ``kernel(k0, a0, a1,
     c0)``, the kernel between the rows a0:a1 of a plane and the columns c0:
     of the plane k0 further on.  At k0 = 0 only the pairs b > a count (the
     strict upper triangle): a chunk's columns start at its first row, and
@@ -633,8 +639,6 @@ def _plane_sweep(U, p, kernel, threads, m=None, scale=None, tail=None):
             if m is not None:
                 diff *= m[x0:x1, a0:a1, None]
                 diff *= m[x0 + k0 : x1 + k0, None, c0:]
-            if scale is not None:
-                diff *= scale[x0:x1, None, None]
             T += diff.sum(axis=0)
         with np.errstate(invalid="ignore"):
             TK = T * kernel(k0, a0, a1, c0)
@@ -656,7 +660,7 @@ def _plane_sweep(U, p, kernel, threads, m=None, scale=None, tail=None):
     return head + swept(_CUT_HEAD, stop)
 
 
-def _offset_tails(grid: Grid, scale, kernel_expo: float) -> list[float]:
+def _offset_tails(grid: Grid, kernel_expo: float) -> list[float]:
     """Bounds of the run sweep's partials of offsets k0 >= r, for r = 0..n0,
     at values of spread 1 (see ``_plane_sweep``).
 
@@ -664,8 +668,8 @@ def _offset_tails(grid: Grid, scale, kernel_expo: float) -> list[float]:
     the distance between the bounding boxes of the two runs' centres, so
     the kernel of offset k sums to at most W_0 W_k / delta_k^e (W_j the
     weight of run j; infinite where the boxes touch), and its partial to at
-    most that times the sum of the row scales x0 < n0 - k.  Offset 0 has no
-    bound.
+    most that times n0 - k, the number of runs x0 it pairs with run x0 + k.
+    Offset 0 has no bound.
     """
     n0 = grid.planes
     centres = grid.centers.reshape(n0, -1, grid.d)
@@ -673,31 +677,10 @@ def _offset_tails(grid: Grid, scale, kernel_expo: float) -> list[float]:
     gap = np.maximum(0.0, np.maximum(lo[1:] - hi[0], lo[0] - hi[1:]))
     delta = np.sqrt(np.sum(gap * gap, axis=1))  # run offsets 1..n0-1
     W = grid.weights.reshape(n0, -1).sum(axis=1)
-    rows = np.cumsum(np.ones(n0) if scale is None else scale)[-2::-1]  # x0 < n0 - k
+    rows = np.arange(n0 - 1, 0, -1)  # x0 < n0 - k
     with np.errstate(divide="ignore"):
         bound = rows * W[0] * W[1:] / delta**kernel_expo
     return [math.inf] + np.cumsum(bound[::-1])[::-1].tolist() + [0.0]
-
-
-def _lattice_sides(grid: Grid) -> np.ndarray | None:
-    """The cell sides h of a grid that is the n^d cells of one box in C
-    order, d >= 2, n = ``grid.planes``; None for any other grid.
-
-    All of these must hold: ``planes ** d == ncells``, every cell has the
-    sides of the first, and every centre lies on lo + h (i + 1/2), i its
-    multi-index and lo the first centre less h/2, to within
-    ``_LATTICE_ULPS`` n ulps of the largest coordinate magnitude on its
-    axis (``run_grid`` steps along axis 0 n times, one rounding each).
-    Runs spaced otherwise than one cell side fail the last test.
-    """
-    n, d = grid.planes, grid.d
-    if d < 2 or n**d != grid.ncells or np.any(grid.sides != grid.sides[0]):
-        return None
-    h = grid.sides[0]
-    index = np.indices((n,) * d).reshape(d, -1).T
-    lattice = (grid.centers[0] - 0.5 * h) + h * (index + 0.5)
-    tol = _LATTICE_ULPS * n * np.finfo(float).eps * np.max(np.abs(grid.centers), axis=0)
-    return h if np.all(np.abs(grid.centers - lattice) <= tol) else None
 
 
 def _offset_powers(n: int, h: np.ndarray, kernel_expo: float) -> np.ndarray:
@@ -758,25 +741,27 @@ def _pair_sums(grid: Grid, p, kernel_expo, kept=None):
     of ``grid`` at the flat indices ``kept``: they are scattered into the
     grid, and the other cells are masked out.
 
-    A box in d >= 2 (``_lattice_sides``) has one table of offset powers,
-    made here.  At an even integer p <= 8 its sum is one partial, from
-    ``_fft_pair_sum`` on the values less their median (which leaves every
-    difference as it is); if the positive terms exceed that sum more than
-    ``_FFT_CANCELLATION`` times, or at any other p, it is the sweep's.
+    A box in d >= 2 (``grid.lattice``, which ``union_grid`` sets) has one
+    table of offset powers, made here.  At an even integer p <= 8 its sum
+    is one partial, from ``_fft_pair_sum`` on the values less their median
+    (which leaves every difference as it is); if the positive terms exceed
+    that sum more than ``_FFT_CANCELLATION`` times, or at any other p, it
+    is the sweep's.
 
     The sweep takes the runs as the planes of ``_plane_sweep``, one partial
     per run offset and row chunk.  ``run_grid`` made run x0 the image of
     run 0 under the x0-th power of one similarity x -> lam x + t, so cell a
     of run x0 and cell b of run x0 + k0 lie lam^{x0} times as far apart as
     cell a of run 0 and cell b of run k0, and each weighs lam^{x0 d} times
-    as much: their kernel x weights is that of run 0 and run k0, one table
-    per offset and row chunk, times lam^{x0 (2d - e)}, which scales the
-    rows of run x0 (no scale when lam = 1 or 2d = e).  A box gathers each
-    table from its offset powers; any other grid raises the distances of
-    run 0 and run k0 to the power.  The tables are kept for the next values
-    while all of them fit in one chunk (n0 n^2 <= ``_PAIR_CHUNK`` for n0
-    runs of n cells) and built per use above that.  Two threads may build
-    one twice; the two are equal.
+    as much: their kernel x weights is that of run 0 and run k0 times
+    lam^{x0 (2d - e)}.  Where lam = 1 or 2d = e that factor is 1, and there
+    is one table per offset and row chunk; a grid of shrinking runs at
+    2d != e (which no command builds: the probe runs at d = 1, sp = 1) is
+    summed as one run.  A box gathers each table from its offset powers;
+    any other grid raises the distances of run 0 and run k0 to the power.
+    The tables are kept for the next values while all of them fit in one
+    chunk (n0 n^2 <= ``_PAIR_CHUNK`` for n0 runs of n cells) and built per
+    use above that.  Two threads may build one twice; the two are equal.
 
     Runs that shrink (lam != 1: the blocks of ``slab_graded_grid``) get the
     bounds of ``_offset_tails``, made here, and the sweep drops the run
@@ -787,11 +772,11 @@ def _pair_sums(grid: Grid, p, kernel_expo, kept=None):
     polynomially and are swept whole.
     """
     n0 = grid.planes
+    lam = grid.sides[grid.ncells // n0, 0] / grid.sides[0, 0] if n0 > 1 else 1.0
+    if lam != 1 and 2 * grid.d != kernel_expo:
+        n0, lam = 1, 1.0
     n = grid.ncells // n0
     w = grid.weights.reshape(n0, n)
-    lam = grid.sides[n, 0] / grid.sides[0, 0] if n0 > 1 else 1.0
-    grading = 2 * grid.d - kernel_expo
-    scale = None if lam == 1 or grading == 0 else lam ** (np.arange(n0) * grading)
 
     def scattered(values):
         U = np.zeros(grid.ncells)
@@ -799,10 +784,10 @@ def _pair_sums(grid: Grid, p, kernel_expo, kept=None):
         return U.reshape(n0, n)
 
     m = None if kept is None else scattered(1.0)
-    tail = None if lam == 1 else _offset_tails(grid, scale, kernel_expo)
+    tail = None if lam == 1 else _offset_tails(grid, kernel_expo)
     tables, keep = {}, n0 * n * n <= _PAIR_CHUNK
-    h, fft = _lattice_sides(grid), None
-    if h is None:
+    fft = None
+    if not grid.lattice:
         axes = grid.centers.reshape(n0, n, grid.d).transpose(0, 2, 1).copy()  # (run, axis, cell)
 
         def build(k0, a0, a1, c0):
@@ -821,7 +806,7 @@ def _pair_sums(grid: Grid, p, kernel_expo, kept=None):
                 np.fill_diagonal(K, 0.0)  # a cell with itself; T is 0 there
             return K
     else:
-        offsets = _offset_powers(n0, h, kernel_expo)
+        offsets = _offset_powers(n0, grid.sides[0], kernel_expo)
         planar = offsets.reshape(n0, n)  # (axis-0 offset, offset within a plane)
         index = np.indices((n0,) * (grid.d - 1)).reshape(grid.d - 1, -1)
         strides = n0 ** np.arange(grid.d - 2, -1, -1)
@@ -855,7 +840,7 @@ def _pair_sums(grid: Grid, p, kernel_expo, kept=None):
             if positive <= _FFT_CANCELLATION * total:
                 return [0.5 * w2 * total]
         U = vals.reshape(n0, n) if kept is None else scattered(vals)
-        return _plane_sweep(U, p, kernel, threads, m, scale, tail)
+        return _plane_sweep(U, p, kernel, threads, m, tail)
 
     return sums
 

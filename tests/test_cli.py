@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -702,3 +703,19 @@ def test_fuzzed_config_field_never_crashes(data):
             code = cli.main(["--config", str(cfg_path), "--out", str(Path(tmp) / "o")])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+def test_payload_tool_hashes_every_run_alike_across_threads():
+    # tools/payloads.py on this checkout: one sha256 per run, 52 runs, and a
+    # config's payload is the same at either thread count or layout
+    tool = Path(__file__).resolve().parents[1] / "tools" / "payloads.py"
+    proc = subprocess.run([sys.executable, str(tool), str(tool.parents[1])],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = dict(line.split(" ", 1) for line in proc.stdout.splitlines())
+    assert len(lines) == len(proc.stdout.splitlines()) == 52
+    assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest in lines.values()), lines
+    alike = {}
+    for name, digest in lines.items():
+        alike.setdefault(re.sub(r"threads-\d|default|swapped", "*", name), set()).add(digest)
+    assert len(alike) == 26 and all(len(d) == 1 for d in alike.values())

@@ -392,7 +392,9 @@ def test_graded_sum_matches_pair_blocks(levels, n, p, sp, monkeypatch):
     # the run-offset sweep over the blocks of a graded grid and the
     # row-block sum see the same grid and must count the same pairs with
     # the same kernel and weights; a chunk of 3n splits each block into row
-    # chunks of 3 and sums T one block at a time
+    # chunks of 3 and sums T one block at a time.  At sp != 1 the blocks'
+    # pairs do not weigh as those of block 0 (2d != e), so the grid is
+    # summed as one run, split into row chunks by the same budget
     grid = exp.slab_graded_grid(levels, n)
     assert (grid.planes, grid.ncells) == (levels + 1, (levels + 1) * n)
     vals = np.random.default_rng(11).standard_normal(grid.ncells)
@@ -452,23 +454,42 @@ def test_tail_cut_on_the_probe_grid(n, p, monkeypatch):
 
 
 @pytest.mark.parametrize("support", ["random", "deep-run"])
-def test_tail_cut_with_row_scales(support, monkeypatch):
-    # d = 1, p = 2, s = 1/4: e = 1.5 != 2d, so run x0's rows are scaled by
-    # 2^{-x0/2}.  Values on one deep run make the head sum L tiny against
-    # the bound, which then keeps more offsets (85 of 101, against 56 at
-    # random values); either way the sum matches the full sweep and the
-    # row-block oracle
+def test_shrinking_runs_off_the_critical_line_are_one_run(support, monkeypatch):
+    # d = 1, p = 2, s = 1/4: e = 1.5 != 2d, so the pairs of blocks k apart
+    # do not weigh as those of block 0 and block k, and the 101 blocks are
+    # summed as one run: one sweep of the one offset 0.  Values on one deep
+    # block or everywhere, the sum matches the row-block oracle
     grid = exp.slab_graded_grid(100, 8)
+    assert grid.planes == 101
     rng = np.random.default_rng(3)
     if support == "random":
         vals = rng.standard_normal(grid.ncells)
     else:
         vals = np.zeros(grid.ncells)
         vals[60 * 8 : 61 * 8] = rng.standard_normal(8)
-    cut, full, calls = cut_and_full(grid, 2.0, 1.5, vals, monkeypatch)
-    assert cut == pytest.approx(full, rel=2.0**-52, abs=0)
-    assert cut == pytest.approx(quad.kahan_sum(row_block_sums(vals, grid, 2.0, 1.5)), rel=1e-12)
-    assert len(calls[0]) < grid.planes
+    calls = swept_offsets(monkeypatch)
+    got = quad.kahan_sum(quad._pair_sums(grid, 2.0, 1.5)(vals, 1))
+    assert calls == [{0}]
+    assert got == pytest.approx(quad.kahan_sum(row_block_sums(vals, grid, 2.0, 1.5)), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", ["2", "3"])
+@pytest.mark.parametrize("case_id", ["1b", "1c", "2a", "2b", "3b", "3c"])
+def test_probe_grids_keep_runs_and_tail_cut(case_id, p, monkeypatch):
+    # every case the probe accepts has d = 1 and sp = 1, so e = 2d: its
+    # graded grids are swept by block offset with the tail cut, never as
+    # one run.  The level-6 grid has 101 blocks
+    tau = "3/2" if case_id in ("1c", "2b", "3c") else p
+    case = hardy.HardyCase(case_id, fp(1, p, Fraction(1, int(p)), tau))
+    runs, offsets = [], swept_offsets(monkeypatch)
+    sweep = quad._plane_sweep
+    monkeypatch.setattr(quad, "_plane_sweep",
+                        lambda U, *rest: runs.append(len(U)) or sweep(U, *rest))
+    (result,) = exp.blowup_probe(case, (0,), geo.Slab(n=1, d=1),
+                                 exp.LogSpikeFamily(level_range=(6, 6)))
+    assert len(result.levels) == 1
+    assert runs == [101]
+    assert offsets[0] == set(range(len(offsets[0]))) and len(offsets[0]) < 101
 
 
 def test_tail_cut_threads_bit_identical():
@@ -541,7 +562,8 @@ SHIFTED_GRIDS = {
     "two-boxes": quad.union_grid([SQUARE, geo.Box((1.0, 0.25), (1.5, 0.75))], 8),
     "reversed-graded": reversed_grid(exp.slab_graded_grid(10, 16)),
     # the boxes 2^{-j} [1/2, 1]^2: run j is run 0 scaled by 2^{-j} in d = 2,
-    # so each run's rows are scaled by 2^{-j (2d - e)}
+    # so the pairs of runs x0 and x0 + j would weigh 2^{-x0 (2d - e)} times
+    # those of runs 0 and j; at e != 2d = 4 the grid is summed as one run
     "similar-2d": quad.run_grid(quad.union_grid([geo.Box((0.5, 0.5), (1.0, 1.0))], 4), 6,
                                 scale=0.5),
     # the first axis-0 plane of the 32^2 box in 32 runs two cell sides
@@ -574,10 +596,11 @@ def test_shifted_sum_matches_pair_blocks(name, p, monkeypatch):
                                                        and grid.d > 1)
         assert (grid.planes > 1) == runs
     # a box in d >= 2 sums by FFT at an even p and gathers its sweep tables
-    # from its offset powers; the gapped runs pass the cell count test only
+    # from its offset powers; the gapped runs have a box's cell count, but
+    # are not marked as one
     lattice = name in BOX_CELLS and grid.d > 1
     assert (box.planes**box.d == box.ncells) == (lattice or name == "gapped-2d")
-    assert (quad._lattice_sides(box) is not None) == lattice
+    assert box.lattice == lattice
     sweeps = []
     sweep = quad._plane_sweep
     monkeypatch.setattr(quad, "_plane_sweep", lambda *args: sweeps.append(1) or sweep(*args))
@@ -644,7 +667,9 @@ def test_pair_tables_kept_within_one_chunk(n, d, builds, monkeypatch):
 def test_grid_planes_divide_cells():
     # only run_grid sets the runs: a grid whose halves are not one run
     # moved cannot be declared as 8 runs, and a run grid passed through
-    # replace is one run, whose pair sum is right for any cells
+    # replace is one run, whose pair sum is right for any cells.  Only
+    # union_grid marks a box: its grid of one box in d >= 2, whole, clipped
+    # to a box-shaped domain or kept whole under a mask, and no other grid
     grid = quad.union_grid([SQUARE, SQUARE.scaled(2.0)], 4)  # 32 cells
     assert grid.planes == 1
     for planes in (0, 3, 8, 64):
@@ -660,6 +685,24 @@ def test_grid_planes_divide_cells():
             == pytest.approx(quad.gagliardo_seminorm(u, None, params, runs), rel=1e-12))
     with pytest.raises(ParameterError, match="run"):
         quad.run_grid(grid, 0)
+
+    box = quad.uniform_grid(quad.GridSpec(16, SQUARE))
+    clipped = quad.domain_grid(geo.Slab(n=1, d=2), quad.GridSpec(16, geo.Box((-1, -1), (1, 1))))
+    masked = quad.domain_grid(L_SHAPE, quad.GridSpec(16, SQUARE))
+    for marked in (box, clipped, masked.within[0], quad.union_grid([CUBE], 8)):
+        assert marked.lattice
+    for unmarked in (quad.union_grid([UNIT], 16), grid, masked, *telescope_grids(2, -2, 4),
+                     exp.slab_graded_grid(6), SHIFTED_GRIDS["gapped-2d"], runs):
+        assert not unmarked.lattice
+    with pytest.raises(TypeError):
+        quad.Grid(box.centers, box.sides, box.weights, lattice=True)
+    with pytest.raises(ValueError, match="lattice"):
+        replace(box, lattice=True)
+    assert (replace(box).planes, replace(box).lattice) == (1, False)
+    for p in ("2", "3"):
+        params = fp(2, p, "1/3")
+        assert (quad.gagliardo_seminorm(u, None, params, replace(box))
+                == pytest.approx(quad.gagliardo_seminorm(u, None, params, box), rel=1e-12))
 
 
 @pytest.mark.parametrize("p,s", [(2, Fraction(1, 2)), (3, Fraction(1, 3))])

@@ -32,3 +32,29 @@ def test_every_private_module_name_is_used():
             for name in module_level_names(tree)
             if name.startswith("_") and not name.startswith("__") and name not in loaded]
     assert dead == []
+
+
+def test_each_structural_grid_field_has_one_setter():
+    # the fields a Grid's constructor cannot set say how its cells are
+    # laid out; the code that builds that layout sets each of them, once,
+    # so no second place decides a grid's structure
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    grid = next(node for node in ast.walk(trees["quadrature.py"])
+                if isinstance(node, ast.ClassDef) and node.name == "Grid")
+    structural = [node.target.id for node in grid.body
+                  if isinstance(node, ast.AnnAssign) and isinstance(node.value, ast.Call)
+                  and any(kw.arg == "init" and isinstance(kw.value, ast.Constant)
+                          and kw.value.value is False for kw in node.value.keywords)]
+    setters = {name: [] for name in structural}
+    for module, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(fn):
+                if (isinstance(call, ast.Call) and ast.unparse(call.func) == "object.__setattr__"
+                        and isinstance(call.args[1], ast.Constant)
+                        and call.args[1].value in setters):
+                    setters[call.args[1].value].append(f"{module}:{fn.name}")
+    assert setters == {"planes": ["quadrature.py:run_grid"],
+                       "lattice": ["quadrature.py:union_grid"],
+                       "within": ["quadrature.py:masked_grid"]}
