@@ -53,10 +53,6 @@ class ConfigError(ParameterError):
 #: grid-sized arrays, and the pair sum grows with the square of the cells
 _MAX_GRID_LOG2 = 20
 
-#: -log2 of the smallest telescope cell side: the pair kernel squares the
-#: side, and 2**-1022 is the smallest normal double
-_MIN_CELL_SIDE_LOG2 = 511
-
 #: most worker threads a config may ask for; the pair sum starts up to
 #: min(threads, plane chunks) OS threads, thousands on a 2**20-cell grid
 _MAX_THREADS = 64
@@ -88,6 +84,8 @@ class ExperimentConfig:
 
     command: str
     raw: dict = field(repr=False)
+    #: the key paths of ``raw`` that ``get`` has read
+    read: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     @staticmethod
     def parse(text: str, overrides: dict | None = None) -> "ExperimentConfig":
@@ -112,13 +110,16 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Check the fields every command has, then run the command's reads
-        (not its work)."""
+        (not its work); a field that none of them read is unknown."""
         self.resolution  # noqa: B018 - property access runs the checks
         self.seed
         self.threads
         if not isinstance(self.get("out", ""), str):
             raise ConfigError("out", f"must be a path string, got {self.raw['out']!r}")
         _DISPATCH[self.command](self)
+        unread = next(_unread(self.raw, self.read | {("command",)}), None)
+        if unread:
+            raise ConfigError(".".join(unread), f"unknown field of a {self.command} config")
 
     # -- typed readers: a JSON boolean is never a number ---------------------
 
@@ -126,6 +127,7 @@ class ExperimentConfig:
         """The value at the dotted ``path``, or ``default`` when it is absent
         (a field without a default is required)."""
         parts = path.split(".")
+        self.read.add(tuple(parts))
         node = self.raw
         for depth, key in enumerate(parts):
             if not isinstance(node, dict):
@@ -272,28 +274,19 @@ class ExperimentConfig:
 
     def grid(self, domain: geo.Domain, fp: quad.FracParams) -> quad.GridSpec:
         """``resolution`` cells per axis on ``support_box``, by default the
-        domain's bounding box, with cell sides whose powers in the
-        seminorm of ``fp`` stay normal doubles."""
+        domain's bounding box, within the size and range rules for ``fp``."""
         # the size comes first: a bounding box holds d coordinates per corner
         res, d = self.resolution, domain.d
-        if d * math.log2(res) > _MAX_GRID_LOG2:
-            raise ConfigError("resolution", f"a grid of {res}**{d} cells exceeds the limit"
-                              f" of 2**{_MAX_GRID_LOG2} cells")
+        _check_size("resolution", d * math.log2(res))
         given = self.box("support_box", None)
         box = given or domain.bounding_box()
         if box is None:
             raise ConfigError("support_box", "required for unbounded domains (truncation box)")
         if box.d != d:
             raise ConfigError("support_box", f"has dimension {box.d}, the domain {d}")
-        # the seminorm raises a cell side h to -(d + sp) (the kernel across
-        # one cell), 2d (the weights of two cells) and d + p - sp (the
-        # diagonal patch); 2**-1022 is the smallest normal double
-        log2_h = max((math.log2(side) - math.log2(res) for side in box.sides()), key=abs)
-        power = float(max(d + fp.sp, 2 * d, d + fp.p - fp.sp))
-        if power * abs(log2_h) > 1022:
-            raise ConfigError("support_box" if given else "domain",
-                              f"{res} cells per axis make cells of side 2**{log2_h:.1f}, whose"
-                              f" power {power:g} in the seminorm leaves the double range")
+        with _field("support_box" if given else "domain"):
+            quad.check_cell_side(fp, max((math.log2(side) - math.log2(res)
+                                          for side in box.sides()), key=abs))
         return quad.GridSpec(res, box)
 
     def scale(self) -> float | None:
@@ -345,6 +338,26 @@ class ExperimentConfig:
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
+
+
+def _check_size(path: str, log2_cells: float) -> None:
+    """Reject a largest grid of 2**log2_cells cells, naming ``path``."""
+    if log2_cells > _MAX_GRID_LOG2:
+        raise ConfigError(path, f"the largest grid holds 2**{log2_cells:.4f} cells, above the"
+                          f" limit of 2**{_MAX_GRID_LOG2}")
+
+
+def _unread(node: dict, read: set, prefix: tuple = ()):
+    """The key paths under ``node`` neither in ``read`` nor below a path in
+    it; of an object none of whose fields was read, only its own path."""
+    for key, value in node.items():
+        path = prefix + (key,)
+        if path in read:
+            continue
+        if isinstance(value, dict) and any(r[: len(path)] == path for r in read):
+            yield from _unread(value, read, path)
+        else:
+            yield path
 
 
 def _is_int(value) -> bool:
@@ -550,13 +563,13 @@ def _cmd_blowup_probe(cfg: ExperimentConfig) -> Work:
         raise ConfigError("expect", f"must map offsets from {probed} to 'diverging' or"
                           f" 'bounded', got {expect!r}")
     family = cfg.log_spike_family("levels")
-    # cells per dyadic block: the top level's graded grid stays within the
-    # grid limit
+    # the top level's graded grid: blocks of cells halving in side from
+    # 2^-1 / cells down to 2^-blocks / cells
     cells = cfg.integer("cells_per_block", 8, hi=2**_MAX_GRID_LOG2)
     blocks = family.grid_levels(family.level_range[1]) + 1
-    if blocks * cells > 2**_MAX_GRID_LOG2:
-        raise ConfigError("cells_per_block", f"{blocks} blocks of {cells} cells exceed the"
-                          f" limit of 2**{_MAX_GRID_LOG2} cells")
+    _check_size("cells_per_block", math.log2(blocks * cells))
+    with _field("levels"):
+        quad.check_cell_side(case.fp, -blocks - math.log2(cells))
     threshold, threads = cfg.number("growth_threshold", 1.15), cfg.threads
 
     def work():
@@ -633,20 +646,14 @@ def _cmd_telescope(cfg: ExperimentConfig) -> Work:
     cells = cfg.integer("cells_per_cube", 4, hi=2**_MAX_GRID_LOG2)
     if not isinstance(slab, geo.Slab):
         raise ConfigError("domain", "the telescope runs on slab domains")
-    # the deepest layer pair's grid stays within the grid limit, and the
-    # square of its cell side 2^m / cells stays a normal double.  Layer k
-    # has (n 2^{1-k})^{d-1} cubes of cells^d cells, and the deepest
-    # seminorm joins layers m and m + 1 (layer -1 stands alone); layer m
-    # alone is tested in log2 first, so a huge d costs nothing
+    # the deepest seminorm's grid, in log2 so a huge d costs nothing: layers
+    # m and m + 1 (layer -1 alone), layer k (n 2^{1-k})^{d-1} cubes of
+    # cells^d cells of side 2^k / cells, the layer above 2^{1-d} as many
     m, d = min(depths), slab.d
-    if m < math.log2(cells) - _MIN_CELL_SIDE_LOG2:  # int against float: no big int
-        raise ConfigError("depths", f"depth {m} with {cells} cells per cube makes cells of"
-                          f" side below 2**-{_MIN_CELL_SIDE_LOG2}, whose square is subnormal")
-    if ((d - 1) * (math.log2(slab.n) + 1 - m) + d * math.log2(cells) > _MAX_GRID_LOG2
-            or sum(geo.DyadicLayer(k, slab.n, d).count for k in range(m, min(m + 2, 0)))
-            * cells**d > 2**_MAX_GRID_LOG2):
-        raise ConfigError("depths", f"the layers at depth {m} exceed the limit of"
-                          f" 2**{_MAX_GRID_LOG2} cells")
+    above = math.log2(1 + 2.0 ** (1 - d)) if m < -1 else 0.0
+    _check_size("depths", d * math.log2(cells) + (d - 1) * (math.log2(slab.n) + 1 - m) + above)
+    with _field("depths"):
+        quad.check_cell_side(fp, m - math.log2(cells))
     threads = cfg.threads
 
     def work():

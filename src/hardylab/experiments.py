@@ -129,10 +129,10 @@ class LogSpikeFamily(FunctionFamily):
     Level m maps to a profile whose ramps and plateau each span
     2^{m-1} dyadic levels of the slab height; each level doubles the
     concentration depth, which is what makes growth factors across levels
-    scale-free.  Depths are capped at ``max_depth`` so the cell weights and
-    the diagonal patch of the deepest block stay inside the double-precision
-    range, and the level range stops at the cap's level 1 + log2(max_depth),
-    above which a level would reuse the capped member.
+    scale-free.  Depths are capped at ``max_depth``, and the level range
+    stops at the cap's level 1 + log2(max_depth): a level above would reuse
+    the capped member, and its grid, with cells down to 2^-773 / cells per
+    block, would break the seminorm's range rule ``quad.check_cell_side``.
     """
 
     level_range: tuple[int, int] = (3, 8)

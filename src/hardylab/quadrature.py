@@ -35,7 +35,9 @@ is singular on the diagonal.  Distinct cell pairs use plain midpoints; the
 same-cell contribution uses a per-cell Lipschitz estimate L and integrates
 L^p |x-y|^{p-d-sp} in the radial variable over the equivalent-volume ball,
 which keeps the diagonal mass instead of dropping it (dropping it biases
-the seminorm low exactly in the critical regime).
+the seminorm low exactly in the critical regime).  The patch is (L c)^p
+from a per-cell root c, so the seminorm forms only two powers of a cell
+side, the range rule ``check_cell_side`` keeps.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ __all__ = [
     "average",
     "gagliardo_seminorm",
     "SeminormTables",
+    "check_cell_side",
     "kahan_sum",
 ]
 
@@ -845,13 +848,25 @@ def _pair_sums(grid: Grid, p, kernel_expo, kept=None):
     return sums
 
 
+def check_cell_side(fp: FracParams, log2_side: float) -> None:
+    """The seminorm's range rule: raise ``ParameterError`` unless the two
+    powers of a cell side h = 2^log2_side that the seminorm of ``fp``
+    forms, the kernel across one cell h^-(d + sp) and the weights of two
+    cells h^2d, are normal doubles: |log2 h| max(d + sp, 2d) <= 1022."""
+    power = float(max(fp.d + fp.sp, 2 * fp.d))
+    if not abs(log2_side) * power <= 1022:
+        raise ParameterError(f"cells of side 2**{log2_side:.1f} leave the seminorm's range:"
+                             f" it needs |log2 h| <= {1022 / power:g}")
+
+
 class SeminormTables:
     """The grid-only work of the Gagliardo seminorm on one grid for one
     (p, s), done once: the pair sum over the grid's runs (over its box's
     runs for a masked grid), with the kernel tables it keeps (on a box in
     d >= 2, its offset powers and, at an even p, their padded FFT and
     their convolution with the mask), the probe points of the slope
-    estimate and the diagonal patch's radial factor.
+    estimate and the diagonal patch's p-th root per cell.  A grid with a
+    cell side that breaks ``check_cell_side`` is rejected.
 
     ``evaluate`` is the one place that turns a member into values and
     slopes on the grid, with two calls of the member; ``seminorm`` and
@@ -866,6 +881,8 @@ class SeminormTables:
         p, sp = float(fp.p), float(fp.sp)
         if p - sp <= 0:
             raise ParameterError("diagonal patch requires sp < p")
+        check_cell_side(fp, max(math.log2(grid.sides.min()), math.log2(grid.sides.max()),
+                                key=abs))
         self.grid, self.p = grid, p
         box, kept = grid.within or (grid, None)
         self._pair_sums = _pair_sums(box, p, fp.d + sp, kept)
@@ -878,13 +895,15 @@ class SeminormTables:
             probes[2 * a + 1, :, a] -= quarter[:, a]
         self._probes = probes.reshape(-1, d)
         self._spans = 2 * quarter.T
-        # the diagonal patch: the same-cell integral of |x-y|^{p-d-sp} in
-        # closed form over the ball of the cell's volume, vol * d w_d
-        # r^{p-sp} / (p - sp) with r = (vol / w_d)^{1/d}; exact for d = 1
-        # and first-order accurate above
+        # the diagonal patch: L^p times the same-cell integral of
+        # |x-y|^{p-d-sp} in closed form over the ball of the cell's volume
+        # w, w d w_d r^{p-sp} / (p - sp) with r = (w / w_d)^{1/d}; exact for
+        # d = 1 and first-order accurate above.  Kept as its p-th root c,
+        # so a term (L c)^p leaves the double range only where the true
+        # term does
         wd = geo.unit_ball_volume(d)
         r_eq = (grid.weights / wd) ** (1.0 / d)
-        self._radial = d * wd * r_eq ** (p - sp) / (p - sp)
+        self._patch = (grid.weights * (d * wd / (p - sp))) ** (1.0 / p) * r_eq ** ((p - sp) / p)
 
     def evaluate(self, u) -> tuple[np.ndarray, np.ndarray]:
         """u at the cell centres and the per-cell slope estimate |grad u|
@@ -905,16 +924,7 @@ class SeminormTables:
         if threads < 1:
             raise ParameterError("thread count must be >= 1")
         off_diag = 2.0 * kahan_sum(np.asarray(self._pair_sums(vals, threads)))
-        # the same-cell mass L^p * int int |x-y|^{p-d-sp} over each cell;
-        # where L^p alone overflows (steep members on tiny cells), the
-        # term is recomputed as (L (w r)^{1/p})^p, and no other term moves
-        with np.errstate(over="ignore"):
-            diag = lips**self.p * self.grid.weights * self._radial
-        over = np.isinf(diag)
-        if np.any(over):
-            diag[over] = (lips[over] * (self.grid.weights[over] * self._radial[over])
-                          ** (1.0 / self.p)) ** self.p
-        diag = kahan_sum(diag)
+        diag = kahan_sum((lips * self._patch) ** self.p)
         return (off_diag + diag) ** (1.0 / self.p)
 
     def norm(self, vals: np.ndarray, lips: np.ndarray, threads: int = 1) -> float:

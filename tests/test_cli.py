@@ -20,6 +20,7 @@ from hardylab import cli
 from hardylab import geometry as geo
 from hardylab import quadrature as quad
 from hardylab.cli import ConfigError, ExperimentConfig
+from hardylab.errors import ParameterError
 
 
 EXPONENTS_CFG = {
@@ -335,7 +336,8 @@ def test_flag_overrides(tmp_path: Path):
               frac={"d": 29916160961, "p": "2", "s": "1/2", "tau": "2"}), "resolution"),
         (dict(SEMINORM_CFG, resolution=1024, support_box=[[0.0] * 3, [1.0] * 3]), "support_box"),
         (dict(SEMINORM_CFG, threads=True), "threads"),
-        # the cell side 2**-536 / 4 squares to zero: rejected, not a failed gate
+        # the cell side 2**-538 breaks the seminorm's range rule: rejected,
+        # not a failed gate
         (dict(TELESCOPE_CFG, u={"kind": "tensor_bump", "center": [0.1], "radius": [0.2]},
               depths=[-536]), "depths"),
         (dict(TELESCOPE_CFG, depths=[-100000]), "depths"),
@@ -390,6 +392,11 @@ def test_flag_overrides(tmp_path: Path):
                                     "radius_bounds": [[0.0, 0.0]]}), "family.radius_bounds"),
         (dict(ESTIMATE_CFG, family={"kind": "tensor_bump_grid", "center_bounds": [[0.3, 0.7]],
                                     "radius_bounds": [[-0.2, 0.1]]}), "family.radius_bounds"),
+        # a field the command does not read is unknown: a misspelt field
+        # would otherwise run with the default of the one it names
+        (dict(PROBE_CFG, cells_per_blocks=64), "cells_per_blocks"),
+        (dict(SEMINORM_CFG, frac=dict(SEMINORM_CFG["frac"], q="2")), "frac.q"),
+        (dict(SEMINORM_CFG, family={"kind": "boundary_bump"}), "family"),
     ],
 )
 def test_main_malformed_field_exit_2(tmp_path: Path, capsys, cfg, field):
@@ -415,24 +422,33 @@ def test_seminorm_cell_side_range(tmp_path: Path, capsys):
     # RuntimeWarning (an error here) and no NaN written.  On [0, 1e-70]^2
     # every power fits, and the seminorm is the unit box's times
     # lambda^{(d - sp)/p} = 1e-35
-    def seminorm(hi):
-        cfg = dict(SEMINORM_CFG, domain={"kind": "box", "lo": [0, 0], "hi": [hi, hi]},
-                   frac={"d": 2, "p": "2", "s": "1/2", "tau": "2"}, resolution=16,
-                   u={"kind": "tensor_bump", "center": [hi / 2] * 2, "radius": [0.3 * hi] * 2})
+    def seminorm(hi, d=2, p="2", s="1/2", resolution=16):
+        cfg = dict(SEMINORM_CFG, domain={"kind": "box", "lo": [0] * d, "hi": [hi] * d},
+                   frac={"d": d, "p": p, "s": s, "tau": p}, resolution=resolution,
+                   u={"kind": "tensor_bump", "center": [hi / 2] * d, "radius": [0.3 * hi] * d})
         cfg_path = tmp_path / "tiny.json"
         cfg_path.write_text(json.dumps(cfg))
         code = cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "o")])
-        return code, capsys.readouterr().err
+        if code != 0:
+            return code, capsys.readouterr().err
+        return code, json.loads((tmp_path / "o" / "summary.json").read_text())["results"]["seminorm"]
 
     code, err = seminorm(1e-160)
     assert code == 2 and "'domain'" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
-    values = []
-    for hi in (1.0, 1e-70):
-        assert seminorm(hi)[0] == 0
-        values.append(json.loads((tmp_path / "o" / "summary.json").read_text())
-                      ["results"]["seminorm"])
-    assert values[1] == pytest.approx(1e-35 * values[0], rel=1e-9)
+    (code0, unit), (code1, small) = seminorm(1.0), seminorm(1e-70)
+    assert code0 == code1 == 0 and small == pytest.approx(1e-35 * unit, rel=1e-9)
+    # the library keeps the same rule: it raises, it returns no NaN
+    box = geo.BoxDomain(geo.Box((0.0, 0.0), (1e-160, 1e-160)))
+    bump = quad.TensorBump((5e-161, 5e-161), (3e-161, 3e-161))
+    with pytest.raises(ParameterError, match="range"):
+        quad.gagliardo_seminorm(bump, box, quad.FracParams(2, 2, "1/2", 2),
+                                quad.GridSpec(16, box.box))
+    # at d = 1, (p, s, tau) = (4, 1/4, 4) the seminorm forms h^-2 and h^2,
+    # so 64 cells on [0, 2^-300] are in range; sp = d makes it dilation
+    # invariant, so it is the unit box's
+    (code0, unit), (code1, small) = (seminorm(hi, 1, "4", "1/4", 64) for hi in (1.0, 2.0**-300))
+    assert code0 == code1 == 0 and small == pytest.approx(unit, rel=1e-12)
 
 
 def test_telescope_grid_limit():
@@ -442,11 +458,14 @@ def test_telescope_grid_limit():
     with pytest.raises(ConfigError, match="depths"):
         ExperimentConfig.from_dict(dict(TELESCOPE_CFG, depths=[-2], cells_per_cube=2**19 + 1))
     ExperimentConfig.from_dict(dict(TELESCOPE_CFG, depths=[-1], cells_per_cube=2**20))
-    # the deepest cell side 2^m / cells_per_cube squared stays a normal
-    # double: m - log2(cells_per_cube) >= -511
+    # the deepest cell side h = 2^m / cells_per_cube keeps the seminorm's
+    # powers h^-(d + sp) and h^2d normal doubles: at d = 1 and sp <= 1,
+    # |log2 h| <= 1022 / 2
     ExperimentConfig.from_dict(dict(TELESCOPE_CFG, depths=[-3, -509], cells_per_cube=4))
     with pytest.raises(ConfigError, match="depths"):
         ExperimentConfig.from_dict(dict(TELESCOPE_CFG, depths=[-3, -510], cells_per_cube=4))
+    ExperimentConfig.from_dict(dict(TELESCOPE_CFG, depths=[-505],
+                                    frac={"d": 1, "p": "3", "s": "1/3", "tau": "3"}))
     # d = 2, n = 1, 4 cells per cube: (2^{1-m} + 2^{-m}) * 16 cells
     slab2 = dict(TELESCOPE_CFG, domain={"kind": "slab", "n": 1, "d": 2},
                  frac={"d": 2, "p": "2", "s": "1/2", "tau": "2"})

@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -148,17 +149,40 @@ def test_probe_truncation_shared_and_per_offset(monkeypatch, bad_lhs):
         assert [m for m, _ in res.levels] == [3, 4] and res.truncated
 
 
-def test_probe_keeps_its_deepest_level_at_p3():
-    # at (p, s, tau) = (3, 1/3, 3) the slopes of the level-8 member reach
-    # about 2^388 on the deepest cells, so L^p alone overflows: the
-    # diagonal patch recomputes those terms and level 8 is kept, with no
-    # offset truncated and no overflow warning (RuntimeWarnings are errors)
-    case = hardy.HardyCase("1b", fp(1, "3", "1/3", "3"))
+@pytest.mark.parametrize("p, s", [("3", "1/3"), ("4", "1/4"), ("8", "1/8")],
+                         ids=["p3", "p4", "p8"])
+def test_probe_keeps_its_deepest_level(p, s):
+    # case 1b at tau = p: the slopes of the level-8 member reach about 2^388
+    # on the deepest cells, so L^p alone overflows while the same-cell term
+    # is in range.  Levels 3-8 are kept, with no offset truncated and no
+    # overflow or 0 * inf warning (RuntimeWarnings are errors)
+    case = hardy.HardyCase("1b", fp(1, p, s, p))
     results = exp.blowup_probe(case, (-1, 0, 1), SLAB_1D)
-    for res, ratio in zip(results, (1.476, 0.355, 0.106)):
+    for res in results:
         assert not res.truncated
         assert [m for m, _ in res.levels] == [3, 4, 5, 6, 7, 8]
-        assert res.levels[-1][1] == pytest.approx(ratio, abs=5e-4)
+    if p == "3":
+        for res, ratio in zip(results, (1.476, 0.355, 0.106)):
+            assert res.levels[-1][1] == pytest.approx(ratio, abs=5e-4)
+
+
+def test_probe_patch_matches_its_log2_sum():
+    # the level-8 member at (p, s, tau) = (3, 1/3, 3): its diagonal patch,
+    # L^p w d w_1 r^{p-sp} / (p - sp) = L^3 w (w / 2)^2 per cell (d = 1,
+    # w_1 = 2, r = w / 2), summed from the terms' log2.  [u]^p less twice
+    # the pair sum matches it up to the rounding of the p-th root and power
+    # of [u] (the patch is about 1.5e-4 of [u]^p); the patch alone, as
+    # [.]^p of the same slopes at values with no differences, to 1e-12
+    family = exp.LogSpikeFamily()
+    g = family.grid(8)
+    tables = quad.SeminormTables(g, fp(1, "3", "1/3", "3"))
+    vals, lips = tables.evaluate(family.member(8))
+    log2_w, slope = np.log2(g.weights), lips > 0
+    log2_terms = 3 * np.log2(lips[slope]) + log2_w[slope] + 2 * (log2_w[slope] - 1)
+    patch = math.fsum(np.exp2(log2_terms).tolist())
+    pairs = quad.kahan_sum(np.asarray(tables._pair_sums(vals, 1)))
+    assert tables.seminorm(vals, lips) ** 3 - 2 * pairs == pytest.approx(patch, rel=1e-10)
+    assert tables.seminorm(np.zeros_like(vals), lips) ** 3 == pytest.approx(patch, rel=1e-12)
 
 
 def test_probe_records_growth_threshold(signature):
@@ -299,6 +323,19 @@ def test_telescope_seminorm_below_the_support():
     assert rep6.seminorm_terms[0] == pytest.approx(semi**2, rel=1e-12)
     assert rep6.seminorm_terms[0] > 0
     assert rep6.minimal_c < rep5.minimal_c
+
+
+def test_telescope_deep_pair_obeys_the_dilation_law():
+    # at d = sp = 1 and tau = p a layer pair's [u]^tau is dilation
+    # invariant: for a log spike reaching 2^-600, the pair (-505, -504)
+    # with cells of side 2^-507 is the pair (-5, -4) of u dilated by 2^500.
+    # Its steep cells keep their diagonal patch (L^p alone overflows there)
+    params = fp(1, "3", "1/3", "3")
+    u = quad.LogSpike(depth=200, t0=1)
+    deep, = exp.telescoping_reconstruction(SLAB_1D, u, params, [-505])
+    high, = exp.telescoping_reconstruction(SLAB_1D, u.dilated(2.0**500), params, [-5])
+    assert deep.seminorm_terms[0] > 0
+    assert deep.seminorm_terms[0] == pytest.approx(high.seminorm_terms[0], rel=1e-12)
 
 
 def test_telescope_rejects_non_slab():

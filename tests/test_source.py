@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hardylab"
@@ -58,3 +59,17 @@ def test_each_structural_grid_field_has_one_setter():
     assert setters == {"planes": ["quadrature.py:run_grid"],
                        "lattice": ["quadrature.py:union_grid"],
                        "within": ["quadrature.py:masked_grid"]}
+
+
+def test_range_rule_is_stated_once():
+    # the seminorm's range rule, |log2 h| max(d + sp, 2d) <= 1022 for a cell
+    # side h, is quadrature.check_cell_side, and every check of a cell side
+    # calls it: the bound's numbers appear nowhere else, so no command keeps
+    # a limit of its own that can disagree with it
+    rule = next(node for node in ast.walk(ast.parse((SRC / "quadrature.py").read_text()))
+                if isinstance(node, ast.FunctionDef) and node.name == "check_cell_side")
+    inside = {f"quadrature.py:{i}" for i in range(rule.lineno, rule.end_lineno + 1)}
+    found = [f"{path.name}:{i}" for path in sorted(SRC.glob("*.py"))
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if re.search(r"(?<![\d.])(1022|511)(?!\d)", line)]
+    assert found and set(found) <= inside, found

@@ -9,10 +9,12 @@ the six demo configs at 1 and 2 threads and every config of the ``pairs``
 and ``batteries`` workloads (``perfbench/workloads.py``) at seeds 0 and 3,
 in both thread layouts.  For each run it prints the run's name and the
 sha256 of its payload's command, results, series and verdicts in the
-canonical JSON of ``perfbench/checks.py``, or why there is none.  The
-configs come from the checkout that holds this script, so two roots run
-the same configs, and a diff of their outputs names the payloads that
-differ.  Nothing is written outside a temporary directory.
+canonical JSON of ``perfbench/checks.py``, or why there is none.  A
+RuntimeWarning is an error, so a run whose arithmetic overflows or makes
+a NaN prints ``crashed: RuntimeWarning``.  The configs come from the
+checkout that holds this script, so two roots run the same configs, and a
+diff of their outputs names the payloads that differ.  Nothing is written
+outside a temporary directory.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import json
 import sys
 import tempfile
 import traceback
+import warnings
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -75,7 +78,8 @@ def main() -> int:
     parser.add_argument("root", type=Path, help="checkout whose src/hardylab runs the configs")
     args = parser.parse_args()
     cli = import_hardylab(args.root).cli
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         for i, (name, cfg) in enumerate(configs()):
             print(name, payload_digest(cli, cfg, Path(tmp) / str(i)), flush=True)
     return 0
