@@ -221,6 +221,14 @@ class ExperimentConfig:
         with _field("case"):
             return hardy.HardyCase(case_id, fp)
 
+    def case_domain(self) -> tuple[hardy.HardyCase, geo.Domain]:
+        """The case and a domain of a kind and dimension it is stated for."""
+        case = self.case()
+        domain = self.domain(case.fp.d)
+        with _field("domain"):
+            hardy.check_case_domain(case, domain)
+        return case, domain
+
     def domain(self, d: int) -> geo.Domain:
         """The domain, whose dimension must be ``d`` (frac.d)."""
         kind = self.get("domain.kind")
@@ -285,8 +293,9 @@ class ExperimentConfig:
         if box.d != d:
             raise ConfigError("support_box", f"has dimension {box.d}, the domain {d}")
         with _field("support_box" if given else "domain"):
+            sides = quad.grid_box(domain, box).sides()
             quad.check_cell_side(fp, max((math.log2(side) - math.log2(res)
-                                          for side in box.sides()), key=abs))
+                                          for side in sides), key=abs))
         return quad.GridSpec(res, box)
 
     def scale(self) -> float | None:
@@ -487,8 +496,7 @@ def _cmd_seminorm(cfg: ExperimentConfig) -> Work:
 
 
 def _cmd_hardy_check(cfg: ExperimentConfig) -> Work:
-    case = cfg.case()
-    domain = cfg.domain(case.fp.d)
+    case, domain = cfg.case_domain()
     u = cfg.test_function()
     spec = cfg.grid(domain, case.fp)
     R, threads = cfg.scale(), cfg.threads
@@ -510,8 +518,7 @@ def _cmd_hardy_check(cfg: ExperimentConfig) -> Work:
 
 
 def _cmd_estimate_constant(cfg: ExperimentConfig) -> Work:
-    case = cfg.case()
-    domain = cfg.domain(case.fp.d)
+    case, domain = cfg.case_domain()
     spec = cfg.grid(domain, case.fp)
     R, threads = cfg.scale(), cfg.threads
     family = cfg.family(case.fp.d)
@@ -654,6 +661,8 @@ def _cmd_telescope(cfg: ExperimentConfig) -> Work:
     _check_size("depths", d * math.log2(cells) + (d - 1) * (math.log2(slab.n) + 1 - m) + above)
     with _field("depths"):
         quad.check_cell_side(fp, m - math.log2(cells))
+    with _field("frac"):
+        exp.telescope_case(slab, fp)
     threads = cfg.threads
 
     def work():

@@ -54,6 +54,7 @@ __all__ = [
     "three_point_signature",
     "slab_graded_grid",
     "TelescopeReport",
+    "telescope_case",
     "telescoping_reconstruction",
 ]
 
@@ -247,8 +248,7 @@ def estimate_constant(
             options={"maxfev": search.budget_per_start, "xatol": 1e-6, "fatol": 1e-10},
         )
         evaluations += res.nfev
-        if not res.success and "evaluations" in (res.message or "").lower():
-            exhausted = True
+        exhausted |= res.status == 1  # Nelder-Mead's maxfev flag (2 is maxiter)
         ratio = -float(res.fun)
         start_ratios.append(ratio)
         if ratio > best_ratio:  # strict: first start wins ties
@@ -410,6 +410,11 @@ class TelescopeReport:
     skipped_layers: tuple[int, ...]
 
 
+def telescope_case(slab: geo.Slab, fp: FracParams) -> HardyCase:
+    """The case of the telescope's chain: 1a for d > 1, 1b for d = 1."""
+    return HardyCase("1a" if slab.d > 1 else "1b", fp)
+
+
 def telescoping_reconstruction(
     slab: geo.Domain,
     u: TestFunction,
@@ -438,7 +443,7 @@ def telescoping_reconstruction(
     depths = tuple(depths)
     if not depths or max(depths) > -1:
         raise ParameterError(f"depths must be a non-empty list of ints <= -1, got {depths!r}")
-    case = HardyCase("1a" if slab.d > 1 else "1b", fp)
+    case = telescope_case(slab, fp)
     alpha = float(hardy.critical_exponents(case).alpha)
     tau = float(fp.tau)
     d = slab.d

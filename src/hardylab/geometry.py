@@ -2,7 +2,9 @@
 
 The domain catalog is small and fully explicit so that the distance to the
 boundary is exact (closed form, or exact point-segment minimization), not
-approximated from a mesh:
+approximated from a mesh.  ``Domain.distance`` is each domain's one
+statement of its boundary: the distance at the points of the closed domain
+and NaN at the points off it, which ``distance_to_boundary`` rejects:
 
 * ``Slab(n, d)``        -- the box (-n, n)^{d-1} x (0, 1),
 * ``ExteriorBall(R, d)`` -- the complement of the closed ball of radius R,
@@ -94,12 +96,11 @@ class Box:
     def sides(self) -> tuple[float, ...]:
         return tuple(b - a for a, b in zip(self.lo, self.hi))
 
-    def contains(self, pts: np.ndarray, strict: bool = False) -> np.ndarray:
+    def contains(self, pts: np.ndarray) -> np.ndarray:
+        """True for points of the closed box."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
-        if strict:
-            return np.all((pts > lo) & (pts < hi), axis=-1)
         return np.all((pts >= lo) & (pts <= hi), axis=-1)
 
     def scaled(self, factor: float) -> "Box":
@@ -134,6 +135,8 @@ class LipschitzGraph:
 
     #: exact Lipschitz constant
     M: float
+    #: the dimension d of the epigraphs the graph is stated for; None for any
+    d: int | None = None
 
     def gamma(self, xp: np.ndarray) -> np.ndarray:
         """Evaluate gamma on points xp of shape (..., d-1)."""
@@ -141,6 +144,10 @@ class LipschitzGraph:
 
     def range_on_box(self, lo: Sequence[float], hi: Sequence[float]) -> tuple[float, float]:
         """Exact (min, max) of gamma over the box lo..hi in R^{d-1}."""
+        raise NotImplementedError
+
+    def distance(self, pts: np.ndarray) -> np.ndarray:
+        """Exact distance to the graph of (N, d) points on or above it."""
         raise NotImplementedError
 
 
@@ -156,6 +163,9 @@ class FlatGraph(LipschitzGraph):
 
     def range_on_box(self, lo, hi):
         return (0.0, 0.0)
+
+    def distance(self, pts):
+        return pts[..., -1]
 
 
 @dataclass(frozen=True)
@@ -180,6 +190,10 @@ class AffineGraph(LipschitzGraph):
         low = float(np.sum(np.where(s >= 0, s * lo, s * hi)) + self.offset)
         high = float(np.sum(np.where(s >= 0, s * hi, s * lo)) + self.offset)
         return (low, high)
+
+    def distance(self, pts):
+        a = np.asarray(self.slope, dtype=float)
+        return (pts[..., -1] - pts[..., :-1] @ a - self.offset) / math.sqrt(1.0 + float(a @ a))
 
 
 @dataclass(frozen=True)
@@ -211,6 +225,13 @@ class ConeGraph(LipschitzGraph):
             float(self.slope * np.linalg.norm(far)),
         )
 
+    def distance(self, pts):
+        # reduce to the (r, z) half-plane: the boundary trace is the ray
+        # {(t, slope*t): t >= 0}, whose projection parameter is always
+        # nonnegative here, so the ray distance is the line distance
+        r = np.linalg.norm(pts[..., :-1], axis=-1)
+        return (pts[..., -1] - self.slope * r) / math.sqrt(1.0 + self.slope**2)
+
 
 @dataclass(frozen=True)
 class PiecewiseLinearGraph(LipschitzGraph):
@@ -221,6 +242,7 @@ class PiecewiseLinearGraph(LipschitzGraph):
     """
 
     breakpoints: tuple[tuple[float, float], ...]
+    d = 2
 
     def __post_init__(self):
         if len(self.breakpoints) < 2:
@@ -251,6 +273,37 @@ class PiecewiseLinearGraph(LipschitzGraph):
         cand = [a, b] + [t for t, _ in self.breakpoints if a < t < b]
         vals = self.gamma(np.asarray(cand, dtype=float)[:, None])
         return (float(np.min(vals)), float(np.max(vals)))
+
+    def distance(self, pts):
+        bp = np.asarray(self.breakpoints, dtype=float)
+        slopes = self._slopes()
+        # finite segments between consecutive breakpoints
+        best = np.full(pts.shape[0], np.inf)
+        for i in range(len(bp) - 1):
+            best = np.minimum(best, _point_segment_distance(pts, bp[i], bp[i + 1]))
+        # infinite end rays, parametrized away from the extreme breakpoints
+        for corner, slope, direction in (
+            (bp[0], slopes[0], -1.0),
+            (bp[-1], slopes[-1], 1.0),
+        ):
+            ray = np.array([direction, direction * slope])
+            ray /= np.linalg.norm(ray)
+            rel = pts - corner
+            t = np.maximum(rel @ ray, 0.0)
+            foot = corner + t[:, None] * ray
+            best = np.minimum(best, np.linalg.norm(pts - foot, axis=-1))
+        return best
+
+
+def _point_segment_distance(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact Euclidean distance from each point to the segment [a, b]."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    ab = b - a
+    denom = float(ab @ ab)
+    t = np.clip((pts - a) @ ab / denom, 0.0, 1.0)
+    foot = a + t[:, None] * ab
+    return np.linalg.norm(pts - foot, axis=-1)
 
 
 def flatten(graph: LipschitzGraph, x: np.ndarray) -> np.ndarray:
@@ -309,15 +362,15 @@ class Domain:
     kind: str
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        """True for points of the open domain (boundary excluded)."""
-        raise NotImplementedError
-
-    def contains_closure(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """True for points of the open domain: by default, at distance > 0."""
+        pts, _ = _as_points(pts, self.d)
+        return self.distance(pts) > 0
 
     def distance(self, pts: np.ndarray) -> np.ndarray:
-        """Distance to the boundary of each of the (N, d) points of the
-        closed domain, as ``distance_to_boundary`` has checked them."""
+        """Distance to the boundary of each of the (N, d) points, NaN off
+        the closed domain: lo <= x <= hi for a box, |x| >= R for the
+        exterior ball, x_d >= gamma(x') for an epigraph, and for a polygon
+        its inside and the points within 1e-12 of an edge."""
         raise NotImplementedError
 
     def bounding_box(self) -> Box | None:
@@ -339,18 +392,11 @@ class BoxShaped(Domain):
 
     box: Box
 
-    def contains(self, pts):
-        pts, _ = _as_points(pts, self.d)
-        return self.box.contains(pts, strict=True)
-
-    def contains_closure(self, pts):
-        pts, _ = _as_points(pts, self.d)
-        return self.box.contains(pts, strict=False)
-
     def distance(self, pts):
         box = self.box
         gaps = np.minimum(pts - np.asarray(box.lo), np.asarray(box.hi) - pts)
-        return np.min(gaps, axis=-1)
+        dist = np.min(gaps, axis=-1)  # exactly >= 0 where lo <= x <= hi
+        return np.where(dist >= 0, dist, np.nan)
 
     def bounding_box(self) -> Box:
         return self.box
@@ -393,16 +439,9 @@ class ExteriorBall(Domain):
         if self.d < 1:
             raise ParameterError("dimension must be >= 1")
 
-    def contains(self, pts):
-        pts, _ = _as_points(pts, self.d)
-        return np.linalg.norm(pts, axis=-1) > self.R
-
-    def contains_closure(self, pts):
-        pts, _ = _as_points(pts, self.d)
-        return np.linalg.norm(pts, axis=-1) >= self.R
-
     def distance(self, pts):
-        return np.linalg.norm(pts, axis=-1) - self.R
+        dist = np.linalg.norm(pts, axis=-1) - self.R  # exactly >= 0 where |x| >= R
+        return np.where(dist >= 0, dist, np.nan)
 
 
 @dataclass(frozen=True)
@@ -416,58 +455,17 @@ class Epigraph(Domain):
     def __post_init__(self):
         if self.d < 2:
             raise ParameterError("epigraph domains need d >= 2")
-        if isinstance(self.graph, PiecewiseLinearGraph) and self.d != 2:
-            raise ParameterError("piecewise-linear graphs are one-dimensional (d = 2)")
+        if self.graph.d not in (None, self.d):
+            raise ParameterError(f"{type(self.graph).__name__} is stated for d = {self.graph.d}")
 
     def contains(self, pts):
         pts, _ = _as_points(pts, self.d)
         return pts[..., -1] > self.graph.gamma(pts[..., :-1])
 
-    def contains_closure(self, pts):
-        pts, _ = _as_points(pts, self.d)
-        return pts[..., -1] >= self.graph.gamma(pts[..., :-1])
-
     def distance(self, pts):
-        g = self.graph
-        xp = pts[..., :-1]
-        xd = pts[..., -1]
-        if isinstance(g, FlatGraph):
-            dist = xd
-        elif isinstance(g, AffineGraph):
-            a = np.asarray(g.slope, dtype=float)
-            dist = (xd - xp @ a - g.offset) / math.sqrt(1.0 + float(a @ a))
-        elif isinstance(g, ConeGraph):
-            # reduce to the (r, z) half-plane: the boundary trace is the ray
-            # {(t, slope*t): t >= 0}, whose projection parameter is always
-            # nonnegative here, so the ray distance is the line distance
-            r = np.linalg.norm(xp, axis=-1)
-            dist = (xd - g.slope * r) / math.sqrt(1.0 + g.slope**2)
-        elif isinstance(g, PiecewiseLinearGraph):
-            dist = self._polyline_distance(pts)
-        else:  # pragma: no cover - catalog is closed
-            raise UnsupportedDomainError(f"no exact distance rule for {type(g).__name__}")
-        return dist
-
-    def _polyline_distance(self, pts: np.ndarray) -> np.ndarray:
-        g: PiecewiseLinearGraph = self.graph  # type: ignore[assignment]
-        bp = np.asarray(g.breakpoints, dtype=float)
-        slopes = g._slopes()
-        # finite segments between consecutive breakpoints
-        best = np.full(pts.shape[0], np.inf)
-        for i in range(len(bp) - 1):
-            best = np.minimum(best, _point_segment_distance(pts, bp[i], bp[i + 1]))
-        # infinite end rays, parametrized away from the extreme breakpoints
-        for corner, slope, direction in (
-            (bp[0], slopes[0], -1.0),
-            (bp[-1], slopes[-1], 1.0),
-        ):
-            ray = np.array([direction, direction * slope])
-            ray /= np.linalg.norm(ray)
-            rel = pts - corner
-            t = np.maximum(rel @ ray, 0.0)
-            foot = corner + t[:, None] * ray
-            best = np.minimum(best, np.linalg.norm(pts - foot, axis=-1))
-        return best
+        # the sign of an affine graph's distance is not exact on the graph
+        on_or_above = pts[..., -1] >= self.graph.gamma(pts[..., :-1])
+        return np.where(on_or_above, self.graph.distance(pts), np.nan)
 
 
 @dataclass(frozen=True)
@@ -480,17 +478,6 @@ class BoxDomain(BoxShaped):
     @property
     def d(self) -> int:
         return self.box.d
-
-
-def _point_segment_distance(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact Euclidean distance from each point to the segment [a, b]."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ab = b - a
-    denom = float(ab @ ab)
-    t = np.clip((pts - a) @ ab / denom, 0.0, 1.0)
-    foot = a + t[:, None] * ab
-    return np.linalg.norm(pts - foot, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -534,32 +521,20 @@ class Polygon2D(Domain):
 
     def contains(self, pts):
         pts, _ = _as_points(pts, 2)
-        v = np.asarray(self.vertices, dtype=float)
         x, y = pts[:, 0], pts[:, 1]
         inside = np.zeros(len(pts), dtype=bool)
-        m = len(v)
-        for i in range(m):
-            x1, y1 = v[i]
-            x2, y2 = v[(i + 1) % m]
+        for (x1, y1), (x2, y2) in self._edges():
             crosses = (y1 > y) != (y2 > y)
             with np.errstate(divide="ignore", invalid="ignore"):
                 xint = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
             inside ^= crosses & (x < np.where(crosses, xint, np.inf))
         return inside
 
-    def contains_closure(self, pts):
-        pts, _ = _as_points(pts, 2)
-        edge_dist = self._edge_distance(pts)
-        return self.contains(pts) | (edge_dist <= 1e-12)
-
-    def _edge_distance(self, pts: np.ndarray) -> np.ndarray:
+    def distance(self, pts):
         best = np.full(len(pts), np.inf)
         for a, b in self._edges():
             best = np.minimum(best, _point_segment_distance(pts, a, b))
-        return best
-
-    def distance(self, pts):
-        return self._edge_distance(pts)
+        return np.where(self.contains(pts) | (best <= 1e-12), best, np.nan)
 
     def bounding_box(self) -> Box:
         v = np.asarray(self.vertices, dtype=float)
@@ -572,11 +547,10 @@ def distance_to_boundary(domain: Domain, x) -> float | np.ndarray:
     Raises DomainMembershipError if any point lies outside the closed domain.
     """
     pts, scalar = _as_points(x, domain.d)
-    ok = domain.contains_closure(pts)
-    if not np.all(ok):
-        bad = pts[~np.asarray(ok, dtype=bool)][0]
-        raise DomainMembershipError(f"point {tuple(bad)} lies outside the closed domain")
     dist = domain.distance(pts)
+    off = np.isnan(dist)
+    if np.any(off):
+        raise DomainMembershipError(f"point {tuple(pts[off][0])} lies outside the closed domain")
     return float(dist[0]) if scalar else dist
 
 

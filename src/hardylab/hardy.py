@@ -40,6 +40,7 @@ __all__ = [
     "HardyCase",
     "critical_exponents",
     "weight_value",
+    "check_case_domain",
     "weight_for",
     "hardy_lhs",
     "hardy_ratio",
@@ -224,6 +225,14 @@ def hardy_lhs(u, domain: geo.Domain | None, w: WeightSpec, tau, grid) -> float:
     return total ** (1.0 / tau)
 
 
+def check_case_domain(case: HardyCase, domain: geo.Domain) -> None:
+    """Raise CaseDispatchError unless the case is stated for the domain's kind."""
+    kinds, kind = _CASE_DOMAIN_KINDS[case.group], getattr(domain, "kind", None)
+    if kind not in kinds:
+        raise CaseDispatchError(f"case {case.case_id} is stated for domains {kinds},"
+                                f" got {kind!r}")
+
+
 def weight_for(
     case: HardyCase,
     domain: geo.Domain,
@@ -237,12 +246,7 @@ def weight_for(
     largest interior distance seen on the grid; exterior domains use the
     two-sided form with R defaulting to the obstacle radius.
     """
-    kind = getattr(domain, "kind", None)
-    if kind not in _CASE_DOMAIN_KINDS[case.group]:
-        raise CaseDispatchError(
-            f"case {case.case_id} is stated for domains {_CASE_DOMAIN_KINDS[case.group]},"
-            f" got {kind!r}"
-        )
+    check_case_domain(case, domain)
     w = critical_exponents(case)
     if isinstance(domain, geo.Slab) and case.group == "1":
         return replace(w, rho_kind="flat_slab")

@@ -68,6 +68,7 @@ __all__ = [
     "masked_grid",
     "union_grid",
     "run_grid",
+    "grid_box",
     "domain_grid",
     "as_grid",
     "integrate",
@@ -283,6 +284,15 @@ def masked_grid(spec: GridSpec, keep: Callable[[np.ndarray], np.ndarray]) -> Gri
     return grid
 
 
+def grid_box(domain: geo.Domain, support_box: Box) -> Box:
+    """The box whose cells ``domain_grid`` keeps: the support box, clipped
+    to the domain if it is box-shaped."""
+    box = support_box.intersect(domain.box) if isinstance(domain, geo.BoxShaped) else support_box
+    if box is None:
+        raise ParameterError("support box does not meet the domain")
+    return box
+
+
 def domain_grid(domain: geo.Domain, spec: GridSpec) -> Grid:
     """Grid for integration over (domain intersect support box).
 
@@ -290,10 +300,7 @@ def domain_grid(domain: geo.Domain, spec: GridSpec) -> Grid:
     boundaries keep the cells whose centers lie inside the domain.
     """
     if isinstance(domain, geo.BoxShaped):
-        clipped = spec.support_box.intersect(domain.box)
-        if clipped is None:
-            raise ParameterError("support box does not meet the domain")
-        return uniform_grid(GridSpec(spec.resolution, clipped))
+        return uniform_grid(GridSpec(spec.resolution, grid_box(domain, spec.support_box)))
     return masked_grid(spec, domain.contains)
 
 

@@ -286,6 +286,35 @@ def test_flag_overrides(tmp_path: Path):
     assert summary["results"]["resolution"] == 32
 
 
+# configs that break a rule of the library their work would check: the
+# config reads call that rule, so they exit 2 naming the field, not during
+# the work with no field named
+WORK_RULE_CASES = [
+    # the telescope's chain is case 1b on the d = 1 slab, which needs sp = 1
+    (dict(TELESCOPE_CFG, frac={"d": 1, "p": "4", "s": "1/2", "tau": "4"}, depths=[-4]), "frac"),
+    # each case group is stated for its kinds of domain
+    (dict(HARDY_CFG, case="2a", domain={"kind": "slab", "n": 1, "d": 2},
+          frac={"d": 2, "p": "4", "s": "1/2", "tau": "5"},
+          u={"kind": "tensor_bump", "center": [0.0, 0.5], "radius": [0.25, 0.25]}), "domain"),
+    (dict(ESTIMATE_CFG, domain={"kind": "exterior_ball", "R": 1.0, "d": 1},
+          support_box=[[-2.0], [2.0]]), "domain"),
+    # a box domain's grid is its support box clipped to the domain
+    (dict(SEMINORM_CFG, domain={"kind": "box", "lo": [0.0], "hi": [1.0]},
+          support_box=[[5.0], [6.0]]), "support_box"),
+    (dict(SEMINORM_CFG, domain={"kind": "box", "lo": [0.0, 0.0], "hi": [1e-160, 1e-160]},
+          frac=FRAC_2D, resolution=16, support_box=[[0.0, 0.0], [1.0, 1.0]],
+          u={"kind": "tensor_bump", "center": [5e-161, 5e-161], "radius": [3e-161, 3e-161]}),
+     "support_box"),
+]
+
+
+@pytest.mark.parametrize("cfg,field", WORK_RULE_CASES)
+def test_work_rules_are_checked_when_read(cfg, field):
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(cfg)
+    assert err.value.field_path == field
+
+
 @pytest.mark.parametrize(
     "cfg,field",
     [
@@ -397,7 +426,7 @@ def test_flag_overrides(tmp_path: Path):
         (dict(PROBE_CFG, cells_per_blocks=64), "cells_per_blocks"),
         (dict(SEMINORM_CFG, frac=dict(SEMINORM_CFG["frac"], q="2")), "frac.q"),
         (dict(SEMINORM_CFG, family={"kind": "boundary_bump"}), "family"),
-    ],
+    ] + WORK_RULE_CASES,
 )
 def test_main_malformed_field_exit_2(tmp_path: Path, capsys, cfg, field):
     cfg_path = tmp_path / "bad.json"

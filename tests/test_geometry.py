@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardylab import geometry as geo
+from hardylab import quadrature as quad
 from hardylab.errors import (
     DomainMembershipError,
     ParameterError,
@@ -130,6 +131,107 @@ def test_polygon_l_shape_reentrant_corner():
 def test_polygon_rejects_self_intersection():
     with pytest.raises(ParameterError):
         geo.Polygon2D(((0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)))
+
+
+L_SHAPE = geo.Polygon2D(((0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 1.0), (1.0, 2.0), (0.0, 2.0)))
+
+
+def accepted(dom, pts):
+    """Which points, one call each, ``distance_to_boundary`` accepts."""
+    ok = []
+    for x in pts:
+        try:
+            geo.distance_to_boundary(dom, x)
+            ok.append(True)
+        except DomainMembershipError:
+            ok.append(False)
+    return ok
+
+
+def test_distance_to_boundary_accepts_the_closed_domain():
+    # each kind's closed domain: lo <= x <= hi, |x| >= R, x_d >= gamma(x'),
+    # and a polygon with the points within 1e-12 of an edge; points on the
+    # boundary, and one ulp out of and into the domain along the normal
+    def step(pts, direction):
+        """Each coordinate one ulp in the sign of ``direction`` (0: kept)."""
+        pts = np.asarray(pts, dtype=float)
+        return np.nextafter(pts, pts + direction)
+
+    def check(dom, on, outward, out_ok=False):
+        assert accepted(dom, on) == [True] * len(on), dom
+        assert accepted(dom, step(on, -outward)) == [True] * len(on), dom
+        assert accepted(dom, step(on, outward)) == [out_ok] * len(on), dom
+
+    box = geo.BoxDomain(geo.Box((-1.0, 0.0), (2.0, 1.0)))
+    check(box, [[0.5, 0.0], [1.3, 0.0]], np.array([0.0, -1.0]))
+    check(box, [[0.5, 1.0], [-0.7, 1.0]], np.array([0.0, 1.0]))
+    check(box, [[-1.0, 0.3], [-1.0, 0.6]], np.array([-1.0, 0.0]))
+    check(box, [[2.0, 0.3], [2.0, 0.6]], np.array([1.0, 0.0]))
+    sphere = np.array([[1.5, 0.0], [-1.5, 0.0], [0.0, 1.5], [0.0, -1.5]])
+    check(geo.ExteriorBall(1.5, 2), sphere, -sphere)
+
+    rng = np.random.default_rng(19)
+    for graph in [geo.FlatGraph(), geo.AffineGraph((0.37,), 0.11), geo.ConeGraph(0.7),
+                  geo.PiecewiseLinearGraph(((-1.0, 0.0), (0.3, 0.9), (2.0, -0.4)))]:
+        xp = rng.uniform(-3.0, 3.0, size=(200, 1))
+        on = np.column_stack([xp[:, 0], graph.gamma(xp)])
+        check(geo.Epigraph(graph, d=2), on, np.array([0.0, -1.0]))
+
+    # the edge y = 1, 1 < x < 2, has the polygon below it
+    edge = np.array([[1.25, 1.0], [1.5, 1.0], [1.75, 1.0]])
+    check(L_SHAPE, edge, np.array([0.0, 1.0]), out_ok=True)
+    assert accepted(L_SHAPE, edge + [0.0, 0.5e-12]) == [True] * 3
+    assert accepted(L_SHAPE, edge + [0.0, 2e-12]) == [False] * 3
+
+
+def test_l_shape_distance_visits_each_edge_once(monkeypatch):
+    calls = []
+    segment_distance = geo._point_segment_distance
+
+    def counting(pts, a, b):
+        calls.append((tuple(a), tuple(b)))
+        return segment_distance(pts, a, b)
+
+    monkeypatch.setattr(geo, "_point_segment_distance", counting)
+    dist = geo.distance_to_boundary(L_SHAPE, np.array([[0.5, 0.5], [1.5, 0.25], [0.5, 1.75]]))
+    assert np.allclose(dist, [0.5, 0.25, 0.25])
+    assert sorted(calls) == sorted(set(calls)) and len(calls) == 6
+
+
+class ShiftedFlatGraph(geo.LipschitzGraph):
+    """gamma = c: a graph the geometry module does not know."""
+
+    M = 0.0
+
+    def __init__(self, c: float):
+        self.c = c
+
+    def gamma(self, xp):
+        return np.full(np.shape(xp)[:-1], self.c)
+
+    def range_on_box(self, lo, hi):
+        return (self.c, self.c)
+
+    def distance(self, pts):
+        return pts[..., -1] - self.c
+
+
+def test_piecewise_linear_graph_needs_d_2():
+    graph = geo.PiecewiseLinearGraph(((-1.0, 0.0), (1.0, 1.0)))
+    assert geo.Epigraph(graph, d=2).d == 2
+    with pytest.raises(ParameterError):
+        geo.Epigraph(graph, d=3)
+
+
+def test_epigraph_over_a_new_graph_class():
+    dom = geo.Epigraph(ShiftedFlatGraph(0.25), d=2)
+    dist = geo.distance_to_boundary(dom, np.array([[0.0, 1.0], [3.0, 0.25]]))
+    assert dist.tolist() == [0.75, 0.0]
+    with pytest.raises(DomainMembershipError):
+        geo.distance_to_boundary(dom, np.array([0.0, 0.2]))
+    grid = quad.masked_grid(quad.GridSpec(8, geo.Box((0.0, 0.0), (1.0, 1.0))), dom.contains)
+    assert grid.ncells == 48  # the rows of centres 2.5/8 .. 7.5/8
+    assert np.all(geo.distance_to_boundary(dom, grid.centers) > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -73,3 +73,20 @@ def test_range_rule_is_stated_once():
              for i, line in enumerate(path.read_text().splitlines(), 1)
              if re.search(r"(?<![\d.])(1022|511)(?!\d)", line)]
     assert found and set(found) <= inside, found
+
+
+def test_each_domain_states_its_boundary_once():
+    # Domain.distance decides the closed domain, so no domain keeps a
+    # second membership test beside it, and each graph states its own
+    # distance: the epigraph names no graph class
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    closures = [f"{module}:{node.lineno}" for module, tree in trees.items()
+                for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "contains_closure"]
+    assert closures == []
+    classes = {node.name: node for node in ast.walk(trees["geometry.py"])
+               if isinstance(node, ast.ClassDef)}
+    graphs = {name for name, node in classes.items()
+              if any(ast.unparse(base) == "LipschitzGraph" for base in node.bases)}
+    named = {node.id for node in ast.walk(classes["Epigraph"]) if isinstance(node, ast.Name)}
+    assert graphs and not graphs & named, graphs & named
