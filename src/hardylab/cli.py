@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import numpy.random
 
 from . import __version__
 from . import experiments as exp

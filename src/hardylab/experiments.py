@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import ClassVar
 
 import numpy as np
-from scipy import optimize
+import numpy.random
 
 from . import geometry as geo
 from . import hardy
@@ -212,6 +212,80 @@ class EstimateResult:
     start_ratios: tuple[float, ...]
 
 
+class _BudgetSpent(Exception):
+    """Raised in place of an evaluation past ``_nelder_mead``'s budget."""
+
+
+def _nelder_mead(f, x0, maxfev: int, xatol: float, fatol: float):
+    """Minimize f from x0 in at most ``maxfev`` evaluations: scipy's
+    ``minimize(f, x0, method="Nelder-Mead", options={"maxfev": maxfev,
+    "xatol": xatol, "fatol": fatol})`` ported, the one branch it takes
+    (non-adaptive, unbounded, the default initial simplex) with its
+    arithmetic and order, so the two agree bit for bit.  Returns x, f(x),
+    the evaluations and whether the budget was spent.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    N = len(x0)
+    sim = np.empty((N + 1, N))
+    sim[0] = x0
+    for k in range(N):
+        sim[k + 1] = x0
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    nfev = 0
+
+    def call(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return f(np.copy(x))
+
+    def by_value(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    fsim = np.full(N + 1, np.inf)
+    try:
+        for k in range(N + 1):
+            fsim[k] = call(sim[k])
+    except _BudgetSpent:
+        pass
+    sim, fsim = by_value(*by_value(sim, fsim))  # scipy sorts twice here
+    while nfev < maxfev:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / N
+            xr = 2 * xbar - sim[-1]
+            fxr = call(xr)
+            if fxr < fsim[0]:  # expand
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = call(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:  # reflect
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # contract outside
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = call(xc)
+                    keep = fxc <= fxr
+                else:  # contract inside
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = call(xc)
+                    keep = fxc < fsim[-1]
+                if keep:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink toward the best vertex
+                    for j in range(1, N + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = call(sim[j])
+        except _BudgetSpent:  # what the iteration changed so far stands
+            pass
+        sim, fsim = by_value(sim, fsim)
+    return sim[0], np.min(fsim), nfev, nfev >= maxfev
+
+
 def estimate_constant(
     family: FunctionFamily,
     case: HardyCase,
@@ -225,7 +299,8 @@ def estimate_constant(
 
     Derivative-free: quadrature noise makes finite-difference gradients
     unreliable, and the simplex tolerates the piecewise-smooth parameter
-    dependence.  Deterministic for fixed seeds; ties broken by start index.
+    dependence.  Each start runs ``_nelder_mead``, scipy's Nelder-Mead
+    ported.  Deterministic for fixed seeds; ties broken by start index.
     """
     tables = hardy.HardyTables(domain, case, grid, R)
 
@@ -241,19 +316,16 @@ def estimate_constant(
     for i in range(search.starts):
         rng = np.random.default_rng(search.seed + i)
         x0 = family.initial_params(rng)
-        res = optimize.minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"maxfev": search.budget_per_start, "xatol": 1e-6, "fatol": 1e-10},
+        x, fun, nfev, spent = _nelder_mead(
+            objective, x0, search.budget_per_start, xatol=1e-6, fatol=1e-10
         )
-        evaluations += res.nfev
-        exhausted |= res.status == 1  # Nelder-Mead's maxfev flag (2 is maxiter)
-        ratio = -float(res.fun)
+        evaluations += nfev
+        exhausted |= spent
+        ratio = -float(fun)
         start_ratios.append(ratio)
         if ratio > best_ratio:  # strict: first start wins ties
             best_ratio = ratio
-            best_params = family.clip(res.x)
+            best_params = family.clip(x)
             best_start = i
     assert best_params is not None
     return EstimateResult(

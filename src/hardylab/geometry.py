@@ -192,8 +192,10 @@ class AffineGraph(LipschitzGraph):
         return (low, high)
 
     def distance(self, pts):
+        # rounding can take a point on the graph a hair below it; it is at 0
         a = np.asarray(self.slope, dtype=float)
-        return (pts[..., -1] - pts[..., :-1] @ a - self.offset) / math.sqrt(1.0 + float(a @ a))
+        dist = (pts[..., -1] - pts[..., :-1] @ a - self.offset) / math.sqrt(1.0 + float(a @ a))
+        return np.maximum(dist, 0.0)
 
 
 @dataclass(frozen=True)
@@ -463,7 +465,8 @@ class Epigraph(Domain):
         return pts[..., -1] > self.graph.gamma(pts[..., :-1])
 
     def distance(self, pts):
-        # the sign of an affine graph's distance is not exact on the graph
+        # not the sign of the distance: an affine graph's is 0 on both sides
+        # of the graph within rounding
         on_or_above = pts[..., -1] >= self.graph.gamma(pts[..., :-1])
         return np.where(on_or_above, self.graph.distance(pts), np.nan)
 

@@ -28,6 +28,7 @@ from typing import Sequence
 
 import mpmath
 import numpy as np
+import numpy.random
 
 from . import geometry as geo
 from . import quadrature as quad

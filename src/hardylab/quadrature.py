@@ -21,9 +21,9 @@ in offset order.  Where the runs shrink (the dyadic blocks), the offsets
 past the first ``_CUT_HEAD`` stop where a rigorous bound of the rest falls
 to ``_TAIL_CUT`` (2^-53, the unit roundoff) of the sum so far, a point set
 by the grid and the values alone.  On an even-p box it is one partial from
-FFTs on one worker, of the values less their median; where its positive
-terms exceed it by more than ``_FFT_CANCELLATION`` times, the sweep's
-partials replace it.  The worker thread count is an argument of
+``numpy.fft`` convolutions, of the values less their median; where its
+positive terms exceed it by more than ``_FFT_CANCELLATION`` times, the
+sweep's partials replace it.  The worker thread count is an argument of
 ``gagliardo_seminorm``; the threads only compute the sweep's partials, so
 results are bit-identical for any thread count.
 
@@ -49,7 +49,8 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.fft as sfft
+import numpy.fft  # numpy loads these on first use: here, that is at import
+import numpy.polynomial
 
 from . import geometry as geo
 from .errors import EvaluationError, ParameterError
@@ -705,31 +706,50 @@ def _offset_powers(n: int, h: np.ndarray, kernel_expo: float) -> np.ndarray:
     return table
 
 
+def _fast_len(n: int) -> int:
+    """The least 5-smooth integer >= n, a length the FFT factors fast."""
+    while True:
+        m = n
+        for f in (2, 3, 5):
+            while m % f == 0:
+                m //= f
+        if m == 1:
+            return n
+        n += 1
+
+
+def _median(vals: np.ndarray):
+    """``np.median`` of finite values, bit for bit, without the ``numpy.ma``
+    import that ``np.median`` makes on its first call."""
+    lo, hi = (vals.size - 1) // 2, vals.size // 2
+    return np.partition(vals, (lo, hi))[lo:hi + 1].mean()
+
+
 def _fft_pair_sum(table: np.ndarray, m: np.ndarray | None, p: int):
     """The pair sum over i != j of |U_i - U_j|^p K(i - j) M_i M_j on an n^d
     box, K the offset powers ``table``, M the mask ``m`` (None: every
     cell), as a function of U on the box (0 off the mask).
 
     With the binomial expansion it is sum_j C(p, j) (-1)^j <M U^{p-j},
-    K * (M U^j)>, the convolutions on the box zero-padded to
-    ``next_fast_len(2n - 1)`` per axis, one ``scipy.fft`` worker each.
-    Terms j and p - j are equal, and K * M is made here, so p = 2 takes
-    one convolution per call and p = 4 two.  Returns the sum and its
-    positive terms, whose excess over the sum measures the cancellation.
+    K * (M U^j)>, ``numpy.fft`` convolutions on the box zero-padded to
+    ``_fast_len(2n - 1)`` per axis.  Terms j and p - j are equal, and
+    K * M is made here, so p = 2 takes one convolution per call and p = 4
+    two.  Returns the sum and its positive terms, whose excess over the
+    sum measures the cancellation.
     """
     n, d = table.shape[0], table.ndim
-    size = (sfft.next_fast_len(2 * n - 1, real=True),) * d
+    size = (_fast_len(2 * n - 1),) * d
     axes = tuple(range(d))
     offset = np.minimum(np.arange(size[0]), size[0] - np.arange(size[0]))
     inside = offset < n
     K = table[np.ix_(*(np.where(inside, offset, 0),) * d)]
     for a in axes:
         K[(slice(None),) * a + (~inside,)] = 0.0
-    K_hat = sfft.rfftn(K, axes=axes)
+    K_hat = np.fft.rfftn(K, axes=axes)
     box = (slice(n),) * d
 
     def conv(b):
-        return sfft.irfftn(sfft.rfftn(b, s=size, axes=axes) * K_hat, s=size, axes=axes)[box]
+        return np.fft.irfftn(np.fft.rfftn(b, s=size, axes=axes) * K_hat, s=size, axes=axes)[box]
 
     M = np.ones(table.shape) if m is None else m
     KM = conv(M)
@@ -844,7 +864,7 @@ def _pair_sums(grid: Grid, p, kernel_expo, kept=None):
 
     def sums(vals, threads):
         if fft is not None:
-            centred = vals - np.median(vals)
+            centred = vals - _median(vals)
             U = centred if kept is None else scattered(centred)
             total, positive = fft(U.reshape(offsets.shape))
             if positive <= _FFT_CANCELLATION * total:

@@ -682,6 +682,37 @@ def test_python_m_hardylab_runs_without_warning(tmp_path: Path):
     assert (tmp_path / "summary.json").exists()
 
 
+#: runs the demo configs (argv[1]: JSON list of config and out dir) with
+#: scipy blocked and prints, as JSON, the exit codes, the scipy modules
+#: loaded and the numpy and mpmath modules first imported by the runs
+_IMPORT_SPLIT = """
+import json, sys
+sys.modules["scipy"] = None  # makes every scipy import fail
+import hardylab
+before = set(sys.modules)
+codes = [hardylab.cli.main(["--config", c, "--out", o]) for c, o in json.loads(sys.argv[1])]
+top = {m: m.partition(".")[0] for m in sys.modules if sys.modules[m] is not None}
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m, t in top.items() if t == "scipy"),
+                  "late": sorted(m for m, t in top.items()
+                                 if t in ("numpy", "mpmath") and m not in before)}))
+"""
+
+
+def test_runs_import_nothing_past_set_up(tmp_path: Path):
+    # a worker's set-up imports every module a run needs, and no run needs
+    # scipy: a numpy or mpmath module first imported inside a run is a cost
+    # the run pays on its first call, not at set-up
+    src = Path(cli.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    runs = [(str(path), str(tmp_path / path.stem)) for path in DEMO_CONFIGS]
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_SPLIT, json.dumps(runs)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got == {"codes": [0] * len(DEMO_CONFIGS), "scipy": [], "late": []}
+
+
 #: cheap, valid configs of every command, every test function kind and
 #: several domain and family kinds; the fuzz test swaps one value at any
 #: depth, a field or an element of a list

@@ -56,6 +56,40 @@ def test_budget_exhaustion_flag_not_error():
     assert np.isfinite(res.best_ratio)
 
 
+def _rosen(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def _bowl(x):
+    return float(np.sum((x - 0.3) ** 2))
+
+
+@pytest.mark.parametrize("f, x0, budgets", [
+    (_bowl, [1.7], [1, 2, 5, 17, 10_000]),  # 1-D
+    (_rosen, [-1.2, 1.0], range(1, 90)),  # every budget: ends in each kind of step
+    (_rosen, [0.0, 0.5, 0.0], range(1, 90)),  # zero coordinates step to 0.00025
+    (lambda x: 1.0, [0.4, -0.8, 1.1, 2.0], range(1, 40)),  # every step shrinks: ends mid-shrink
+    (_bowl, [0.9, 0.0, -0.4, 0.2], [10_000]),  # 4-D, stops on xatol and fatol
+], ids=["1d", "rosen-2d", "zero-start-3d", "flat-4d", "bowl-4d"])
+def test_nelder_mead_is_scipys_bit_for_bit(f, x0, budgets):
+    optimize = pytest.importorskip("scipy.optimize")
+
+    def bits(v):
+        return np.asarray(v, dtype=float).tobytes()
+
+    for maxfev in budgets:
+        for xatol, fatol in [(1e-6, 1e-10), (1e-2, 1e-2)]:
+            want = optimize.minimize(f, np.array(x0), method="Nelder-Mead",
+                                     options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol})
+            x, fun, nfev, spent = exp._nelder_mead(f, np.array(x0), maxfev, xatol, fatol)
+            assert (bits(x), bits(fun), nfev, spent) == \
+                (bits(want.x), bits(want.fun), want.nfev, want.status == 1), (maxfev, xatol)
+            if maxfev == 10_000:  # the tolerances stop these runs
+                assert not spent
+            elif xatol == 1e-6:  # and no smaller budget reaches them
+                assert spent
+
+
 # ---------------------------------------------------------------------------
 # blow-up probe
 

@@ -184,6 +184,16 @@ def test_distance_to_boundary_accepts_the_closed_domain():
     assert accepted(L_SHAPE, edge + [0.0, 2e-12]) == [False] * 3
 
 
+def test_affine_graph_distance_is_not_negative_on_the_graph():
+    # x_d - slope . x' - offset rounds to either side of 0 on the graph;
+    # the distance is 0 there, never below it
+    graph = geo.AffineGraph((0.37,), 0.11)
+    xp = np.random.default_rng(0).uniform(-3.0, 3.0, size=(1000, 1))
+    on = np.column_stack([xp[:, 0], graph.gamma(xp)])
+    dist = geo.distance_to_boundary(geo.Epigraph(graph, d=2), on)
+    assert np.min(dist) == 0.0 and np.max(dist) < 1e-15
+
+
 def test_l_shape_distance_visits_each_edge_once(monkeypatch):
     calls = []
     segment_distance = geo._point_segment_distance
