@@ -301,11 +301,18 @@ def estimate_constant(
     unreliable, and the simplex tolerates the piecewise-smooth parameter
     dependence.  Each start runs ``_nelder_mead``, scipy's Nelder-Mead
     ported.  Deterministic for fixed seeds; ties broken by start index.
+    ``evaluations`` counts the optimizer's calls; a call at a clipped point
+    that an earlier call of this run reached (the box edge, mostly) reuses
+    that member's ratio, so each distinct member is computed once.
     """
     tables = hardy.HardyTables(domain, case, grid, R)
+    ratios: dict[bytes, float] = {}  # clipped point's bits -> -ratio
 
     def objective(params: np.ndarray) -> float:
-        return -tables.ratio(family.make(params), threads)
+        key = family.clip(params).tobytes()  # all that ``family.make`` reads
+        if key not in ratios:
+            ratios[key] = -tables.ratio(family.make(params), threads)
+        return ratios[key]
 
     best_ratio = -math.inf
     best_params: np.ndarray | None = None

@@ -169,23 +169,39 @@ def stationarity_residual(c, tau, rel_step: float = 1e-10) -> float:
 # average-difference bound on disjoint regions
 
 
-def _average_difference(uE, weights_E, uF, weights_F, tau: float) -> float:
-    """RHS - LHS of the average-difference bound from the values and cell
-    weights on E and on F; one correctly rounded sum per sum."""
+def _average_difference(uE, weights_E, uF, weights_F, tau) -> list[float]:
+    """RHS - LHS of the average-difference bound, one instance per row: the
+    values and cell weights on E and on F as ``(n, cells)`` arrays, and one
+    tau per row.  Each row gets one correctly rounded sum per sum and its
+    scalar tail in Python floats, so a row's slack does not depend on the
+    rows beside it."""
+
+    def row_sums(a):
+        return [math.fsum(row) for row in a.tolist()]
+
     # measures from the quadrature weights themselves, so the Jensen chain
     # holds exactly for the discrete measure at any resolution
-    wE, wF = quad.kahan_sum(weights_E), quad.kahan_sum(weights_F)
-    w_union = wE + wF
-    mE = quad.kahan_sum(uE * weights_E) / wE
-    mF = quad.kahan_sum(uF * weights_F) / wF
-    m_union = (mE * wE + mF * wF) / w_union
-    osc = (
-        quad.kahan_sum(np.abs(uE - m_union) ** tau * weights_E)
-        + quad.kahan_sum(np.abs(uF - m_union) ** tau * weights_F)
-    ) / w_union
-    lhs = abs(mE - mF) ** tau
-    rhs = 2.0**tau * w_union / min(wE, wF) * osc
-    return float(rhs - lhs)
+    wEs, wFs = row_sums(weights_E), row_sums(weights_F)
+    mEs = [s / w for s, w in zip(row_sums(uE * weights_E), wEs)]
+    mFs = [s / w for s, w in zip(row_sums(uF * weights_F), wFs)]
+    m_union = np.array([[(mE * wE + mF * wF) / (wE + wF)]
+                        for mE, wE, mF, wF in zip(mEs, wEs, mFs, wFs)])
+
+    def osc_sums(u, weights):
+        # a scalar tau per row: numpy squares ``x ** 2.0``, where a tau
+        # array would call pow, which can differ in the last bit
+        dev = np.abs(u - m_union)
+        return row_sums(np.stack([row**t for row, t in zip(dev, tau)]) * weights)
+
+    rows = zip(tau, wEs, wFs, mEs, mFs, osc_sums(uE, weights_E), osc_sums(uF, weights_F))
+    slacks = []
+    for t, wE, wF, mE, mF, oscE, oscF in rows:
+        w_union = wE + wF
+        osc = (oscE + oscF) / w_union
+        lhs = abs(mE - mF) ** t
+        rhs = 2.0**t * w_union / min(wE, wF) * osc
+        slacks.append(float(rhs - lhs))
+    return slacks
 
 
 def average_difference_slack(
@@ -212,8 +228,8 @@ def average_difference_slack(
         raise ParameterError("regions must be disjoint")
     g = quad.union_grid([E, F], cells_per_axis)
     vals = quad._evaluate(u, g.centers)
-    c = g.ncells // 2
-    slack = _average_difference(vals[:c], g.weights[:c], vals[c:], g.weights[c:], tau)
+    v, w = vals.reshape(2, -1), g.weights.reshape(2, -1)  # E's cells, then F's
+    (slack,) = _average_difference(v[:1], w[:1], v[1:], w[1:], [tau])
     return SlackReport(
         "average_difference_bound",
         {"tau": float(tau), "E": [list(E.lo), list(E.hi)], "F": [list(F.lo), list(F.hi)]},
@@ -252,7 +268,9 @@ def _adjacent_pair_slacks(count: int, seed: int, cells_per_axis: int):
     ``cells_per_axis`` cells per axis, so the trials of one dimension share
     one grid of their E cubes and one of their F cubes (a union of boxes is
     their grids in order), and each grid evaluates all their bumps at once,
-    with a centre and a radius per cell.
+    with a centre and a radius per cell.  One ``_average_difference`` call
+    per dimension then takes the trials as rows, so each slack is the one
+    ``average_difference_slack`` gives for its trial alone, bit for bit.
     """
     boxes = {}
 
@@ -276,9 +294,9 @@ def _adjacent_pair_slacks(count: int, seed: int, cells_per_axis: int):
         gF = quad.union_grid(F, cells_per_axis)
         uE = quad._tensor_profile((gE.centers - center) / radius)
         uF = quad._tensor_profile((gF.centers - center) / radius)
-        for b, t in enumerate(picked):
-            s = slice(b * cells, (b + 1) * cells)
-            slacks[t] = _average_difference(uE[s], gE.weights[s], uF[s], gF.weights[s], tau[b])
+        rows = (len(picked), cells)
+        slacks[d - 1::2] = _average_difference(uE.reshape(rows), gE.weights.reshape(rows),
+                                               uF.reshape(rows), gF.weights.reshape(rows), tau)
     return trials, slacks
 
 

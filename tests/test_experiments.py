@@ -1,10 +1,13 @@
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hardylab import cli
 from hardylab import experiments as exp
 from hardylab import geometry as geo
 from hardylab import hardy
@@ -18,6 +21,8 @@ def fp(d, p, s, tau):
 
 CASE_1B = hardy.HardyCase("1b", fp(1, "2", "1/2", "2"))
 SLAB_1D = geo.Slab(n=1, d=1)
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+DEMO_PAYLOADS = Path(__file__).parent / "data" / "demo_payloads.json"
 
 
 # ---------------------------------------------------------------------------
@@ -41,9 +46,45 @@ def test_estimate_constant_deterministic_and_monotone():
     r1 = exp.estimate_constant(family, CASE_1B, SLAB_1D, small, grid)
     r2 = exp.estimate_constant(family, CASE_1B, SLAB_1D, small, grid)
     r4 = exp.estimate_constant(family, CASE_1B, SLAB_1D, large, grid)
-    assert r1.best_ratio == pytest.approx(r2.best_ratio, abs=1e-10)
+    # exact: the ratios a run reuses must not make it depend on call history
+    assert (r1.best_ratio, r1.best_params, r1.evaluations) == (
+        r2.best_ratio, r2.best_params, r2.evaluations)
     assert r4.best_ratio >= r1.best_ratio  # superset of starts
     assert np.isfinite(r1.best_ratio) and r1.best_ratio > 0
+
+
+def test_estimate_constant_computes_each_clipped_point_once(monkeypatch):
+    # the demo search makes 369 of its calls at h = 2^-7 and 116 at
+    # h = 2^-2, the box's edges; every optimizer call counts, but a
+    # clipped point is computed once: 50 inside the box and the 2 edges
+    points, ratios = [], []
+    nelder_mead, ratio = exp._nelder_mead, hardy.HardyTables.ratio
+
+    def recording(f, x0, *args, **kwargs):
+        def f_logged(x):
+            points.append(tuple(np.clip(x, -7.0, -2.0)))
+            return f(x)
+
+        return nelder_mead(f_logged, x0, *args, **kwargs)
+
+    def counting(self, u, threads=1):
+        ratios.append(u)
+        return ratio(self, u, threads)
+
+    monkeypatch.setattr(exp, "_nelder_mead", recording)
+    monkeypatch.setattr(hardy.HardyTables, "ratio", counting)
+    config = DEMOS / "configs" / "estimate_constant.json"
+    payload = json.loads(json.dumps(cli.run(cli.ExperimentConfig.parse(config.read_text()))
+                                    .numeric_payload()))
+    assert len(points) == payload["results"]["evaluations"] == 535
+    assert len(ratios) == len(set(points)) == 52
+    want = json.loads(DEMO_PAYLOADS.read_text())["estimate_constant"]
+    best = want["results"]["best_ratio"]
+    assert payload["results"] == dict(want["results"], best_ratio=pytest.approx(best, rel=1e-12))
+    got_starts, want_starts = payload["series"]["starts"], want["series"]["starts"]
+    assert [s["start"] for s in got_starts] == [s["start"] for s in want_starts]
+    assert [s["ratio"] for s in got_starts] == pytest.approx(
+        [s["ratio"] for s in want_starts], rel=1e-12)
 
 
 def test_budget_exhaustion_flag_not_error():

@@ -147,6 +147,29 @@ def test_average_difference_rejects_overlap():
         )
 
 
+def test_average_difference_rows_match_the_one_instance_formula():
+    # one call takes many instances as rows; each row must be the formula
+    # for that instance alone, bit for bit, also at tau = 2 (numpy squares
+    # x ** 2.0 where pow can differ in the last bit) and at an int tau
+    def one(uE, wE, uF, wF, tau):
+        sE, sF = math.fsum(wE.tolist()), math.fsum(wF.tolist())
+        mE = math.fsum((uE * wE).tolist()) / sE
+        mF = math.fsum((uF * wF).tolist()) / sF
+        m = (mE * sE + mF * sF) / (sE + sF)
+        osc = (math.fsum((np.abs(uE - m) ** tau * wE).tolist())
+               + math.fsum((np.abs(uF - m) ** tau * wF).tolist())) / (sE + sF)
+        return 2.0**tau * (sE + sF) / min(sE, sF) * osc - abs(mE - mF) ** tau
+
+    # (few cells per row, so a last bit of a power reaches the slack)
+    rng = np.random.default_rng(5)
+    n, cells = 90, 2
+    uE, uF = rng.normal(size=(n, cells)), rng.normal(size=(n, cells))
+    wE, wF = rng.uniform(0.5, 1.5, (2, n, cells)) / cells
+    tau = [2.0] * 30 + [2, 1.0] * 15 + rng.uniform(1.0, 4.0, 30).tolist()
+    rows = [one(uE[b], wE[b], uF[b], wF[b], tau[b]) for b in range(n)]
+    assert lemmas._average_difference(uE, wE, uF, wF, tau) == rows
+
+
 def test_adjacent_pair_battery_small():
     worst, ran = lemmas.adjacent_pair_battery(count=60, seed=3)
     assert ran == 60
@@ -169,7 +192,7 @@ def test_battery_slacks_match_one_pair_at_a_time(seed, cells):
 
 def test_battery_draws_pinned():
     # the trials are drawn in a fixed RNG order; the sum of the slacks at
-    # seed 0 pins it (the minimum is 0.0 at every seed, see ROADMAP item 3)
+    # seed 0 pins it (the minimum is 0.0 at every seed, see ROADMAP item 10)
     _, slacks = lemmas._adjacent_pair_slacks(1000, 0, 8)
     assert math.fsum(slacks) == 831.6175703055362
     assert sum(s == 0.0 for s in slacks) == 110

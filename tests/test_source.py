@@ -1,6 +1,7 @@
-"""Checks on the package source itself."""
+"""Checks on the package source itself and on the repository's benchmark records."""
 
 import ast
+import json
 import re
 from pathlib import Path
 
@@ -90,3 +91,24 @@ def test_each_domain_states_its_boundary_once():
               if any(ast.unparse(base) == "LipschitzGraph" for base in node.bases)}
     named = {node.id for node in ast.walk(classes["Epigraph"]) if isinstance(node, ast.Name)}
     assert graphs and not graphs & named, graphs & named
+
+
+def test_bench_records_name_only_benchmark_metrics():
+    # a BENCH_*.json records a claimed gain: its summary may name only the
+    # benchmark's workloads and end-to-end metrics, each with both medians,
+    # the parent's spread and the win count, and every run must be correct
+    root = SRC.parents[1]
+    benchmark = json.loads((root / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in benchmark["workloads"]}
+    metrics = {m["name"] for m in benchmark["end_to_end"]}
+    records = sorted(root.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        summary = json.loads(path.read_text())["summary"]
+        assert summary and set(summary) <= workloads, path.name
+        for workload, entry in summary.items():
+            assert entry.pop("correct_all") is True, f"{path.name}: {workload}"
+            assert entry and set(entry) <= metrics, f"{path.name}: {workload}"
+            for name, stats in entry.items():
+                assert {"parent_median", "change_median", "parent_iqr",
+                        "change_wins"} <= set(stats), f"{path.name}: {workload}.{name}"
