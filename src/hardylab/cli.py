@@ -3,11 +3,11 @@
 A run is described by one JSON config (rationals like s, p, tau are given
 as "num/den" strings so criticality is decided exactly).  Results land in
 an output directory as one ``summary.json`` plus one CSV per series; the
-numeric payload byte-reproduces for a fixed config and seed, independent
-of the thread count.  Exit status is 0 when every gated verdict passes and
-1 otherwise, so CI can gate on the lemma suites; a malformed config exits 2
-with the dotted path of the offending field.  This module alone knows the
-config format.
+numeric payload byte-reproduces for a fixed config and seed, and its
+results, series and verdicts at any thread count.  Exit status is 0 when
+every gated verdict passes and 1 otherwise, so CI can gate on the lemma
+suites; a malformed config exits 2 with the dotted path of the offending
+field.  This module alone knows the config format.
 
 Commands: exponents, seminorm, hardy-check, estimate-constant,
 blowup-probe, lemma-suite, telescope.
@@ -265,21 +265,25 @@ class ExperimentConfig:
             return geo.PiecewiseLinearGraph(self.pairs("domain.graph.breakpoints"))
         raise ConfigError("domain.graph.kind", f"unknown graph kind {kind!r}")
 
-    def test_function(self) -> quad.TestFunction:
+    def test_function(self, d: int) -> quad.TestFunction:
+        """The member, a function on R^d (frac.d)."""
         kind = self.get("u.kind")
         with _field("u"):
             if kind == "tensor_bump":
-                return quad.TensorBump(self.numbers("u.center"), self.numbers("u.radius"))
-            if kind == "log_spike":
-                return quad.LogSpike(depth=self.number("u.depth"), t0=self.number("u.t0", 1.5),
-                                     transverse=self.box("u.transverse", None))
-            if kind == "polynomial":
+                u = quad.TensorBump(self.numbers("u.center"), self.numbers("u.radius"))
+            elif kind == "log_spike":
+                u = quad.LogSpike(depth=self.number("u.depth"), t0=self.number("u.t0", 1.5),
+                                  transverse=self.box("u.transverse", None))
+            elif kind == "polynomial":
                 support = self.box("u.support")
-                return quad.AxisPolynomial(self.numbers("u.coeffs"), support,
-                                           self.integer("u.axis", 0, lo=0, hi=support.d - 1))
-            if kind == "constant":
-                return quad.Constant(self.number("u.value"), self.box("u.support"))
-        raise ConfigError("u.kind", f"unknown test function kind {kind!r}")
+                u = quad.AxisPolynomial(self.numbers("u.coeffs"), support,
+                                        self.integer("u.axis", 0, lo=0, hi=support.d - 1))
+            elif kind == "constant":
+                u = quad.Constant(self.number("u.value"), self.box("u.support"))
+            else:
+                raise ConfigError("u.kind", f"unknown test function kind {kind!r}")
+            quad.check_member(u, d)
+        return u
 
     def grid(self, domain: geo.Domain, fp: quad.FracParams) -> quad.GridSpec:
         """``resolution`` cells per axis on ``support_box``, by default the
@@ -480,8 +484,8 @@ def _cmd_exponents(cfg: ExperimentConfig) -> Work:
 def _cmd_seminorm(cfg: ExperimentConfig) -> Work:
     fp = cfg.frac()
     domain = cfg.domain(fp.d)
-    u = cfg.test_function()
     spec = cfg.grid(domain, fp)
+    u = cfg.test_function(fp.d)
     threads = cfg.threads
 
     def work():
@@ -498,8 +502,8 @@ def _cmd_seminorm(cfg: ExperimentConfig) -> Work:
 
 def _cmd_hardy_check(cfg: ExperimentConfig) -> Work:
     case, domain = cfg.case_domain()
-    u = cfg.test_function()
     spec = cfg.grid(domain, case.fp)
+    u = cfg.test_function(case.fp.d)
     R, threads = cfg.scale(), cfg.threads
 
     def work():
@@ -558,40 +562,32 @@ def _cmd_estimate_constant(cfg: ExperimentConfig) -> Work:
 def _cmd_blowup_probe(cfg: ExperimentConfig) -> Work:
     case = cfg.case()
     domain = cfg.domain(case.fp.d)
-    if not (isinstance(domain, geo.Slab) and domain.d == 1):
-        raise ConfigError("domain", "the log-spike probe runs on the d = 1 slab")
+    with _field("domain"):
+        exp.check_probe_domain(domain)
     offsets = cfg.numbers("beta_offsets", (-1, 0, 1), ints=True)
     # expected verdict per probed offset, keyed by the offset as a string
     expect = cfg.get("expect", {})
     probed = [str(off) for off in offsets]
-    if not (
-        isinstance(expect, dict)
-        and all(k in probed and v in ("diverging", "bounded") for k, v in expect.items())
-    ):
+    if not (isinstance(expect, dict) and all(k in probed and v in ("diverging", "bounded")
+                                             for k, v in expect.items())):
         raise ConfigError("expect", f"must map offsets from {probed} to 'diverging' or"
                           f" 'bounded', got {expect!r}")
     family = cfg.log_spike_family("levels")
-    # the top level's graded grid: blocks of cells halving in side from
-    # 2^-1 / cells down to 2^-blocks / cells
     cells = cfg.integer("cells_per_block", 8, hi=2**_MAX_GRID_LOG2)
-    blocks = family.grid_levels(family.level_range[1]) + 1
-    _check_size("cells_per_block", math.log2(blocks * cells))
+    log2_cells, log2_side = family.grid_extent(family.level_range[1], cells)  # the top level's
+    _check_size("cells_per_block", log2_cells)
     with _field("levels"):
-        quad.check_cell_side(case.fp, -blocks - math.log2(cells))
-    threshold, threads = cfg.number("growth_threshold", 1.15), cfg.threads
+        quad.check_cell_side(case.fp, log2_side)
+    threads = cfg.threads
 
     def work():
-        probes = exp.blowup_probe(case, offsets, domain, family, cells, threshold,
-                                  threads=threads)
+        probes = exp.blowup_probe(case, offsets, domain, family, cells, threads)
         results = {"beta_table": str(hardy.critical_exponents(case).beta)}
-        series = {}
-        verdicts = {}
+        series, verdicts = {}, {}
         for off, probe in zip(offsets, probes):
             key = f"offset_{off:+d}"
             results[key] = probe.verdict
-            series[key] = [
-                {"level": m, "ratio": r} for m, r in probe.levels
-            ]
+            series[key] = [{"level": m, "ratio": r} for m, r in probe.levels]
             if str(off) in expect:
                 verdicts[key] = probe.verdict == expect[str(off)]
         return results, series, verdicts
@@ -647,38 +643,26 @@ def _cmd_lemma_suite(cfg: ExperimentConfig) -> Work:
 def _cmd_telescope(cfg: ExperimentConfig) -> Work:
     fp = cfg.frac()
     slab = cfg.domain(fp.d)
-    u = cfg.test_function()
+    with _field("domain"):
+        exp.check_telescope_domain(slab)
     depths = cfg.numbers("depths", (-4, -5, -6), ints=True)
-    if max(depths) > -1:
-        raise ConfigError("depths", f"must be ints <= -1, got {list(depths)!r}")
     cells = cfg.integer("cells_per_cube", 4, hi=2**_MAX_GRID_LOG2)
-    if not isinstance(slab, geo.Slab):
-        raise ConfigError("domain", "the telescope runs on slab domains")
-    # the deepest seminorm's grid, in log2 so a huge d costs nothing: layers
-    # m and m + 1 (layer -1 alone), layer k (n 2^{1-k})^{d-1} cubes of
-    # cells^d cells of side 2^k / cells, the layer above 2^{1-d} as many
-    m, d = min(depths), slab.d
-    above = math.log2(1 + 2.0 ** (1 - d)) if m < -1 else 0.0
-    _check_size("depths", d * math.log2(cells) + (d - 1) * (math.log2(slab.n) + 1 - m) + above)
-    with _field("depths"):
-        quad.check_cell_side(fp, m - math.log2(cells))
+    with _field("depths"):  # the deepest layer pair's grid
+        exp.check_telescope_depths(depths)
+        log2_cells, log2_side = exp.telescope_grid_extent(slab, min(depths), cells)
+        _check_size("depths", log2_cells)
+        quad.check_cell_side(fp, log2_side)
     with _field("frac"):
         exp.telescope_case(slab, fp)
+    u = cfg.test_function(fp.d)
     threads = cfg.threads
 
     def work():
         reports = exp.telescoping_reconstruction(slab, u, fp, depths, cells, threads)
         cs = [rep.minimal_c for rep in reports]
-        rows = [
-            {
-                "m": rep.m,
-                "minimal_c": rep.minimal_c,
-                "lhs": rep.lhs,
-                "top_term": rep.top_term,
-                "skipped": len(rep.skipped_layers),
-            }
-            for rep in reports
-        ]
+        rows = [{"m": rep.m, "minimal_c": rep.minimal_c, "lhs": rep.lhs,
+                 "top_term": rep.top_term, "skipped": len(rep.skipped_layers)}
+                for rep in reports]
         within = max(cs) <= 1.5 * min(cs) + 1e-12
         # a depth whose deepest layer is skipped repeats a shallower depth's
         # chain, so equal constants there show nothing

@@ -50,11 +50,15 @@ __all__ = [
     "EstimateResult",
     "estimate_constant",
     "ProbeResult",
+    "check_probe_domain",
     "blowup_probe",
     "three_point_signature",
     "slab_graded_grid",
     "TelescopeReport",
+    "check_telescope_domain",
+    "check_telescope_depths",
     "telescope_case",
+    "telescope_grid_extent",
     "telescoping_reconstruction",
 ]
 
@@ -164,6 +168,12 @@ class LogSpikeFamily(FunctionFamily):
     def grid(self, level: float, cells_per_block: int = 8) -> Grid:
         return slab_graded_grid(self.grid_levels(level), cells_per_block)
 
+    def grid_extent(self, level: float, cells_per_block: int = 8) -> tuple[float, float]:
+        """(log2 cells, log2 smallest side) of ``grid(level, cells_per_block)``,
+        not built: J + 1 blocks, the last of sides 2^-(J + 1) / cells_per_block."""
+        blocks = self.grid_levels(level) + 1
+        return math.log2(blocks * cells_per_block), -blocks - math.log2(cells_per_block)
+
     def make(self, params):
         params = self.clip(params)
         return self.member(float(params[0]))
@@ -200,6 +210,10 @@ class SearchConfig:
     starts: int = 8
     budget_per_start: int = 200
     seed: int = 0
+
+    def __post_init__(self):
+        if self.starts < 1 or self.budget_per_start < 1:
+            raise ParameterError(f"a search needs starts and budget_per_start >= 1, got {self}")
 
 
 @dataclass(frozen=True)
@@ -354,18 +368,23 @@ _MIN_LEVELS = 4
 
 @dataclass(frozen=True)
 class ProbeResult:
-    """Ratios of the concentrating family against one weight exponent.
+    """Ratios of the concentrating family against one weight exponent;
+    ``verdict`` is diverging iff at least ``_MIN_LEVELS`` levels were
+    evaluated and every growth factor across them reaches ``growth_threshold``."""
 
-    ``verdict`` is diverging iff every consecutive growth factor reaches
-    the threshold and at least four levels (``_MIN_LEVELS``) were evaluated.
-    """
-
+    #: least growth factor per level of a diverging verdict
+    growth_threshold: ClassVar[float] = 1.15
     beta_used: float
     levels: tuple[tuple[int, float], ...]
     growth_factors: tuple[float, ...]
     verdict: str
     truncated: bool = False
-    growth_threshold: float = 1.15
+
+
+def check_probe_domain(domain: geo.Domain) -> None:
+    """The probe's domain rule: its log spikes live on the d = 1 slab."""
+    if not isinstance(domain, geo.Slab) or domain.d != 1:
+        raise UnsupportedDomainError("the log-spike probe runs on the d = 1 slab")
 
 
 def blowup_probe(
@@ -374,7 +393,6 @@ def blowup_probe(
     domain: geo.Domain,
     family: LogSpikeFamily | None = None,
     cells_per_block: int = 8,
-    growth_threshold: float = 1.15,
     threads: int = 1,
 ) -> tuple[ProbeResult, ...]:
     """Classify each weight exponent beta' = beta + offset as bounded or diverging.
@@ -388,8 +406,7 @@ def blowup_probe(
     truncates every offset, a non-finite or underflowed (zero) ratio only
     its own.  Returns one result per offset, in order.
     """
-    if not isinstance(domain, geo.Slab) or domain.d != 1:
-        raise UnsupportedDomainError("the log-spike probe runs on the d = 1 slab")
+    check_probe_domain(domain)
     family = family or LogSpikeFamily()
     w_table = hardy.critical_exponents(case)
     weights = [WeightSpec(w_table.alpha, w_table.beta + Fraction(off), "flat_slab")
@@ -426,18 +443,14 @@ def blowup_probe(
     results = []
     for w, lev, trunc in zip(weights, levels, truncated):
         growth = tuple(b / a for (_, a), (_, b) in zip(lev, lev[1:]))
-        diverging = (
-            len(lev) >= _MIN_LEVELS
-            and len(growth) > 0
-            and all(f >= growth_threshold for f in growth)
-        )
+        diverging = (len(lev) >= _MIN_LEVELS
+                     and all(f >= ProbeResult.growth_threshold for f in growth))
         results.append(ProbeResult(
             beta_used=float(w.beta),
             levels=tuple(lev),
             growth_factors=growth,
             verdict="diverging" if diverging else "bounded",
             truncated=trunc,
-            growth_threshold=growth_threshold,
         ))
     return tuple(results)
 
@@ -447,10 +460,9 @@ def three_point_signature(
     domain: geo.Domain,
     family: LogSpikeFamily | None = None,
     cells_per_block: int = 8,
-    growth_threshold: float = 1.15,
 ) -> dict[str, ProbeResult]:
     """Probes at beta - 1, beta, beta + 1 (the optimality signature)."""
-    probes = blowup_probe(case, (-1, 0, 1), domain, family, cells_per_block, growth_threshold)
+    probes = blowup_probe(case, (-1, 0, 1), domain, family, cells_per_block)
     return dict(zip(("below", "at", "above"), probes))
 
 
@@ -489,9 +501,31 @@ class TelescopeReport:
     skipped_layers: tuple[int, ...]
 
 
+def check_telescope_domain(domain: geo.Domain) -> None:
+    """The telescope's domain rule: its dyadic layers are a slab's."""
+    if not isinstance(domain, geo.Slab):
+        raise UnsupportedDomainError("telescoping runs on slab domains")
+
+
+def check_telescope_depths(depths) -> None:
+    """The telescope's depth rule: chains run up from layers m <= -1."""
+    if not depths or max(depths) > -1:
+        raise ParameterError(f"depths must be a non-empty list of ints <= -1, got {depths!r}")
+
+
 def telescope_case(slab: geo.Slab, fp: FracParams) -> HardyCase:
     """The case of the telescope's chain: 1a for d > 1, 1b for d = 1."""
     return HardyCase("1a" if slab.d > 1 else "1b", fp)
+
+
+def telescope_grid_extent(slab: geo.Slab, depth: int, cells: int = 4) -> tuple[float, float]:
+    """(log2 cells, log2 smallest side) of the grid of layers ``depth`` and
+    ``depth`` + 1 in ``telescoping_reconstruction``, in closed form: layer k
+    has (n 2^{1-k})^{d-1} cubes of ``cells``^d cells of side 2^k / cells,
+    the layer above 2^{1-d} as many, and layer -1 is alone."""
+    d, log2_cells = slab.d, math.log2(cells)
+    above = math.log2(1 + 2.0 ** (1 - d)) if depth < -1 else 0.0
+    return d * log2_cells + (d - 1) * (math.log2(slab.n) + 1 - depth) + above, depth - log2_cells
 
 
 def telescoping_reconstruction(
@@ -517,11 +551,9 @@ def telescoping_reconstruction(
     axis 0, with the cubes of layer k below each upper cube; only that
     column's cubes are listed.
     """
-    if not isinstance(slab, geo.Slab):
-        raise UnsupportedDomainError("telescoping runs on slab domains")
+    check_telescope_domain(slab)
     depths = tuple(depths)
-    if not depths or max(depths) > -1:
-        raise ParameterError(f"depths must be a non-empty list of ints <= -1, got {depths!r}")
+    check_telescope_depths(depths)
     case = telescope_case(slab, fp)
     alpha = float(hardy.critical_exponents(case).alpha)
     tau = float(fp.tau)

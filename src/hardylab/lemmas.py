@@ -60,8 +60,6 @@ class SlackReport:
     ``slack`` is RHS - LHS; the verdict passes iff slack >= -tolerance.
     """
 
-    lemma_id: str
-    inputs: dict
     slack: float
     tolerance: float
 
@@ -102,12 +100,7 @@ def elementary_inequality_slack(a, b, c, tau, tolerance: float = 1e-12) -> Slack
     if tau <= 1:
         raise ParameterError("tau must exceed 1")
     slack = _elementary_slacks(*np.array([[a], [b], [c], [tau]], dtype=float))[0]
-    return SlackReport(
-        "two_term_power_bound",
-        {"a": float(a), "b": float(b), "c": float(c), "tau": float(tau)},
-        float(slack),
-        tolerance,
-    )
+    return SlackReport(float(slack), tolerance)
 
 
 def elementary_inequality_sweep(count: int = 100_000, seed: int = 0) -> tuple[float, dict]:
@@ -230,12 +223,7 @@ def average_difference_slack(
     vals = quad._evaluate(u, g.centers)
     v, w = vals.reshape(2, -1), g.weights.reshape(2, -1)  # E's cells, then F's
     (slack,) = _average_difference(v[:1], w[:1], v[1:], w[1:], [tau])
-    return SlackReport(
-        "average_difference_bound",
-        {"tau": float(tau), "E": [list(E.lo), list(E.hi)], "F": [list(F.lo), list(F.hi)]},
-        slack,
-        tolerance,
-    )
+    return SlackReport(slack, tolerance)
 
 
 def _adjacent_pair_trial(rng: np.random.Generator, d: int, cube_box):
@@ -375,12 +363,7 @@ def power_sum_slack(values: Sequence[float], beta: float, tolerance: float = 0.0
         raise ParameterError("need at least one value")
     lhs = float(np.sum(vals**beta))
     rhs = float(np.sum(vals)) ** beta
-    return SlackReport(
-        "power_sum_bound",
-        {"n": int(vals.size), "beta": float(beta)},
-        rhs - lhs,
-        tolerance,
-    )
+    return SlackReport(rhs - lhs, tolerance)
 
 
 # ---------------------------------------------------------------------------

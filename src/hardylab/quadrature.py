@@ -78,6 +78,7 @@ __all__ = [
     "gagliardo_seminorm",
     "SeminormTables",
     "check_cell_side",
+    "check_member",
     "kahan_sum",
 ]
 
@@ -462,10 +463,6 @@ class LogSpike(TestFunction):
             raise ParameterError("depth must be >= 1")
 
     @property
-    def d(self) -> int:
-        return 1 if self.transverse is None else self.transverse.d + 1
-
-    @property
     def support(self) -> Box:  # type: ignore[override]
         lo_d = 2.0 ** (1.0 - self.t0 - 3.0 * self.depth)
         hi_d = 2.0 ** (1.0 - self.t0)
@@ -538,7 +535,9 @@ class Constant(TestFunction):
 
 
 def _evaluate(f: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:
-    """f at the (N, d) points, checked: one finite value per point."""
+    """f at the (N, d) points, checked: f is a function on R^d
+    (``check_member``) with one finite value per point."""
+    check_member(f, points.shape[1])
     vals = np.asarray(f(points), dtype=float)
     if vals.shape != (len(points),):
         raise EvaluationError(
@@ -706,18 +705,6 @@ def _offset_powers(n: int, h: np.ndarray, kernel_expo: float) -> np.ndarray:
     return table
 
 
-def _fast_len(n: int) -> int:
-    """The least 5-smooth integer >= n, a length the FFT factors fast."""
-    while True:
-        m = n
-        for f in (2, 3, 5):
-            while m % f == 0:
-                m //= f
-        if m == 1:
-            return n
-        n += 1
-
-
 def _median(vals: np.ndarray):
     """``np.median`` of finite values, bit for bit, without the ``numpy.ma``
     import that ``np.median`` makes on its first call."""
@@ -731,14 +718,14 @@ def _fft_pair_sum(table: np.ndarray, m: np.ndarray | None, p: int):
     cell), as a function of U on the box (0 off the mask).
 
     With the binomial expansion it is sum_j C(p, j) (-1)^j <M U^{p-j},
-    K * (M U^j)>, ``numpy.fft`` convolutions on the box zero-padded to
-    ``_fast_len(2n - 1)`` per axis.  Terms j and p - j are equal, and
-    K * M is made here, so p = 2 takes one convolution per call and p = 4
-    two.  Returns the sum and its positive terms, whose excess over the
-    sum measures the cancellation.
+    K * (M U^j)>, ``numpy.fft`` convolutions on the box zero-padded to 2n
+    per axis.  Terms j and p - j are equal, and K * M is made here, so
+    p = 2 takes one convolution per call and p = 4 two.  Returns the sum
+    and its positive terms, whose excess over the sum measures the
+    cancellation.
     """
     n, d = table.shape[0], table.ndim
-    size = (_fast_len(2 * n - 1),) * d
+    size = (2 * n,) * d
     axes = tuple(range(d))
     offset = np.minimum(np.arange(size[0]), size[0] - np.arange(size[0]))
     inside = offset < n
@@ -873,6 +860,13 @@ def _pair_sums(grid: Grid, p, kernel_expo, kept=None):
         return _plane_sweep(U, p, kernel, threads, m, tail)
 
     return sums
+
+
+def check_member(u, d: int) -> None:
+    """The members' dimension rule: raise ``ParameterError`` unless a test
+    function ``u`` is a function on R^d (a bare callable states none)."""
+    if isinstance(u, TestFunction) and u.d != d:
+        raise ParameterError(f"the member is a function on R^{u.d}, not on R^{d}")
 
 
 def check_cell_side(fp: FracParams, log2_side: float) -> None:

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hardylab import cli
+from hardylab import experiments as exp
 from hardylab import geometry as geo
 from hardylab import quadrature as quad
 from hardylab.cli import ConfigError, ExperimentConfig
@@ -308,6 +309,22 @@ WORK_RULE_CASES = [
 ]
 
 
+# a member is a function on R^d, d = frac.d (quadrature.check_member): on
+# the d = 2 slab, a 3-D member once crashed the evaluation and a 1-D bump
+# ran as a bump at (c, c)
+SLAB_2D = {"kind": "slab", "n": 1, "d": 2}
+BUMP_1D = {"kind": "tensor_bump", "center": [0.5], "radius": [0.25]}
+WORK_RULE_CASES += [
+    (dict(BOX_CFG, domain=SLAB_2D, resolution=16,
+          u={"kind": "tensor_bump", "center": [0.0, 0.5, 0.5], "radius": [0.25] * 3}), "u"),
+    (dict(BOX_CFG, domain=SLAB_2D, resolution=16,
+          u={"kind": "constant", "value": 1.0, "support": [[0.0] * 3, [0.5] * 3]}), "u"),
+    (dict(BOX_CFG, domain=SLAB_2D, resolution=16, u=BUMP_1D), "u"),
+    (dict(HARDY_CFG, case="1a", domain=SLAB_2D, frac=FRAC_2D, resolution=16, u=BUMP_1D), "u"),
+    (dict(TELESCOPE_CFG, domain=SLAB_2D, frac=FRAC_2D, u=BUMP_1D), "u"),
+]
+
+
 @pytest.mark.parametrize("cfg,field", WORK_RULE_CASES)
 def test_work_rules_are_checked_when_read(cfg, field):
     with pytest.raises(ConfigError) as err:
@@ -335,7 +352,8 @@ def test_work_rules_are_checked_when_read(cfg, field):
         (dict(TELESCOPE_CFG, cells_per_cube=0), "cells_per_cube"),
         (dict(PROBE_CFG, beta_offsets=5), "beta_offsets"),
         (dict(PROBE_CFG, beta_offsets=[]), "beta_offsets"),
-        (dict(PROBE_CFG, growth_threshold="x"), "growth_threshold"),
+        # the probe's growth threshold is its rule's constant, not a field
+        (dict(PROBE_CFG, growth_threshold=1.15), "growth_threshold"),
         (dict(PROBE_CFG, expect={"5": "bounded"}), "expect"),
         (dict(PROBE_CFG, expect={"-1": "huge"}), "expect"),
         (dict(ESTIMATE_CFG, family="x"), "family"),
@@ -497,10 +515,29 @@ def test_telescope_grid_limit():
                                     frac={"d": 1, "p": "3", "s": "1/3", "tau": "3"}))
     # d = 2, n = 1, 4 cells per cube: (2^{1-m} + 2^{-m}) * 16 cells
     slab2 = dict(TELESCOPE_CFG, domain={"kind": "slab", "n": 1, "d": 2},
-                 frac={"d": 2, "p": "2", "s": "1/2", "tau": "2"})
+                 frac={"d": 2, "p": "2", "s": "1/2", "tau": "2"},
+                 u={"kind": "tensor_bump", "center": [0.0, 0.3], "radius": [0.5, 0.25]})
     ExperimentConfig.from_dict(dict(slab2, depths=[-3, -14]))
     with pytest.raises(ConfigError, match="depths"):
         ExperimentConfig.from_dict(dict(slab2, depths=[-3, -15]))
+
+
+def test_probe_and_telescope_extents_come_from_the_experiments(monkeypatch):
+    # the size of each command's largest grid is the experiment's own
+    # extent: reported at 2**21 cells, the same configs are rejected
+    probe = dict(PROBE_CFG, cells_per_block=2)
+    telescope = dict(TELESCOPE_CFG, depths=[-2], cells_per_cube=2)
+    for cfg in (probe, telescope):
+        ExperimentConfig.from_dict(cfg)
+    probe_extent, telescope_extent = exp.LogSpikeFamily.grid_extent, exp.telescope_grid_extent
+    monkeypatch.setattr(exp.LogSpikeFamily, "grid_extent",
+                        lambda *args: (21.0, probe_extent(*args)[1]))
+    monkeypatch.setattr(exp, "telescope_grid_extent",
+                        lambda *args: (21.0, telescope_extent(*args)[1]))
+    for cfg, field in ((probe, "cells_per_block"), (telescope, "depths")):
+        with pytest.raises(ConfigError, match=r"2\*\*21\.0000 cells") as err:
+            ExperimentConfig.from_dict(cfg)
+        assert err.value.field_path == field
 
 
 def test_telescope_computes_each_layer_once(monkeypatch):
@@ -561,15 +598,15 @@ WITNESSES = {
     "stable": SKIPPING_TELESCOPE_CFG,
 }
 
-#: verdicts no config is known to make false, and why (ROADMAP item 1 is
-#: to give each of them a gate that can fail)
+#: verdicts no config is known to make false, and why (ROADMAP items 1
+#: and 10 give each of them a gate that can fail, or take it out)
 KNOWN_VACUOUS = {
     "finite": "hardy-check passes a member outside W^{s,p}, such as an indicator,"
               " whose ratio is finite on every grid (ROADMAP item 1)",
     "elementary": "the two-term bound is a theorem and its near-equal instances are"
-                  " settled at 50 digits, so no draw fails it (ROADMAP item 1)",
+                  " settled at 50 digits, so no draw fails it (ROADMAP item 10)",
     "telescoping_identity": "an identity of exact rationals that no config input"
-                            " reaches (ROADMAP item 1)",
+                            " reaches (ROADMAP item 10)",
 }
 
 
@@ -730,7 +767,7 @@ FUZZ_BASES = [
     dict(ESTIMATE_CFG, resolution=8, search={"starts": 1, "budget_per_start": 3},
          family={"kind": "tensor_bump_grid", "center_bounds": [[0.3, 0.7]],
                  "radius_bounds": [[0.1, 0.2]]}),
-    dict(PROBE_CFG, levels=[3, 4], cells_per_block=2, growth_threshold=1.15),
+    dict(PROBE_CFG, levels=[3, 4], cells_per_block=2),
     dict(LEMMA_CFG, elementary_count=10, pair_count=2, tolerance=1e-9),
     dict(TELESCOPE_CFG, depths=[-2], cells_per_cube=2),
     dict(TELESCOPE_CFG, depths=[-2], cells_per_cube=2,

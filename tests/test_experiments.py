@@ -87,6 +87,14 @@ def test_estimate_constant_computes_each_clipped_point_once(monkeypatch):
         [s["ratio"] for s in want_starts], rel=1e-12)
 
 
+@pytest.mark.parametrize("counts", [{"starts": 0}, {"budget_per_start": 0},
+                                    {"starts": -1, "budget_per_start": 5}])
+def test_search_config_needs_one_start_and_one_evaluation(counts):
+    exp.SearchConfig(starts=1, budget_per_start=1)
+    with pytest.raises(ParameterError, match="starts and budget_per_start"):
+        exp.SearchConfig(**counts)
+
+
 def test_budget_exhaustion_flag_not_error():
     family = exp.BoundaryBumpFamily()
     grid = quad.GridSpec(64, SLAB_1D.box)
@@ -444,8 +452,36 @@ def test_telescope_rejects_bad_depths(depths):
         )
 
 
+@pytest.mark.parametrize("d, depth", [(1, -4), (2, -3), (2, -1), (3, -2)])
+def test_telescope_grid_extent_is_the_deepest_grid_built(monkeypatch, d, depth):
+    # the closed form sizes the grid of the deepest layer pair, the first
+    # that telescoping_reconstruction builds for a member that meets it
+    built = []
+
+    class Recording(quad.SeminormTables):
+        def __init__(self, grid, params):
+            built.append(grid)
+            super().__init__(grid, params)
+
+    monkeypatch.setattr(quad, "SeminormTables", Recording)
+    slab = geo.Slab(n=1, d=d)
+    u = quad.TensorBump((0.0,) * (d - 1) + (0.5,), (0.9,) * (d - 1) + (0.5,))
+    exp.telescoping_reconstruction(slab, u, fp(d, "2", "1/2", "2"), [depth], 2)
+    g = built[0]
+    assert exp.telescope_grid_extent(slab, depth, 2) == pytest.approx(
+        (math.log2(g.ncells), math.log2(g.sides.min())), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # graded grids
+
+
+@pytest.mark.parametrize("level, cells", [(1, 8), (3, 2), (5, 3)])
+def test_log_spike_grid_extent_is_the_grid_built(level, cells):
+    family = exp.LogSpikeFamily()
+    g = family.grid(level, cells)
+    assert family.grid_extent(level, cells) == pytest.approx(
+        (math.log2(g.ncells), math.log2(g.sides.min())), rel=1e-12)
 
 
 def test_slab_graded_grid_covers_unit_height():

@@ -225,6 +225,20 @@ def reversed_grid(grid):
                      grid.weights[::-1].copy())
 
 
+@pytest.mark.parametrize("u", [quad.TensorBump((0.5,), (0.25,)),
+                               quad.TensorBump((0.5,) * 3, (0.25,) * 3),
+                               quad.Constant(1.0, geo.Box((0.0,) * 3, (0.5,) * 3))],
+                         ids=["1-D bump", "3-D bump", "3-D constant"])
+def test_a_member_of_another_dimension_is_rejected(u):
+    # a member on R^1 would broadcast as u(c, c), one on R^3 would not
+    # broadcast: every evaluation of a member on a grid rejects both
+    spec = quad.GridSpec(8, SQUARE)
+    with pytest.raises(ParameterError, match=r"function on R\^\d, not on R\^2"):
+        quad.gagliardo_seminorm(u, None, fp(2, "2", "1/2"), spec)
+    with pytest.raises(ParameterError, match=r"function on R\^\d, not on R\^2"):
+        quad.lp_norm(u, None, 2, spec)
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_seminorm_rejects_non_finite_slope_probe(bad):
     # finite at the 8 centres, not finite at the slope probe a quarter side

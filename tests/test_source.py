@@ -76,6 +76,15 @@ def test_range_rule_is_stated_once():
     assert found and set(found) <= inside, found
 
 
+def test_growth_threshold_is_stated_once():
+    # the probe's verdict constant is ProbeResult.growth_threshold: no
+    # config field, parameter or second copy of it can move a verdict
+    found = [f"{path.name}:{i}" for path in sorted(SRC.glob("*.py"))
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if re.search(r"(?<![\d.])1\.15(?!\d)", line)]
+    assert len(found) == 1 and found[0].startswith("experiments.py:"), found
+
+
 def test_each_domain_states_its_boundary_once():
     # Domain.distance decides the closed domain, so no domain keeps a
     # second membership test beside it, and each graph states its own
