@@ -40,6 +40,10 @@ for name, u in battery.items():
             f"lhs = {rep.lhs:.6f}, top term = {rep.top_term:.6f}, "
             f"skipped layers = {list(rep.skipped_layers)}"
         )
+    # the CLI's `stable` gate: constants within 50 % at two or more depths,
+    # none of which skips its deepest layer
+    within, stable = exp.telescope_verdict(reports[name])
+    print(f"  within 50 %: {within}, stable: {stable}")
     print()
 
 # one full report in detail

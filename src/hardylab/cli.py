@@ -28,9 +28,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-import numpy.random
-
 from . import __version__
 from . import experiments as exp
 from . import geometry as geo
@@ -64,13 +61,13 @@ _REQUIRED = object()
 
 @contextmanager
 def _field(path: str):
-    """Report a constructor's rejection of the values read under ``path``
-    as a fault of that field."""
+    """Report a constructor's rejection of the values read under ``path``,
+    or a value out of double range, as a fault of that field."""
     try:
         yield
     except ConfigError:
         raise
-    except HardyLabError as e:
+    except (HardyLabError, OverflowError) as e:
         raise ConfigError(path, str(e)) from e
 
 
@@ -163,11 +160,13 @@ class ExperimentConfig:
         ``ints``), ``length`` long if given, as a tuple."""
         return _numbers(self.get(path, default), path, length, ints)
 
-    def pairs(self, path: str) -> tuple[tuple[float, float], ...]:
-        """A non-empty list of [a, b] number pairs, as float pairs."""
+    def pairs(self, path: str, length: int | None = None) -> tuple[tuple[float, float], ...]:
+        """A non-empty list of [a, b] number pairs, ``length`` long if
+        given, as float pairs."""
         rows = self.get(path)
-        if not (isinstance(rows, (list, tuple)) and rows):
-            raise ConfigError(path, f"must be a non-empty list of number pairs, got {rows!r}")
+        if not (isinstance(rows, (list, tuple)) and rows and length in (None, len(rows))):
+            raise ConfigError(path, f"must be a list of {length or 'one or more'} number pairs,"
+                              f" got {rows!r}")
         return tuple(tuple(map(float, _numbers(row, path, 2))) for row in rows)
 
     def box(self, path: str, default=_REQUIRED) -> geo.Box | None:
@@ -317,11 +316,13 @@ class ExperimentConfig:
         with _field(path):
             return exp.LogSpikeFamily(level_range=levels)
 
-    def family(self, d: int) -> exp.FunctionFamily:
-        """The test function family of a d-dimensional (frac.d) search."""
+    def family(self, domain: geo.Domain, spec: quad.GridSpec) -> exp.FunctionFamily:
+        """The family of a search on ``spec``'s grid on ``domain``; its
+        ``hull`` must lie in the grid's box (``quad.check_support``), a fault
+        of the field that sets the members' extent."""
         kind = self.get("family.kind", "boundary_bump")
-        if kind in ("log_spike", "boundary_bump") and d > 1:
-            raise ConfigError("family.kind", f"{kind!r} is a family on (0, 1); frac.d is {d}")
+        if kind in ("log_spike", "boundary_bump") and domain.d > 1:
+            raise ConfigError("family.kind", f"{kind!r} is a family on (0, 1); d is {domain.d}")
         if kind == "log_spike":
             family = self.log_spike_family("family.level_range")
         elif kind == "boundary_bump":
@@ -331,12 +332,8 @@ class ExperimentConfig:
                 raise ConfigError("family.width", f"must be positive, got {width!r}")
             family = exp.BoundaryBumpFamily(log2_h_range=(float(lo), float(hi)), width=width)
         elif kind == "tensor_bump_grid":
-            bounds = {}
-            for key in ("center_bounds", "radius_bounds"):
-                bounds[key] = self.pairs(f"family.{key}")
-                if len(bounds[key]) != d:
-                    raise ConfigError(f"family.{key}", f"needs one [lo, hi] pair per axis"
-                                      f" ({d}), got {len(bounds[key])}")
+            bounds = {key: self.pairs(f"family.{key}", length=domain.d)  # one per axis
+                      for key in ("center_bounds", "radius_bounds")}
             if any(lo <= 0 for lo, _ in bounds["radius_bounds"]):
                 raise ConfigError("family.radius_bounds", f"radii need lo > 0,"
                                   f" got {bounds['radius_bounds']}")
@@ -345,6 +342,9 @@ class ExperimentConfig:
             raise ConfigError("family.kind", f"unknown family kind {kind!r}")
         if not all(lo <= hi for lo, hi in family.bounds):
             raise ConfigError("family", f"parameter bounds need lo <= hi, got {family.bounds}")
+        with _field({"log_spike": "family.level_range",
+                     "boundary_bump": "family.log2_h_range"}.get(kind, "family")):
+            quad.check_support(family.hull(), domain, spec.support_box)
         return family
 
     def canonical_json(self) -> str:
@@ -504,6 +504,8 @@ def _cmd_hardy_check(cfg: ExperimentConfig) -> Work:
     case, domain = cfg.case_domain()
     spec = cfg.grid(domain, case.fp)
     u = cfg.test_function(case.fp.d)
+    with _field("u"):
+        quad.check_support(u.support, domain, spec.support_box)
     R, threads = cfg.scale(), cfg.threads
 
     def work():
@@ -517,7 +519,7 @@ def _cmd_hardy_check(cfg: ExperimentConfig) -> Work:
             "beta": str(w.beta),
             "rho_kind": w.rho_kind,
         }
-        return results, {}, {"finite": bool(np.isfinite(ratio))}
+        return results, {}, {"finite": math.isfinite(ratio)}
 
     return work
 
@@ -526,14 +528,7 @@ def _cmd_estimate_constant(cfg: ExperimentConfig) -> Work:
     case, domain = cfg.case_domain()
     spec = cfg.grid(domain, case.fp)
     R, threads = cfg.scale(), cfg.threads
-    family = cfg.family(case.fp.d)
-    if isinstance(family, exp.BoundaryBumpFamily):  # each member [h, h + width] in the box
-        with np.errstate(over="ignore"):
-            h_lo, h_hi = np.exp2(family.log2_h_range)
-        a, b = spec.support_box.lo[-1], spec.support_box.hi[-1]
-        if not (a <= h_lo and h_hi + family.width <= b):
-            raise ConfigError("family.log2_h_range", f"bumps [h, h + {family.width}] for h in"
-                              f" [{h_lo}, {h_hi}] leave the support box [{a}, {b}]")
+    family = cfg.family(domain, spec)
     search = exp.SearchConfig(
         starts=cfg.integer("search.starts", 8, hi=2**10),
         budget_per_start=cfg.integer("search.budget_per_start", 200, hi=2**14),
@@ -597,42 +592,30 @@ def _cmd_blowup_probe(cfg: ExperimentConfig) -> Work:
 
 def _cmd_lemma_suite(cfg: ExperimentConfig) -> Work:
     seed = cfg.seed
-    tolerance = cfg.number("tolerance", 1e-9)
+    tolerance = cfg.number("tolerance", lemmas.SLACK_TOLERANCE)
     elementary_count = cfg.integer("elementary_count", 100_000, hi=2**20)
     pair_count = cfg.integer("pair_count", 200, hi=2**16)
 
     def work():
         worst_elem, elem_info = lemmas.elementary_inequality_sweep(elementary_count, seed)
         worst_pair, pairs_run = lemmas.adjacent_pair_battery(pair_count, seed)
-
-        rng = np.random.default_rng(seed)
-        power_rows = []
-        worst_power = np.inf
-        for _ in range(200):
-            values = rng.uniform(-5, 5, size=rng.integers(1, 10))
-            beta = float(rng.uniform(1, 5))
-            rep = lemmas.power_sum_slack(values, beta)
-            worst_power = min(worst_power, rep.slack)
-            power_rows.append({"n": len(values), "beta": beta, "slack": rep.slack})
-
-        ident_ok = True
-        for k in range(-40, -1):
-            a, b = lemmas.telescoping_coefficient_parts(k)
-            ident_ok = ident_ok and (a == b)
+        worst_power, power_rows = lemmas.power_sum_battery(seed=seed)
+        ident_ok = all(a == b for a, b in map(lemmas.telescoping_coefficient_parts,
+                                              range(-40, -1)))
 
         results = {
             "elementary_min_slack": worst_elem,
             "elementary_count": elementary_count,
             "pair_min_slack": worst_pair,
             "pair_count": pairs_run,
-            "power_sum_min_slack": float(worst_power),
+            "power_sum_min_slack": worst_power,
             "telescoping_identity_exact": ident_ok,
         }
         series = {"power_sum": power_rows}
         verdicts = {
-            "elementary": worst_elem >= -1e-12,
-            "average_difference": worst_pair >= -tolerance,
-            "power_sum": worst_power >= -tolerance,
+            "elementary": lemmas.SlackReport(worst_elem, lemmas.ELEMENTARY_TOLERANCE).passed,
+            "average_difference": lemmas.SlackReport(worst_pair, tolerance).passed,
+            "power_sum": lemmas.SlackReport(worst_power, tolerance).passed,
             "telescoping_identity": ident_ok,
         }
         return results, series, verdicts
@@ -659,15 +642,12 @@ def _cmd_telescope(cfg: ExperimentConfig) -> Work:
 
     def work():
         reports = exp.telescoping_reconstruction(slab, u, fp, depths, cells, threads)
-        cs = [rep.minimal_c for rep in reports]
         rows = [{"m": rep.m, "minimal_c": rep.minimal_c, "lhs": rep.lhs,
                  "top_term": rep.top_term, "skipped": len(rep.skipped_layers)}
                 for rep in reports]
-        within = max(cs) <= 1.5 * min(cs) + 1e-12
-        # a depth whose deepest layer is skipped repeats a shallower depth's
-        # chain, so equal constants there show nothing
-        stable = within and all(rep.m not in rep.skipped_layers for rep in reports)
-        results = {"minimal_c": cs, "stable_within_50pct": within}
+        within, stable = exp.telescope_verdict(reports)
+        results = {"minimal_c": [rep.minimal_c for rep in reports],
+                   "stable_within_50pct": within}
         return results, {"telescope": rows}, {"stable": stable}
 
     return work

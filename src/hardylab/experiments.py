@@ -26,6 +26,7 @@ per dyadic block of the slab height.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,6 +61,7 @@ __all__ = [
     "telescope_case",
     "telescope_grid_extent",
     "telescoping_reconstruction",
+    "telescope_verdict",
 ]
 
 
@@ -101,6 +103,18 @@ class FunctionFamily:
 
     def initial_params(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(*np.array(self.bounds, dtype=float).T)
+
+    def hull(self) -> geo.Box:
+        """The box that holds every member's support: the hull of the
+        supports of the members ``make`` builds at the corners of the
+        parameter box.  Each family's support is monotone in each parameter
+        (each end moves one way as it grows: a bump's with its centre and
+        radius, a boundary bump's with its gap, a log spike's lower end with
+        its level), so the corners reach every end's extremes."""
+        supports = [self.make(np.array(corner)).support
+                    for corner in itertools.product(*self.bounds)]
+        return geo.Box(tuple(float(min(ends)) for ends in zip(*(b.lo for b in supports))),
+                       tuple(float(max(ends)) for ends in zip(*(b.hi for b in supports))))
 
 
 @dataclass(frozen=True)
@@ -526,6 +540,18 @@ def telescope_grid_extent(slab: geo.Slab, depth: int, cells: int = 4) -> tuple[f
     d, log2_cells = slab.d, math.log2(cells)
     above = math.log2(1 + 2.0 ** (1 - d)) if depth < -1 else 0.0
     return d * log2_cells + (d - 1) * (math.log2(slab.n) + 1 - depth) + above, depth - log2_cells
+
+
+def telescope_verdict(reports) -> tuple[bool, bool]:
+    """(within, stable) of one chain's reports: the constants lie within
+    1.5 times the smallest plus 1e-12; and also, at two or more distinct
+    depths, none of which skips its deepest layer (such a depth repeats a
+    shallower depth's chain, as a repeated depth does, so it shows nothing)."""
+    cs = [rep.minimal_c for rep in reports]
+    within = max(cs) <= 1.5 * min(cs) + 1e-12
+    stable = (within and len({rep.m for rep in reports}) >= 2
+              and all(rep.m not in rep.skipped_layers for rep in reports))
+    return within, stable
 
 
 def telescoping_reconstruction(

@@ -46,11 +46,19 @@ __all__ = [
     "adjacent_pair_battery",
     "scaled_sobolev_ratio",
     "power_sum_slack",
+    "power_sum_battery",
     "telescoping_coefficient_parts",
     "telescoping_coefficient_identity",
     "coefficient_decay_ratio",
     "coefficient_decay_limit",
+    "ELEMENTARY_TOLERANCE",
+    "SLACK_TOLERANCE",
 ]
+
+#: tolerance of the elementary bound, whose near-equal slacks are settled at 50 digits
+ELEMENTARY_TOLERANCE = 1e-12
+#: default tolerance of the average-difference and power-sum slacks
+SLACK_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -93,7 +101,8 @@ def _elementary_slacks(a, b, c, tau) -> np.ndarray:
     return slack
 
 
-def elementary_inequality_slack(a, b, c, tau, tolerance: float = 1e-12) -> SlackReport:
+def elementary_inequality_slack(a, b, c, tau,
+                                tolerance: float = ELEMENTARY_TOLERANCE) -> SlackReport:
     """Slack of (|a|+|b|)^tau <= c |a|^tau + (1-c^{-1/(tau-1)})^{1-tau}|b|^tau."""
     if c <= 1:
         raise ParameterError("c must exceed 1")
@@ -203,7 +212,7 @@ def average_difference_slack(
     F: geo.Box,
     tau: float,
     cells_per_axis: int = 16,
-    tolerance: float = 1e-9,
+    tolerance: float = SLACK_TOLERANCE,
 ) -> SlackReport:
     """Slack of |mean_E u - mean_F u|^tau <= 2^tau * |EuF|/min(|E|,|F|) * osc.
 
@@ -364,6 +373,19 @@ def power_sum_slack(values: Sequence[float], beta: float, tolerance: float = 0.0
     lhs = float(np.sum(vals**beta))
     rhs = float(np.sum(vals)) ** beta
     return SlackReport(rhs - lhs, tolerance)
+
+
+def power_sum_battery(count: int = 200, seed: int = 0) -> tuple[float, list[dict]]:
+    """Randomized power-sum battery of 1 to 9 values in [-5, 5] and beta in
+    [1, 5]; returns (min slack, one row of n, beta and slack per trial)."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(count):
+        values = rng.uniform(-5, 5, size=rng.integers(1, 10))
+        beta = float(rng.uniform(1, 5))
+        rows.append({"n": len(values), "beta": beta,
+                     "slack": power_sum_slack(values, beta).slack})
+    return min((row["slack"] for row in rows), default=math.inf), rows
 
 
 # ---------------------------------------------------------------------------

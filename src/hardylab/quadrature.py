@@ -79,6 +79,7 @@ __all__ = [
     "SeminormTables",
     "check_cell_side",
     "check_member",
+    "check_support",
     "kahan_sum",
 ]
 
@@ -867,6 +868,19 @@ def check_member(u, d: int) -> None:
     function ``u`` is a function on R^d (a bare callable states none)."""
     if isinstance(u, TestFunction) and u.d != d:
         raise ParameterError(f"the member is a function on R^{u.d}, not on R^{d}")
+
+
+def check_support(support: Box, domain: geo.Domain, support_box: Box) -> None:
+    """The members' support rule: raise ``ParameterError`` unless the box
+    ``support`` (a member's support, or a family's hull) lies in the box of
+    the grid the member is summed on, ``grid_box(domain, support_box)``.
+    On a domain that is not box-shaped that is the truncation box alone:
+    the rule does not check the domain's own boundary there."""
+    box = grid_box(domain, support_box)
+    if not (all(a <= b for a, b in zip(box.lo, support.lo))
+            and all(a <= b for a, b in zip(support.hi, box.hi))):
+        raise ParameterError(f"support {list(support.lo)} .. {list(support.hi)} leaves the"
+                             f" grid's box {list(box.lo)} .. {list(box.hi)}")
 
 
 def check_cell_side(fp: FracParams, log2_side: float) -> None:

@@ -114,10 +114,13 @@ CONE_CFG = dict(
 DEMO_CONFIGS = sorted((Path(__file__).parent.parent / "demos" / "configs").glob("*.json"))
 DEMO_SCRIPTS = sorted((Path(__file__).parent.parent / "demos").glob("0*.py"))
 
+TELESCOPE_DEMO_CFG = json.loads(next(p for p in DEMO_CONFIGS
+                                     if p.stem == "telescope").read_text())
+
 # the former demo bump, at heights [0.15, 0.85]: depths -4, -5 and -6 skip
 # their deepest 1, 2 and 3 layers and repeat one chain
 SKIPPING_TELESCOPE_CFG = dict(
-    json.loads(next(p for p in DEMO_CONFIGS if p.stem == "telescope").read_text()),
+    TELESCOPE_DEMO_CFG,
     u={"kind": "tensor_bump", "center": [0.0, 0.5], "radius": [0.6, 0.35]},
 )
 
@@ -322,6 +325,24 @@ WORK_RULE_CASES += [
     (dict(BOX_CFG, domain=SLAB_2D, resolution=16, u=BUMP_1D), "u"),
     (dict(HARDY_CFG, case="1a", domain=SLAB_2D, frac=FRAC_2D, resolution=16, u=BUMP_1D), "u"),
     (dict(TELESCOPE_CFG, domain=SLAB_2D, frac=FRAC_2D, u=BUMP_1D), "u"),
+]
+
+
+# a member's support, or a family's hull, lies in the grid's box
+# (quadrature.check_support): each of these once scored members that leave
+# the d = 1 slab or the unit square
+ESTIMATE_DEMO_CFG = json.loads(next(p for p in DEMO_CONFIGS
+                                    if p.stem == "estimate_constant").read_text())
+WORK_RULE_CASES += [
+    (dict(HARDY_CFG, u={"kind": "tensor_bump", "center": [0.9], "radius": [0.25]}), "u"),
+    (dict(ESTIMATE_DEMO_CFG, family={"kind": "boundary_bump", "log2_h_range": [-3, -0.5]},
+          support_box=[[-1], [2]]), "family.log2_h_range"),
+    (dict(ESTIMATE_DEMO_CFG, case="1a", domain={"kind": "box", "lo": [0, 0], "hi": [1, 1]},
+          frac=FRAC_2D, resolution=16,
+          family={"kind": "tensor_bump_grid", "center_bounds": [[0, 1], [0, 1]],
+                  "radius_bounds": [[0.3, 0.6], [0.3, 0.6]]}), "family"),
+    (dict(ESTIMATE_DEMO_CFG, family={"kind": "log_spike", "level_range": [3, 4]},
+          support_box=[[0.5], [1]]), "family.level_range"),
 ]
 
 
@@ -575,6 +596,32 @@ def test_telescope_gate_fails_when_the_deepest_layer_is_skipped(tmp_path: Path):
     assert summary["verdicts"] == {"stable": False}
     assert summary["results"]["stable_within_50pct"]
     assert [row["skipped"] for row in summary["series"]["telescope"]] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("depths", [[-4], [-5, -5]])
+def test_telescope_gate_fails_at_one_depth(tmp_path: Path, depths):
+    # one chain shows nothing about the constant's uniformity in depth,
+    # whatever the constant
+    cfg_path = tmp_path / "one.json"
+    cfg_path.write_text(json.dumps(dict(TELESCOPE_DEMO_CFG, depths=depths)))
+    out = tmp_path / "o"
+    assert cli.main(["--config", str(cfg_path), "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["verdicts"] == {"stable": False}
+    assert summary["results"]["stable_within_50pct"]
+
+
+def _telescope_reports(raw: dict):
+    """The library's reports for a telescope config, without the CLI."""
+    cfg = ExperimentConfig.from_dict(raw)
+    fp = cfg.frac()
+    return exp.telescoping_reconstruction(cfg.domain(fp.d), cfg.test_function(fp.d), fp,
+                                          cfg.numbers("depths"), cfg.get("cells_per_cube", 4))
+
+
+def test_telescope_verdict_is_the_library_rule():
+    assert exp.telescope_verdict(_telescope_reports(TELESCOPE_DEMO_CFG)) == (True, True)
+    assert exp.telescope_verdict(_telescope_reports(SKIPPING_TELESCOPE_CFG)) == (True, False)
 
 
 #: one base config per command; their verdict keys are every key checked

@@ -29,6 +29,39 @@ DEMO_PAYLOADS = Path(__file__).parent / "data" / "demo_payloads.json"
 # constant estimation
 
 
+FAMILIES = [
+    exp.BoundaryBumpFamily(),
+    exp.BoundaryBumpFamily(log2_h_range=(-3.0, -0.5), width=0.25),
+    exp.LogSpikeFamily(level_range=(3, 8)),
+    exp.LogSpikeFamily(level_range=(1, 2)),
+    exp.TensorBumpGridFamily(center_bounds=((-0.5, 0.5), (0.2, 0.8)),
+                             radius_bounds=((0.1, 0.3), (0.05, 0.2))),
+]
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: type(f).__name__)
+def test_family_hull_holds_every_member(family):
+    # hull() is read off the members at the corners of the parameter box;
+    # members at sampled parameters, inside the box and clipped to it from
+    # outside, lie in it
+    hull = family.hull()
+    lo, hi = np.array(family.bounds).T
+    rng = np.random.default_rng(0)
+    for params in rng.uniform(lo - (hi - lo) - 1, hi + (hi - lo) + 1, (300, len(lo))):
+        support = family.make(params).support
+        assert all(a <= b for a, b in zip(hull.lo, support.lo)), (params, support)
+        assert all(b <= a for a, b in zip(hull.hi, support.hi)), (params, support)
+
+
+def test_family_hull_is_the_members_extent():
+    assert exp.BoundaryBumpFamily().hull() == geo.Box((2.0**-7,), (0.75,))
+    spikes = exp.LogSpikeFamily(level_range=(3, 4))
+    assert spikes.hull() == geo.Box(spikes.member(4).support.lo, spikes.member(3).support.hi)
+    bumps = exp.TensorBumpGridFamily(center_bounds=((-0.5, 0.5), (0.25, 0.75)),
+                                     radius_bounds=((0.125, 0.25), (0.125, 0.25)))
+    assert bumps.hull() == geo.Box((-0.75, 0.0), (0.75, 1.0))
+
+
 def test_single_member_family_returns_its_ratio():
     family = exp.BoundaryBumpFamily(log2_h_range=(-3.0, -3.0))
     grid = quad.GridSpec(64, SLAB_1D.box)

@@ -1,5 +1,7 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,3 +305,16 @@ def test_coefficient_decay_ratio_range_and_limit():
         shallow_gap = abs(lemmas.coefficient_decay_ratio(-4, tau) - lemmas.coefficient_decay_limit(tau))
         deep_gap = abs(deep - lemmas.coefficient_decay_limit(tau))
         assert deep_gap < shallow_gap
+
+
+def test_power_sum_battery_gives_the_demo_rows():
+    # the lemma suite's battery at the demo config's seed 0
+    demo = json.loads((Path(__file__).parent / "data" / "demo_payloads.json").read_text())
+    want = demo["lemma_suite"]
+    worst, rows = lemmas.power_sum_battery(200, 0)
+    assert worst == want["results"]["power_sum_min_slack"]
+    assert len(rows) == len(want["series"]["power_sum"]) == 200
+    for got, row in zip(rows, want["series"]["power_sum"]):
+        assert got.keys() == row.keys() and got["n"] == row["n"]
+        assert got["beta"] == pytest.approx(row["beta"], rel=1e-12, abs=0)
+        assert got["slack"] == pytest.approx(row["slack"], rel=1e-12, abs=0)

@@ -121,3 +121,14 @@ def test_bench_records_name_only_benchmark_metrics():
             for name, stats in entry.items():
                 assert {"parent_median", "change_median", "parent_iqr",
                         "change_wins"} <= set(stats), f"{path.name}: {workload}.{name}"
+
+
+def test_cli_imports_no_numpy():
+    # each command reads its fields, calls the library and lays out the
+    # record: the arithmetic of its rules and batteries is the library's
+    tree = ast.parse((SRC / "cli.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert not [name for name in imported if name.split(".")[0] == "numpy"], imported
