@@ -379,6 +379,12 @@ class Domain:
         """Bounding box for bounded domains, None otherwise."""
         return None
 
+    def holds(self, box: Box) -> bool:
+        """Whether the closed box lies in the closed domain, by the test this
+        domain states beside its geometry; a domain that states none (the
+        polygon) holds every box."""
+        return True
+
 
 def _as_points(x, d: int) -> tuple[np.ndarray, bool]:
     pts = np.asarray(x, dtype=float)
@@ -402,6 +408,9 @@ class BoxShaped(Domain):
 
     def bounding_box(self) -> Box:
         return self.box
+
+    def holds(self, box: Box) -> bool:
+        return self.box.intersect(box) == box
 
 
 @dataclass(frozen=True)
@@ -445,6 +454,11 @@ class ExteriorBall(Domain):
         dist = np.linalg.norm(pts, axis=-1) - self.R  # exactly >= 0 where |x| >= R
         return np.where(dist >= 0, dist, np.nan)
 
+    def holds(self, box: Box) -> bool:
+        """The box's nearest point to the centre lies at distance >= R."""
+        nearest = np.clip(0.0, box.lo, box.hi)
+        return bool(np.linalg.norm(nearest) >= self.R)
+
 
 @dataclass(frozen=True)
 class Epigraph(Domain):
@@ -469,6 +483,11 @@ class Epigraph(Domain):
         # of the graph within rounding
         on_or_above = pts[..., -1] >= self.graph.gamma(pts[..., :-1])
         return np.where(on_or_above, self.graph.distance(pts), np.nan)
+
+    def holds(self, box: Box) -> bool:
+        """The box's lower face lies on or above the graph's maximum over
+        the box's shadow."""
+        return box.lo[-1] >= self.graph.range_on_box(box.lo[:-1], box.hi[:-1])[1]
 
 
 @dataclass(frozen=True)

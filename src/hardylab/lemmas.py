@@ -235,49 +235,65 @@ def average_difference_slack(
     return SlackReport(slack, tolerance)
 
 
-def _adjacent_pair_trial(rng: np.random.Generator, d: int, cube_box):
+def _adjacent_pair_trial(rng: np.random.Generator, d: int):
     """One trial of ``adjacent_pair_battery`` in d dimensions, drawn in its
     RNG order: the cube E, its neighbour F, the bump's centre and radius,
-    and tau.  ``cube_box(layer, i)`` is the box of cube i of the layer."""
+    and tau.  The layer, the cubes and the coin are scalar draws; the 2d + 1
+    uniforms after them are one ``random`` call, each mapped as numpy's
+    ``uniform(low, high)`` maps its draw x, to low + (high - low) x.
+
+    The cubes are those of ``geo.DyadicLayer(k, 1, d)``: cube i of layer k
+    has the lower corner 2^k (t_1, ..., t_{d-1}, 1), the t_a the base-2^{1-k}
+    digits of i (first axis slowest) less 2^-k, and the cube above it in
+    layer k + 1 has the corner 2^{k+1} (floor(t_a / 2), ..., 1)."""
     k = int(rng.integers(-4, -1))  # layer in -4..-2 so a parent exists
-    layer = geo.DyadicLayer(k, 1, d)
-    i = int(rng.integers(0, layer.count))
-    E = cube_box(layer, i)
-    if layer.count == 1 or rng.random() < 0.5:
-        F = cube_box(geo.DyadicLayer(k + 1, 1, d), geo.parent_cube(layer, i))
+    per = 2 ** (1 - k)  # cubes per transverse axis
+    count = per ** (d - 1)
+
+    def corner(index):  # cube ``index``'s lower corner, in cube sides
+        ints = []
+        for _ in range(d - 1):
+            index, pos = divmod(index, per)
+            ints.append(pos - per // 2)
+        return ints[::-1] + [1]
+
+    def cube(ints, side):
+        return geo.Box(tuple(a * side for a in ints), tuple((a + 1) * side for a in ints))
+
+    i = int(rng.integers(0, count))
+    side, e = 2.0**k, corner(i)
+    E = cube(e, side)
+    if count == 1 or rng.random() < 0.5:
+        F = cube([t // 2 for t in e[:-1]] + [1], 2 * side)
     else:
-        j = int(rng.integers(0, layer.count))
+        j = int(rng.integers(0, count))
         if j == i:
-            j = (i + 1) % layer.count
-        F = cube_box(layer, j)
-    lo = tuple(min(a, b) for a, b in zip(E.lo, F.lo))
-    hi = tuple(max(a, b) for a, b in zip(E.hi, F.hi))
-    center = tuple(rng.uniform(a, b) for a, b in zip(lo, hi))
-    radius = tuple(rng.uniform(0.2, 1.0) * s for s in E.sides())
-    tau = float(rng.uniform(1.0, 4.0))
-    return E, F, center, radius, tau
+            j = (i + 1) % count
+        F = cube(corner(j), side)
+
+    def uniform(x, low, high):
+        return low + (high - low) * x
+
+    x = rng.random(2 * d + 1).tolist()
+    center = tuple(uniform(t, min(a, b), max(c, e))
+                   for t, a, b, c, e in zip(x, E.lo, F.lo, E.hi, F.hi))
+    radius = tuple(uniform(t, 0.2, 1.0) * side for t in x[d : 2 * d])
+    return E, F, center, radius, uniform(x[-1], 1.0, 4.0)
 
 
 def _adjacent_pair_slacks(count: int, seed: int, cells_per_axis: int):
     """The trials of ``adjacent_pair_battery`` and their slacks, in trial order.
 
-    A layer's cube boxes are built once, on its first draw.  Every cube has
-    ``cells_per_axis`` cells per axis, so the trials of one dimension share
-    one grid of their E cubes and one of their F cubes (a union of boxes is
-    their grids in order), and each grid evaluates all their bumps at once,
-    with a centre and a radius per cell.  One ``_average_difference`` call
-    per dimension then takes the trials as rows, so each slack is the one
-    ``average_difference_slack`` gives for its trial alone, bit for bit.
+    Every cube has ``cells_per_axis`` cells per axis, so the trials of one
+    dimension share one grid of their E cubes and one of their F cubes (a
+    union of boxes is their grids in order), and each grid evaluates all
+    their bumps at once, with a centre and a radius per cell.  One
+    ``_average_difference`` call per dimension then takes the trials as
+    rows, so each slack is the one ``average_difference_slack`` gives for
+    its trial alone, bit for bit.
     """
-    boxes = {}
-
-    def cube_box(layer: geo.DyadicLayer, i: int) -> geo.Box:
-        if layer not in boxes:
-            boxes[layer] = layer.region_boxes()
-        return boxes[layer][i]
-
     rng = np.random.default_rng(seed)
-    trials = [_adjacent_pair_trial(rng, 1 if t % 2 == 0 else 2, cube_box) for t in range(count)]
+    trials = [_adjacent_pair_trial(rng, 1 if t % 2 == 0 else 2) for t in range(count)]
     slacks = [0.0] * count
     for d in (1, 2):
         picked = range(d - 1, count, 2)

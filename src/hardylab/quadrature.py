@@ -17,11 +17,16 @@ Determinism contract: single sums are correctly rounded (``math.fsum``),
 so they do not depend on the summation order.  The double sum over cell
 pairs is split into fixed pieces whose partial sums are combined in a fixed
 order: one partial per run offset and fixed-size chunk of a run's cells,
-in offset order.  Where the runs shrink (the dyadic blocks), the offsets
-past the first ``_CUT_HEAD`` stop where a rigorous bound of the rest falls
-to ``_TAIL_CUT`` (2^-53, the unit roundoff) of the sum so far, a point set
-by the grid and the values alone.  On an even-p box it is one partial from
-``numpy.fft`` convolutions, of the values less their median; where its
+in offset order.  A place in the runs whose cell holds 0 in every run,
+with the same mask in every run, is dead: its pairs' terms are those of
+a stand-in cell of value 0 and that mask, so the sweep forms the
+differences of the live places and one stand-in per mask value, summed
+in the order the whole block's would be, and each partial keeps its
+bits.  Where the runs shrink (the dyadic blocks), the offsets past the
+first ``_CUT_HEAD`` stop where a rigorous bound of the rest falls to
+``_TAIL_CUT`` (2^-53, the unit roundoff) of the sum so far, a point set
+by the grid and the values alone.  On an even-p box it is one partial
+from ``numpy.fft`` convolutions, of the values less their median; where its
 positive terms exceed it by more than ``_FFT_CANCELLATION`` times, the
 sweep's partials replace it.  The worker thread count is an argument of
 ``gagliardo_seminorm``; the threads only compute the sweep's partials, so
@@ -618,12 +623,25 @@ def _plane_sweep(U, p, kernel, threads, m=None, tail=None):
 
         T[a, b] = sum over x0 of |U(x0, a) - U(x0 + k0, b)|^p m(x0, a) m(x0 + k0, b)
 
-    (m left as None is 1) is contracted with ``kernel(k0, a0, a1,
-    c0)``, the kernel between the rows a0:a1 of a plane and the columns c0:
-    of the plane k0 further on.  At k0 = 0 only the pairs b > a count (the
+    (m left as None is 1) is contracted with ``kernel(k0, a0, a1, c0)``,
+    the kernel between the rows a0:a1 of a plane and the columns c0: of
+    the plane k0 further on.  At k0 = 0 only the pairs b > a count (the
     strict upper triangle): a chunk's columns start at its first row, and
     its leading square, which is symmetric with a zero diagonal, counts
-    half.  One partial per (k0, row chunk), in that order.
+    half.  One partial per (k0, row chunk), in that order.  T is summed
+    over x0 a fixed step of planes at a time, set by the size of the whole
+    block; a step whose planes hold only zeros adds exact zeros and is
+    skipped.
+
+    A place of the plane whose value is 0 in every plane, with the same
+    mask in every plane, is dead: its row and column of T are those of a
+    stand-in place of value 0 and that mask.  So the block of T whose rows
+    and columns are the stand-ins (one per mask value) and the live places
+    holds every distinct entry of T, each the same sum in the same order:
+    numpy adds the planes of a C-ordered block of more than one entry one
+    after another, and a block of one entry is a stand-in's 0.  A chunk
+    sums that block and spreads it over T when the differences it saves
+    outnumber T's entries, which no chunk of one plane does.
 
     ``tail[r]``, if given, bounds the sum of the partials of the offsets
     k0 >= r at values of spread (max U - min U) 1.  The offsets below
@@ -636,21 +654,67 @@ def _plane_sweep(U, p, kernel, threads, m=None, tail=None):
     n0, n_rest = U.shape
     rows = max(1, _PAIR_CHUNK // n_rest)
     chunks = range(0, n_rest, rows)
+    filled, gathering = [0, 1], False  # one plane: one step, and no chunk gathers
+    if n0 > 1:
+        nonzero = U != 0
+        filled = [0] + np.cumsum(nonzero.any(axis=1)).tolist()  # planes below x0 with a value
+        dead = ~nonzero.any(axis=0)
+        if m is not None:
+            dead &= (m == m[0]).all(axis=0)
+        gathering = bool(dead.any())
+    if gathering:
+        # the stand-ins follow the last place, one per mask value of a dead
+        # place; a place's slot is its row (column) of the block: its
+        # stand-in's, or after the stand-ins by its rank among the live
+        masks = np.unique(m[0, dead]) if m is not None else np.ones(1)
+        pads = len(masks)
+        U_pad = np.concatenate((U, np.zeros((n0, pads))), axis=1)
+        m_pad = None if m is None else np.concatenate((m, np.tile(masks, (n0, 1))), axis=1)
+        live, stand_ins = np.flatnonzero(~dead), np.arange(n_rest, n_rest + pads)
+        ranked = np.cumsum(~dead)  # live places up to and including each place
+        lives = [0] + ranked.tolist()
+        slot = np.where(dead, np.searchsorted(masks, m[0]) if m is not None else 0,
+                        pads - 1 + ranked)
+
+    def places(lo, hi):
+        """The block's places for lo:hi: its stand-ins and live places, and
+        the row (column) of the block that each place of lo:hi takes."""
+        i, j = lives[lo], lives[hi]
+        at = slot[lo:hi]
+        return np.concatenate((stand_ins, live[i:j])), np.where(at < pads, at, at - i)
 
     def one_chunk(item) -> float:
         k0, a0 = item
         a1 = min(a0 + rows, n_rest)
         c0 = a0 if k0 == 0 else 0
-        T = np.zeros((a1 - a0, n_rest - c0))
-        step = max(1, _PAIR_CHUNK // T.size)
+        size = (a1 - a0) * (n_rest - c0)
+        step = max(1, _PAIR_CHUNK // size)
+        gathered = False
+        if gathering:
+            block = (pads + lives[a1] - lives[a0]) * (pads + lives[n_rest] - lives[c0])
+            gathered = (n0 - k0) * (size - block) > size
+        if gathered:  # ``take`` keeps C order, as the slices below have it
+            (r_pick, r_at), (c_pick, c_at) = places(a0, a1), places(c0, n_rest)
+            Ur, Uc = U_pad.take(r_pick, axis=1), U_pad.take(c_pick, axis=1)
+            if m is not None:
+                mr, mc = m_pad.take(r_pick, axis=1), m_pad.take(c_pick, axis=1)
+        else:
+            Ur, Uc = U[:, a0:a1], U[:, c0:]
+            if m is not None:
+                mr, mc = m[:, a0:a1], m[:, c0:]
+        T = np.zeros((Ur.shape[1], Uc.shape[1]))
         for x0 in range(0, n0 - k0, step):
             x1 = min(x0 + step, n0 - k0)
-            diff = U[x0:x1, a0:a1, None] - U[x0 + k0 : x1 + k0, None, c0:]
+            if filled[x1] == filled[x0] and filled[x1 + k0] == filled[x0 + k0]:
+                continue
+            diff = Ur[x0:x1, :, None] - Uc[x0 + k0 : x1 + k0, None, :]
             _abs_pow(diff, p)
             if m is not None:
-                diff *= m[x0:x1, a0:a1, None]
-                diff *= m[x0 + k0 : x1 + k0, None, c0:]
+                diff *= mr[x0:x1, :, None]
+                diff *= mc[x0 + k0 : x1 + k0, None, :]
             T += diff.sum(axis=0)
+        if gathered:
+            T = T.take(r_at, axis=0).take(c_at, axis=1)
         with np.errstate(invalid="ignore"):
             TK = T * kernel(k0, a0, a1, c0)
         if k0 == 0:  # the leading square holds each pair twice
@@ -873,14 +937,17 @@ def check_member(u, d: int) -> None:
 def check_support(support: Box, domain: geo.Domain, support_box: Box) -> None:
     """The members' support rule: raise ``ParameterError`` unless the box
     ``support`` (a member's support, or a family's hull) lies in the box of
-    the grid the member is summed on, ``grid_box(domain, support_box)``.
-    On a domain that is not box-shaped that is the truncation box alone:
-    the rule does not check the domain's own boundary there."""
+    the grid the member is summed on, ``grid_box(domain, support_box)``,
+    and in the closed domain by the domain's own test (``holds``): outside
+    the exterior ball's closed ball, on or above the epigraph's graph.  A
+    polygon states no such test and keeps the truncation-box rule alone."""
     box = grid_box(domain, support_box)
+    where = f"support {list(support.lo)} .. {list(support.hi)}"
     if not (all(a <= b for a, b in zip(box.lo, support.lo))
             and all(a <= b for a, b in zip(support.hi, box.hi))):
-        raise ParameterError(f"support {list(support.lo)} .. {list(support.hi)} leaves the"
-                             f" grid's box {list(box.lo)} .. {list(box.hi)}")
+        raise ParameterError(f"{where} leaves the grid's box {list(box.lo)} .. {list(box.hi)}")
+    if not domain.holds(support):
+        raise ParameterError(f"{where} leaves the {domain.kind} domain")
 
 
 def check_cell_side(fp: FracParams, log2_side: float) -> None:

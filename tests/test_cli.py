@@ -345,6 +345,16 @@ WORK_RULE_CASES += [
           support_box=[[0.5], [1]]), "family.level_range"),
 ]
 
+# ... and in the closed domain by the domain's own test: a bump half in
+# the exterior ball's hole once scored 0.2218, and one below the cone's
+# graph 0.1058
+WORK_RULE_CASES += [
+    (dict(EXTERIOR_CFG, u={"kind": "tensor_bump", "center": [1.0], "radius": [0.25]}), "u"),
+    (dict(HARDY_CFG, case="3a", domain=CONE_CFG["domain"], frac=FRAC_2D, resolution=16,
+          support_box=[[-0.5, 0.0], [0.5, 1.5]],
+          u={"kind": "tensor_bump", "center": [0.0, 0.3], "radius": [0.4, 0.25]}), "u"),
+]
+
 
 @pytest.mark.parametrize("cfg,field", WORK_RULE_CASES)
 def test_work_rules_are_checked_when_read(cfg, field):

@@ -60,6 +60,22 @@ def test_flat_epigraph_distance_is_height():
     assert geo.distance_to_boundary(dom, np.array([5.0, 0.3])) == pytest.approx(0.3)
 
 
+def test_domains_hold_the_boxes_in_their_closure():
+    # a box that touches the boundary lies in the closed domain; one that
+    # crosses it does not.  A polygon states no test
+    ball = geo.ExteriorBall(R=1.0, d=2)
+    assert ball.holds(geo.Box((1.0, -0.5), (2.0, 0.5)))
+    assert ball.holds(geo.Box((0.8, 0.8), (1.0, 1.0)))  # nearest point |(0.8, 0.8)| > 1
+    assert not ball.holds(geo.Box((0.5, 0.5), (1.0, 1.0)))
+    assert not ball.holds(geo.Box((-2.0, -2.0), (2.0, 2.0)))  # holds the centre
+    cone = geo.Epigraph(geo.ConeGraph(slope=0.5), d=2)
+    assert cone.holds(geo.Box((-0.5, 0.25), (0.5, 1.0)))
+    assert not cone.holds(geo.Box((-0.5, 0.2), (0.5, 1.0)))
+    slab = geo.Slab(n=1, d=2)
+    assert slab.holds(slab.box) and not slab.holds(geo.Box((0.0, 0.5), (1.5, 0.75)))
+    assert L_SHAPE.holds(geo.Box((1.5, 1.5), (3.0, 3.0)))
+
+
 def test_slab_distance_matches_brute_force():
     slab = geo.Slab(n=1, d=2)
     for x, expected in [((0.0, 0.1), 0.1), ((0.95, 0.5), 0.05)]:

@@ -192,6 +192,41 @@ def test_battery_slacks_match_one_pair_at_a_time(seed, cells):
     assert lemmas.adjacent_pair_battery(1000, seed, cells) == (min(slacks), 1000)
 
 
+def scalar_pair_trial(rng, d):
+    """Reference for ``_adjacent_pair_trial``: one scalar draw per number,
+    cubes from ``DyadicLayer`` and ``parent_cube``."""
+    k = int(rng.integers(-4, -1))
+    layer = geo.DyadicLayer(k, 1, d)
+    i = int(rng.integers(0, layer.count))
+    E = layer.cube(i).box()
+    if layer.count == 1 or rng.random() < 0.5:
+        F = geo.DyadicLayer(k + 1, 1, d).cube(geo.parent_cube(layer, i)).box()
+    else:
+        j = int(rng.integers(0, layer.count))
+        if j == i:
+            j = (i + 1) % layer.count
+        F = layer.cube(j).box()
+    lo = tuple(min(a, b) for a, b in zip(E.lo, F.lo))
+    hi = tuple(max(a, b) for a, b in zip(E.hi, F.hi))
+    center = tuple(rng.uniform(a, b) for a, b in zip(lo, hi))
+    radius = tuple(rng.uniform(0.2, 1.0) * s for s in E.sides())
+    tau = float(rng.uniform(1.0, 4.0))
+    return E, F, center, radius, tau
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+def test_battery_draws_match_the_scalar_draws(seed):
+    # the 2d + 1 uniforms of a trial come from one call, the cubes from
+    # integer corners: the trials of the scalar loop, in d = 1, 2 and 3
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for t in range(300):
+        d = 1 + t % 3
+        got, want = lemmas._adjacent_pair_trial(rng, d), scalar_pair_trial(ref, d)
+        assert got == want
+        assert [type(x) for x in got[2] + got[3] + got[4:]] == [float] * (2 * d + 1)
+    assert rng.random() == ref.random()
+
+
 def test_battery_draws_pinned():
     # the trials are drawn in a fixed RNG order; the sum of the slacks at
     # seed 0 pins it (the minimum is 0.0 at every seed, see ROADMAP item 10)

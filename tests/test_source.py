@@ -1,6 +1,7 @@
 """Checks on the package source itself and on the repository's benchmark records."""
 
 import ast
+import importlib.util
 import json
 import re
 from pathlib import Path
@@ -132,3 +133,51 @@ def test_cli_imports_no_numpy():
     imported += [node.module or "" for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom)]
     assert not [name for name in imported if name.split(".")[0] == "numpy"], imported
+
+
+def test_support_rule_names_no_domain_class():
+    # each domain states its own box test (Domain.holds) beside its
+    # geometry; the members' support rule calls it for any domain
+    tree = ast.parse((SRC / "geometry.py").read_text())
+    domains = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               and node.name != "Box"}
+    rule = next(node for node in ast.walk(ast.parse((SRC / "quadrature.py").read_text()))
+                if isinstance(node, ast.FunctionDef) and node.name == "check_support")
+    named = {node.attr for stmt in rule.body for node in ast.walk(stmt)
+             if isinstance(node, ast.Attribute)}
+    assert "holds" in named and not named & domains, named & domains
+
+
+def load_bench_tool():
+    spec = importlib.util.spec_from_file_location("bench", SRC.parents[1] / "tools" / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_tool_summary():
+    # five pairs of fixed numbers: medians of each side, the parent's
+    # quartile distance by linear interpolation, wins in the better
+    # direction (ties count for neither), and correct_all over every run
+    bench = load_bench_tool()
+    parent = [0.20, 0.18, 0.19, 0.21, 0.17]
+    change = [0.15, 0.18, 0.16, 0.14, 0.19]
+    rss = ([50.0, 50.0, 51.0, 50.0, 50.0], [49.0, 50.0, 52.0, 48.0, 49.5])
+    runs = {"parent": [{"pair": i, "correct": True, "failed": 0, "pass_p50_s": t, "peak_rss_mb": m}
+                       for i, (t, m) in enumerate(zip(parent, rss[0]), 1)],
+            "change": [{"pair": i, "correct": True, "failed": 0, "pass_p50_s": t, "peak_rss_mb": m}
+                       for i, (t, m) in enumerate(zip(change, rss[1]), 1)]}
+    metrics = {"pass_p50_s": "lower", "peak_rss_mb": "lower", "setup_s": "lower"}
+    summary = bench.summarize(runs, metrics)
+    assert summary == {
+        "pass_p50_s": {"parent_median": 0.19, "change_median": 0.16, "parent_iqr": 0.02,
+                       "change_wins": "3/5", "change_pct": -15.8},
+        "peak_rss_mb": {"parent_median": 50.0, "change_median": 49.5, "parent_iqr": 0.0,
+                        "change_wins": "3/5", "change_pct": -1.0},
+        "correct_all": True,
+    }
+    assert bench.summarize(runs, {"pass_p50_s": "higher"})["pass_p50_s"]["change_wins"] == "1/5"
+    runs["change"][2] = {"pair": 3, "correct": False, "failed": None, "returncode": 1}
+    summary = bench.summarize(runs, metrics)
+    assert summary["correct_all"] is False
+    assert summary["pass_p50_s"]["change_wins"] == "2/4"
