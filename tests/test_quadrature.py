@@ -566,7 +566,7 @@ def test_sweep_of_live_cells_keeps_the_full_block_bits(p, masked, monkeypatch):
     for n0, n in [(1, 7), (3, 1), (12, 1), (16, 5), (17, 19), (13, 6), (9, 40), (20, 25)]:
         U = rng.standard_normal((n0, n)) * 10.0 ** rng.integers(-3, 3, (n0, n))
         U[:, rng.random(n) < 0.5] = 0.0
-        if n == 5:  # one live place: one-entry pieces of a larger block
+        if n == 5:  # one live place: blocks of a stand-in and that place
             U[:, [0, 1, 3]] = 0.0
         U[rng.random(n0) < 0.3] = 0.0
         m = None
@@ -590,8 +590,8 @@ def test_sweep_of_live_cells_keeps_the_full_block_bits(p, masked, monkeypatch):
 
 def test_sweep_of_the_3d_box_forms_few_differences(monkeypatch):
     # the 16^3 slab box of the 3-D hardy-check: 86 % of its cells are 0,
-    # and the sweep forms differences of the live cells only (8,912,896
-    # in the full blocks)
+    # and the sweep forms differences of its live places and a stand-in
+    # only (8,912,896 in the full blocks)
     formed = []
     abs_pow = quad._abs_pow
     monkeypatch.setattr(quad, "_abs_pow", lambda x, p: formed.append(x.size) or abs_pow(x, p))
