@@ -381,8 +381,9 @@ class Domain:
 
     def holds(self, box: Box) -> bool:
         """Whether the closed box lies in the closed domain, by the test this
-        domain states beside its geometry; a domain that states none (the
-        polygon) holds every box."""
+        domain states beside its geometry.  A domain that states none holds
+        every box: a box-shaped domain's grid box is already clipped to the
+        domain, and a polygon keeps the truncation-box rule alone."""
         return True
 
 
@@ -408,9 +409,6 @@ class BoxShaped(Domain):
 
     def bounding_box(self) -> Box:
         return self.box
-
-    def holds(self, box: Box) -> bool:
-        return self.box.intersect(box) == box
 
 
 @dataclass(frozen=True)
@@ -612,7 +610,14 @@ class DyadicCube:
         return self.side**self.d
 
     def box(self) -> Box:
-        return Box(tuple(float(a) for a in self.lo()), tuple(float(b) for b in self.hi()))
+        # i 2^k in floats is the Fraction's correctly rounded value
+        s = 2.0**self.k
+        return Box(tuple(i * s for i in self.idx), tuple((i + 1) * s for i in self.idx))
+
+    def above(self) -> DyadicCube:
+        """The cube of layer k + 1 directly above this cube of layer k, the
+        one whose transverse shadow contains this cube's."""
+        return DyadicCube(self.k + 1, tuple(i // 2 for i in self.idx[:-1]) + (1,))
 
 
 @dataclass(frozen=True)
@@ -696,10 +701,8 @@ def parent_cube(layer: DyadicLayer, child_index: int) -> int:
     """
     if layer.k == -1:
         raise ParameterError("layer -1 has no parent layer")
-    child = layer.cube(child_index)
-    parent_ints = [i // 2 for i in child.idx[:-1]]
-    parent_layer = DyadicLayer(layer.k + 1, layer.n, layer.d)
-    return parent_layer.index_of(parent_ints)
+    parent = layer.cube(child_index).above()
+    return DyadicLayer(parent.k, layer.n, layer.d).index_of(parent.idx[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -240,36 +240,20 @@ def _adjacent_pair_trial(rng: np.random.Generator, d: int):
     RNG order: the cube E, its neighbour F, the bump's centre and radius,
     and tau.  The layer, the cubes and the coin are scalar draws; the 2d + 1
     uniforms after them are one ``random`` call, each mapped as numpy's
-    ``uniform(low, high)`` maps its draw x, to low + (high - low) x.
-
-    The cubes are those of ``geo.DyadicLayer(k, 1, d)``: cube i of layer k
-    has the lower corner 2^k (t_1, ..., t_{d-1}, 1), the t_a the base-2^{1-k}
-    digits of i (first axis slowest) less 2^-k, and the cube above it in
-    layer k + 1 has the corner 2^{k+1} (floor(t_a / 2), ..., 1)."""
+    ``uniform(low, high)`` maps its draw x, to low + (high - low) x."""
     k = int(rng.integers(-4, -1))  # layer in -4..-2 so a parent exists
-    per = 2 ** (1 - k)  # cubes per transverse axis
-    count = per ** (d - 1)
-
-    def corner(index):  # cube ``index``'s lower corner, in cube sides
-        ints = []
-        for _ in range(d - 1):
-            index, pos = divmod(index, per)
-            ints.append(pos - per // 2)
-        return ints[::-1] + [1]
-
-    def cube(ints, side):
-        return geo.Box(tuple(a * side for a in ints), tuple((a + 1) * side for a in ints))
-
+    layer = geo.DyadicLayer(k, 1, d)
+    count = layer.count
     i = int(rng.integers(0, count))
-    side, e = 2.0**k, corner(i)
-    E = cube(e, side)
+    cube = layer.cube(i)
     if count == 1 or rng.random() < 0.5:
-        F = cube([t // 2 for t in e[:-1]] + [1], 2 * side)
+        F = cube.above().box()
     else:
         j = int(rng.integers(0, count))
         if j == i:
             j = (i + 1) % count
-        F = cube(corner(j), side)
+        F = layer.cube(j).box()
+    E = cube.box()
 
     def uniform(x, low, high):
         return low + (high - low) * x
@@ -277,7 +261,7 @@ def _adjacent_pair_trial(rng: np.random.Generator, d: int):
     x = rng.random(2 * d + 1).tolist()
     center = tuple(uniform(t, min(a, b), max(c, e))
                    for t, a, b, c, e in zip(x, E.lo, F.lo, E.hi, F.hi))
-    radius = tuple(uniform(t, 0.2, 1.0) * side for t in x[d : 2 * d])
+    radius = tuple(uniform(t, 0.2, 1.0) * s for t, s in zip(x[d : 2 * d], E.sides()))
     return E, F, center, radius, uniform(x[-1], 1.0, 4.0)
 
 

@@ -71,8 +71,6 @@ def test_domains_hold_the_boxes_in_their_closure():
     cone = geo.Epigraph(geo.ConeGraph(slope=0.5), d=2)
     assert cone.holds(geo.Box((-0.5, 0.25), (0.5, 1.0)))
     assert not cone.holds(geo.Box((-0.5, 0.2), (0.5, 1.0)))
-    slab = geo.Slab(n=1, d=2)
-    assert slab.holds(slab.box) and not slab.holds(geo.Box((0.0, 0.5), (1.5, 0.75)))
     assert L_SHAPE.holds(geo.Box((1.5, 1.5), (3.0, 3.0)))
 
 
@@ -403,6 +401,8 @@ def test_layer_cubes_tile_exactly():
             for c in cubes:
                 assert all(-n <= lo and hi <= n for lo, hi in zip(c.lo()[:-1], c.hi()[:-1]))
                 assert c.lo()[-1] == Fraction(1, 2 ** (-layer.k))
+                # the float box is the exact corners rounded
+                assert c.box() == geo.Box(tuple(map(float, c.lo())), tuple(map(float, c.hi())))
 
 
 def test_parent_cube_fibers():
@@ -426,6 +426,7 @@ def test_parent_cube_fibers():
                     assert lo_p <= lo_c and hi_c <= hi_p
                 # the child sits directly below the parent
                 assert child.hi()[-1] == parent.lo()[-1]
+                assert child.above() == parent
             assert set(fibers) == set(range(parent_layer.count))  # surjective
             assert all(len(v) == 2 ** (d - 1) for v in fibers.values())
 

@@ -2,12 +2,13 @@
 
 Usage:
 
-    python tools/bench.py PARENT CHANGE --out BENCH_N.json [--workload NAME ...]
-                          [--pairs 10] [--seconds 60]
+    python tools/bench.py PARENT CHANGE --out BENCH_N.json
 
-runs ``perfbench/run.py --workload NAME --seconds SECONDS`` from the root
-of each checkout, one run at a time: pair i runs the parent first when i
-is odd and the change first when i is even.  Each run's last line of
+runs ``perfbench/run.py --workload NAME --seconds SECONDS``, for each
+workload of the change's ``BENCHMARK.json`` and its ``run_seconds``, from
+the root of each checkout in 10 alternating pairs, one run at a time: pair
+i runs the parent first when i is odd and the change first when i is
+even.  Each run's last line of
 output is the JSON that ``run.py`` prints.  The record holds every run and,
 per workload and end-to-end metric of the change's ``BENCHMARK.json``, the
 median of each side, the distance between the quartiles of the parent's
@@ -29,6 +30,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+PAIRS = 10  # the alternating pairs a gain claim is judged on
 
 
 def run_once(root: Path, workload: str, seconds: float) -> dict:
@@ -92,33 +94,30 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="root of the parent checkout")
     parser.add_argument("change", type=Path, help="root of the changed checkout")
     parser.add_argument("--out", type=Path, required=True, help="BENCH record to write")
-    parser.add_argument("--workload", action="append", help="workload (default: all)")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=60.0)
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
-    workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    seconds = benchmark["run_seconds"]
     roots = dict(zip(SIDES, (args.parent, args.change)))
     runs = {}
     for workload in workloads:
         runs[workload] = {side: [] for side in SIDES}
-        for pair in range(1, args.pairs + 1):
+        for pair in range(1, PAIRS + 1):
             for side in SIDES if pair % 2 else SIDES[::-1]:
-                result = run_once(roots[side], workload, args.seconds)
+                result = run_once(roots[side], workload, seconds)
                 runs[workload][side].append({"pair": pair, **result})
                 print(workload, pair, side, json.dumps(result), flush=True)
     record = {
-        "command": f"python3 perfbench/run.py --workload <name> --seconds {args.seconds:g}"
+        "command": f"python3 perfbench/run.py --workload <name> --seconds {seconds:g}"
                    " (seed 0, --trace 0)",
         "machine": f"{os.cpu_count()}-CPU {platform.machine()}, Python"
                    f" {platform.python_version()}; end-to-end times scaled by"
                    " perfbench/calibrate.py",
         "parent": git_head(args.parent),
+        "change": git_head(args.change),
         "method": "tools/bench.py: parent and change checkouts run in alternating order (the"
-                  f" parent first in odd pairs, the change first in even pairs), {args.pairs}"
+                  f" parent first in odd pairs, the change first in even pairs), {PAIRS}"
                   " pairs per workload; medians over the runs of each side, parent_iqr the"
                   " distance between the quartiles of the parent's runs (linear"
                   " interpolation), change_wins the pairs whose change run reads better",
