@@ -643,6 +643,17 @@ def _plane_sweep(U, p, kernel, threads, m=None, tail=None):
     sums that block and spreads it over T when the differences it saves
     outnumber T's entries, which no chunk of one plane does.
 
+    Where the whole block of more than one plane fits one chunk (n0
+    n_rest^2 <= ``_PAIR_CHUNK``), every chunk is the one row chunk of its
+    offset and one step of all planes.  Its operands are then formed once
+    per call, ``R = repeat(U, n_rest, axis=1)`` and ``C = tile(U, (1,
+    n_rest))`` (the mask alike), whose entry a n_rest + b is row a and
+    column b of T, and each offset's differences are one contiguous
+    ``R[:n0 - k0] - C[k0:]``: the same entries, the planes added one
+    after another, so T keeps its bits.  A chunk that gathers keeps its
+    block.  A chunk whose every step would be skipped is a partial of 0.0,
+    for which no kernel is asked.
+
     ``tail[r]``, if given, bounds the sum of the partials of the offsets
     k0 >= r at values of spread (max U - min U) 1.  The offsets below
     ``_CUT_HEAD`` are swept first; L is the ``math.fsum`` of their
@@ -654,7 +665,7 @@ def _plane_sweep(U, p, kernel, threads, m=None, tail=None):
     n0, n_rest = U.shape
     rows = max(1, _PAIR_CHUNK // n_rest)
     chunks = range(0, n_rest, rows)
-    filled, gathering = [0, 1], False  # one plane: one step, and no chunk gathers
+    filled, gathering, flat = [0, 1], False, False  # one plane: one step, and no chunk gathers
     if n0 > 1:
         nonzero = U != 0
         filled = [0] + np.cumsum(nonzero.any(axis=1)).tolist()  # planes below x0 with a value
@@ -662,6 +673,11 @@ def _plane_sweep(U, p, kernel, threads, m=None, tail=None):
         if m is not None:
             dead &= (m == m[0]).all(axis=0)
         gathering = bool(dead.any())
+        flat = n0 * n_rest * n_rest <= _PAIR_CHUNK
+    if flat:
+        R, C = np.repeat(U, n_rest, axis=1), np.tile(U, (1, n_rest))
+        if m is not None:
+            mR, mC = np.repeat(m, n_rest, axis=1), np.tile(m, (1, n_rest))
     if gathering:
         # the stand-ins follow the last place, one per mask value of a dead
         # place; a place's slot is its row (column) of the block: its
@@ -685,6 +701,8 @@ def _plane_sweep(U, p, kernel, threads, m=None, tail=None):
 
     def one_chunk(item) -> float:
         k0, a0 = item
+        if filled[n0 - k0] == 0 and filled[n0] == filled[k0]:
+            return 0.0  # no step has a plane with a value: T is 0
         a1 = min(a0 + rows, n_rest)
         c0 = a0 if k0 == 0 else 0
         size = (a1 - a0) * (n_rest - c0)
@@ -693,30 +711,36 @@ def _plane_sweep(U, p, kernel, threads, m=None, tail=None):
         if gathering:
             block = (pads + lives[a1] - lives[a0]) * (pads + lives[n_rest] - lives[c0])
             gathered = (n0 - k0) * (size - block) > size
+        # the two operands of a step's differences, indexed by plane first
         if gathered:  # ``take`` keeps C order, as the slices below have it
             (r_pick, r_at), (c_pick, c_at) = places(a0, a1), places(c0, n_rest)
-            Ur, Uc = U_pad.take(r_pick, axis=1), U_pad.take(c_pick, axis=1)
+            Ur, Uc = U_pad.take(r_pick, axis=1)[:, :, None], U_pad.take(c_pick, axis=1)[:, None]
             if m is not None:
-                mr, mc = m_pad.take(r_pick, axis=1), m_pad.take(c_pick, axis=1)
+                mr = m_pad.take(r_pick, axis=1)[:, :, None]
+                mc = m_pad.take(c_pick, axis=1)[:, None]
+        elif flat:
+            Ur, Uc = R, C
+            if m is not None:
+                mr, mc = mR, mC
         else:
-            Ur, Uc = U[:, a0:a1], U[:, c0:]
+            Ur, Uc = U[:, a0:a1, None], U[:, None, c0:]
             if m is not None:
-                mr, mc = m[:, a0:a1], m[:, c0:]
-        T = np.zeros((Ur.shape[1], Uc.shape[1]))
+                mr, mc = m[:, a0:a1, None], m[:, None, c0:]
+        T = np.zeros(np.broadcast_shapes(Ur.shape[1:], Uc.shape[1:]))
         for x0 in range(0, n0 - k0, step):
             x1 = min(x0 + step, n0 - k0)
             if filled[x1] == filled[x0] and filled[x1 + k0] == filled[x0 + k0]:
                 continue
-            diff = Ur[x0:x1, :, None] - Uc[x0 + k0 : x1 + k0, None, :]
+            diff = Ur[x0:x1] - Uc[x0 + k0 : x1 + k0]
             _abs_pow(diff, p)
             if m is not None:
-                diff *= mr[x0:x1, :, None]
-                diff *= mc[x0 + k0 : x1 + k0, None, :]
+                diff *= mr[x0:x1]
+                diff *= mc[x0 + k0 : x1 + k0]
             T += diff.sum(axis=0)
         if gathered:
             T = T.take(r_at, axis=0).take(c_at, axis=1)
         with np.errstate(invalid="ignore"):
-            TK = T * kernel(k0, a0, a1, c0)
+            TK = T.reshape(a1 - a0, -1) * kernel(k0, a0, a1, c0)
         if k0 == 0:  # the leading square holds each pair twice
             return 0.5 * float(np.sum(TK[:, : a1 - a0])) + float(np.sum(TK[:, a1 - a0 :]))
         return float(np.sum(TK))

@@ -591,16 +591,96 @@ def test_sweep_of_live_cells_keeps_the_full_block_bits(p, masked, monkeypatch):
 def test_sweep_of_the_3d_box_forms_few_differences(monkeypatch):
     # the 16^3 slab box of the 3-D hardy-check: 86 % of its cells are 0,
     # and the sweep forms differences of its live places and a stand-in
-    # only (8,912,896 in the full blocks)
+    # only (8,912,896 in the full blocks).  Only its planes 4-11 hold
+    # values, so the chunks of offsets 12-15 pair zero planes alone: they
+    # sum nothing and ask for no kernel table
     formed = []
     abs_pow = quad._abs_pow
     monkeypatch.setattr(quad, "_abs_pow", lambda x, p: formed.append(x.size) or abs_pow(x, p))
+    offsets = swept_offsets(monkeypatch)
     slab = geo.Slab(n=1, d=3)
     grid = quad.domain_grid(slab, quad.GridSpec(16, slab.box))
     tables = quad.SeminormTables(grid, fp(3, "3", "1/3"))
     semi = tables.seminorm(*tables.evaluate(quad.TensorBump((0.0, 0.0, 0.5), (0.5, 0.5, 0.3))))
     assert semi > 0
     assert 0 < sum(formed) <= 700_000
+    assert offsets == [set(range(12))]
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("p", [2.0, 3.0, 2.5])
+def test_contiguous_sweep_keeps_the_full_block_bits(p, masked, monkeypatch):
+    # every place holds a value in plane 0, so no place is dead and no
+    # chunk gathers.  A block of more than one plane within one chunk (the
+    # probe's blocks of 8 and 16 cells, a telescope-like 8 runs of 48, 32
+    # runs of 64 at the bound) takes each offset's differences as one 2-D
+    # subtraction of the repeated and tiled operands; 33 runs of 64, one
+    # plane and a chunk of 1 or of n0 n^2 - 1 keep the broadcast block (a
+    # chunk of 1 only below the bound, where its row-by-row loop is quick).
+    # Each partial keeps the full block loop's bits at any thread count
+    rng = np.random.default_rng(int(4 * p) + masked)
+    ndims = []
+    abs_pow = quad._abs_pow
+    monkeypatch.setattr(quad, "_abs_pow", lambda x, p: ndims.append(x.ndim) or abs_pow(x, p))
+    for n0, n in [(17, 8), (53, 16), (8, 48), (32, 64), (33, 64), (12, 1), (1, 7)]:
+        U = rng.standard_normal((n0, n)) * 10.0 ** rng.integers(-3, 3, (n0, n))
+        U[1:][rng.random(n0 - 1) < 0.3] = 0.0
+        m = None
+        if masked:
+            m = (rng.random((n0, n)) < 0.7).astype(float)
+            m[0] = 1.0
+            U *= m
+        assert np.all(U[0] != 0)
+        K = rng.random((n0, n, n))
+
+        def kernel(k0, a0, a1, c0):
+            return K[k0, a0:a1, c0:]
+
+        bound = quad._PAIR_CHUNK
+        ones = (1,) if n0 * n * n < bound else ()
+        for chunk in (bound, *ones, n0 * n * n - 1):
+            monkeypatch.setattr(quad, "_PAIR_CHUNK", chunk)
+            want = full_block_sweep(U, p, kernel, m)
+            for threads in (1, 2):
+                ndims.clear()
+                assert quad._plane_sweep(U, p, kernel, threads, m) == want, (n0, n, chunk)
+                flat = n0 > 1 and n0 * n * n <= chunk
+                assert set(ndims) == {2 if flat else 3}, (n0, n, chunk)
+            monkeypatch.setattr(quad, "_PAIR_CHUNK", bound)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_tail_cut_probe_partials_keep_the_broadcast_bits(p, monkeypatch):
+    # the level-6 probe grid takes the tail cut and, its 101 blocks of 8
+    # cells within one chunk, the repeated and tiled operands: its partials
+    # are the first of the full block loop's, bit for bit
+    family = exp.LogSpikeFamily()
+    grid = family.grid(6, 8)
+    vals = family.member(6)(grid.centers)
+    seen = []
+    sweep = quad._plane_sweep
+    monkeypatch.setattr(quad, "_plane_sweep",
+                        lambda U, p, kernel, *rest: seen.append((U, kernel)) or sweep(U, p, kernel,
+                                                                                        *rest))
+    got = quad._pair_sums(grid, p, 2.0)(vals, 1)
+    ((U, kernel),) = seen
+    assert len(got) < grid.planes
+    assert got == full_block_sweep(U, p, kernel)[: len(got)]
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_probe_sweep_subtracts_contiguous_planes(n, monkeypatch):
+    # the level-6 probe grid's 101 blocks of n cells fit one chunk, so
+    # each offset's differences are one 2-D array of n^2 columns, and no
+    # 3-D broadcast block is formed
+    shapes = []
+    abs_pow = quad._abs_pow
+    monkeypatch.setattr(quad, "_abs_pow", lambda x, p: shapes.append(x.shape) or abs_pow(x, p))
+    case = hardy.HardyCase("1b", fp(1, "2", "1/2", "2"))
+    (result,) = exp.blowup_probe(case, (0,), geo.Slab(n=1, d=1),
+                                 exp.LogSpikeFamily(level_range=(6, 6)), cells_per_block=n)
+    assert len(result.levels) == 1
+    assert shapes and all(len(s) == 2 and s[1] == n * n for s in shapes)
 
 
 def loop_run_grid(base, runs, scale=1.0, step=0.0):
@@ -726,14 +806,17 @@ def test_fft_cancellation_falls_back_to_sweep(bound, sweeps, monkeypatch):
     assert len(calls) in ((0, 1) if sweeps is None else (sweeps,))
 
 
-@pytest.mark.parametrize("n,d,builds", [(128, 1, 1), (64, 2, 2 * 64)])
+@pytest.mark.parametrize("n,d,builds", [(128, 1, 1), (64, 2, 48 + 56)])
 def test_pair_tables_kept_within_one_chunk(n, d, builds, monkeypatch):
     # the 128 cells of a 1-D box are one run of one row chunk: its one
     # kernel table serves a whole sweep of members at p = 2.  The 64 runs
     # of a 64^2 box hold 64^3 table entries, more than one chunk: each of
-    # two members builds its 64 tables anew at p = 3 (at an even p a box
-    # in d >= 2 is summed by FFT, without the sweep).  Every table the
-    # sweep is handed is held here, so two distinct tables never share an id
+    # two members builds its tables anew at p = 3 (at an even p a box in
+    # d >= 2 is summed by FFT, without the sweep), one per offset that
+    # pairs a run holding values: the first member is 0 off runs 16-47
+    # (offsets 0-47), the second off runs 8-39 (offsets 0-55).  Every table
+    # the sweep is handed is held here, so two distinct tables never share
+    # an id
     handed = []
     sweep = quad._plane_sweep
 
