@@ -588,22 +588,28 @@ def test_sweep_of_live_cells_keeps_the_full_block_bits(p, masked, monkeypatch):
             monkeypatch.undo()
 
 
+def formed_shapes(monkeypatch):
+    """The shape of each array of differences that later sweeps raise to
+    the power p."""
+    shapes = []
+    abs_pow = quad._abs_pow
+    monkeypatch.setattr(quad, "_abs_pow", lambda x, p: shapes.append(x.shape) or abs_pow(x, p))
+    return shapes
+
+
 def test_sweep_of_the_3d_box_forms_few_differences(monkeypatch):
     # the 16^3 slab box of the 3-D hardy-check: 86 % of its cells are 0,
     # and the sweep forms differences of its live places and a stand-in
     # only (8,912,896 in the full blocks).  Only its planes 4-11 hold
     # values, so the chunks of offsets 12-15 pair zero planes alone: they
     # sum nothing and ask for no kernel table
-    formed = []
-    abs_pow = quad._abs_pow
-    monkeypatch.setattr(quad, "_abs_pow", lambda x, p: formed.append(x.size) or abs_pow(x, p))
-    offsets = swept_offsets(monkeypatch)
+    formed, offsets = formed_shapes(monkeypatch), swept_offsets(monkeypatch)
     slab = geo.Slab(n=1, d=3)
     grid = quad.domain_grid(slab, quad.GridSpec(16, slab.box))
     tables = quad.SeminormTables(grid, fp(3, "3", "1/3"))
     semi = tables.seminorm(*tables.evaluate(quad.TensorBump((0.0, 0.0, 0.5), (0.5, 0.5, 0.3))))
     assert semi > 0
-    assert 0 < sum(formed) <= 700_000
+    assert 0 < sum(map(math.prod, formed)) <= 700_000
     assert offsets == [set(range(12))]
 
 
@@ -619,9 +625,7 @@ def test_contiguous_sweep_keeps_the_full_block_bits(p, masked, monkeypatch):
     # chunk of 1 only below the bound, where its row-by-row loop is quick).
     # Each partial keeps the full block loop's bits at any thread count
     rng = np.random.default_rng(int(4 * p) + masked)
-    ndims = []
-    abs_pow = quad._abs_pow
-    monkeypatch.setattr(quad, "_abs_pow", lambda x, p: ndims.append(x.ndim) or abs_pow(x, p))
+    formed = formed_shapes(monkeypatch)
     for n0, n in [(17, 8), (53, 16), (8, 48), (32, 64), (33, 64), (12, 1), (1, 7)]:
         U = rng.standard_normal((n0, n)) * 10.0 ** rng.integers(-3, 3, (n0, n))
         U[1:][rng.random(n0 - 1) < 0.3] = 0.0
@@ -642,10 +646,10 @@ def test_contiguous_sweep_keeps_the_full_block_bits(p, masked, monkeypatch):
             monkeypatch.setattr(quad, "_PAIR_CHUNK", chunk)
             want = full_block_sweep(U, p, kernel, m)
             for threads in (1, 2):
-                ndims.clear()
+                formed.clear()
                 assert quad._plane_sweep(U, p, kernel, threads, m) == want, (n0, n, chunk)
                 flat = n0 > 1 and n0 * n * n <= chunk
-                assert set(ndims) == {2 if flat else 3}, (n0, n, chunk)
+                assert {len(s) for s in formed} == {2 if flat else 3}, (n0, n, chunk)
             monkeypatch.setattr(quad, "_PAIR_CHUNK", bound)
 
 
@@ -659,9 +663,12 @@ def test_tail_cut_probe_partials_keep_the_broadcast_bits(p, monkeypatch):
     vals = family.member(6)(grid.centers)
     seen = []
     sweep = quad._plane_sweep
-    monkeypatch.setattr(quad, "_plane_sweep",
-                        lambda U, p, kernel, *rest: seen.append((U, kernel)) or sweep(U, p, kernel,
-                                                                                        *rest))
+
+    def recording(U, p, kernel, *rest):
+        seen.append((U, kernel))
+        return sweep(U, p, kernel, *rest)
+
+    monkeypatch.setattr(quad, "_plane_sweep", recording)
     got = quad._pair_sums(grid, p, 2.0)(vals, 1)
     ((U, kernel),) = seen
     assert len(got) < grid.planes
@@ -673,9 +680,7 @@ def test_probe_sweep_subtracts_contiguous_planes(n, monkeypatch):
     # the level-6 probe grid's 101 blocks of n cells fit one chunk, so
     # each offset's differences are one 2-D array of n^2 columns, and no
     # 3-D broadcast block is formed
-    shapes = []
-    abs_pow = quad._abs_pow
-    monkeypatch.setattr(quad, "_abs_pow", lambda x, p: shapes.append(x.shape) or abs_pow(x, p))
+    shapes = formed_shapes(monkeypatch)
     case = hardy.HardyCase("1b", fp(1, "2", "1/2", "2"))
     (result,) = exp.blowup_probe(case, (0,), geo.Slab(n=1, d=1),
                                  exp.LogSpikeFamily(level_range=(6, 6)), cells_per_block=n)
