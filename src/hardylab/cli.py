@@ -32,7 +32,6 @@ from . import __version__
 from . import experiments as exp
 from . import geometry as geo
 from . import hardy
-from . import lemmas
 from . import quadrature as quad
 from .errors import HardyLabError, ParameterError
 
@@ -71,7 +70,7 @@ def _field(path: str):
         raise ConfigError(path, str(e)) from e
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ExperimentConfig:
     """Experiment description (one command per run).
 
@@ -81,9 +80,9 @@ class ExperimentConfig:
     """
 
     command: str
-    raw: dict = field(repr=False)
+    raw: dict
     #: the key paths of ``raw`` that ``get`` has read
-    read: set = field(default_factory=set, init=False, repr=False, compare=False)
+    read: set = field(default_factory=set, init=False)
 
     @staticmethod
     def parse(text: str, overrides: dict | None = None) -> "ExperimentConfig":
@@ -402,7 +401,7 @@ def _numbers(value, path: str, length: int | None = None, ints: bool = False) ->
 # records
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ExperimentRecord:
     """Results of one run: scalars, per-level series, verdicts, timing."""
 
@@ -591,6 +590,8 @@ def _cmd_blowup_probe(cfg: ExperimentConfig) -> Work:
 
 
 def _cmd_lemma_suite(cfg: ExperimentConfig) -> Work:
+    from . import lemmas  # only this command needs it, and mpmath with it
+
     seed = cfg.seed
     tolerance = cfg.number("tolerance", lemmas.SLACK_TOLERANCE)
     elementary_count = cfg.integer("elementary_count", 100_000, hi=2**20)

@@ -117,7 +117,7 @@ class FunctionFamily:
                        tuple(float(max(ends)) for ends in zip(*(b.hi for b in supports))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class BoundaryBumpFamily(FunctionFamily):
     """Bumps of fixed width sliding toward the bottom boundary of (0, 1).
 
@@ -141,7 +141,7 @@ class BoundaryBumpFamily(FunctionFamily):
         return self.member(2.0 ** float(params[0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class LogSpikeFamily(FunctionFamily):
     """Concentrating log profiles with dyadically doubling depth.
 
@@ -193,7 +193,7 @@ class LogSpikeFamily(FunctionFamily):
         return self.member(float(params[0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class TensorBumpGridFamily(FunctionFamily):
     """Bumps with free center and radius inside a domain box (any d)."""
 
@@ -216,7 +216,7 @@ class TensorBumpGridFamily(FunctionFamily):
 # best-constant estimation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchConfig:
     """Multi-start Nelder-Mead budget; starts are seeded per index so that
     enlarging ``starts`` only appends new starts (monotone restarts)."""
@@ -230,7 +230,7 @@ class SearchConfig:
             raise ParameterError(f"a search needs starts and budget_per_start >= 1, got {self}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class EstimateResult:
     best_params: tuple[float, ...]
     best_ratio: float
@@ -380,7 +380,7 @@ def estimate_constant(
 _MIN_LEVELS = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ProbeResult:
     """Ratios of the concentrating family against one weight exponent;
     ``verdict`` is diverging iff at least ``_MIN_LEVELS`` levels were

@@ -13,7 +13,7 @@ and NaN at the points off it, which ``distance_to_boundary`` rejects:
 * ``Polygon2D(vertices)`` -- a simple polygon in the plane.
 
 Dyadic machinery (layers of a slab split into congruent cubes, the
-parent/child map between consecutive layers, dyadic annuli around a ball)
+parent/child map between consecutive layers)
 uses exact dyadic rational coordinates: cube corners are integer multiples
 of 2^k, so tiling and adjacency checks carry no float tolerance.
 
@@ -59,7 +59,6 @@ __all__ = [
     "bilipschitz_bound",
     "dyadic_layers",
     "parent_cube",
-    "annuli",
     "unit_ball_volume",
 ]
 
@@ -620,7 +619,7 @@ class DyadicCube:
         return DyadicCube(self.k + 1, tuple(i // 2 for i in self.idx[:-1]) + (1,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class DyadicLayer:
     """Horizontal layer 2^k <= x_d < 2^{k+1} of a slab, tiled by cubes.
 
@@ -680,9 +679,6 @@ class DyadicLayer:
         s = Fraction(1, 2 ** (-self.k))
         return (2 * self.n) ** (self.d - 1) * s
 
-    def region_boxes(self) -> list[Box]:
-        return [c.box() for c in self.cubes()]
-
 
 def dyadic_layers(slab: Domain, m: int) -> list[DyadicLayer]:
     """Layers k = m..-1 of a slab, each tiled into its dyadic cubes."""
@@ -706,10 +702,10 @@ def parent_cube(layer: DyadicLayer, child_index: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dyadic annuli around a ball
+# annuli around a ball
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Annulus:
     """Spherical shell inner < |x| <= outer."""
 
@@ -736,15 +732,3 @@ class Annulus:
 
     def scaled(self, factor: float) -> "Annulus":
         return Annulus(self.inner * factor, self.outer * factor, self.d)
-
-
-def annuli(R: float, m: int, d: int = 2) -> list[Annulus]:
-    """Dyadic shells 2^k R < |x| <= 2^{k+1} R for k = 0..m.
-
-    Disjoint by construction; their union is {R < |x| <= 2^{m+1} R}.
-    """
-    if R <= 0:
-        raise ParameterError("R must be positive")
-    if m < 0:
-        raise ParameterError("m must be >= 0")
-    return [Annulus(2**k * R, 2 ** (k + 1) * R, d) for k in range(m + 1)]

@@ -33,7 +33,7 @@ from .errors import (
     ParameterError,
     WeightDomainError,
 )
-from .quadrature import FracParams, Grid, GridSpec, TestFunction
+from .quadrature import FracParams, Grid, TestFunction
 
 __all__ = [
     "WeightSpec",
@@ -46,8 +46,6 @@ __all__ = [
     "hardy_ratio",
     "HardyTables",
     "holder_interpolation_check",
-    "divergence_ladder",
-    "DivergenceLadder",
     "CASE_IDS",
 ]
 
@@ -77,7 +75,7 @@ class WeightSpec:
             raise ParameterError("scale R must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class HardyCase:
     """One branch of the critical exponent table, with validated parameters.
 
@@ -359,47 +357,3 @@ def holder_interpolation_check(u, fp: FracParams, theta: float, grid) -> float:
     sobolev_part = quad.kahan_sum(vals**p_star * g.weights)
     rhs = base**theta * sobolev_part ** (1.0 - theta)
     return rhs - lhs
-
-
-# ---------------------------------------------------------------------------
-# refinement-ladder divergence verdicts
-
-
-@dataclass(frozen=True)
-class DivergenceLadder:
-    """Weighted integrals along grid doublings and the growth verdict."""
-
-    values: tuple[float, ...]
-    growth_factors: tuple[float, ...]
-    divergent: bool
-
-
-def divergence_ladder(
-    u,
-    domain: geo.Domain | None,
-    w: WeightSpec,
-    tau,
-    base_spec: GridSpec,
-    doublings: int = 3,
-    growth: float = 2.0,
-) -> DivergenceLadder:
-    """Evaluate the weighted integral on successively doubled grids.
-
-    The verdict is ``divergent`` when every doubling grows the value by at
-    least ``growth``; convergent integrals stabilize instead.  A value that
-    stays 0 has growth factor 1; one that leaves 0 has an infinite one.
-    """
-    if doublings < 1:
-        raise ParameterError("need at least one doubling")
-    tau = float(tau)
-    values = []
-    spec = base_spec
-    for _ in range(doublings + 1):
-        g = quad.as_grid(spec, domain)
-        vals = np.abs(quad._evaluate(u, g.centers))
-        values.append(_weighted_power_integral(vals, domain, w, tau, g))
-        spec = spec.refined()
-    factors = tuple(b / a if a > 0 else (np.inf if b > 0 else 1.0)
-                    for a, b in zip(values, values[1:]))
-    divergent = all(f >= growth for f in factors)
-    return DivergenceLadder(tuple(values), factors, divergent)

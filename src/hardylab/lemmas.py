@@ -33,7 +33,7 @@ import numpy.random
 from . import geometry as geo
 from . import quadrature as quad
 from .errors import DegenerateInputError, ParameterError
-from .quadrature import FracParams, Grid
+from .quadrature import FracParams
 
 __all__ = [
     "SlackReport",
@@ -61,7 +61,7 @@ ELEMENTARY_TOLERANCE = 1e-12
 SLACK_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SlackReport:
     """Outcome of one inequality instance.
 

@@ -1,4 +1,4 @@
-"""Deterministic quadrature: L^p norms, averages, and the Gagliardo seminorm.
+"""Deterministic quadrature: integrals, L^p norms and the Gagliardo seminorm.
 
 Everything is a midpoint rule on axis-aligned cells.  Uniform tensor grids
 come from a ``GridSpec``; unions of boxes and masked boxes (annuli,
@@ -79,7 +79,6 @@ __all__ = [
     "as_grid",
     "integrate",
     "lp_norm",
-    "average",
     "gagliardo_seminorm",
     "SeminormTables",
     "check_cell_side",
@@ -103,7 +102,7 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class FracParams:
     """Parameters (d, p, s, tau) of the fractional functional.
 
@@ -134,15 +133,6 @@ class FracParams:
         return self.s * self.p
 
     @property
-    def criticality(self) -> str:
-        """One of sp_eq_1, sp_eq_d, subcritical (sp = 1 takes precedence)."""
-        if self.sp == 1:
-            return "sp_eq_1"
-        if self.sp == self.d:
-            return "sp_eq_d"
-        return "subcritical"
-
-    @property
     def p_star(self) -> Fraction:
         """Critical Sobolev exponent d p / (d - sp); defined only for sp < d."""
         if self.sp >= self.d:
@@ -158,7 +148,7 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class GridSpec:
     """Uniform tensor midpoint grid: ``resolution`` cells per axis on a box."""
 
@@ -169,11 +159,8 @@ class GridSpec:
         if self.resolution < 8 or not _is_power_of_two(self.resolution):
             raise ParameterError("resolution must be a power of two >= 8")
 
-    def refined(self, factor: int = 2) -> "GridSpec":
-        return GridSpec(self.resolution * factor, self.support_box)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Grid:
     """Concrete quadrature mesh: midpoint nodes with per-cell sides/weights.
 
@@ -373,28 +360,12 @@ class TestFunction:
     def d(self) -> int:
         return self.support.d
 
-    def scaled_by(self, c: float) -> "TestFunction":
-        return _Scaled(self, c)
-
     def dilated(self, lam: float) -> "TestFunction":
         """x -> u(x / lam) supported on the lam-dilated box."""
         return _Dilated(self, lam)
 
 
-@dataclass(frozen=True)
-class _Scaled(TestFunction):
-    base: TestFunction
-    factor: float
-
-    @property
-    def support(self) -> Box:  # type: ignore[override]
-        return self.base.support
-
-    def __call__(self, pts):
-        return self.factor * self.base(pts)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class _Dilated(TestFunction):
     base: TestFunction
     lam: float
@@ -423,7 +394,7 @@ def _tensor_profile(t: np.ndarray) -> np.ndarray:
     return vals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class TensorBump(TestFunction):
     """Product of per-axis cos^2 bumps centered at ``center`` with ``radius``."""
 
@@ -448,7 +419,7 @@ class TensorBump(TestFunction):
         return _tensor_profile((pts - np.asarray(self.center)) / np.asarray(self.radius))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class LogSpike(TestFunction):
     """Concentrating profile, piecewise linear in t = log2(2 / x_d).
 
@@ -504,7 +475,7 @@ class LogSpike(TestFunction):
         return vals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class AxisPolynomial(TestFunction):
     """Polynomial in one coordinate, truncated at the support box.
 
@@ -524,7 +495,7 @@ class AxisPolynomial(TestFunction):
         return vals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Constant(TestFunction):
     """Constant value on its support box, truncated outside."""
 
@@ -575,16 +546,6 @@ def lp_norm(u, domain: geo.Domain | None, p, grid) -> float:
     g = as_grid(grid, domain)
     vals = np.abs(_evaluate(u, g.centers))
     return kahan_sum(vals**p * g.weights) ** (1.0 / p)
-
-
-def average(u, region, cells_per_axis: int = 16) -> float:
-    """Mean value of u over a box, union of boxes, annulus, or prebuilt grid."""
-    g = as_grid(region, cells=cells_per_axis)
-    total = g.total_weight
-    if total <= 0:
-        raise ParameterError("region has zero measure")
-    vals = _evaluate(u, g.centers)
-    return kahan_sum(vals * g.weights) / total
 
 
 # ---------------------------------------------------------------------------

