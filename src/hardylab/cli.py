@@ -3,8 +3,8 @@
 A run is described by one JSON config (rationals like s, p, tau are given
 as "num/den" strings so criticality is decided exactly).  Results land in
 an output directory as one ``summary.json`` plus one CSV per series; the
-numeric payload byte-reproduces for a fixed config and seed, and its
-results, series and verdicts at any thread count.  Exit status is 0 when
+numeric payload byte-reproduces for a fixed config and seed, as the
+chunking of the pair sum fixes its partials.  Exit status is 0 when
 every gated verdict passes and 1 otherwise, so CI can gate on the lemma
 suites; a malformed config exits 2 with the dotted path of the offending
 field.  This module alone knows the config format.
@@ -49,10 +49,6 @@ class ConfigError(ParameterError):
 #: log2 of the largest grid a config may ask for; a seminorm keeps a few
 #: grid-sized arrays, and the pair sum grows with the square of the cells
 _MAX_GRID_LOG2 = 20
-
-#: most worker threads a config may ask for; the pair sum starts up to
-#: min(threads, plane chunks) OS threads, thousands on a 2**20-cell grid
-_MAX_THREADS = 64
 
 #: default of a required field
 _REQUIRED = object()
@@ -110,7 +106,9 @@ class ExperimentConfig:
         (not its work); a field that none of them read is unknown."""
         self.resolution  # noqa: B018 - property access runs the checks
         self.seed
-        self.threads
+        # ``threads`` is read with its bounds so that configs that set it stay
+        # valid (an unread field exits 2); nothing uses it
+        self.integer("threads", 1, hi=64)
         if not isinstance(self.get("out", ""), str):
             raise ConfigError("out", f"must be a path string, got {self.raw['out']!r}")
         _DISPATCH[self.command](self)
@@ -201,10 +199,6 @@ class ExperimentConfig:
     @property
     def seed(self) -> int:
         return self.integer("seed", 0, lo=0)
-
-    @property
-    def threads(self) -> int:
-        return self.integer("threads", 1, hi=_MAX_THREADS)
 
     # -- objects shared by several commands ----------------------------------
 
@@ -485,10 +479,9 @@ def _cmd_seminorm(cfg: ExperimentConfig) -> Work:
     domain = cfg.domain(fp.d)
     spec = cfg.grid(domain, fp)
     u = cfg.test_function(fp.d)
-    threads = cfg.threads
 
     def work():
-        value = quad.gagliardo_seminorm(u, domain, fp, spec, threads=threads)
+        value = quad.gagliardo_seminorm(u, domain, fp, spec)
         results = {
             "seminorm": value,
             "resolution": spec.resolution,
@@ -505,10 +498,10 @@ def _cmd_hardy_check(cfg: ExperimentConfig) -> Work:
     u = cfg.test_function(case.fp.d)
     with _field("u"):
         quad.check_support(u.support, domain, spec.support_box)
-    R, threads = cfg.scale(), cfg.threads
+    R = cfg.scale()
 
     def work():
-        w, lhs, denom = hardy.HardyTables(domain, case, spec, R).terms(u, threads)
+        w, lhs, denom = hardy.HardyTables(domain, case, spec, R).terms(u)
         ratio = lhs / denom
         results = {
             "lhs": lhs,
@@ -526,7 +519,7 @@ def _cmd_hardy_check(cfg: ExperimentConfig) -> Work:
 def _cmd_estimate_constant(cfg: ExperimentConfig) -> Work:
     case, domain = cfg.case_domain()
     spec = cfg.grid(domain, case.fp)
-    R, threads = cfg.scale(), cfg.threads
+    R = cfg.scale()
     family = cfg.family(domain, spec)
     search = exp.SearchConfig(
         starts=cfg.integer("search.starts", 8, hi=2**10),
@@ -535,7 +528,7 @@ def _cmd_estimate_constant(cfg: ExperimentConfig) -> Work:
     )
 
     def work():
-        res = exp.estimate_constant(family, case, domain, search, spec, R=R, threads=threads)
+        res = exp.estimate_constant(family, case, domain, search, spec, R=R)
         results = {
             "best_ratio": res.best_ratio,
             "best_params": list(res.best_params),
@@ -572,10 +565,9 @@ def _cmd_blowup_probe(cfg: ExperimentConfig) -> Work:
     _check_size("cells_per_block", log2_cells)
     with _field("levels"):
         quad.check_cell_side(case.fp, log2_side)
-    threads = cfg.threads
 
     def work():
-        probes = exp.blowup_probe(case, offsets, domain, family, cells, threads)
+        probes = exp.blowup_probe(case, offsets, domain, family, cells)
         results = {"beta_table": str(hardy.critical_exponents(case).beta)}
         series, verdicts = {}, {}
         for off, probe in zip(offsets, probes):
@@ -639,10 +631,9 @@ def _cmd_telescope(cfg: ExperimentConfig) -> Work:
     with _field("frac"):
         exp.telescope_case(slab, fp)
     u = cfg.test_function(fp.d)
-    threads = cfg.threads
 
     def work():
-        reports = exp.telescoping_reconstruction(slab, u, fp, depths, cells, threads)
+        reports = exp.telescoping_reconstruction(slab, u, fp, depths, cells)
         rows = [{"m": rep.m, "minimal_c": rep.minimal_c, "lhs": rep.lhs,
                  "top_term": rep.top_term, "skipped": len(rep.skipped_layers)}
                 for rep in reports]
@@ -689,7 +680,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", required=True, help="path to the JSON experiment config")
     parser.add_argument("--out", default=None, help="output directory (default: from config)")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads")
     parser.add_argument("--seed", type=int, default=None, help="RNG seed override")
     parser.add_argument("--resolution", type=int, default=None, help="grid resolution override")
     args = parser.parse_args(argv)
@@ -700,7 +690,7 @@ def main(argv=None) -> int:
         print(f"cannot read config {args.config!r}: {e}", file=sys.stderr)
         return 2
 
-    overrides = {key: val for key in ("threads", "seed", "resolution")
+    overrides = {key: val for key in ("seed", "resolution")
                  if (val := getattr(args, key)) is not None}
     try:
         config = ExperimentConfig.parse(text, overrides)

@@ -321,7 +321,6 @@ def estimate_constant(
     search: SearchConfig,
     grid,
     R: float | None = None,
-    threads: int = 1,
 ) -> EstimateResult:
     """Maximize the Hardy ratio over the family; a lower bound on C.
 
@@ -339,7 +338,7 @@ def estimate_constant(
     def objective(params: np.ndarray) -> float:
         key = family.clip(params).tobytes()  # all that ``family.make`` reads
         if key not in ratios:
-            ratios[key] = -tables.ratio(family.make(params), threads)
+            ratios[key] = -tables.ratio(family.make(params))
         return ratios[key]
 
     best_ratio = -math.inf
@@ -407,7 +406,6 @@ def blowup_probe(
     domain: geo.Domain,
     family: LogSpikeFamily | None = None,
     cells_per_block: int = 8,
-    threads: int = 1,
 ) -> tuple[ProbeResult, ...]:
     """Classify each weight exponent beta' = beta + offset as bounded or diverging.
 
@@ -437,7 +435,7 @@ def blowup_probe(
             g = family.grid(m, cells_per_block)
             tables = quad.SeminormTables(g, case.fp)
             vals, lips = tables.evaluate(family.member(m))
-            denom = tables.norm(vals, lips, threads)
+            denom = tables.norm(vals, lips)
         except (ArithmeticError, FloatingPointError):
             truncated = [True] * len(weights)
             break
@@ -560,7 +558,6 @@ def telescoping_reconstruction(
     fp: FracParams,
     depths,
     cells_per_cube: int = 4,
-    threads: int = 1,
 ) -> tuple[TelescopeReport, ...]:
     """Reconstruct the dyadic transfer chain and its smallest constant at
     each depth m, one report per depth, in order.
@@ -619,7 +616,7 @@ def telescoping_reconstruction(
         g = quad.run_grid(quad.union_grid(col, cells_per_cube), runs, step=step)
         tables = quad.SeminormTables(g, fp)
         vals, lips = tables.evaluate(u)
-        semis.append(tables.seminorm(vals, lips, threads) ** tau)
+        semis.append(tables.seminorm(vals, lips) ** tau)
         if not layer_meets:
             continue
         # uniform cells within each cube: the cube average is the plain

@@ -288,23 +288,23 @@ class HardyTables:
             raise ParameterError("case 3 needs the strip scale R")
         self.tables = quad.SeminormTables(g, case.fp)
 
-    def terms(self, u: TestFunction, threads: int = 1) -> tuple[WeightSpec, float, float]:
+    def terms(self, u: TestFunction) -> tuple[WeightSpec, float, float]:
         """The case's weight, lhs(u) (the value of ``hardy_lhs``) and
         ||u||_{W^{s,p}}, from one evaluation of u."""
         w, g = self.weight, self.tables.grid
         if self._strip:
             _check_strip_condition(u, self.domain, w.R)
         vals, lips = self.tables.evaluate(u)
-        denom = self.tables.norm(vals, lips, threads)
+        denom = self.tables.norm(vals, lips)
         if denom == 0.0:
             raise DegenerateInputError("test function vanishes on the grid")
         tau = float(self.case.fp.tau)
         lhs = _weighted_power_integral(np.abs(vals), self.domain, w, tau, g) ** (1.0 / tau)
         return w, lhs, denom
 
-    def ratio(self, u: TestFunction, threads: int = 1) -> float:
+    def ratio(self, u: TestFunction) -> float:
         """Empirical constant lhs(u) / ||u||_{W^{s,p}}."""
-        _, lhs, denom = self.terms(u, threads)
+        _, lhs, denom = self.terms(u)
         return lhs / denom
 
 
@@ -314,7 +314,6 @@ def hardy_ratio(
     case: HardyCase,
     grid,
     R: float | None = None,
-    threads: int = 1,
 ) -> float:
     """Empirical constant lhs(u) / ||u||_{W^{s,p}} for one test function.
 
@@ -322,7 +321,7 @@ def hardy_ratio(
     content of the inequality is that its supremum over admissible u is
     finite.
     """
-    return HardyTables(domain, case, grid, R).ratio(u, threads)
+    return HardyTables(domain, case, grid, R).ratio(u)
 
 
 # ---------------------------------------------------------------------------

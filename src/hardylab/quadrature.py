@@ -28,9 +28,9 @@ first ``_CUT_HEAD`` stop where a rigorous bound of the rest falls to
 by the grid and the values alone.  On an even-p box it is one partial
 from ``numpy.fft`` convolutions, of the values less their median; where its
 positive terms exceed it by more than ``_FFT_CANCELLATION`` times, the
-sweep's partials replace it.  The worker thread count is an argument of
-``gagliardo_seminorm``; the threads only compute the sweep's partials, so
-results are bit-identical for any thread count.
+sweep's partials replace it.  The chunking fixes the partials, and the
+sweep computes them one after another in that order, so a result
+reproduces bit for bit for the same grid and values.
 
 The Gagliardo seminorm
 
@@ -48,7 +48,6 @@ side, the range rule ``check_cell_side`` keeps.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -327,8 +326,8 @@ def kahan_sum(values: np.ndarray) -> float:
     return math.fsum(np.asarray(values, dtype=float).ravel().tolist())
 
 
-#: element budget of one chunk of the plane sweep; fixed so partial sums
-#: are independent of the thread count
+#: element budget of one chunk of the plane sweep; it fixes the partial
+#: sums and their order
 _PAIR_CHUNK = 1 << 17
 
 #: largest ratio of the FFT pair sum's positive terms to the sum itself,
@@ -552,15 +551,6 @@ def lp_norm(u, domain: geo.Domain | None, p, grid) -> float:
 # Gagliardo seminorm
 
 
-def _map_in_order(fn, items, threads: int) -> list:
-    """``[fn(item) for item in items]``, on ``threads`` worker threads if
-    there is more than one."""
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _abs_pow(x: np.ndarray, p: float) -> np.ndarray:
     """``|x|^p`` in place.  An integer p <= 8 takes p - 1 multiplications
     (relative error below p ulp), far cheaper than numpy's general power."""
@@ -576,7 +566,7 @@ def _abs_pow(x: np.ndarray, p: float) -> np.ndarray:
     return x
 
 
-def _plane_sweep(U, p, kernel, threads, m=None, tail=None):
+def _plane_sweep(U, p, kernel, m=None, tail=None):
     """Pair sums of the cells of n0 planes of n_rest cells, by plane offset.
 
     ``U`` holds the values, shape (n0, n_rest).  Two distinct cells are
@@ -621,7 +611,7 @@ def _plane_sweep(U, p, kernel, threads, m=None, tail=None):
     partials, and the sweep stops at the least offset r >= ``_CUT_HEAD``
     with tail[r] spread^p <= ``_TAIL_CUT`` L.  Every partial is >= 0, so
     the offsets dropped add at most ``_TAIL_CUT`` of the sum returned.  r
-    depends on the values alone, not on ``threads``.
+    depends on the values alone.
     """
     n0, n_rest = U.shape
     rows = max(1, _PAIR_CHUNK // n_rest)
@@ -660,8 +650,7 @@ def _plane_sweep(U, p, kernel, threads, m=None, tail=None):
         at = slot[lo:hi]
         return np.concatenate((stand_ins, live[i:j])), np.where(at < pads, at, at - i)
 
-    def one_chunk(item) -> float:
-        k0, a0 = item
+    def one_chunk(k0, a0) -> float:
         if filled[n0 - k0] == 0 and filled[n0] == filled[k0]:
             return 0.0  # no step has a plane with a value: T is 0
         a1 = min(a0 + rows, n_rest)
@@ -707,8 +696,7 @@ def _plane_sweep(U, p, kernel, threads, m=None, tail=None):
         return float(np.sum(TK))
 
     def swept(k_lo, k_hi) -> list:
-        items = [(k0, a0) for k0 in range(k_lo, k_hi) for a0 in chunks]
-        return _map_in_order(one_chunk, items, threads)
+        return [one_chunk(k0, a0) for k0 in range(k_lo, k_hi) for a0 in chunks]
 
     if tail is None:
         return swept(0, n0)
@@ -803,10 +791,10 @@ def _fft_pair_sum(table: np.ndarray, m: np.ndarray | None, p: int):
 
 def _pair_sums(grid: Grid, p, kernel_expo, kept=None):
     """The partial sums of |u_i - u_j|^p |x_i - x_j|^{-e} w_i w_j, e =
-    ``kernel_expo``, over the cell pairs i < j, as a function of the values
-    and the thread count.  With ``kept``, the values are those of the cells
-    of ``grid`` at the flat indices ``kept``: they are scattered into the
-    grid, and the other cells are masked out.
+    ``kernel_expo``, over the cell pairs i < j, as a function of the
+    values.  With ``kept``, the values are those of the cells of ``grid``
+    at the flat indices ``kept``: they are scattered into the grid, and
+    the other cells are masked out.
 
     A box in d >= 2 (``grid.lattice``, which ``union_grid`` sets) has one
     table of offset powers, made here.  At an even integer p <= 8 its sum
@@ -828,7 +816,7 @@ def _pair_sums(grid: Grid, p, kernel_expo, kept=None):
     any other grid raises the distances of run 0 and run k0 to the power.
     The tables are kept for the next values while all of them fit in one
     chunk (n0 n^2 <= ``_PAIR_CHUNK`` for n0 runs of n cells) and built per
-    use above that.  Two threads may build one twice; the two are equal.
+    use above that.
 
     Runs that shrink (lam != 1: the blocks of ``slab_graded_grid``) get the
     bounds of ``_offset_tails``, made here, and the sweep drops the run
@@ -899,7 +887,7 @@ def _pair_sums(grid: Grid, p, kernel_expo, kept=None):
                 tables[k0, a0] = K
         return K
 
-    def sums(vals, threads):
+    def sums(vals):
         if fft is not None:
             centred = vals - _median(vals)
             U = centred if kept is None else scattered(centred)
@@ -907,7 +895,7 @@ def _pair_sums(grid: Grid, p, kernel_expo, kept=None):
             if positive <= _FFT_CANCELLATION * total:
                 return [0.5 * w2 * total]
         U = vals.reshape(n0, n) if kept is None else scattered(vals)
-        return _plane_sweep(U, p, kernel, threads, m, tail)
+        return _plane_sweep(U, p, kernel, m, tail)
 
     return sums
 
@@ -1004,33 +992,26 @@ class SeminormTables:
             grads += ga * ga
         return vals, np.sqrt(grads)
 
-    def seminorm(self, vals: np.ndarray, lips: np.ndarray, threads: int = 1) -> float:
-        """[u]_{W^{s,p}} from ``evaluate``'s values and slopes.  The pair
-        sum runs on ``threads`` worker threads; the value does not depend
-        on their number."""
-        if threads < 1:
-            raise ParameterError("thread count must be >= 1")
-        off_diag = 2.0 * kahan_sum(np.asarray(self._pair_sums(vals, threads)))
+    def seminorm(self, vals: np.ndarray, lips: np.ndarray) -> float:
+        """[u]_{W^{s,p}} from ``evaluate``'s values and slopes."""
+        off_diag = 2.0 * kahan_sum(np.asarray(self._pair_sums(vals)))
         diag = kahan_sum((lips * self._patch) ** self.p)
         return (off_diag + diag) ** (1.0 / self.p)
 
-    def norm(self, vals: np.ndarray, lips: np.ndarray, threads: int = 1) -> float:
+    def norm(self, vals: np.ndarray, lips: np.ndarray) -> float:
         """The full norm (||u||_p^p + [u]_{W^{s,p}}^p)^{1/p} from
         ``evaluate``'s values and slopes; the L^p term is ``lp_norm``'s."""
         p = self.p
         lp = kahan_sum(np.abs(vals) ** p * self.grid.weights) ** (1.0 / p)
-        semi = self.seminorm(vals, lips, threads)
+        semi = self.seminorm(vals, lips)
         return (lp**p + semi**p) ** (1.0 / p)
 
 
-def gagliardo_seminorm(u, domain: geo.Domain | None, fp: FracParams, grid,
-                       threads: int = 1) -> float:
+def gagliardo_seminorm(u, domain: geo.Domain | None, fp: FracParams, grid) -> float:
     """[u]_{W^{s,p}} over (domain x domain), truncated to the grid's region.
 
     For compactly supported u on unbounded domains the grid's box is the
-    far-field truncation; widen it to capture more of the tail.  The pair
-    sum runs on ``threads`` worker threads; the value does not depend on
-    their number.
+    far-field truncation; widen it to capture more of the tail.
     """
     tables = SeminormTables(as_grid(grid, domain), fp)
-    return tables.seminorm(*tables.evaluate(u), threads)
+    return tables.seminorm(*tables.evaluate(u))

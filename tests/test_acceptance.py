@@ -326,6 +326,8 @@ def test_criterion_11_determinism_across_threads():
             "depths": [-4, -5],
         },
     ]
+    # ``threads`` is still read and bounded, and no thread is started: the
+    # payload is the same at every value of the field
     ok = True
     for suite in suites:
         payloads = set()
@@ -336,4 +338,4 @@ def test_criterion_11_determinism_across_threads():
             payload.pop("config_digest")
             payloads.add(json.dumps(payload, sort_keys=True))
         ok = ok and len(payloads) == 1
-    report(11, ok, "numeric outputs byte-identical across 1, 2, 8 threads")
+    report(11, ok, "numeric outputs byte-identical at threads = 1, 2, 8")

@@ -225,6 +225,8 @@ def test_blowup_probe_verdicts():
 
 
 def test_numeric_payload_reproduces_across_threads():
+    # ``threads`` is still read and bounded, and no thread is started: the
+    # field leaves the payload alone
     base = dict(SEMINORM_CFG, resolution=32)
     payloads = []
     for threads in (1, 2, 8):
@@ -266,7 +268,7 @@ def test_main_bad_config_exit_2(tmp_path: Path):
     cfg_path.write_text(json.dumps({"command": "exponents"}))  # missing case/frac
     assert cli.main(["--config", str(cfg_path)]) == 2
     cfg_path.write_text("[1, 2]")  # not an object, with a field override
-    assert cli.main(["--config", str(cfg_path), "--threads", "2"]) == 2
+    assert cli.main(["--config", str(cfg_path), "--seed", "2"]) == 2
     cfg_path.write_bytes(b"\xff\xfe")  # not UTF-8
     assert cli.main(["--config", str(cfg_path)]) == 2
 
@@ -281,14 +283,13 @@ def test_flag_overrides(tmp_path: Path):
     cfg_path = tmp_path / "sem.json"
     cfg_path.write_text(json.dumps(SEMINORM_CFG))
     out = tmp_path / "r"
-    assert (
-        cli.main(
-            ["--config", str(cfg_path), "--out", str(out), "--resolution", "32", "--threads", "2"]
-        )
-        == 0
-    )
+    assert cli.main(["--config", str(cfg_path), "--out", str(out), "--resolution", "32"]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["results"]["resolution"] == 32
+    # the pair sum takes no worker count, so the CLI has no flag for one
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+        cli.main(["--config", str(cfg_path), "--threads", "2"])
+    assert exc.value.code == 2
 
 
 # configs that break a rule of the library their work would check: the
@@ -406,7 +407,7 @@ def test_work_rules_are_checked_when_read(cfg, field):
         (dict(LEMMA_CFG, pair_count=2**16 + 1), "pair_count"),
         (dict(ESTIMATE_CFG, search={"starts": 2**10 + 1}), "search.starts"),
         (dict(ESTIMATE_CFG, search={"budget_per_start": 2**14 + 1}), "search.budget_per_start"),
-        # rejected while validating: no thread is started
+        # the unused ``threads`` is still read with its bounds [1, 64]
         (dict(SEMINORM_CFG, threads=65), "threads"),
         (dict(TELESCOPE_CFG, domain={"kind": "slab", "n": 1, "d": 29916160961},
               frac={"d": 29916160961, "p": "2", "s": "1/2", "tau": "2"}), "depths"),
@@ -685,30 +686,6 @@ def test_verdict_witness_makes_its_key_false(key):
     assert not record.passed
 
 
-def test_threads_reach_every_pair_sum(monkeypatch):
-    # each command that sums cell pairs hands the config's thread count to
-    # every call of the pair-sum map
-    calls = []
-    map_in_order = quad._map_in_order
-
-    def recording(fn, items, threads):
-        calls.append(threads)
-        return map_in_order(fn, items, threads)
-
-    monkeypatch.setattr(quad, "_map_in_order", recording)
-    configs = [
-        SEMINORM_CFG,
-        HARDY_CFG,
-        ESTIMATE_CFG,
-        dict(PROBE_CFG, levels=[3, 4]),
-        dict(TELESCOPE_CFG, depths=[-2]),
-    ]
-    for cfg in configs:
-        calls.clear()
-        cli.run(ExperimentConfig.from_dict(dict(cfg, threads=2)))
-        assert calls and set(calls) == {2}, cfg["command"]
-
-
 def test_package_has_no_global_statements():
     # module state that functions rebind is shared by every caller; pass
     # what a call needs as an argument instead
@@ -829,7 +806,7 @@ def test_runs_import_nothing_past_set_up(tmp_path: Path):
 def test_runs_without_lemma_suite_load_no_lemmas_or_mpmath(tmp_path: Path):
     # only the lemma suite needs ``lemmas``, and only ``lemmas`` needs
     # mpmath: a fresh process that reads and runs the other demo configs and
-    # the benchmark's pairs configs loads neither
+    # the benchmark's pairs configs loads neither, nor any thread pool
     spec = importlib.util.spec_from_file_location(
         "workloads", Path(__file__).parent.parent / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -842,7 +819,7 @@ def test_runs_without_lemma_suite_load_no_lemmas_or_mpmath(tmp_path: Path):
     got = _import_split(configs, tmp_path / "out")
     assert got["codes"] == [0] * len(configs)
     assert [m for m in got["loaded"]
-            if m == "hardylab.lemmas" or m.partition(".")[0] == "mpmath"] == []
+            if m == "hardylab.lemmas" or m.partition(".")[0] in ("mpmath", "concurrent")] == []
 
 
 #: imports hardylab and prints, as JSON, whether that loaded ``lemmas``, the
@@ -945,7 +922,7 @@ def test_fuzzed_config_field_never_crashes(data):
 
 def test_payload_tool_hashes_every_run_alike_across_threads():
     # tools/payloads.py on this checkout: one sha256 per run, 52 runs, and a
-    # config's payload is the same at either thread count or layout
+    # config's payload is the same at either ``threads`` value or layout
     tool = Path(__file__).resolve().parents[1] / "tools" / "payloads.py"
     proc = subprocess.run([sys.executable, str(tool), str(tool.parents[1])],
                           capture_output=True, text=True, timeout=300)

@@ -100,9 +100,9 @@ def test_estimate_constant_computes_each_clipped_point_once(monkeypatch):
 
         return nelder_mead(f_logged, x0, *args, **kwargs)
 
-    def counting(self, u, threads=1):
+    def counting(self, u):
         ratios.append(u)
-        return ratio(self, u, threads)
+        return ratio(self, u)
 
     monkeypatch.setattr(exp, "_nelder_mead", recording)
     monkeypatch.setattr(hardy.HardyTables, "ratio", counting)
@@ -255,10 +255,10 @@ def test_probe_truncation_shared_and_per_offset(monkeypatch, bad_lhs):
     assert [m for m, _ in at.levels] == [3, 4] and at.truncated
     assert [m for m, _ in below.levels] == [3, 4, 5, 6] and not below.truncated
 
-    def norm_fails_at_level_5(self, vals, lips, threads=1):
+    def norm_fails_at_level_5(self, vals, lips):
         if self.grid.planes >= from_level_5:
             raise FloatingPointError("overflow")
-        return norm(self, vals, lips, threads)
+        return norm(self, vals, lips)
 
     monkeypatch.setattr(quad.SeminormTables, "norm", norm_fails_at_level_5)
     for res in exp.blowup_probe(CASE_1B, (-1, 0), SLAB_1D, family):
@@ -296,7 +296,7 @@ def test_probe_patch_matches_its_log2_sum():
     log2_w, slope = np.log2(g.weights), lips > 0
     log2_terms = 3 * np.log2(lips[slope]) + log2_w[slope] + 2 * (log2_w[slope] - 1)
     patch = math.fsum(np.exp2(log2_terms).tolist())
-    pairs = quad.kahan_sum(np.asarray(tables._pair_sums(vals, 1)))
+    pairs = quad.kahan_sum(np.asarray(tables._pair_sums(vals)))
     assert tables.seminorm(vals, lips) ** 3 - 2 * pairs == pytest.approx(patch, rel=1e-10)
     assert tables.seminorm(np.zeros_like(vals), lips) ** 3 == pytest.approx(patch, rel=1e-12)
 

@@ -5,9 +5,10 @@ Usage:
     python tools/payloads.py ROOT
 
 imports hardylab from ``ROOT/src`` and runs, through ``hardylab.cli.main``,
-the six demo configs at 1 and 2 threads and every config of the ``pairs``
-and ``batteries`` workloads (``perfbench/workloads.py``) at seeds 0 and 3,
-in both thread layouts.  For each run it prints the run's name and the
+the six demo configs with ``threads`` 1 and 2 and every config of the
+``pairs`` and ``batteries`` workloads (``perfbench/workloads.py``) at
+seeds 0 and 3, in both ``threads`` layouts.  The field is read and
+changes nothing, so the runs of one config hash alike.  For each run it prints the run's name and the
 sha256 of its payload's command, results, series and verdicts in the
 canonical JSON of ``perfbench/checks.py``, or why there is none.  A
 RuntimeWarning is an error, so a run whose arithmetic overflows or makes
