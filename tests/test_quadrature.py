@@ -363,15 +363,16 @@ def reuse_cases():
     }
 
 
+@pytest.mark.parametrize("passes", [1, 2])
 @pytest.mark.parametrize("name", ["1d-lattice", "l-shape", "graded", "layer-pair"])
-def test_tables_built_once_match_fresh_calls(name):
-    # one set of tables applied to a sweep of members gives the bits of a
-    # fresh gagliardo_seminorm or hardy_ratio per member
+def test_tables_built_once_match_fresh_calls(name, passes):
+    # one set of tables applied to a sweep of members, once or twice over,
+    # gives the bits of a fresh gagliardo_seminorm or hardy_ratio per member
     domain, case_id, params, grid, members = reuse_cases()[name]
     case = hardy.HardyCase(case_id, params)
     tables = quad.SeminormTables(grid, params)
     hardy_tables = hardy.HardyTables(domain, case, grid)
-    for u in members:
+    for u in members * passes:
         semi = tables.seminorm(*tables.evaluate(u))
         assert semi > 0
         assert semi == quad.gagliardo_seminorm(u, None, params, grid)
