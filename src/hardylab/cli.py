@@ -66,19 +66,28 @@ def _field(path: str):
         raise ConfigError(path, str(e)) from e
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(eq=False, repr=False)
 class ExperimentConfig:
     """Experiment description (one command per run).
 
-    Every field is read through the typed readers below, where it is used:
-    each command reads all its fields before it starts its work, so running
-    those reads is the config's validation.
+    Every field is read through the typed readers below, where its command
+    uses it: each command reads all its fields before it starts its work,
+    so running those reads once is the config's validation, and ``run``
+    does the work they return.  A field its command does not read is
+    unknown: ``seed`` is a field of estimate-constant and lemma-suite alone,
+    and ``resolution`` of seminorm, hardy-check and estimate-constant
+    (through ``grid``), whether the config or ``--seed``/``--resolution``
+    sets it.  Every command reads ``threads`` (an int in [1, 64]) and uses
+    it for nothing, only so that the benchmark's configs, which set it,
+    stay valid.
     """
 
     command: str
     raw: dict
     #: the key paths of ``raw`` that ``get`` has read
     read: set = field(default_factory=set, init=False)
+    #: the command's work, as its reads in ``validate`` returned it
+    work: Work | None = field(default=None, init=False)
 
     @staticmethod
     def parse(text: str, overrides: dict | None = None) -> "ExperimentConfig":
@@ -102,16 +111,14 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
-        """Check the fields every command has, then run the command's reads
-        (not its work); a field that none of them read is unknown."""
-        self.resolution  # noqa: B018 - property access runs the checks
-        self.seed
-        # ``threads`` is read with its bounds so that configs that set it stay
-        # valid (an unread field exits 2); nothing uses it
+        """Run the command's reads (not its work) and keep the work they
+        return; a field that none of them read is unknown."""
+        # ``threads`` is read with its bounds so that the benchmark's configs,
+        # which set it, stay valid (an unread field exits 2); nothing uses it
         self.integer("threads", 1, hi=64)
         if not isinstance(self.get("out", ""), str):
             raise ConfigError("out", f"must be a path string, got {self.raw['out']!r}")
-        _DISPATCH[self.command](self)
+        self.work = _DISPATCH[self.command](self)
         unread = next(_unread(self.raw, self.read | {("command",)}), None)
         if unread:
             raise ConfigError(".".join(unread), f"unknown field of a {self.command} config")
@@ -186,19 +193,6 @@ class ExperimentConfig:
             return quad._as_fraction(value)
         except (ParameterError, ValueError, ZeroDivisionError, OverflowError) as e:
             raise ConfigError(path, str(e)) from e
-
-    # -- fields every command has --------------------------------------------
-
-    @property
-    def resolution(self) -> int:
-        res = self.integer("resolution", 64, lo=8)
-        if not quad._is_power_of_two(res):
-            raise ConfigError("resolution", f"must be a power-of-two int >= 8, got {res!r}")
-        return res
-
-    @property
-    def seed(self) -> int:
-        return self.integer("seed", 0, lo=0)
 
     # -- objects shared by several commands ----------------------------------
 
@@ -279,9 +273,10 @@ class ExperimentConfig:
 
     def grid(self, domain: geo.Domain, fp: quad.FracParams) -> quad.GridSpec:
         """``resolution`` cells per axis on ``support_box``, by default the
-        domain's bounding box, within the size and range rules for ``fp``."""
+        domain's bounding box, within the size and range rules for ``fp``
+        and ``GridSpec``'s rule on the resolution."""
         # the size comes first: a bounding box holds d coordinates per corner
-        res, d = self.resolution, domain.d
+        res, d = self.integer("resolution", 64), domain.d
         _check_size("resolution", d * math.log2(res))
         given = self.box("support_box", None)
         box = given or domain.bounding_box()
@@ -293,7 +288,8 @@ class ExperimentConfig:
             sides = quad.grid_box(domain, box).sides()
             quad.check_cell_side(fp, max((math.log2(side) - math.log2(res)
                                           for side in sides), key=abs))
-        return quad.GridSpec(res, box)
+        with _field("resolution"):
+            return quad.GridSpec(res, box)
 
     def scale(self) -> float | None:
         """The weight scale R; None lets the weight pick its default."""
@@ -524,7 +520,7 @@ def _cmd_estimate_constant(cfg: ExperimentConfig) -> Work:
     search = exp.SearchConfig(
         starts=cfg.integer("search.starts", 8, hi=2**10),
         budget_per_start=cfg.integer("search.budget_per_start", 200, hi=2**14),
-        seed=cfg.seed,
+        seed=cfg.integer("seed", 0, lo=0),
     )
 
     def work():
@@ -547,8 +543,7 @@ def _cmd_estimate_constant(cfg: ExperimentConfig) -> Work:
 
 
 def _cmd_blowup_probe(cfg: ExperimentConfig) -> Work:
-    case = cfg.case()
-    domain = cfg.domain(case.fp.d)
+    case, domain = cfg.case_domain()
     with _field("domain"):
         exp.check_probe_domain(domain)
     offsets = cfg.numbers("beta_offsets", (-1, 0, 1), ints=True)
@@ -584,7 +579,7 @@ def _cmd_blowup_probe(cfg: ExperimentConfig) -> Work:
 def _cmd_lemma_suite(cfg: ExperimentConfig) -> Work:
     from . import lemmas  # only this command needs it, and mpmath with it
 
-    seed = cfg.seed
+    seed = cfg.integer("seed", 0, lo=0)
     tolerance = cfg.number("tolerance", lemmas.SLACK_TOLERANCE)
     elementary_count = cfg.integer("elementary_count", 100_000, hi=2**20)
     pair_count = cfg.integer("pair_count", 200, hi=2**16)
@@ -659,9 +654,9 @@ COMMANDS = tuple(_DISPATCH)
 
 
 def run(config: ExperimentConfig) -> ExperimentRecord:
-    """Read a validated config's fields, do its work and collect the record."""
+    """Do a validated config's work and collect the record."""
     start = time.perf_counter()
-    results, series, verdicts = _DISPATCH[config.command](config)()
+    results, series, verdicts = config.work()
     elapsed = time.perf_counter() - start
     return ExperimentRecord(
         config_digest=config.digest(),

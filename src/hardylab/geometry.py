@@ -85,10 +85,6 @@ class Box:
         return len(self.lo)
 
     @property
-    def volume(self) -> float:
-        return float(np.prod([b - a for a, b in zip(self.lo, self.hi)]))
-
-    @property
     def center(self) -> tuple[float, ...]:
         return tuple(0.5 * (a + b) for a, b in zip(self.lo, self.hi))
 
@@ -427,10 +423,6 @@ class Slab(BoxShaped):
         lo = (-float(self.n),) * (self.d - 1) + (0.0,)
         hi = (float(self.n),) * (self.d - 1) + (1.0,)
         return Box(lo, hi)
-
-    @property
-    def volume(self) -> float:
-        return (2.0 * self.n) ** (self.d - 1)
 
 
 @dataclass(frozen=True)

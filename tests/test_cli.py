@@ -226,15 +226,18 @@ def test_blowup_probe_verdicts():
 
 def test_numeric_payload_reproduces_across_threads():
     # ``threads`` is still read and bounded, and no thread is started: the
-    # field leaves the payload alone
-    base = dict(SEMINORM_CFG, resolution=32)
-    payloads = []
-    for threads in (1, 2, 8):
-        record = cli.run(ExperimentConfig.from_dict(dict(base, threads=threads)))
-        payload = record.numeric_payload()
-        payload.pop("config_digest")  # differs: threads is part of the config
-        payloads.append(json.dumps(payload, sort_keys=True))
-    assert payloads[0] == payloads[1] == payloads[2]
+    # field leaves the payload alone, on one config of each command (the
+    # demo configs, and HARDY_CFG for hardy-check, which has no demo)
+    bases = [json.loads(path.read_text()) for path in DEMO_CONFIGS] + [HARDY_CFG]
+    assert {cfg["command"] for cfg in bases} == set(cli.COMMANDS)
+    for base in bases:
+        payloads = []
+        for threads in (1, 2):
+            record = cli.run(ExperimentConfig.from_dict(dict(base, threads=threads)))
+            payload = record.numeric_payload()
+            payload.pop("config_digest")  # differs: threads is part of the config
+            payloads.append(json.dumps(payload, sort_keys=True))
+        assert payloads[0] == payloads[1], base["command"]
 
 
 def test_record_files_and_exit_code(tmp_path: Path):
@@ -355,6 +358,15 @@ WORK_RULE_CASES += [
     (dict(HARDY_CFG, case="3a", domain=CONE_CFG["domain"], frac=FRAC_2D, resolution=16,
           support_box=[[-0.5, 0.0], [0.5, 1.5]],
           u={"kind": "tensor_bump", "center": [0.0, 0.3], "radius": [0.4, 0.25]}), "u"),
+]
+
+
+# the probe's weight is the slab's, so its case must be one stated for the
+# slab: cases 2a and 2b, stated for the exterior ball, once ran the case-1b
+# probe under their own label and exited 0
+WORK_RULE_CASES += [
+    (dict(PROBE_CFG, case="2a"), "domain"),
+    (dict(PROBE_CFG, case="2b", frac={"d": 1, "p": "4", "s": "1/4", "tau": "3"}), "domain"),
 ]
 
 
@@ -486,6 +498,35 @@ def test_main_malformed_field_exit_2(tmp_path: Path, capsys, cfg, field):
     err = capsys.readouterr().err
     assert f"'{field}'" in err
     assert "Traceback" not in err
+
+
+#: (command, field, value) that exit 2 naming the field: ``seed`` and
+#: ``resolution`` are fields of the commands that use them alone, and a
+#: resolution is a power of two >= 8 (GridSpec's rule)
+SEED_AND_RESOLUTION_CASES = [
+    (command, field, 64)
+    for field, commands in (
+        ("seed", ("seminorm", "hardy-check", "blowup-probe", "telescope", "exponents")),
+        ("resolution", ("blowup-probe", "lemma-suite", "telescope", "exponents")),
+    )
+    for command in commands
+] + [("seminorm", "resolution", 4), ("seminorm", "resolution", 100)]
+
+
+@pytest.mark.parametrize("by_flag", [False, True], ids=["config", "flag"])
+@pytest.mark.parametrize("command,field,value", SEED_AND_RESOLUTION_CASES)
+def test_seed_and_resolution_exit_2(tmp_path: Path, capsys, command, field, value, by_flag):
+    # the same from the config or from ``--seed``/``--resolution``
+    cfg, args = dict(BASE_CONFIGS[command]), ["--out", str(tmp_path / "o")]
+    if by_flag:
+        args += [f"--{field}", str(value)]
+    else:
+        cfg[field] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["--config", str(cfg_path), *args]) == 2
+    assert f"config field '{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_probe_cells_per_block_limit():
@@ -696,8 +737,14 @@ def test_package_has_no_global_statements():
 
 
 @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)
-def test_demo_config_runs(tmp_path: Path, path: Path):
+def test_demo_config_runs(tmp_path: Path, monkeypatch, path: Path):
+    # and reads it once: ``validate`` runs the command's reads and keeps the
+    # work they return, which ``run`` does, so one call of its ``_cmd_*``
+    command = json.loads(path.read_text())["command"]
+    reads, calls = cli._DISPATCH[command], []
+    monkeypatch.setitem(cli._DISPATCH, command, lambda cfg: calls.append(cfg) or reads(cfg))
     assert cli.main(["--config", str(path), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 #: command, results, series and verdicts of each demo config, recorded
@@ -920,17 +967,14 @@ def test_fuzzed_config_field_never_crashes(data):
     assert "Traceback" not in err.getvalue()
 
 
-def test_payload_tool_hashes_every_run_alike_across_threads():
-    # tools/payloads.py on this checkout: one sha256 per run, 52 runs, and a
-    # config's payload is the same at either ``threads`` value or layout
+def test_payload_tool_hashes_each_config_once():
+    # tools/payloads.py on this checkout: one sha256 per run, 26 runs, one
+    # per config (test_numeric_payload_reproduces_across_threads checks
+    # that ``threads`` leaves a payload alone)
     tool = Path(__file__).resolve().parents[1] / "tools" / "payloads.py"
     proc = subprocess.run([sys.executable, str(tool), str(tool.parents[1])],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = dict(line.split(" ", 1) for line in proc.stdout.splitlines())
-    assert len(lines) == len(proc.stdout.splitlines()) == 52
+    assert len(lines) == len(proc.stdout.splitlines()) == 26
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest in lines.values()), lines
-    alike = {}
-    for name, digest in lines.items():
-        alike.setdefault(re.sub(r"threads-\d|default|swapped", "*", name), set()).add(digest)
-    assert len(alike) == 26 and all(len(d) == 1 for d in alike.values())

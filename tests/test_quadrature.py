@@ -967,6 +967,59 @@ def test_seminorm_power_law_oracle(p, s):
     assert errors[-1] < 1e-6 * exact
 
 
+def ground_state_ratio(s: Fraction, R: int, cells: int) -> float:
+    """lhs / [u] on (0, inf) at p = 2, alpha = 2s, for the member
+    u = x^{(alpha - 1)/2} g(log2(1/x)), g a trapezoid that rises over R
+    levels, stays 1 over 2R and falls over R: lhs^2 = int u^2 x^-alpha,
+    and [u]^2 is the seminorm on ``slab_graded_grid(4R + 3, cells)`` plus
+    the pairs with one point above 1, 2 int u^2 (1 - x)^-alpha / alpha."""
+    alpha = 2 * float(s)
+
+    def u(pts):
+        x = pts[:, 0]
+        t = -np.log2(x)
+        return x ** ((alpha - 1) / 2) * np.clip(np.minimum(t, 4 * R - t) / R, 0.0, 1.0)
+
+    grid = exp.slab_graded_grid(4 * R + 3, cells)
+    tables = quad.SeminormTables(grid, fp(1, 2, s))
+    vals, lips = tables.evaluate(u)
+    x, w = grid.centers[:, 0], grid.weights
+    above = quad.kahan_sum(2 / alpha * vals**2 * (1 - x) ** -alpha * w)
+    lhs = quad.kahan_sum(vals**2 * x**-alpha * w)
+    return math.sqrt(lhs / (tables.seminorm(vals, lips) ** 2 + above))
+
+
+@pytest.mark.parametrize("s", [Fraction(1, 4), Fraction(2, 5)])
+def test_subcritical_half_line_constant_oracle(s, monkeypatch):
+    # Bogdan & Dyda (Math. Nachr. 284, 2011): on the half-line at p = 2 and
+    # alpha = 2s < 1, [u]^2 >= 2 kappa int u^2 x^-alpha with the sharp
+    # kappa = (B((1 + alpha)/2, (2 - alpha)/2) - 2^alpha) / (alpha 2^alpha),
+    # the ground-state integral of x^{(alpha - 1)/2}, here folded onto
+    # (0, 1) by y -> 1/y and evaluated by mpmath.  The members' ratio
+    # approaches the sharp (2 kappa)^{-1/2} from below as R grows; the gap
+    # between 8 and 16 cells per block is its error bar.  At e = 1 + alpha
+    # != 2d the graded grid's blocks are summed as one run
+    import mpmath
+
+    alpha = 2 * float(s)
+    kappa = ((math.gamma((1 + alpha) / 2) * math.gamma((2 - alpha) / 2) / math.gamma(1.5)
+              - 2**alpha) / (alpha * 2**alpha))
+    with mpmath.workdps(30):
+        a = 2 * mpmath.mpf(s.numerator) / s.denominator
+        integral = mpmath.quad(lambda z: (1 - z ** ((a - 1) / 2)) ** 2 / (1 - z) ** (1 + a),
+                               [0, 1])
+    assert kappa == pytest.approx(float(integral), rel=1e-12)
+    sharp = (2 * kappa) ** -0.5
+    calls = swept_offsets(monkeypatch)
+    for R in (16, 64):
+        coarse, fine = (ground_state_ratio(s, R, cells) for cells in (8, 16))
+        assert abs(coarse - fine) <= 1e-3
+        assert max(coarse, fine) <= sharp + abs(coarse - fine)
+    if s == Fraction(1, 4):
+        assert coarse >= 0.995 * sharp
+    assert calls == [{0}] * 4
+
+
 def test_pullback_integral_invariance():
     # the shear has unit Jacobian: int u = int (u o G) over the sheared image
     graph = geo.ConeGraph(1.0)

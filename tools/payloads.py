@@ -5,12 +5,11 @@ Usage:
     python tools/payloads.py ROOT
 
 imports hardylab from ``ROOT/src`` and runs, through ``hardylab.cli.main``,
-the six demo configs with ``threads`` 1 and 2 and every config of the
-``pairs`` and ``batteries`` workloads (``perfbench/workloads.py``) at
-seeds 0 and 3, in both ``threads`` layouts.  The field is read and
-changes nothing, so the runs of one config hash alike.  For each run it prints the run's name and the
-sha256 of its payload's command, results, series and verdicts in the
-canonical JSON of ``perfbench/checks.py``, or why there is none.  A
+the six demo configs and every config of the ``pairs`` and ``batteries``
+workloads (``perfbench/workloads.py``) at seeds 0 and 3, each once.  For
+each run it prints the run's name and the sha256 of its payload's
+command, results, series and verdicts in the canonical JSON of
+``perfbench/checks.py``, or why there is none.  A
 RuntimeWarning is an error, so a run whose arithmetic overflows or makes
 a NaN prints ``crashed: RuntimeWarning``.  The configs come from the
 checkout that holds this script, so two roots run the same configs, and a
@@ -44,16 +43,12 @@ SEEDS = (workloads.DEFAULT_SEED, 3)
 
 def configs() -> list[tuple[str, dict]]:
     """The name and config of every run, in a fixed order."""
-    runs = []
-    for path in sorted((REPO / "demos" / "configs").glob("*.json")):
-        cfg = json.loads(path.read_text())
-        runs += [(f"demo/{path.stem}/threads-{t}", dict(cfg, threads=t)) for t in (1, 2)]
+    runs = [(f"demo/{path.stem}", json.loads(path.read_text()))
+            for path in sorted((REPO / "demos" / "configs").glob("*.json"))]
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
-            for swap in (False, True):
-                layout = "swapped" if swap else "default"
-                runs += [(f"{workload}/seed-{seed}/{layout}/{i}-{cfg['command']}", cfg)
-                         for i, cfg in enumerate(workloads.generate(workload, seed, swap))]
+            runs += [(f"{workload}/seed-{seed}/{i}-{cfg['command']}", cfg)
+                     for i, cfg in enumerate(workloads.generate(workload, seed))]
     return runs
 
 
