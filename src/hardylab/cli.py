@@ -546,7 +546,11 @@ def _cmd_blowup_probe(cfg: ExperimentConfig) -> Work:
     case, domain = cfg.case_domain()
     with _field("domain"):
         exp.check_probe_domain(domain)
+    with _field("case"):
+        exp.check_probe_case(case)
     offsets = cfg.numbers("beta_offsets", (-1, 0, 1), ints=True)
+    if len(set(offsets)) != len(offsets):  # the record keys each probe by its offset
+        raise ConfigError("beta_offsets", f"must not repeat an offset, got {list(offsets)}")
     # expected verdict per probed offset, keyed by the offset as a string
     expect = cfg.get("expect", {})
     probed = [str(off) for off in offsets]

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import ClassVar
 
@@ -38,8 +38,8 @@ import numpy.random
 from . import geometry as geo
 from . import hardy
 from . import quadrature as quad
-from .errors import ParameterError, UnsupportedDomainError
-from .hardy import HardyCase, WeightSpec
+from .errors import CaseDispatchError, ParameterError, UnsupportedDomainError
+from .hardy import HardyCase
 from .quadrature import FracParams, Grid, TestFunction
 
 __all__ = [
@@ -52,6 +52,7 @@ __all__ = [
     "estimate_constant",
     "ProbeResult",
     "check_probe_domain",
+    "check_probe_case",
     "blowup_probe",
     "three_point_signature",
     "slab_graded_grid",
@@ -400,6 +401,13 @@ def check_probe_domain(domain: geo.Domain) -> None:
         raise UnsupportedDomainError("the log-spike probe runs on the d = 1 slab")
 
 
+def check_probe_case(case: HardyCase) -> None:
+    """The probe's case rule: it runs group-1 cases, whose weight on the
+    slab is the flat one (``hardy.weight_for``)."""
+    if case.group != "1":
+        raise CaseDispatchError(f"the log-spike probe runs group-1 cases, got {case.case_id}")
+
+
 def blowup_probe(
     case: HardyCase,
     beta_offsets,
@@ -419,10 +427,10 @@ def blowup_probe(
     its own.  Returns one result per offset, in order.
     """
     check_probe_domain(domain)
+    check_probe_case(case)
     family = family or LogSpikeFamily()
-    w_table = hardy.critical_exponents(case)
-    weights = [WeightSpec(w_table.alpha, w_table.beta + Fraction(off), "flat_slab")
-               for off in beta_offsets]
+    weight = hardy.weight_for(case, domain)
+    weights = [replace(weight, beta=weight.beta + Fraction(off)) for off in beta_offsets]
     tau = float(case.fp.tau)
 
     levels: list[list[tuple[int, float]]] = [[] for _ in weights]

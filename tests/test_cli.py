@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import copy
+import functools
 import importlib.util
 import io
 import json
@@ -367,6 +368,39 @@ WORK_RULE_CASES += [
 WORK_RULE_CASES += [
     (dict(PROBE_CFG, case="2a"), "domain"),
     (dict(PROBE_CFG, case="2b", frac={"d": 1, "p": "4", "s": "1/4", "tau": "3"}), "domain"),
+]
+
+# ... and a group-1 case, whose slab weight is the flat one: cases 3b and
+# 3c, stated for the slab with the bounded weight, once ran the flat-weight
+# probe under their own label and exited 0
+WORK_RULE_CASES += [
+    (dict(PROBE_CFG, case="3b"), "case"),
+    (dict(PROBE_CFG, case="3c", frac={"d": 1, "p": "2", "s": "1/2", "tau": "3/2"}), "case"),
+]
+
+# the record keys each probe by its offset: a repeated offset once ran
+# twice and was written once
+WORK_RULE_CASES += [
+    (dict(PROBE_CFG, beta_offsets=[0, 0, -1]), "beta_offsets"),
+]
+
+# an epigraph holds a box on or above the graph's maximum over its shadow,
+# which a piecewise-linear graph takes at a breakpoint inside it: this
+# bump's lower face, at 0.4, lies below the apex at 0.5
+TENT_DOMAIN = {"kind": "epigraph", "d": 2, "graph": {
+    "kind": "piecewise_linear", "breakpoints": [[-1.0, 0.0], [0.0, 0.5], [1.0, 0.0]]}}
+WORK_RULE_CASES += [
+    (dict(HARDY_CFG, case="3a", domain=TENT_DOMAIN, frac=FRAC_2D, resolution=16,
+          support_box=[[-1.0, 0.0], [1.0, 1.5]],
+          u={"kind": "tensor_bump", "center": [0.0, 0.7], "radius": [0.3, 0.3]}), "u"),
+]
+
+# an unbounded domain has no bounding box, so its grid needs a support box
+WORK_RULE_CASES += [
+    ({k: v for k, v in EXTERIOR_CFG.items() if k != "support_box"}, "support_box"),
+    (dict(HARDY_CFG, case="3a", domain=TENT_DOMAIN, frac=FRAC_2D, resolution=16,
+          u={"kind": "tensor_bump", "center": [0.0, 1.0], "radius": [0.25, 0.25]}),
+     "support_box"),
 ]
 
 
@@ -788,6 +822,15 @@ def test_demo_script_runs(capsys, path: Path):
     assert capsys.readouterr().out
 
 
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {"__name__": "__main__"})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "{'below': 'diverging', 'at': 'bounded', 'above': 'bounded'}"
+
+
 def test_python_m_hardylab_runs_without_warning(tmp_path: Path):
     src = Path(cli.__file__).parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
@@ -869,31 +912,45 @@ def test_runs_without_lemma_suite_load_no_lemmas_or_mpmath(tmp_path: Path):
             if m == "hardylab.lemmas" or m.partition(".")[0] in ("mpmath", "concurrent")] == []
 
 
-#: imports hardylab and prints, as JSON, whether that loaded ``lemmas``, the
-#: names of three lazily loaded attributes, the names in ``__all__`` that do
-#: not resolve and the error an unknown name raises
-_LAZY_NAMES = """
+#: imports hardylab and prints, as JSON, the names it binds other than
+#: dunders, whether ``lemmas`` was loaded before and after the first
+#: ``hardylab.lemmas``, that module's name, and the error that
+#: ``hardylab.SlackReport``, once a second name of a ``lemmas`` class, raises
+_PACKAGE_NAMES = """
 import json, sys
 import hardylab
-loaded = "hardylab.lemmas" in sys.modules
-from hardylab import maximizer_x0
-names = [hardylab.lemmas.__name__, hardylab.SlackReport.__name__, maximizer_x0.__name__]
-missing = [name for name in hardylab.__all__ if not hasattr(hardylab, name)]
+bound = sorted(vars(hardylab))
+on_import = "hardylab.lemmas" in sys.modules
+name = hardylab.lemmas.__name__
 try:
-    unknown = repr(hardylab.no_such_name)
+    slack_report = repr(hardylab.SlackReport)
 except AttributeError as e:
-    unknown = str(e)
-print(json.dumps({"loaded": loaded, "names": names, "missing": missing, "unknown": unknown}))
+    slack_report = str(e)
+print(json.dumps({"bound": bound, "loaded": [on_import, "hardylab.lemmas" in sys.modules],
+                  "lemmas": name, "SlackReport": slack_report}))
 """
 
 
+@functools.cache
+def _package_names() -> dict:
+    return _fresh_process(_PACKAGE_NAMES)
+
+
 def test_lemmas_load_on_first_access():
-    assert _fresh_process(_LAZY_NAMES) == {
-        "loaded": False,
-        "names": ["hardylab.lemmas", "SlackReport", "maximizer_x0"],
-        "missing": [],
-        "unknown": "module 'hardylab' has no attribute 'no_such_name'",
-    }
+    got = _package_names()
+    assert got["loaded"] == [False, True]
+    assert got["lemmas"] == "hardylab.lemmas"
+
+
+def test_package_binds_only_its_modules():
+    # each object has one name, in its module: the package binds the
+    # modules that ``import hardylab`` loads and loads ``lemmas`` lazily
+    got = _package_names()
+    modules = ["cli", "errors", "experiments", "geometry", "hardy", "quadrature"]
+    assert [n for n in got["bound"] if not (n.startswith("__") and n.endswith("__"))] == modules
+    assert {"__version__", "__getattr__"} <= set(got["bound"])
+    assert got["loaded"] == [False, True]
+    assert got["SlackReport"] == "module 'hardylab' has no attribute 'SlackReport'"
 
 
 #: cheap, valid configs of every command, every test function kind and

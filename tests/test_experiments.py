@@ -12,7 +12,7 @@ from hardylab import experiments as exp
 from hardylab import geometry as geo
 from hardylab import hardy
 from hardylab import quadrature as quad
-from hardylab.errors import ParameterError, UnsupportedDomainError
+from hardylab.errors import CaseDispatchError, ParameterError, UnsupportedDomainError
 
 
 def fp(d, p, s, tau):
@@ -205,6 +205,17 @@ def test_probe_requires_1d_slab():
     case = hardy.HardyCase("1a", fp(2, "2", "1/2", "2"))
     with pytest.raises(UnsupportedDomainError):
         exp.blowup_probe(case, (-1, 0), geo.Slab(n=1, d=2))
+
+
+@pytest.mark.parametrize("p", ["2", "3"])
+@pytest.mark.parametrize("case_id", ["2a", "2b", "3b", "3c"])
+def test_probe_runs_group_1_cases_only(case_id, p):
+    # on the d = 1 slab; 2a and 2b are stated for the exterior ball, and
+    # 3b and 3c weigh the slab with the bounded weight, not the flat one
+    tau = "3/2" if case_id in ("2b", "3c") else p
+    case = hardy.HardyCase(case_id, fp(1, p, Fraction(1, int(p)), tau))
+    with pytest.raises(CaseDispatchError):
+        exp.blowup_probe(case, (-1, 0), SLAB_1D)
 
 
 def test_probe_builds_each_level_norm_once(monkeypatch):

@@ -362,6 +362,11 @@ def test_graph_range_on_box():
     lo, hi = a.range_on_box((0.0, 0.0), (1.0, 1.0))
     assert lo == pytest.approx(0.0)
     assert hi == pytest.approx(3.0)
+    assert geo.FlatGraph().range_on_box((-2.0, -1.0), (3.0, 4.0)) == (0.0, 0.0)
+    tent = geo.PiecewiseLinearGraph(((-1.0, 0.0), (0.0, 0.5), (1.0, 0.0)))
+    assert tent.range_on_box((-0.5,), (0.5,)) == (0.25, 0.5)  # the apex inside
+    assert tent.range_on_box((0.2,), (0.6,)) == (0.2, 0.4)
+    assert tent.range_on_box((-3.0,), (-2.0,)) == (-1.0, -0.5)  # on the extended end ray
 
 
 # ---------------------------------------------------------------------------
