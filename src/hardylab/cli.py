@@ -559,6 +559,9 @@ def _cmd_blowup_probe(cfg: ExperimentConfig) -> Work:
         raise ConfigError("expect", f"must map offsets from {probed} to 'diverging' or"
                           f" 'bounded', got {expect!r}")
     family = cfg.log_spike_family("levels")
+    if expect:
+        with _field("expect"):
+            exp.check_probe_expect(family)
     cells = cfg.integer("cells_per_block", 8, hi=2**_MAX_GRID_LOG2)
     log2_cells, log2_side = family.grid_extent(family.level_range[1], cells)  # the top level's
     _check_size("cells_per_block", log2_cells)

@@ -53,6 +53,7 @@ __all__ = [
     "ProbeResult",
     "check_probe_domain",
     "check_probe_case",
+    "check_probe_expect",
     "blowup_probe",
     "three_point_signature",
     "slab_graded_grid",
@@ -406,6 +407,17 @@ def check_probe_case(case: HardyCase) -> None:
     slab is the flat one (``hardy.weight_for``)."""
     if case.group != "1":
         raise CaseDispatchError(f"the log-spike probe runs group-1 cases, got {case.case_id}")
+
+
+def check_probe_expect(family: LogSpikeFamily) -> None:
+    """The probe's expectation rule: an expected verdict needs levels that
+    span at least ``_MIN_LEVELS`` levels.  Below that every offset reads
+    bounded, so an expected diverging could never pass and an expected
+    bounded never fail."""
+    lo, hi = family.level_range
+    if hi - lo + 1 < _MIN_LEVELS:
+        raise ParameterError(f"an expected verdict needs at least {_MIN_LEVELS} levels,"
+                             f" got {hi - lo + 1} ({lo}..{hi})")
 
 
 def blowup_probe(

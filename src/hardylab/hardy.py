@@ -42,7 +42,6 @@ __all__ = [
     "weight_value",
     "check_case_domain",
     "weight_for",
-    "hardy_lhs",
     "hardy_ratio",
     "HardyTables",
     "holder_interpolation_check",
@@ -209,20 +208,6 @@ def _weighted_power_integral(vals, domain, w: WeightSpec, tau: float, g: Grid) -
     return quad.kahan_sum(out * g.weights)
 
 
-def hardy_lhs(u, domain: geo.Domain | None, w: WeightSpec, tau, grid) -> float:
-    """(int |u|^tau / (delta^alpha ln^beta rho))^(1/tau).
-
-    The weight is evaluated only where u is nonzero, so compactly supported
-    test functions never touch the boundary singularity.
-    """
-    tau = float(tau)
-    if tau < 1:
-        raise ParameterError("tau must be >= 1")
-    g = quad.as_grid(grid, domain)
-    total = _weighted_power_integral(np.abs(quad._evaluate(u, g.centers)), domain, w, tau, g)
-    return total ** (1.0 / tau)
-
-
 def check_case_domain(case: HardyCase, domain: geo.Domain) -> None:
     """Raise CaseDispatchError unless the case is stated for the domain's kind."""
     kinds, kind = _CASE_DOMAIN_KINDS[case.group], getattr(domain, "kind", None)
@@ -289,8 +274,8 @@ class HardyTables:
         self.tables = quad.SeminormTables(g, case.fp)
 
     def terms(self, u: TestFunction) -> tuple[WeightSpec, float, float]:
-        """The case's weight, lhs(u) (the value of ``hardy_lhs``) and
-        ||u||_{W^{s,p}}, from one evaluation of u."""
+        """The case's weight, lhs(u) and ||u||_{W^{s,p}}, from one
+        evaluation of u."""
         w, g = self.weight, self.tables.grid
         if self._strip:
             _check_strip_condition(u, self.domain, w.R)

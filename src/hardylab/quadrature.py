@@ -77,7 +77,6 @@ __all__ = [
     "domain_grid",
     "as_grid",
     "integrate",
-    "lp_norm",
     "gagliardo_seminorm",
     "SeminormTables",
     "check_cell_side",
@@ -537,16 +536,6 @@ def integrate(f, grid, domain: geo.Domain | None = None) -> float:
     return kahan_sum(vals * g.weights)
 
 
-def lp_norm(u, domain: geo.Domain | None, p, grid) -> float:
-    """(integral of |u|^p over the domain)^(1/p)."""
-    p = float(p)
-    if p < 1:
-        raise ParameterError("p must be >= 1")
-    g = as_grid(grid, domain)
-    vals = np.abs(_evaluate(u, g.centers))
-    return kahan_sum(vals**p * g.weights) ** (1.0 / p)
-
-
 # ---------------------------------------------------------------------------
 # Gagliardo seminorm
 
@@ -1000,7 +989,8 @@ class SeminormTables:
 
     def norm(self, vals: np.ndarray, lips: np.ndarray) -> float:
         """The full norm (||u||_p^p + [u]_{W^{s,p}}^p)^{1/p} from
-        ``evaluate``'s values and slopes; the L^p term is ``lp_norm``'s."""
+        ``evaluate``'s values and slopes; ||u||_p^p is the midpoint sum of
+        |u|^p over the cells."""
         p = self.p
         lp = kahan_sum(np.abs(vals) ** p * self.grid.weights) ** (1.0 / p)
         semi = self.seminorm(vals, lips)

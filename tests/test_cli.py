@@ -2,10 +2,8 @@ import ast
 import contextlib
 import copy
 import functools
-import importlib.util
 import io
 import json
-import math
 import os
 import re
 import runpy
@@ -24,6 +22,8 @@ from hardylab import geometry as geo
 from hardylab import quadrature as quad
 from hardylab.cli import ConfigError, ExperimentConfig
 from hardylab.errors import ParameterError
+from payload_pins import (SHARED_RUNS, assert_payload_equal, load_workloads, pinned_payload,
+                          stored_payloads)
 
 
 EXPONENTS_CFG = {
@@ -401,6 +401,13 @@ WORK_RULE_CASES += [
     (dict(HARDY_CFG, case="3a", domain=TENT_DOMAIN, frac=FRAC_2D, resolution=16,
           u={"kind": "tensor_bump", "center": [0.0, 1.0], "radius": [0.25, 0.25]}),
      "support_box"),
+]
+
+# below four levels every offset reads bounded, so an expected verdict
+# cannot fail or cannot pass: levels 3..5 expecting divergence once ran
+# and exited 1, a failed gate, though the config is at fault
+WORK_RULE_CASES += [
+    (dict(PROBE_CFG, levels=[3, 5], expect={"-1": "diverging"}), "expect"),
 ]
 
 
@@ -781,38 +788,20 @@ def test_demo_config_runs(tmp_path: Path, monkeypatch, path: Path):
     assert len(calls) == 1
 
 
-#: command, results, series and verdicts of each demo config, recorded
-#: before the probe, the telescope and the Hardy terms shared one member
-#: evaluation per grid
-DEMO_PAYLOADS = json.loads((Path(__file__).parent / "data" / "demo_payloads.json").read_text())
-
-
-def _assert_payload_equal(got, want, where="payload"):
-    """Floats equal to a relative 1e-12 (exact bits may differ between
-    CPUs), every other value exactly."""
-    assert type(got) is type(want), f"{where}: {got!r} != {want!r}"
-    if isinstance(want, dict):
-        assert got.keys() == want.keys(), where
-        for key in want:
-            _assert_payload_equal(got[key], want[key], f"{where}.{key}")
-    elif isinstance(want, list):
-        assert len(got) == len(want), where
-        for i, (g, w) in enumerate(zip(got, want)):
-            _assert_payload_equal(g, w, f"{where}[{i}]")
-    elif isinstance(want, float):
-        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), f"{where}: {got!r} != {want!r}"
-    else:
-        assert got == want, f"{where}: {got!r} != {want!r}"
-
-
 @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)
 def test_demo_config_payload_pinned(path: Path):
-    assert sorted(DEMO_PAYLOADS) == [p.stem for p in DEMO_CONFIGS]
     record = cli.run(ExperimentConfig.parse(path.read_text()))
     # through JSON, as summary.json holds it: tuples become lists
     payload = json.loads(json.dumps(record.numeric_payload()))
-    want = DEMO_PAYLOADS[path.stem]
-    _assert_payload_equal({key: payload[key] for key in want}, want, path.stem)
+    want = pinned_payload(path.stem)
+    assert_payload_equal({key: payload[key] for key in want}, want, path.stem)
+
+
+def test_each_demo_config_is_pinned_once():
+    # by the demo store or by the references, never both, never neither
+    stored, shared = set(stored_payloads()), set(SHARED_RUNS)
+    assert not stored & shared, sorted(stored & shared)
+    assert sorted(stored | shared) == [p.stem for p in DEMO_CONFIGS]
 
 
 @pytest.mark.parametrize("path", DEMO_SCRIPTS, ids=lambda p: p.stem)
@@ -897,10 +886,7 @@ def test_runs_without_lemma_suite_load_no_lemmas_or_mpmath(tmp_path: Path):
     # only the lemma suite needs ``lemmas``, and only ``lemmas`` needs
     # mpmath: a fresh process that reads and runs the other demo configs and
     # the benchmark's pairs configs loads neither, nor any thread pool
-    spec = importlib.util.spec_from_file_location(
-        "workloads", Path(__file__).parent.parent / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = load_workloads()
     configs = [path for path in DEMO_CONFIGS if path.stem != "lemma_suite"]
     for i, cfg in enumerate(workloads.generate("pairs", workloads.DEFAULT_SEED)):
         configs.append(tmp_path / f"pairs_{i}.json")
@@ -970,7 +956,9 @@ FUZZ_BASES = [
     dict(ESTIMATE_CFG, resolution=8, search={"starts": 1, "budget_per_start": 3},
          family={"kind": "tensor_bump_grid", "center_bounds": [[0.3, 0.7]],
                  "radius_bounds": [[0.1, 0.2]]}),
-    dict(PROBE_CFG, levels=[3, 4], cells_per_block=2),
+    # two levels cannot tell the verdicts apart, so this probe expects none
+    {k: v for k, v in PROBE_CFG.items() if k != "expect"}
+    | {"levels": [3, 4], "cells_per_block": 2},
     dict(LEMMA_CFG, elementary_count=10, pair_count=2, tolerance=1e-9),
     dict(TELESCOPE_CFG, depths=[-2], cells_per_cube=2),
     dict(TELESCOPE_CFG, depths=[-2], cells_per_cube=2,
@@ -1024,14 +1012,19 @@ def test_fuzzed_config_field_never_crashes(data):
     assert "Traceback" not in err.getvalue()
 
 
-def test_payload_tool_hashes_each_config_once():
-    # tools/payloads.py on this checkout: one sha256 per run, 26 runs, one
-    # per config (test_numeric_payload_reproduces_across_threads checks
-    # that ``threads`` leaves a payload alone)
+def test_payload_tool_lists_each_config_once():
+    # tools/payloads.py on this checkout: 26 runs, one per config, each
+    # listed as one "run path value" line per leaf of its payload
     tool = Path(__file__).resolve().parents[1] / "tools" / "payloads.py"
     proc = subprocess.run([sys.executable, str(tool), str(tool.parents[1])],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    lines = dict(line.split(" ", 1) for line in proc.stdout.splitlines())
-    assert len(lines) == len(proc.stdout.splitlines()) == 26
-    assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest in lines.values()), lines
+    lines = [line.split(" ", 2) for line in proc.stdout.splitlines()]
+    assert all(len(line) == 3 for line in lines), lines
+    runs = {run for run, _, _ in lines}
+    assert len(runs) == 26
+    commands = [run for run, path, _ in lines if path == "command"]
+    assert sorted(commands) == sorted(runs)
+    for run, path, value in lines:
+        assert re.fullmatch(r"(command|results|series|verdicts)([.\[][^ ]*)?", path), (run, path)
+        json.loads(value)

@@ -13,6 +13,7 @@ from hardylab import geometry as geo
 from hardylab import hardy
 from hardylab import quadrature as quad
 from hardylab.errors import CaseDispatchError, ParameterError, UnsupportedDomainError
+from payload_pins import assert_payload_equal, pinned_payload
 
 
 def fp(d, p, s, tau):
@@ -22,7 +23,6 @@ def fp(d, p, s, tau):
 CASE_1B = hardy.HardyCase("1b", fp(1, "2", "1/2", "2"))
 SLAB_1D = geo.Slab(n=1, d=1)
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
-DEMO_PAYLOADS = Path(__file__).parent / "data" / "demo_payloads.json"
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +111,8 @@ def test_estimate_constant_computes_each_clipped_point_once(monkeypatch):
                                     .numeric_payload()))
     assert len(points) == payload["results"]["evaluations"] == 535
     assert len(ratios) == len(set(points)) == 52
-    want = json.loads(DEMO_PAYLOADS.read_text())["estimate_constant"]
-    best = want["results"]["best_ratio"]
-    assert payload["results"] == dict(want["results"], best_ratio=pytest.approx(best, rel=1e-12))
-    got_starts, want_starts = payload["series"]["starts"], want["series"]["starts"]
-    assert [s["start"] for s in got_starts] == [s["start"] for s in want_starts]
-    assert [s["ratio"] for s in got_starts] == pytest.approx(
-        [s["ratio"] for s in want_starts], rel=1e-12)
+    want = pinned_payload("estimate_constant")
+    assert_payload_equal({key: payload[key] for key in want}, want, "estimate_constant")
 
 
 @pytest.mark.parametrize("counts", [{"starts": 0}, {"budget_per_start": 0},

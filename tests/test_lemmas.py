@@ -1,7 +1,6 @@
 import json
 import math
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from hardylab import geometry as geo
 from hardylab import lemmas
 from hardylab import quadrature as quad
 from hardylab.errors import EvaluationError, ParameterError
+from payload_pins import assert_payload_equal, pinned_payload
 
 
 def fp(d, p, s, tau="2"):
@@ -344,12 +344,9 @@ def test_coefficient_decay_ratio_range_and_limit():
 
 def test_power_sum_battery_gives_the_demo_rows():
     # the lemma suite's battery at the demo config's seed 0
-    demo = json.loads((Path(__file__).parent / "data" / "demo_payloads.json").read_text())
-    want = demo["lemma_suite"]
+    want = pinned_payload("lemma_suite")
     worst, rows = lemmas.power_sum_battery(200, 0)
-    assert worst == want["results"]["power_sum_min_slack"]
-    assert len(rows) == len(want["series"]["power_sum"]) == 200
-    for got, row in zip(rows, want["series"]["power_sum"]):
-        assert got.keys() == row.keys() and got["n"] == row["n"]
-        assert got["beta"] == pytest.approx(row["beta"], rel=1e-12, abs=0)
-        assert got["slack"] == pytest.approx(row["slack"], rel=1e-12, abs=0)
+    # through JSON, as summary.json holds them
+    got = json.loads(json.dumps({"worst": worst, "rows": rows}))
+    assert_payload_equal(got, {"worst": want["results"]["power_sum_min_slack"],
+                               "rows": want["series"]["power_sum"]}, "power_sum")

@@ -78,24 +78,28 @@ def test_kahan_sum_correctly_rounded_any_order():
 
 
 # ---------------------------------------------------------------------------
-# lp_norm and means over regions
+# the L^p norm and means over regions
 
 
 def test_lp_norm_constant():
+    # the L^p term of SeminormTables.norm: a constant has seminorm 0 on its
+    # support's grid, so the norm is |value| * area^(1/p)
     dom = geo.BoxDomain(geo.Box((0.0, 0.0), (2.0, 1.0)))
-    u = quad.Constant(3.0, dom.box)
-    for p in (1.0, 2.0, 3.5):
-        got = quad.lp_norm(u, dom, p, quad.GridSpec(16, dom.box))
-        assert got == pytest.approx(3.0 * 2.0 ** (1.0 / p), rel=1e-12)
-    zero = quad.Constant(0.0, dom.box)
-    assert quad.lp_norm(zero, dom, 2.0, quad.GridSpec(16, dom.box)) == 0.0
+    for p in ("3/2", "2", "7/2"):
+        tables = quad.SeminormTables(quad.as_grid(quad.GridSpec(16, dom.box), dom), fp(2, p, "1/4"))
+        for value in (3.0, -3.0):
+            vals, lips = tables.evaluate(quad.Constant(value, dom.box))
+            assert tables.seminorm(vals, lips) == 0.0
+            assert tables.norm(vals, lips) == pytest.approx(3.0 * 2.0 ** (1.0 / float(Fraction(p))),
+                                                            rel=1e-12)
+        assert tables.norm(*tables.evaluate(quad.Constant(0.0, dom.box))) == 0.0
 
 
 def test_lp_norm_bump_self_convergence():
     u = quad.TensorBump((0.5,), (0.4,))
     dom = geo.Slab(n=1, d=1)
-    coarse = quad.lp_norm(u, dom, 2.0, spec1d(64))
-    fine = quad.lp_norm(u, dom, 2.0, spec1d(256))
+    coarse, fine = (quad.integrate(lambda x: u(x) ** 2, spec1d(res), dom) ** 0.5
+                    for res in (64, 256))
     assert abs(coarse - fine) / fine < 1e-3
 
 
@@ -249,7 +253,7 @@ def test_a_member_of_another_dimension_is_rejected(u):
     with pytest.raises(ParameterError, match=r"function on R\^\d, not on R\^2"):
         quad.gagliardo_seminorm(u, None, fp(2, "2", "1/2"), spec)
     with pytest.raises(ParameterError, match=r"function on R\^\d, not on R\^2"):
-        quad.lp_norm(u, None, 2, spec)
+        quad.integrate(u, spec)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])

@@ -1,4 +1,4 @@
-"""Print one sha256 per config run: the numeric payloads of a checkout.
+"""List every value of the numeric payloads of a checkout, one per line.
 
 Usage:
 
@@ -7,21 +7,29 @@ Usage:
 imports hardylab from ``ROOT/src`` and runs, through ``hardylab.cli.main``,
 the six demo configs and every config of the ``pairs`` and ``batteries``
 workloads (``perfbench/workloads.py``) at seeds 0 and 3, each once.  For
-each run it prints the run's name and the sha256 of its payload's
-command, results, series and verdicts in the canonical JSON of
-``perfbench/checks.py``, or why there is none.  A
+each leaf of a run's command, results, series and verdicts (a scalar, or
+an empty object or list) it prints one line
+
+    RUN PATH VALUE
+
+with the leaf's JSON path (``results.best_ratio``,
+``series.starts[0].ratio``) and its value in canonical JSON, where a
+float is its shortest round-trip ``repr``.  Object keys are listed in
+sorted order.  A run with no payload prints one line instead:
+``RUN exit CODE``, or ``RUN crashed "NAME"`` with the exception's name.  A
 RuntimeWarning is an error, so a run whose arithmetic overflows or makes
-a NaN prints ``crashed: RuntimeWarning``.  The configs come from the
-checkout that holds this script, so two roots run the same configs, and a
-diff of their outputs names the payloads that differ.  Nothing is written
-outside a temporary directory.
+a NaN prints ``crashed "RuntimeWarning"``.
+
+The configs come from the checkout that holds this script, so two roots
+run the same configs, and ``diff`` of their listings shows each value
+that was added, removed or moved, with its old and new text.  Nothing is
+written outside a temporary directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import io
 import json
 import sys
@@ -52,8 +60,21 @@ def configs() -> list[tuple[str, dict]]:
     return runs
 
 
-def payload_digest(cli, cfg: dict, work: Path) -> str:
-    """The sha256 of the payload ``cfg`` writes under ``work``."""
+def leaves(node, path: str):
+    """(path, canonical JSON) of every scalar, empty object and empty list
+    under ``node``, keys in sorted order."""
+    if isinstance(node, dict) and node:
+        for key in sorted(node):
+            yield from leaves(node[key], f"{path}.{key}" if path else key)
+    elif isinstance(node, list) and node:
+        for i, item in enumerate(node):
+            yield from leaves(item, f"{path}[{i}]")
+    else:
+        yield path, json.dumps(node, separators=(",", ":"))
+
+
+def payload_lines(cli, cfg: dict, work: Path) -> list[tuple[str, str]]:
+    """(path, value) of each leaf of the payload ``cfg`` writes under ``work``."""
     work.mkdir(parents=True)
     path = work / "config.json"
     path.write_text(json.dumps(cfg))
@@ -62,11 +83,11 @@ def payload_digest(cli, cfg: dict, work: Path) -> str:
             code = cli.main(["--config", str(path), "--out", str(work / "out")])
     except Exception as e:  # a crash is a line of the output, not the end of it
         traceback.print_exc()
-        return f"crashed: {type(e).__name__}"
+        return [("crashed", json.dumps(type(e).__name__))]
     payload = checks.read_payload(work / "out")
     if payload is None:
-        return f"no payload (exit {code})"
-    return hashlib.sha256(checks.canonical(checks.reference_view(payload)).encode()).hexdigest()
+        return [("exit", str(code))]
+    return list(leaves(checks.reference_view(payload), ""))
 
 
 def main() -> int:
@@ -77,7 +98,9 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for i, (name, cfg) in enumerate(configs()):
-            print(name, payload_digest(cli, cfg, Path(tmp) / str(i)), flush=True)
+            for path, value in payload_lines(cli, cfg, Path(tmp) / str(i)):
+                print(name, path, value)
+            sys.stdout.flush()
     return 0
 
 
