@@ -77,7 +77,8 @@ class ExperimentConfig:
     unknown: ``seed`` is a field of estimate-constant and lemma-suite alone,
     and ``resolution`` of seminorm, hardy-check and estimate-constant
     (through ``grid``), whether the config or ``--seed``/``--resolution``
-    sets it.  Every command reads ``threads`` (an int in [1, 64]) and uses
+    sets it; ``R`` is a field of hardy-check and estimate-constant where
+    the case's weight reads it (``scale``).  Every command reads ``threads`` (an int in [1, 64]) and uses
     it for nothing, only so that the benchmark's configs, which set it,
     stay valid.
     """
@@ -291,30 +292,25 @@ class ExperimentConfig:
         with _field("resolution"):
             return quad.GridSpec(res, box)
 
-    def scale(self) -> float | None:
-        """The weight scale R; None lets the weight pick its default."""
+    def scale(self, case: hardy.HardyCase, domain: geo.Domain) -> float | None:
+        """The weight scale R; None lets the weight pick its default.  A
+        weight that takes no scale (``hardy.weight_takes_scale``) leaves
+        ``R`` unread, so it is unknown there."""
+        if not hardy.weight_takes_scale(case, domain):
+            return None
         R = self.number("R", None)
         if R is not None and R <= 0:
             raise ConfigError("R", f"must be null or a positive finite number, got {R!r}")
         return R
-
-    def log_spike_family(self, path: str) -> exp.LogSpikeFamily:
-        """Log-spike family over the level range [lo, hi] at ``path``; the
-        family bounds the levels by its depth cap."""
-        levels = self.numbers(path, (3, 8), length=2, ints=True)
-        with _field(path):
-            return exp.LogSpikeFamily(level_range=levels)
 
     def family(self, domain: geo.Domain, spec: quad.GridSpec) -> exp.FunctionFamily:
         """The family of a search on ``spec``'s grid on ``domain``; its
         ``hull`` must lie in the grid's box (``quad.check_support``), a fault
         of the field that sets the members' extent."""
         kind = self.get("family.kind", "boundary_bump")
-        if kind in ("log_spike", "boundary_bump") and domain.d > 1:
-            raise ConfigError("family.kind", f"{kind!r} is a family on (0, 1); d is {domain.d}")
-        if kind == "log_spike":
-            family = self.log_spike_family("family.level_range")
-        elif kind == "boundary_bump":
+        if kind == "boundary_bump":
+            if domain.d > 1:
+                raise ConfigError("family.kind", f"{kind!r} is a family on (0, 1); d is {domain.d}")
             lo, hi = self.numbers("family.log2_h_range", (-7.0, -2.0), length=2)
             width = self.number("family.width", 0.5)
             if width <= 0:
@@ -331,8 +327,7 @@ class ExperimentConfig:
             raise ConfigError("family.kind", f"unknown family kind {kind!r}")
         if not all(lo <= hi for lo, hi in family.bounds):
             raise ConfigError("family", f"parameter bounds need lo <= hi, got {family.bounds}")
-        with _field({"log_spike": "family.level_range",
-                     "boundary_bump": "family.log2_h_range"}.get(kind, "family")):
+        with _field("family.log2_h_range" if kind == "boundary_bump" else "family"):
             quad.check_support(family.hull(), domain, spec.support_box)
         return family
 
@@ -494,7 +489,7 @@ def _cmd_hardy_check(cfg: ExperimentConfig) -> Work:
     u = cfg.test_function(case.fp.d)
     with _field("u"):
         quad.check_support(u.support, domain, spec.support_box)
-    R = cfg.scale()
+    R = cfg.scale(case, domain)
 
     def work():
         w, lhs, denom = hardy.HardyTables(domain, case, spec, R).terms(u)
@@ -515,7 +510,7 @@ def _cmd_hardy_check(cfg: ExperimentConfig) -> Work:
 def _cmd_estimate_constant(cfg: ExperimentConfig) -> Work:
     case, domain = cfg.case_domain()
     spec = cfg.grid(domain, case.fp)
-    R = cfg.scale()
+    R = cfg.scale(case, domain)
     family = cfg.family(domain, spec)
     search = exp.SearchConfig(
         starts=cfg.integer("search.starts", 8, hi=2**10),
@@ -558,15 +553,18 @@ def _cmd_blowup_probe(cfg: ExperimentConfig) -> Work:
                                              for k, v in expect.items())):
         raise ConfigError("expect", f"must map offsets from {probed} to 'diverging' or"
                           f" 'bounded', got {expect!r}")
-    family = cfg.log_spike_family("levels")
+    with _field("levels"):
+        family = exp.LogSpikeFamily(level_range=cfg.numbers("levels", (3, 8), length=2, ints=True))
+    cells = cfg.integer("cells_per_block", 8, hi=2**_MAX_GRID_LOG2)
+    # before the size rule: a level past 8 also has an oversized grid, and
+    # the fault is the level's
+    with _field("levels"):
+        exp.check_probe_levels(family, case.fp, cells)
     if expect:
         with _field("expect"):
             exp.check_probe_expect(family)
-    cells = cfg.integer("cells_per_block", 8, hi=2**_MAX_GRID_LOG2)
-    log2_cells, log2_side = family.grid_extent(family.level_range[1], cells)  # the top level's
-    _check_size("cells_per_block", log2_cells)
-    with _field("levels"):
-        quad.check_cell_side(case.fp, log2_side)
+    # the top level's grid
+    _check_size("cells_per_block", family.grid_extent(family.level_range[1], cells)[0])
 
     def work():
         probes = exp.blowup_probe(case, offsets, domain, family, cells)

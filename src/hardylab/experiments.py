@@ -54,6 +54,7 @@ __all__ = [
     "check_probe_domain",
     "check_probe_case",
     "check_probe_expect",
+    "check_probe_levels",
     "blowup_probe",
     "three_point_signature",
     "slab_graded_grid",
@@ -111,8 +112,8 @@ class FunctionFamily:
         supports of the members ``make`` builds at the corners of the
         parameter box.  Each family's support is monotone in each parameter
         (each end moves one way as it grows: a bump's with its centre and
-        radius, a boundary bump's with its gap, a log spike's lower end with
-        its level), so the corners reach every end's extremes."""
+        radius, a boundary bump's with its gap), so the corners reach every
+        end's extremes."""
         supports = [self.make(np.array(corner)).support
                     for corner in itertools.product(*self.bounds)]
         return geo.Box(tuple(float(min(ends)) for ends in zip(*(b.lo for b in supports))),
@@ -141,58 +142,6 @@ class BoundaryBumpFamily(FunctionFamily):
     def make(self, params):
         params = self.clip(params)
         return self.member(2.0 ** float(params[0]))
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class LogSpikeFamily(FunctionFamily):
-    """Concentrating log profiles with dyadically doubling depth.
-
-    Level m maps to a profile whose ramps and plateau each span
-    2^{m-1} dyadic levels of the slab height; each level doubles the
-    concentration depth, which is what makes growth factors across levels
-    scale-free.  Depths are capped at ``max_depth``, and the level range
-    stops at the cap's level 1 + log2(max_depth): a level above would reuse
-    the capped member, and its grid, with cells down to 2^-773 / cells per
-    block, would break the seminorm's range rule ``quad.check_cell_side``.
-    """
-
-    level_range: tuple[int, int] = (3, 8)
-    t0: float = 1.5
-    max_depth: ClassVar[float] = 128.0
-
-    def __post_init__(self):
-        lo, hi = self.level_range
-        top = 1 + int(math.log2(self.max_depth))
-        if not 1 <= lo <= hi <= top:
-            raise ParameterError(f"level range needs 1 <= lo <= hi <= {top},"
-                                 f" got {self.level_range!r}")
-
-    @property
-    def bounds(self):  # type: ignore[override]
-        return ((float(self.level_range[0]), float(self.level_range[1])),)
-
-    def depth(self, level: float) -> float:
-        return min(2.0 ** (float(level) - 1.0), self.max_depth)
-
-    def member(self, level: float) -> quad.LogSpike:
-        return quad.LogSpike(depth=self.depth(level), t0=self.t0)
-
-    def grid_levels(self, level: float) -> int:
-        """Dyadic levels J of the graded grid of ``level`` (J + 1 blocks)."""
-        return math.ceil(self.t0 + 3.0 * self.depth(level)) + 2
-
-    def grid(self, level: float, cells_per_block: int = 8) -> Grid:
-        return slab_graded_grid(self.grid_levels(level), cells_per_block)
-
-    def grid_extent(self, level: float, cells_per_block: int = 8) -> tuple[float, float]:
-        """(log2 cells, log2 smallest side) of ``grid(level, cells_per_block)``,
-        not built: J + 1 blocks, the last of sides 2^-(J + 1) / cells_per_block."""
-        blocks = self.grid_levels(level) + 1
-        return math.log2(blocks * cells_per_block), -blocks - math.log2(cells_per_block)
-
-    def make(self, params):
-        params = self.clip(params)
-        return self.member(float(params[0]))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -396,6 +345,42 @@ class ProbeResult:
     truncated: bool = False
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class LogSpikeFamily:
+    """The probe's levels: level m maps to a log spike whose ramps and
+    plateau each span 2^{m-1} dyadic levels of the slab height, and to the
+    graded grid that resolves it.  Each level doubles the concentration
+    depth, which is what makes growth factors across levels scale-free.
+    The seminorm's range rule bounds the levels (``check_probe_levels``).
+    """
+
+    level_range: tuple[int, int] = (3, 8)
+
+    def __post_init__(self):
+        lo, hi = self.level_range
+        if not 1 <= lo <= hi:
+            raise ParameterError(f"level range needs 1 <= lo <= hi, got {self.level_range!r}")
+
+    def depth(self, level: int) -> float:
+        return 2.0 ** (level - 1)
+
+    def member(self, level: int) -> quad.LogSpike:
+        return quad.LogSpike(depth=self.depth(level))
+
+    def grid_levels(self, level: int) -> int:
+        """Dyadic levels J of the graded grid of ``level`` (J + 1 blocks)."""
+        return math.ceil(quad.LogSpike.t0 + 3.0 * self.depth(level)) + 2
+
+    def grid(self, level: int, cells_per_block: int = 8) -> Grid:
+        return slab_graded_grid(self.grid_levels(level), cells_per_block)
+
+    def grid_extent(self, level: int, cells_per_block: int = 8) -> tuple[float, float]:
+        """(log2 cells, log2 smallest side) of ``grid(level, cells_per_block)``,
+        not built: J + 1 blocks, the last of sides 2^-(J + 1) / cells_per_block."""
+        blocks = self.grid_levels(level) + 1
+        return math.log2(blocks * cells_per_block), -blocks - math.log2(cells_per_block)
+
+
 def check_probe_domain(domain: geo.Domain) -> None:
     """The probe's domain rule: its log spikes live on the d = 1 slab."""
     if not isinstance(domain, geo.Slab) or domain.d != 1:
@@ -420,6 +405,18 @@ def check_probe_expect(family: LogSpikeFamily) -> None:
                              f" got {hi - lo + 1} ({lo}..{hi})")
 
 
+def check_probe_levels(family: LogSpikeFamily, fp: FracParams, cells_per_block: int) -> None:
+    """The probe's level rule: the top level's graded grid keeps the
+    seminorm's range rule (``quad.check_cell_side``).  In d = 1 it admits
+    levels up to 8 at every ``cells_per_block``: level 9's cells have side
+    2^-773 / cells_per_block."""
+    try:
+        log2_side = family.grid_extent(family.level_range[1], cells_per_block)[1]
+    except OverflowError:  # from level 1024 on, the depth leaves double range
+        log2_side = -math.inf
+    quad.check_cell_side(fp, log2_side)
+
+
 def blowup_probe(
     case: HardyCase,
     beta_offsets,
@@ -441,6 +438,7 @@ def blowup_probe(
     check_probe_domain(domain)
     check_probe_case(case)
     family = family or LogSpikeFamily()
+    check_probe_levels(family, case.fp, cells_per_block)
     weight = hardy.weight_for(case, domain)
     weights = [replace(weight, beta=weight.beta + Fraction(off)) for off in beta_offsets]
     tau = float(case.fp.tau)

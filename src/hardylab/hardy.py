@@ -41,6 +41,7 @@ __all__ = [
     "critical_exponents",
     "weight_value",
     "check_case_domain",
+    "weight_takes_scale",
     "weight_for",
     "hardy_ratio",
     "HardyTables",
@@ -216,6 +217,12 @@ def check_case_domain(case: HardyCase, domain: geo.Domain) -> None:
                                 f" got {kind!r}")
 
 
+def weight_takes_scale(case: HardyCase, domain: geo.Domain) -> bool:
+    """Whether the case's weight on the domain reads a scale R: all but the
+    flat-slab weight (rho = 2/x_d), a group-1 case's on a slab."""
+    return not (isinstance(domain, geo.Slab) and case.group == "1")
+
+
 def weight_for(
     case: HardyCase,
     domain: geo.Domain,
@@ -231,7 +238,7 @@ def weight_for(
     """
     check_case_domain(case, domain)
     w = critical_exponents(case)
-    if isinstance(domain, geo.Slab) and case.group == "1":
+    if not weight_takes_scale(case, domain):
         return replace(w, rho_kind="flat_slab")
     if isinstance(domain, geo.ExteriorBall):
         return replace(w, R=R if R is not None else domain.R)

@@ -446,20 +446,13 @@ class LogSpike(TestFunction):
         return Box(self.transverse.lo + (lo_d,), self.transverse.hi + (hi_d,))
 
     def axis_profile(self, xd: np.ndarray) -> np.ndarray:
+        # the nearer ramp clipped to [0, 1]; t = +inf at x_d <= 0 gives 0
         xd = np.asarray(xd, dtype=float)
-        vals = np.zeros_like(xd)
         pos = xd > 0
-        t = np.empty_like(xd)
+        t = np.full_like(xd, np.inf)
         t[pos] = np.log2(2.0 / xd[pos])
-        t[~pos] = np.inf
         D = self.depth
-        up = (t > self.t0) & (t < self.t0 + D)
-        flat = (t >= self.t0 + D) & (t <= self.t0 + 2 * D)
-        down = (t > self.t0 + 2 * D) & (t < self.t0 + 3 * D)
-        vals[up] = (t[up] - self.t0) / D
-        vals[flat] = 1.0
-        vals[down] = (self.t0 + 3 * D - t[down]) / D
-        return vals
+        return np.clip(np.minimum(t - self.t0, self.t0 + 3 * D - t) / D, 0.0, 1.0)
 
     def __call__(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))

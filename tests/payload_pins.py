@@ -1,12 +1,14 @@
-"""The pinned payloads of the demo configs, and the one comparison that
-holds a run to its pin.
+"""The pinned payloads of the demo configs and the workload runs, and the
+one comparison that holds a run to its pin.
 
 Each demo config is pinned once.  ``data/demo_payloads.json`` holds the
 runs that no benchmark workload repeats.  The other demo configs are the
 same runs as workload configs, whose payloads ``perfbench/references.json``
 records at its ``seed``; ``SHARED_RUNS`` names each one's workload and
 index there.  Config text cannot match them: the demo probe leaves
-``cells_per_block`` at its default, which the workload sets to 8.
+``cells_per_block`` at its default, which the workload sets to 8.  The
+workload runs that no demo config repeats are pinned by the references
+alone (``UNSHARED_RUNS``).
 """
 
 from __future__ import annotations
@@ -44,15 +46,27 @@ def stored_payloads() -> dict[str, dict]:
     return json.loads(DEMO_STORE.read_text())
 
 
+@functools.cache
+def references() -> dict:
+    """``perfbench/references.json``: the payload of each workload run at
+    its ``seed``, the workloads' default."""
+    refs = json.loads(REFERENCES.read_text())
+    assert refs["seed"] == load_workloads().DEFAULT_SEED, refs["seed"]
+    return refs
+
+
+#: (workload, index) of each workload run that no demo config repeats
+UNSHARED_RUNS = [(workload, index) for workload, runs in references()["workloads"].items()
+                 for index in range(len(runs)) if (workload, index) not in SHARED_RUNS.values()]
+
+
 def pinned_payload(name: str) -> dict:
     """The pinned command, results, series and verdicts of the demo config
     ``name`` (its file's stem)."""
     if name not in SHARED_RUNS:
         return stored_payloads()[name]
-    references = json.loads(REFERENCES.read_text())
-    assert references["seed"] == load_workloads().DEFAULT_SEED, references["seed"]
     workload, index = SHARED_RUNS[name]
-    return references["workloads"][workload][index]
+    return references()["workloads"][workload][index]
 
 
 def assert_payload_equal(got, want, where="payload"):

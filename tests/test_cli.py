@@ -22,8 +22,8 @@ from hardylab import geometry as geo
 from hardylab import quadrature as quad
 from hardylab.cli import ConfigError, ExperimentConfig
 from hardylab.errors import ParameterError
-from payload_pins import (SHARED_RUNS, assert_payload_equal, load_workloads, pinned_payload,
-                          stored_payloads)
+from payload_pins import (SHARED_RUNS, UNSHARED_RUNS, assert_payload_equal, load_workloads,
+                          pinned_payload, references, stored_payloads)
 
 
 EXPONENTS_CFG = {
@@ -347,8 +347,8 @@ WORK_RULE_CASES += [
           frac=FRAC_2D, resolution=16,
           family={"kind": "tensor_bump_grid", "center_bounds": [[0, 1], [0, 1]],
                   "radius_bounds": [[0.3, 0.6], [0.3, 0.6]]}), "family"),
-    (dict(ESTIMATE_DEMO_CFG, family={"kind": "log_spike", "level_range": [3, 4]},
-          support_box=[[0.5], [1]]), "family.level_range"),
+    (dict(ESTIMATE_DEMO_CFG, family={"kind": "boundary_bump", "log2_h_range": [-3, -2]},
+          support_box=[[0.5], [1]]), "family.log2_h_range"),
 ]
 
 # ... and in the closed domain by the domain's own test: a bump half in
@@ -410,12 +410,27 @@ WORK_RULE_CASES += [
     (dict(PROBE_CFG, levels=[3, 5], expect={"-1": "diverging"}), "expect"),
 ]
 
+# the flat-slab weight of a group-1 case on a slab takes no scale
+# (hardy.weight_takes_scale), so there R is unknown: it once left every
+# value the same at R 0.001 and at R 7
+WORK_RULE_CASES += [
+    (dict(HARDY_CFG, R=7), "R"),
+]
+
 
 @pytest.mark.parametrize("cfg,field", WORK_RULE_CASES)
 def test_work_rules_are_checked_when_read(cfg, field):
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_dict(cfg)
     assert err.value.field_path == field
+
+
+def test_r_moves_the_ratio_where_the_weight_reads_it():
+    # on a box the bounded weight, rho = 2R / delta, reads R
+    box = dict(HARDY_CFG, domain={"kind": "box", "lo": [0.0], "hi": [1.0]})
+    ratio_1, ratio_7 = (cli.run(ExperimentConfig.from_dict(dict(box, R=R))).results["ratio"]
+                        for R in (1.0, 7.0))
+    assert ratio_1 != ratio_7
 
 
 @pytest.mark.parametrize(
@@ -443,13 +458,16 @@ def test_work_rules_are_checked_when_read(cfg, field):
         (dict(PROBE_CFG, expect={"5": "bounded"}), "expect"),
         (dict(PROBE_CFG, expect={"-1": "huge"}), "expect"),
         (dict(ESTIMATE_CFG, family="x"), "family"),
+        # log spikes are the probe's members alone: on the uniform grid of a
+        # search, every member above level 4 is a multiple of one function
         (dict(ESTIMATE_CFG, family={"kind": "log_spike", "level_range": [3, 12]}),
-         "family.level_range"),
+         "family.kind"),
         (dict(ESTIMATE_CFG, family={"kind": "boundary_bump", "log2_h_range": [-2, -7]}),
          "family"),
-        (dict(ESTIMATE_CFG, R=-1), "R"),
-        (dict(HARDY_CFG, R="x"), "R"),
-        (dict(HARDY_CFG, R=-1), "R"),
+        # R where the weight reads it: on a box and on the exterior ball
+        (dict(ESTIMATE_CFG, domain={"kind": "box", "lo": [0.0], "hi": [1.0]}, R=-1), "R"),
+        (dict(EXTERIOR_CFG, R="x"), "R"),
+        (dict(EXTERIOR_CFG, R=-1), "R"),
         (dict(ESTIMATE_CFG, domain={"kind": "slab", "n": 1, "d": 29916160961}), "domain.d"),
         (dict(HARDY_CFG, domain={"kind": "slab", "n": 1, "d": 2}), "domain.d"),
         (dict(SEMINORM_CFG, domain={"kind": "slab", "n": 1, "d": 3},
@@ -576,6 +594,36 @@ def test_probe_cells_per_block_limit():
     ExperimentConfig.from_dict(dict(PROBE_CFG, cells_per_block=2**20 // 101))
     with pytest.raises(ConfigError, match="cells_per_block"):
         ExperimentConfig.from_dict(dict(PROBE_CFG, cells_per_block=2**20 // 101 + 1))
+
+
+# (levels, cells_per_block, the field named or None): the seminorm's range
+# rule (experiments.check_probe_levels) admits levels up to 8 at every
+# cells_per_block, as level 9's cells have side 2^-773 / cells_per_block;
+# the size rule then bounds the top level's 389 blocks of cells
+PROBE_LEVEL_CASES = [
+    ([3, 8], 8, None), ([8, 8], 8, None), ([1, 1], 1, None),
+    ([3, 8], 2**20 // 389, None), ([3, 8], 2**20 // 389 + 1, "cells_per_block"),
+    ([3, 8], 4096, "cells_per_block"), ([1, 1], 2**20, "cells_per_block"),
+    ([3, 9], 1, "levels"), ([3, 9], 8, "levels"), ([9, 9], 8, "levels"),
+    ([3, 17], 8, "levels"), ([3, 17], 2**20, "levels"), ([3, 1100], 8, "levels"),
+    ([3, 2**70], 8, "levels"), ([0, 3], 8, "levels"), ([5, 4], 8, "levels"),
+]
+
+
+@pytest.mark.parametrize("levels,cells,field", PROBE_LEVEL_CASES)
+def test_probe_levels_and_cells_per_block(levels, cells, field):
+    cfg = {k: v for k, v in PROBE_CFG.items() if k != "expect"}
+    cfg |= {"levels": levels, "cells_per_block": cells}
+    if field is not None:
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(cfg)
+        assert err.value.field_path == field
+        return
+    config = ExperimentConfig.from_dict(cfg)
+    if cells <= 8:  # the larger grids are only read
+        record = cli.run(config)
+        assert [row["level"] for row in record.series["offset_+0"]] == list(
+            range(levels[0], levels[1] + 1))
 
 
 def test_seminorm_cell_side_range(tmp_path: Path, capsys):
@@ -797,6 +845,16 @@ def test_demo_config_payload_pinned(path: Path):
     assert_payload_equal({key: payload[key] for key in want}, want, path.stem)
 
 
+@pytest.mark.parametrize("workload,index", UNSHARED_RUNS)
+def test_workload_run_payload_pinned(workload, index):
+    # the references' other runs: the 16-cell probe, both seminorms and the
+    # three hardy-checks, held to their types as the demo configs are
+    cfg = load_workloads().generate(workload, references()["seed"])[index]
+    payload = json.loads(json.dumps(cli.run(ExperimentConfig.from_dict(cfg)).numeric_payload()))
+    want = references()["workloads"][workload][index]
+    assert_payload_equal({key: payload[key] for key in want}, want, f"{workload}[{index}]")
+
+
 def test_each_demo_config_is_pinned_once():
     # by the demo store or by the references, never both, never neither
     stored, shared = set(stored_payloads()), set(SHARED_RUNS)
@@ -945,14 +1003,14 @@ def test_package_binds_only_its_modules():
 FUZZ_BASES = [
     EXPONENTS_CFG,
     dict(SEMINORM_CFG, resolution=8, support_box=[[0.0], [1.0]]),
-    dict(HARDY_CFG, resolution=8, R=None),
+    dict(HARDY_CFG, resolution=8),
     dict(HARDY_CFG, resolution=8,
          u={"kind": "constant", "value": 1.0, "support": [[0.2], [0.4]]}),
     dict(EXTERIOR_CFG, resolution=8),
     dict(BOX_CFG, resolution=8),
     dict(CONE_CFG, resolution=8),
     dict(ESTIMATE_CFG, resolution=8, search={"starts": 1, "budget_per_start": 3},
-         family={"kind": "boundary_bump", "log2_h_range": [-4.0, -2.0], "width": 0.5}, R=None),
+         family={"kind": "boundary_bump", "log2_h_range": [-4.0, -2.0], "width": 0.5}),
     dict(ESTIMATE_CFG, resolution=8, search={"starts": 1, "budget_per_start": 3},
          family={"kind": "tensor_bump_grid", "center_bounds": [[0.3, 0.7]],
                  "radius_bounds": [[0.1, 0.2]]}),

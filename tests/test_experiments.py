@@ -32,8 +32,6 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 FAMILIES = [
     exp.BoundaryBumpFamily(),
     exp.BoundaryBumpFamily(log2_h_range=(-3.0, -0.5), width=0.25),
-    exp.LogSpikeFamily(level_range=(3, 8)),
-    exp.LogSpikeFamily(level_range=(1, 2)),
     exp.TensorBumpGridFamily(center_bounds=((-0.5, 0.5), (0.2, 0.8)),
                              radius_bounds=((0.1, 0.3), (0.05, 0.2))),
 ]
@@ -55,8 +53,6 @@ def test_family_hull_holds_every_member(family):
 
 def test_family_hull_is_the_members_extent():
     assert exp.BoundaryBumpFamily().hull() == geo.Box((2.0**-7,), (0.75,))
-    spikes = exp.LogSpikeFamily(level_range=(3, 4))
-    assert spikes.hull() == geo.Box(spikes.member(4).support.lo, spikes.member(3).support.hi)
     bumps = exp.TensorBumpGridFamily(center_bounds=((-0.5, 0.5), (0.25, 0.75)),
                                      radius_bounds=((0.125, 0.25), (0.125, 0.25)))
     assert bumps.hull() == geo.Box((-0.75, 0.0), (0.75, 1.0))
@@ -541,18 +537,29 @@ def test_slab_graded_grid_covers_unit_height():
     assert g.centers[:, -1].min() > 0.0
 
 
-def test_log_spike_family_depth_doubles_then_caps():
+def test_log_spike_family_depth_doubles():
     family = exp.LogSpikeFamily()
-    assert family.depth(3) == 4.0
-    assert family.depth(4) == 8.0
-    assert family.depth(8) == 128.0
-    assert family.depth(9) == 128.0  # capped
+    for level, depth in [(1, 1.0), (3, 4.0), (4, 8.0), (8, 128.0), (9, 256.0)]:
+        assert family.depth(level) == depth
+        member = family.member(level)
+        assert (member.depth, member.t0) == (depth, quad.LogSpike.t0)
+    assert family.grid_levels(8) == math.ceil(1.5 + 3 * 128) + 2
 
 
-@pytest.mark.parametrize("levels", [(3, 9), (3, 10), (0, 4), (5, 4)])
+@pytest.mark.parametrize("levels", [(3, 9), (3, 10), (0, 4), (5, 4), (3, 1100)])
 def test_log_spike_family_rejects_levels_past_the_cap(levels):
-    # 1 + log2(max_depth) = 8 is the last level with a member of its own; a
-    # deeper level would reuse the level-8 member
-    exp.LogSpikeFamily(level_range=(1, 8))
-    with pytest.raises(ParameterError, match="level range"):
-        exp.LogSpikeFamily(level_range=levels)
+    # the seminorm's range rule caps the levels at 8 at every
+    # cells_per_block (level 9's cells have side 2^-773 / cells_per_block),
+    # and a range needs 1 <= lo <= hi
+    for cells in (1, 2**20):
+        exp.check_probe_levels(exp.LogSpikeFamily(level_range=(1, 8)), CASE_1B.fp, cells)
+    with pytest.raises(ParameterError, match="range"):
+        exp.check_probe_levels(exp.LogSpikeFamily(level_range=levels), CASE_1B.fp, 1)
+
+
+def test_probe_checks_its_levels_before_it_builds_one(monkeypatch):
+    built = []
+    monkeypatch.setattr(exp, "slab_graded_grid", lambda *args: built.append(args))
+    with pytest.raises(ParameterError, match="range"):
+        exp.blowup_probe(CASE_1B, (0,), SLAB_1D, exp.LogSpikeFamily(level_range=(3, 9)))
+    assert built == []

@@ -108,6 +108,17 @@ def test_weight_trivial_when_exponents_vanish():
     assert np.allclose(hardy.weight_value(w, None, pts), 1.0)
 
 
+def test_weight_takes_scale_where_the_weight_keeps_r():
+    # the flat-slab weight of a group-1 case on a slab drops R; every
+    # other weight keeps it, case 3b's on the same slab included
+    slab, box = geo.Slab(n=1, d=1), geo.BoxDomain(geo.Box((0.0,), (1.0,)))
+    for case_id, domain, takes in [("1b", slab, False), ("3b", slab, True), ("1b", box, True),
+                                   ("2a", geo.ExteriorBall(R=1.0, d=1), True)]:
+        case = hardy.HardyCase(case_id, fp(1, "2", "1/2", "2"))  # sp = d = 1
+        assert hardy.weight_takes_scale(case, domain) is takes, case_id
+        assert hardy.weight_for(case, domain, R=7.0).R == (7.0 if takes else None), case_id
+
+
 def test_weight_domain_violation():
     dom = geo.BoxDomain(geo.Box((0.0, 0.0), (1.0, 1.0)))
     w = hardy.WeightSpec(Fraction(1), Fraction(2), "bounded", R=0.01)

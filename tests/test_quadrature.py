@@ -1081,6 +1081,38 @@ def test_log_spike_support_and_profile():
     assert u(np.array([[lo * 0.99]]))[0] == 0.0
 
 
+def three_mask_profile(u: quad.LogSpike, xd: np.ndarray) -> np.ndarray:
+    """The log spike's profile one piece at a time: the rising ramp, the
+    plateau and the falling ramp each on its own mask, 0 elsewhere."""
+    vals, pos = np.zeros_like(xd), xd > 0
+    t = np.full_like(xd, np.inf)
+    t[pos] = np.log2(2.0 / xd[pos])
+    t0, D = u.t0, u.depth
+    up = (t > t0) & (t < t0 + D)
+    flat = (t >= t0 + D) & (t <= t0 + 2 * D)
+    down = (t > t0 + 2 * D) & (t < t0 + 3 * D)
+    vals[up] = (t[up] - t0) / D
+    vals[flat] = 1.0
+    vals[down] = (t0 + 3 * D - t[down]) / D
+    return vals
+
+
+@pytest.mark.parametrize("depth,t0", [(1.0, 1.5), (4.0, 1.5), (32.0, 1.5), (128.0, 1.5),
+                                      (2.0, 1.0)])
+def test_log_spike_profile_keeps_its_bits(depth, t0):
+    # the probe's members (t0 = 1.5, depths 2^{m-1}) and the telescope
+    # demo's: exact equality, the sign of a zero included, at the ramp and
+    # plateau joints x_d = 2^(1 - t0 - k depth) and the support ends, each
+    # with the four doubles either side, at heights <= 0, -0.0 included,
+    # and on a log-uniform sample
+    u = quad.LogSpike(depth=depth, t0=t0)
+    marks = [2.0 ** (1.0 - t0 - k * depth) for k in range(4)] + [*u.support.lo, *u.support.hi]
+    near = [x + k * np.spacing(x) for x in marks for k in range(-4, 5)]
+    sample = 2.0 ** np.random.default_rng(0).uniform(-2.0 - t0 - 3 * depth, 1.0, 10_000)
+    xd = np.concatenate([near, [0.0, -0.0, -1.0, -np.inf, 1.0, 4.0], sample])
+    assert u.axis_profile(xd).tobytes() == three_mask_profile(u, xd).tobytes()
+
+
 def test_log_spike_2d_transverse_bump():
     u = quad.LogSpike(depth=2.0, transverse=geo.Box((-0.5,), (0.5,)))
     assert u.d == 2
