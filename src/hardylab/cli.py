@@ -242,7 +242,7 @@ class ExperimentConfig:
     def _graph(self, d: int) -> geo.LipschitzGraph:
         kind = self.get("domain.graph.kind")
         if kind == "flat":
-            return geo.FlatGraph()
+            return geo.AffineGraph((0.0,) * (d - 1))
         if kind == "affine":
             return geo.AffineGraph(self.numbers("domain.graph.slope", length=d - 1),
                                    self.number("domain.graph.offset", 0.0))
@@ -266,7 +266,7 @@ class ExperimentConfig:
                 u = quad.AxisPolynomial(self.numbers("u.coeffs"), support,
                                         self.integer("u.axis", 0, lo=0, hi=support.d - 1))
             elif kind == "constant":
-                u = quad.Constant(self.number("u.value"), self.box("u.support"))
+                u = quad.AxisPolynomial((self.number("u.value"),), self.box("u.support"))
             else:
                 raise ConfigError("u.kind", f"unknown test function kind {kind!r}")
             quad.check_member(u, d)

@@ -6,15 +6,8 @@ class HardyLabError(Exception):
 
 
 class ParameterError(HardyLabError, ValueError):
-    """An argument violates a documented precondition."""
-
-
-class DomainMembershipError(HardyLabError, ValueError):
-    """A point lies outside the closed domain it was claimed to belong to."""
-
-
-class UnsupportedDomainError(HardyLabError, ValueError):
-    """The operation is not defined for this domain kind."""
+    """An argument violates a documented precondition: a point off its domain,
+    a case or domain a rule is not stated for, a vanishing input, a bad value."""
 
 
 class EvaluationError(HardyLabError, ArithmeticError):
@@ -26,19 +19,3 @@ class EvaluationError(HardyLabError, ArithmeticError):
     def __init__(self, message, node=None):
         super().__init__(message)
         self.node = node
-
-
-class WeightDomainError(HardyLabError, ValueError):
-    """The logarithmic weight is not positive at an evaluation point.
-
-    Signals that the scale R was chosen too small for the domain
-    (the log argument dropped to 1 or below).
-    """
-
-
-class CaseDispatchError(HardyLabError, ValueError):
-    """Parameters match no case of the critical exponent table."""
-
-
-class DegenerateInputError(HardyLabError, ValueError):
-    """An input is degenerate (e.g. identically zero test function)."""

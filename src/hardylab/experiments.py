@@ -38,7 +38,7 @@ import numpy.random
 from . import geometry as geo
 from . import hardy
 from . import quadrature as quad
-from .errors import CaseDispatchError, ParameterError, UnsupportedDomainError
+from .errors import ParameterError
 from .hardy import HardyCase
 from .quadrature import FracParams, Grid, TestFunction
 
@@ -384,14 +384,14 @@ class LogSpikeFamily:
 def check_probe_domain(domain: geo.Domain) -> None:
     """The probe's domain rule: its log spikes live on the d = 1 slab."""
     if not isinstance(domain, geo.Slab) or domain.d != 1:
-        raise UnsupportedDomainError("the log-spike probe runs on the d = 1 slab")
+        raise ParameterError("the log-spike probe runs on the d = 1 slab")
 
 
 def check_probe_case(case: HardyCase) -> None:
     """The probe's case rule: it runs group-1 cases, whose weight on the
     slab is the flat one (``hardy.weight_for``)."""
     if case.group != "1":
-        raise CaseDispatchError(f"the log-spike probe runs group-1 cases, got {case.case_id}")
+        raise ParameterError(f"the log-spike probe runs group-1 cases, got {case.case_id}")
 
 
 def check_probe_expect(family: LogSpikeFamily) -> None:
@@ -534,7 +534,7 @@ class TelescopeReport:
 def check_telescope_domain(domain: geo.Domain) -> None:
     """The telescope's domain rule: its dyadic layers are a slab's."""
     if not isinstance(domain, geo.Slab):
-        raise UnsupportedDomainError("telescoping runs on slab domains")
+        raise ParameterError("telescoping runs on slab domains")
 
 
 def check_telescope_depths(depths) -> None:

@@ -29,16 +29,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DomainMembershipError,
-    ParameterError,
-    UnsupportedDomainError,
-)
+from .errors import ParameterError
 
 __all__ = [
     "Box",
     "LipschitzGraph",
-    "FlatGraph",
     "AffineGraph",
     "ConeGraph",
     "PiecewiseLinearGraph",
@@ -147,28 +142,16 @@ class LipschitzGraph:
 
 
 @dataclass(frozen=True)
-class FlatGraph(LipschitzGraph):
-    """gamma = 0; the epigraph is the upper half-space."""
-
-    M = 0.0
-
-    def gamma(self, xp):
-        xp = np.asarray(xp, dtype=float)
-        return np.zeros(xp.shape[:-1])
-
-    def range_on_box(self, lo, hi):
-        return (0.0, 0.0)
-
-    def distance(self, pts):
-        return pts[..., -1]
-
-
-@dataclass(frozen=True)
 class AffineGraph(LipschitzGraph):
-    """gamma(x') = slope . x' + offset."""
+    """gamma(x') = slope . x' + offset, stated for d = len(slope) + 1.  A zero
+    slope and offset is the flat graph: its epigraph is the upper half-space."""
 
     slope: tuple[float, ...]
     offset: float = 0.0
+
+    @property
+    def d(self) -> int:  # type: ignore[override]
+        return len(self.slope) + 1
 
     @property
     def M(self) -> float:
@@ -555,13 +538,13 @@ class Polygon2D(Domain):
 def distance_to_boundary(domain: Domain, x) -> float | np.ndarray:
     """Exact Euclidean distance from x to the domain boundary.
 
-    Raises DomainMembershipError if any point lies outside the closed domain.
+    Raises ParameterError if any point lies outside the closed domain.
     """
     pts, scalar = _as_points(x, domain.d)
     dist = domain.distance(pts)
     off = np.isnan(dist)
     if np.any(off):
-        raise DomainMembershipError(f"point {tuple(pts[off][0])} lies outside the closed domain")
+        raise ParameterError(f"point {tuple(pts[off][0])} lies outside the closed domain")
     return float(dist[0]) if scalar else dist
 
 
@@ -675,7 +658,7 @@ class DyadicLayer:
 def dyadic_layers(slab: Domain, m: int) -> list[DyadicLayer]:
     """Layers k = m..-1 of a slab, each tiled into its dyadic cubes."""
     if not isinstance(slab, Slab):
-        raise UnsupportedDomainError("dyadic layers are defined for slab domains only")
+        raise ParameterError("dyadic layers are defined for slab domains only")
     if m > -1:
         raise ParameterError("deepest layer index m must be <= -1")
     return [DyadicLayer(k, slab.n, slab.d) for k in range(m, 0)]

@@ -27,12 +27,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import quadrature as quad
-from .errors import (
-    CaseDispatchError,
-    DegenerateInputError,
-    ParameterError,
-    WeightDomainError,
-)
+from .errors import ParameterError
 from .quadrature import FracParams, Grid, TestFunction
 
 __all__ = [
@@ -90,33 +85,32 @@ class HardyCase:
     def __post_init__(self):
         cid, fp = self.case_id, self.fp
         if cid not in CASE_IDS:
-            raise CaseDispatchError(f"unknown case id {cid!r}")
+            raise ParameterError(f"unknown case id {cid!r}")
         group, letter = cid[0], cid[1]
         if group == "2":
             if fp.sp != fp.d:
-                raise CaseDispatchError(f"case {cid} needs s*p = d, got s*p = {fp.sp}")
+                raise ParameterError(f"case {cid} needs s*p = d, got s*p = {fp.sp}")
             if letter == "a" and fp.tau < fp.p:
-                raise CaseDispatchError(f"case {cid} needs tau >= p, got {fp.tau}")
+                raise ParameterError(f"case {cid} needs tau >= p, got {fp.tau}")
             if letter == "b" and fp.tau >= fp.p:
-                raise CaseDispatchError(f"case {cid} needs tau < p, got {fp.tau}")
+                raise ParameterError(f"case {cid} needs tau < p, got {fp.tau}")
             return
         if fp.sp != 1:
-            raise CaseDispatchError(f"case {cid} needs s*p = 1, got {fp.sp}")
+            raise ParameterError(f"case {cid} needs s*p = 1, got {fp.sp}")
         if letter == "a":
             if fp.d <= 1:
-                raise CaseDispatchError(f"case {cid} needs d > 1")
+                raise ParameterError(f"case {cid} needs d > 1")
             if not (fp.p <= fp.tau <= fp.p_star):
-                raise CaseDispatchError(
-                    f"case {cid} needs tau in [p, p*] = [{fp.p}, {fp.p_star}], got {fp.tau}"
-                )
+                raise ParameterError(f"case {cid} needs tau in [p, p*] = [{fp.p}, {fp.p_star}],"
+                                     f" got {fp.tau}")
         elif letter == "b":
             if fp.d != 1:
-                raise CaseDispatchError(f"case {cid} needs d = 1")
+                raise ParameterError(f"case {cid} needs d = 1")
             if fp.tau < fp.p:
-                raise CaseDispatchError(f"case {cid} needs tau >= p, got {fp.tau}")
+                raise ParameterError(f"case {cid} needs tau >= p, got {fp.tau}")
         else:  # letter == "c"
             if fp.tau >= fp.p:
-                raise CaseDispatchError(f"case {cid} needs tau < p, got {fp.tau}")
+                raise ParameterError(f"case {cid} needs tau < p, got {fp.tau}")
 
     @property
     def group(self) -> str:
@@ -163,7 +157,7 @@ def _rho(w: WeightSpec, domain: geo.Domain | None, pts: np.ndarray) -> tuple[np.
     if w.rho_kind == "flat_slab":
         xd = pts[:, -1]
         if np.any(xd <= 0):
-            raise WeightDomainError("flat-slab weight needs x_d > 0")
+            raise ParameterError("flat-slab weight needs x_d > 0")
         return xd, 2.0 / xd
     if domain is None:
         raise ParameterError("distance-based weights need a domain")
@@ -181,16 +175,14 @@ def _rho(w: WeightSpec, domain: geo.Domain | None, pts: np.ndarray) -> tuple[np.
 def weight_value(w: WeightSpec, domain: geo.Domain | None, x) -> float | np.ndarray:
     """delta^(-alpha) * ln^(-beta)(rho) at interior points.
 
-    Raises WeightDomainError when rho <= 1 somewhere (the scale R is too
+    Raises ParameterError when rho <= 1 somewhere (the scale R is too
     small for the domain: the logarithm would vanish or change sign).
     """
     pts = np.asarray(x, dtype=float)
     scalar = pts.ndim == 1
     delta, rho = _rho(w, domain, pts)
     if np.any(rho <= 1.0):
-        raise WeightDomainError(
-            "log argument <= 1; choose a larger scale R for this domain"
-        )
+        raise ParameterError("log argument <= 1; choose a larger scale R for this domain")
     vals = delta ** (-float(w.alpha)) * np.log(rho) ** (-float(w.beta))
     return float(vals[0]) if scalar else vals
 
@@ -210,10 +202,10 @@ def _weighted_power_integral(vals, domain, w: WeightSpec, tau: float, g: Grid) -
 
 
 def check_case_domain(case: HardyCase, domain: geo.Domain) -> None:
-    """Raise CaseDispatchError unless the case is stated for the domain's kind."""
+    """Raise ParameterError unless the case is stated for the domain's kind."""
     kinds, kind = _CASE_DOMAIN_KINDS[case.group], getattr(domain, "kind", None)
     if kind not in kinds:
-        raise CaseDispatchError(f"case {case.case_id} is stated for domains {kinds},"
+        raise ParameterError(f"case {case.case_id} is stated for domains {kinds},"
                                 f" got {kind!r}")
 
 
@@ -289,7 +281,7 @@ class HardyTables:
         vals, lips = self.tables.evaluate(u)
         denom = self.tables.norm(vals, lips)
         if denom == 0.0:
-            raise DegenerateInputError("test function vanishes on the grid")
+            raise ParameterError("test function vanishes on the grid")
         tau = float(self.case.fp.tau)
         lhs = _weighted_power_integral(np.abs(vals), self.domain, w, tau, g) ** (1.0 / tau)
         return w, lhs, denom

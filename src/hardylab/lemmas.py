@@ -32,7 +32,7 @@ import numpy.random
 
 from . import geometry as geo
 from . import quadrature as quad
-from .errors import DegenerateInputError, ParameterError
+from .errors import ParameterError
 from .quadrature import FracParams
 
 __all__ = [
@@ -341,9 +341,13 @@ def scaled_sobolev_ratio(
     if fp.sp < fp.d and tau > float(fp.p_star):
         raise ParameterError("tau must be <= p* when sp < d")
     base = region if region is not None else u.support
-    if not isinstance(base, (geo.Box, geo.Annulus)):
+    if isinstance(base, geo.Box):
+        g = quad.union_grid([base.scaled(lam)], resolution)
+    elif isinstance(base, geo.Annulus):
+        shell = base.scaled(lam)
+        g = quad.masked_grid(quad.GridSpec(resolution, shell.bounding_box()), shell.contains)
+    else:
         raise ParameterError("region must be a Box or an Annulus")
-    g = quad.as_grid(base.scaled(lam), cells=resolution)
     tables = quad.SeminormTables(g, fp)
     vals, lips = tables.evaluate(u.dilated(lam))
     mean = quad.kahan_sum(vals * g.weights) / g.total_weight
@@ -355,7 +359,7 @@ def scaled_sobolev_ratio(
     p = float(fp.p)
     rhs = (lam ** (float(fp.sp) - fp.d) * semi**p) ** (1.0 / p)
     if rhs == 0.0:
-        raise DegenerateInputError("seminorm vanished for a non-constant profile")
+        raise ParameterError("seminorm vanished for a non-constant profile")
     return lhs / rhs
 
 

@@ -68,13 +68,10 @@ __all__ = [
     "TensorBump",
     "LogSpike",
     "AxisPolynomial",
-    "Constant",
-    "uniform_grid",
     "masked_grid",
     "union_grid",
     "run_grid",
     "grid_box",
-    "domain_grid",
     "as_grid",
     "integrate",
     "gagliardo_seminorm",
@@ -260,14 +257,10 @@ def run_grid(base: Grid, runs: int, scale: float = 1.0, step=0.0) -> Grid:
     return grid
 
 
-def uniform_grid(spec: GridSpec) -> Grid:
-    return union_grid([spec.support_box], spec.resolution)
-
-
 def masked_grid(spec: GridSpec, keep: Callable[[np.ndarray], np.ndarray]) -> Grid:
     """Uniform grid restricted to cells whose centers satisfy ``keep``, in
     the box grid's order; ``within`` holds that grid and the kept indices."""
-    g = uniform_grid(spec)
+    g = union_grid([spec.support_box], spec.resolution)
     mask = np.asarray(keep(g.centers), dtype=bool)
     if not np.any(mask):
         raise ParameterError("mask removed every cell of the grid")
@@ -278,7 +271,7 @@ def masked_grid(spec: GridSpec, keep: Callable[[np.ndarray], np.ndarray]) -> Gri
 
 
 def grid_box(domain: geo.Domain, support_box: Box) -> Box:
-    """The box whose cells ``domain_grid`` keeps: the support box, clipped
+    """The box whose cells ``as_grid`` keeps: the support box, clipped
     to the domain if it is box-shaped."""
     box = support_box.intersect(domain.box) if isinstance(domain, geo.BoxShaped) else support_box
     if box is None:
@@ -286,34 +279,19 @@ def grid_box(domain: geo.Domain, support_box: Box) -> Box:
     return box
 
 
-def domain_grid(domain: geo.Domain, spec: GridSpec) -> Grid:
-    """Grid for integration over (domain intersect support box).
-
-    Box-like domains clip the support box exactly; curved or graph
-    boundaries keep the cells whose centers lie inside the domain.
-    """
+def as_grid(grid, domain: geo.Domain | None = None) -> Grid:
+    """A ``Grid`` itself, or a ``GridSpec``'s grid over (domain intersect
+    support box): a box-shaped domain clips the support box exactly, any
+    other keeps the cells whose centers lie inside it."""
+    if isinstance(grid, Grid):
+        return grid
+    if not isinstance(grid, GridSpec):
+        raise ParameterError(f"expected GridSpec or Grid, got {type(grid).__name__}")
+    if domain is None:
+        return union_grid([grid.support_box], grid.resolution)
     if isinstance(domain, geo.BoxShaped):
-        return uniform_grid(GridSpec(spec.resolution, grid_box(domain, spec.support_box)))
-    return masked_grid(spec, domain.contains)
-
-
-def as_grid(region, domain: geo.Domain | None = None, cells: int | None = None) -> Grid:
-    """The grid of a region: a ``Grid`` itself, a ``GridSpec``'s grid
-    (clipped to ``domain`` if given), or ``cells`` cells per axis on a box,
-    on each box of a list, or on an annulus's bounding box, masked to it."""
-    if isinstance(region, Grid):
-        return region
-    if isinstance(region, GridSpec):
-        return domain_grid(domain, region) if domain is not None else uniform_grid(region)
-    if cells is None:
-        raise ParameterError(f"expected GridSpec or Grid, got {type(region).__name__}")
-    if isinstance(region, geo.Annulus):
-        return masked_grid(GridSpec(cells, region.bounding_box()), region.contains)
-    if isinstance(region, Box):
-        region = [region]
-    if isinstance(region, (list, tuple)):
-        return union_grid(list(region), cells)
-    raise ParameterError(f"unsupported region type {type(region).__name__}")
+        return union_grid([grid_box(domain, grid.support_box)], grid.resolution)
+    return masked_grid(grid, domain.contains)
 
 
 # ---------------------------------------------------------------------------
@@ -484,18 +462,6 @@ class AxisPolynomial(TestFunction):
         vals = np.polynomial.polynomial.polyval(x, np.asarray(self.coeffs))
         vals = np.where(self.support.contains(pts), vals, 0.0)
         return vals
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Constant(TestFunction):
-    """Constant value on its support box, truncated outside."""
-
-    value: float
-    support: Box
-
-    def __call__(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.where(self.support.contains(pts), self.value, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -912,7 +878,7 @@ def check_cell_side(fp: FracParams, log2_side: float) -> None:
     cells h^2d, are normal doubles: |log2 h| max(d + sp, 2d) <= 1022."""
     power = float(max(fp.d + fp.sp, 2 * fp.d))
     if not abs(log2_side) * power <= 1022:
-        raise ParameterError(f"cells of side 2**{log2_side:.1f} leave the seminorm's range:"
+        raise ParameterError(f"cells of side 2**{log2_side:.6g} leave the seminorm's range:"
                              f" it needs |log2 h| <= {1022 / power:g}")
 
 

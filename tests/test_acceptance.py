@@ -253,7 +253,7 @@ def test_criterion_10_flattening_checks():
     ok = True
     worst = 0.0
     for graph in [
-        geo.FlatGraph(),
+        geo.AffineGraph((0.0,)),
         geo.AffineGraph((0.75,)),
         geo.ConeGraph(1.0),
         geo.PiecewiseLinearGraph(((-2.0, 0.5), (0.0, -0.5), (1.0, 0.75))),

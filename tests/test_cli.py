@@ -180,7 +180,7 @@ def test_domain_from_config_spec():
                                         "breakpoints": [[-1.0, 0.0], [1.0, 1.0]]}, "d": 2},
          geo.Epigraph(geo.PiecewiseLinearGraph(((-1.0, 0.0), (1.0, 1.0))), d=2)),
         ({"kind": "epigraph", "graph": {"kind": "flat"}, "d": 3},
-         geo.Epigraph(geo.FlatGraph(), d=3)),
+         geo.Epigraph(geo.AffineGraph((0.0, 0.0)), d=3)),
         ({"kind": "epigraph", "graph": {"kind": "affine", "slope": [0.5, -1.0], "offset": 0.25},
           "d": 3},
          geo.Epigraph(geo.AffineGraph((0.5, -1.0), 0.25), d=3)),
@@ -607,7 +607,13 @@ PROBE_LEVEL_CASES = [
     ([3, 9], 1, "levels"), ([3, 9], 8, "levels"), ([9, 9], 8, "levels"),
     ([3, 17], 8, "levels"), ([3, 17], 2**20, "levels"), ([3, 1100], 8, "levels"),
     ([3, 2**70], 8, "levels"), ([0, 3], 8, "levels"), ([5, 4], 8, "levels"),
+    ([3, 100], 8, "levels"),
 ]
+
+#: the side the range rule names for a top level at 8 cells per block, in
+#: a form that stays short at any level: level 1100's depth 2^1099 is past
+#: the double range
+PROBE_LEVEL_SIDES = {(3, 9): "2**-776", (3, 100): "2**-1.90148e+30", (3, 1100): "2**-inf"}
 
 
 @pytest.mark.parametrize("levels,cells,field", PROBE_LEVEL_CASES)
@@ -618,6 +624,8 @@ def test_probe_levels_and_cells_per_block(levels, cells, field):
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_dict(cfg)
         assert err.value.field_path == field
+        if cells == 8 and tuple(levels) in PROBE_LEVEL_SIDES:
+            assert f"cells of side {PROBE_LEVEL_SIDES[tuple(levels)]} leave" in str(err.value)
         return
     config = ExperimentConfig.from_dict(cfg)
     if cells <= 8:  # the larger grids are only read

@@ -8,11 +8,7 @@ from hypothesis import strategies as st
 
 from hardylab import geometry as geo
 from hardylab import quadrature as quad
-from hardylab.errors import (
-    DomainMembershipError,
-    ParameterError,
-    UnsupportedDomainError,
-)
+from hardylab.errors import ParameterError
 
 
 # ---------------------------------------------------------------------------
@@ -56,8 +52,8 @@ def test_exterior_ball_distance_radial():
 
 
 def test_flat_epigraph_distance_is_height():
-    dom = geo.Epigraph(geo.FlatGraph(), d=2)
-    assert geo.distance_to_boundary(dom, np.array([5.0, 0.3])) == pytest.approx(0.3)
+    dom = geo.Epigraph(geo.AffineGraph((0.0,)), d=2)
+    assert geo.distance_to_boundary(dom, np.array([5.0, 0.3])) == 0.3
 
 
 def test_domains_hold_the_boxes_in_their_closure():
@@ -95,10 +91,10 @@ def test_slab_distance_random_points_brute_force():
 
 def test_distance_outside_domain_raises():
     slab = geo.Slab(n=1, d=2)
-    with pytest.raises(DomainMembershipError):
+    with pytest.raises(ParameterError, match="lies outside the closed domain"):
         geo.distance_to_boundary(slab, np.array([0.0, 1.5]))
     ball = geo.ExteriorBall(R=1.0, d=2)
-    with pytest.raises(DomainMembershipError):
+    with pytest.raises(ParameterError, match="lies outside the closed domain"):
         geo.distance_to_boundary(ball, np.array([0.5, 0.0]))
 
 
@@ -157,7 +153,8 @@ def accepted(dom, pts):
         try:
             geo.distance_to_boundary(dom, x)
             ok.append(True)
-        except DomainMembershipError:
+        except ParameterError as e:
+            assert "lies outside the closed domain" in str(e)
             ok.append(False)
     return ok
 
@@ -185,7 +182,7 @@ def test_distance_to_boundary_accepts_the_closed_domain():
     check(geo.ExteriorBall(1.5, 2), sphere, -sphere)
 
     rng = np.random.default_rng(19)
-    for graph in [geo.FlatGraph(), geo.AffineGraph((0.37,), 0.11), geo.ConeGraph(0.7),
+    for graph in [geo.AffineGraph((0.0,)), geo.AffineGraph((0.37,), 0.11), geo.ConeGraph(0.7),
                   geo.PiecewiseLinearGraph(((-1.0, 0.0), (0.3, 0.9), (2.0, -0.4)))]:
         xp = rng.uniform(-3.0, 3.0, size=(200, 1))
         on = np.column_stack([xp[:, 0], graph.gamma(xp)])
@@ -247,11 +244,23 @@ def test_piecewise_linear_graph_needs_d_2():
         geo.Epigraph(graph, d=3)
 
 
+def test_affine_graph_is_stated_for_its_dimension():
+    # d = len(slope) + 1: a slope of the wrong length is refused when the
+    # epigraph is built, not inside numpy at its first point or grid
+    for d in (2, 3):
+        flat = geo.AffineGraph((0.0,) * (d - 1))
+        assert flat.d == d and geo.Epigraph(flat, d=d).d == d
+        for wrong in ((1.0,) * d, (1.0,) * (d - 2)):
+            stated = f"AffineGraph is stated for d = {len(wrong) + 1}"
+            with pytest.raises(ParameterError, match=stated):
+                geo.Epigraph(geo.AffineGraph(wrong), d=d)
+
+
 def test_epigraph_over_a_new_graph_class():
     dom = geo.Epigraph(ShiftedFlatGraph(0.25), d=2)
     dist = geo.distance_to_boundary(dom, np.array([[0.0, 1.0], [3.0, 0.25]]))
     assert dist.tolist() == [0.75, 0.0]
-    with pytest.raises(DomainMembershipError):
+    with pytest.raises(ParameterError, match="lies outside the closed domain"):
         geo.distance_to_boundary(dom, np.array([0.0, 0.2]))
     grid = quad.masked_grid(quad.GridSpec(8, geo.Box((0.0, 0.0), (1.0, 1.0))), dom.contains)
     assert grid.ncells == 48  # the rows of centres 2.5/8 .. 7.5/8
@@ -263,7 +272,7 @@ def test_epigraph_over_a_new_graph_class():
 
 
 def test_flatten_examples():
-    flat = geo.FlatGraph()
+    flat = geo.AffineGraph((0.0,))
     assert np.allclose(geo.flatten(flat, np.array([1.0, 2.0])), [1.0, 2.0])
     cone = geo.ConeGraph(1.0)
     assert np.allclose(geo.flatten(cone, np.array([3.0, 5.0])), [3.0, 2.0])
@@ -272,7 +281,7 @@ def test_flatten_examples():
 def test_flatten_roundtrip_random():
     rng = np.random.default_rng(11)
     graphs = [
-        geo.FlatGraph(),
+        geo.AffineGraph((0.0,)),
         geo.AffineGraph((0.5,), offset=-1.0),
         geo.ConeGraph(2.0),
         geo.PiecewiseLinearGraph(((-1.0, 0.0), (0.0, 1.0), (2.0, -0.5))),
@@ -312,7 +321,7 @@ def _empirical_distortion(graph, rng, n_pairs=100_000, box=4.0, d=2):
 def test_bilipschitz_bound_dominates_sampled_pairs():
     rng = np.random.default_rng(2024)
     for graph in [
-        geo.FlatGraph(),
+        geo.AffineGraph((0.0,)),
         geo.AffineGraph((0.75,)),
         geo.ConeGraph(1.0),
         geo.PiecewiseLinearGraph(((-2.0, 0.5), (0.0, -0.5), (1.0, 0.75))),
@@ -362,7 +371,7 @@ def test_graph_range_on_box():
     lo, hi = a.range_on_box((0.0, 0.0), (1.0, 1.0))
     assert lo == pytest.approx(0.0)
     assert hi == pytest.approx(3.0)
-    assert geo.FlatGraph().range_on_box((-2.0, -1.0), (3.0, 4.0)) == (0.0, 0.0)
+    assert geo.AffineGraph((0.0, 0.0)).range_on_box((-2.0, -1.0), (3.0, 4.0)) == (0.0, 0.0)
     tent = geo.PiecewiseLinearGraph(((-1.0, 0.0), (0.0, 0.5), (1.0, 0.0)))
     assert tent.range_on_box((-0.5,), (0.5,)) == (0.25, 0.5)  # the apex inside
     assert tent.range_on_box((0.2,), (0.6,)) == (0.2, 0.4)
@@ -450,7 +459,7 @@ def test_parent_of_top_layer_raises():
 
 
 def test_dyadic_layers_requires_slab():
-    with pytest.raises(UnsupportedDomainError):
+    with pytest.raises(ParameterError, match="dyadic layers are defined for slab domains only"):
         geo.dyadic_layers(geo.ExteriorBall(1.0, 2), -2)
 
 

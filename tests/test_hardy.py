@@ -7,12 +7,7 @@ import pytest
 from hardylab import geometry as geo
 from hardylab import hardy
 from hardylab import quadrature as quad
-from hardylab.errors import (
-    CaseDispatchError,
-    DegenerateInputError,
-    ParameterError,
-    WeightDomainError,
-)
+from hardylab.errors import ParameterError
 
 
 def fp(d, p, s, tau):
@@ -69,17 +64,17 @@ def test_exponents_rational_grid_bounds():
 
 
 def test_case_dispatch_errors():
-    with pytest.raises(CaseDispatchError):
+    with pytest.raises(ParameterError, match=r"case 1a needs s\*p = 1, got 1/2"):
         hardy.HardyCase("1a", fp(2, "2", "1/4", "2"))  # sp != 1
-    with pytest.raises(CaseDispatchError):
+    with pytest.raises(ParameterError, match=r"case 1a needs tau in \[p, p\*\] = \[2, 4\], got 5"):
         hardy.HardyCase("1a", fp(2, "2", "1/2", "5"))  # tau > p*
-    with pytest.raises(CaseDispatchError):
+    with pytest.raises(ParameterError, match="case 1b needs d = 1"):
         hardy.HardyCase("1b", fp(2, "2", "1/2", "2"))  # d != 1
-    with pytest.raises(CaseDispatchError):
+    with pytest.raises(ParameterError, match=r"case 2a needs s\*p = d, got s\*p = 1"):
         hardy.HardyCase("2a", fp(2, "2", "1/2", "2"))  # sp != d
-    with pytest.raises(CaseDispatchError):
+    with pytest.raises(ParameterError, match="case 2b needs tau < p, got 4"):
         hardy.HardyCase("2b", fp(2, "4", "1/2", "4"))  # tau >= p
-    with pytest.raises(CaseDispatchError):
+    with pytest.raises(ParameterError, match="unknown case id '9z'"):
         hardy.HardyCase("9z", fp(2, "2", "1/2", "2"))
 
 
@@ -122,7 +117,7 @@ def test_weight_takes_scale_where_the_weight_keeps_r():
 def test_weight_domain_violation():
     dom = geo.BoxDomain(geo.Box((0.0, 0.0), (1.0, 1.0)))
     w = hardy.WeightSpec(Fraction(1), Fraction(2), "bounded", R=0.01)
-    with pytest.raises(WeightDomainError):
+    with pytest.raises(ParameterError, match="log argument <= 1; choose a larger scale R"):
         hardy.weight_value(w, dom, np.array([0.5, 0.5]))
 
 
@@ -151,7 +146,7 @@ UNIT_WEIGHT = hardy.WeightSpec(Fraction(0), Fraction(0), "flat_slab")
 def test_hardy_lhs_zero_function():
     dom = geo.Slab(n=1, d=1)
     w = hardy.WeightSpec(Fraction(1), Fraction(2), "flat_slab")
-    u = quad.Constant(0.0, dom.box)
+    u = quad.AxisPolynomial((0.0,), dom.box)
     assert midpoint_lhs(u, dom, w, 2.0, quad.GridSpec(32, dom.box)) == 0.0
 
 
@@ -232,8 +227,8 @@ def test_hardy_ratio_calls_the_member_twice():
 def test_hardy_ratio_degenerate_input():
     dom = geo.Slab(n=1, d=1)
     case = hardy.HardyCase("1b", fp(1, "2", "1/2", "2"))
-    u = quad.Constant(0.0, dom.box)
-    with pytest.raises(DegenerateInputError):
+    u = quad.AxisPolynomial((0.0,), dom.box)
+    with pytest.raises(ParameterError, match="test function vanishes on the grid"):
         hardy.hardy_ratio(u, dom, case, quad.GridSpec(32, dom.box))
 
 
@@ -283,7 +278,7 @@ def test_case_domain_mismatch():
     dom = geo.Slab(n=1, d=2)
     case = hardy.HardyCase("2a", fp(2, "4", "1/2", "4"))
     u = quad.TensorBump((0.0, 0.5), (0.4, 0.3))
-    with pytest.raises(CaseDispatchError):
+    with pytest.raises(ParameterError, match="case 2a is stated for domains .*, got 'slab'"):
         hardy.hardy_ratio(u, dom, case, quad.GridSpec(16, dom.box))
 
 
@@ -296,6 +291,30 @@ def test_strip_condition_enforced():
         hardy.hardy_ratio(u, dom, case, spec, R=1.0)
     ratio = hardy.hardy_ratio(u, dom, case, spec, R=5.0)
     assert np.isfinite(ratio) and ratio > 0
+
+
+@pytest.mark.parametrize("d,tau,n,letter,lhs,norm", [
+    (2, "3", 64, "a", 0.4095581555962286, 2.313623107710149),
+    (3, "3", 16, "a", 0.2774699816343531, 2.223613323903036),
+    (3, "5/2", 16, "a", 0.23775127837012283, 2.223613323903036),
+    (2, "3/2", 64, "c", 0.25487178603631355, 2.313623107710149),
+])
+def test_flat_epigraph_reduces_to_the_slab_bit_for_bit(d, tau, n, letter, lhs, norm):
+    # on the epigraph of the zero-slope affine graph, delta = x_d, and with
+    # R = 1 the bounded weight's rho = 2R/delta is the slab's 2/x_d: case 3
+    # there gives case 1's lhs and norm on the slab's box, to the last bit.
+    # At tau = p* (d = 3, tau = 3) the weight is 1, so that row pins the
+    # grids and the norm alone; tau = 5/2 pins the weight in d = 3
+    params = fp(d, "2", "1/2", tau)
+    slab = geo.Slab(n=1, d=d)
+    flat = geo.Epigraph(geo.AffineGraph((0.0,) * (d - 1)), d=d)
+    u = quad.TensorBump((0.1,) * (d - 1) + (0.45,), (0.5,) * (d - 1) + (0.35,))
+    spec = quad.GridSpec(n, slab.box)
+    _, slab_lhs, slab_norm = hardy.HardyTables(slab, hardy.HardyCase("1" + letter, params),
+                                               spec).terms(u)
+    _, flat_lhs, flat_norm = hardy.HardyTables(flat, hardy.HardyCase("3" + letter, params),
+                                               spec, R=1.0).terms(u)
+    assert (flat_lhs, flat_norm) == (slab_lhs, slab_norm) == (lhs, norm)
 
 
 def test_hardy_ratio_exterior_case_2a():
@@ -314,7 +333,7 @@ def test_tau_below_p_weight_measure_is_finite():
     p = 2.0
     closed_form = math.log(2.0) ** (1.0 - p) / (p - 1.0)
     dom = geo.Slab(n=1, d=1)
-    one = quad.Constant(1.0, dom.box)
+    one = quad.AxisPolynomial((1.0,), dom.box)
     w = hardy.WeightSpec(Fraction(1), Fraction(int(p)), "flat_slab")
     # graded mesh: the truncated tail below level J holds ~1/(J ln 2) of the
     # mass, so ~200 dyadic levels are needed for 1% agreement

@@ -123,7 +123,7 @@ def test_average_difference_closed_form_case():
 
 
 def test_average_difference_constant_has_zero_slack():
-    u = quad.Constant(3.0, geo.Box((0.0,), (1.0,)))
+    u = quad.AxisPolynomial((3.0,), geo.Box((0.0,), (1.0,)))
     E = geo.Box((0.0,), (0.5,))
     F = geo.Box((0.5,), (1.0,))
     rep = lemmas.average_difference_slack(u, E, F, 2.0)
@@ -132,7 +132,7 @@ def test_average_difference_constant_has_zero_slack():
 
 def test_average_difference_non_finite_member_names_the_node():
     # a NaN slack would silently count as a fail; the member is at fault
-    u = quad.Constant(math.inf, geo.Box((0.0,), (1.0,)))
+    u = quad.AxisPolynomial((math.inf,), geo.Box((0.0,), (1.0,)))
     E = geo.Box((0.0,), (0.5,))
     F = geo.Box((0.5,), (1.0,))
     with pytest.raises(EvaluationError, match="not finite") as err:
@@ -142,7 +142,7 @@ def test_average_difference_non_finite_member_names_the_node():
 
 
 def test_average_difference_rejects_overlap():
-    u = quad.Constant(1.0, geo.Box((0.0,), (1.0,)))
+    u = quad.AxisPolynomial((1.0,), geo.Box((0.0,), (1.0,)))
     with pytest.raises(ParameterError):
         lemmas.average_difference_slack(
             u, geo.Box((0.0,), (0.6,)), geo.Box((0.5,), (1.0,)), 2.0
@@ -264,7 +264,7 @@ def test_scaled_ratio_evaluates_the_member_once(monkeypatch):
 
 
 def test_scaled_ratio_constant_profile_is_zero():
-    u = quad.Constant(2.0, geo.Box((0.0,), (1.0,)))
+    u = quad.AxisPolynomial((2.0,), geo.Box((0.0,), (1.0,)))
     params = fp(1, "2", "1/2")
     assert lemmas.scaled_sobolev_ratio(u, 0.5, params, 2.0, resolution=64) == 0.0
 

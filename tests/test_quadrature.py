@@ -88,11 +88,11 @@ def test_lp_norm_constant():
     for p in ("3/2", "2", "7/2"):
         tables = quad.SeminormTables(quad.as_grid(quad.GridSpec(16, dom.box), dom), fp(2, p, "1/4"))
         for value in (3.0, -3.0):
-            vals, lips = tables.evaluate(quad.Constant(value, dom.box))
+            vals, lips = tables.evaluate(quad.AxisPolynomial((value,), dom.box))
             assert tables.seminorm(vals, lips) == 0.0
             assert tables.norm(vals, lips) == pytest.approx(3.0 * 2.0 ** (1.0 / float(Fraction(p))),
                                                             rel=1e-12)
-        assert tables.norm(*tables.evaluate(quad.Constant(0.0, dom.box))) == 0.0
+        assert tables.norm(*tables.evaluate(quad.AxisPolynomial((0.0,), dom.box))) == 0.0
 
 
 def test_lp_norm_bump_self_convergence():
@@ -110,21 +110,21 @@ def test_domain_grid_clips_box_domains(dom):
     # box domains clip the support box and re-mesh it uniformly; keeping the
     # cells of the wide box whose centres lie inside would give other cells
     spec = quad.GridSpec(16, geo.Box((-2.0, -0.5), (2.0, 1.5)))
-    got = quad.domain_grid(dom, spec)
-    want = quad.uniform_grid(quad.GridSpec(16, geo.Box((-1.0, 0.0), (1.0, 1.0))))
+    got = quad.as_grid(spec, dom)
+    want = quad.as_grid(quad.GridSpec(16, geo.Box((-1.0, 0.0), (1.0, 1.0))))
     assert np.array_equal(got.centers, want.centers)
     assert np.array_equal(got.weights, want.weights)
 
 
 def region_mean(u, region, cells: int = 16) -> float:
     """Mean of u over a box or a union of boxes, meshed ``cells`` per axis."""
-    g = quad.as_grid(region, cells=cells)
+    g = quad.union_grid(region if isinstance(region, list) else [region], cells)
     return quad.integrate(u, g) / g.total_weight
 
 
 def test_average_closed_forms():
     box = geo.Box((0.0,), (1.0,))
-    assert region_mean(quad.Constant(2.5, box), box) == pytest.approx(2.5, abs=1e-14)
+    assert region_mean(quad.AxisPolynomial((2.5,), box), box) == pytest.approx(2.5, abs=1e-14)
     assert region_mean(lambda p: p[:, 0], box, 64) == pytest.approx(0.5, abs=1e-13)
     a, b = 0.25, 0.75
     seg = geo.Box((a,), (b,))
@@ -244,7 +244,7 @@ def reversed_grid(grid):
 
 @pytest.mark.parametrize("u", [quad.TensorBump((0.5,), (0.25,)),
                                quad.TensorBump((0.5,) * 3, (0.25,) * 3),
-                               quad.Constant(1.0, geo.Box((0.0,) * 3, (0.5,) * 3))],
+                               quad.AxisPolynomial((1.0,), geo.Box((0.0,) * 3, (0.5,) * 3))],
                          ids=["1-D bump", "3-D bump", "3-D constant"])
 def test_a_member_of_another_dimension_is_rejected(u):
     # a member on R^1 would broadcast as u(c, c), one on R^3 would not
@@ -265,7 +265,7 @@ def test_seminorm_rejects_non_finite_slope_probe(bad):
         x = pts[:, 0]
         return np.where(x == 0.09375, bad, x)
 
-    grid = quad.uniform_grid(spec1d(8))
+    grid = quad.as_grid(spec1d(8))
     assert np.all(np.isfinite(u(grid.centers)))
     with pytest.raises(EvaluationError, match="0.09375") as err:
         quad.gagliardo_seminorm(u, None, fp(1, "2", "1/2"), grid)
@@ -274,7 +274,7 @@ def test_seminorm_rejects_non_finite_slope_probe(bad):
 
 def test_seminorm_vanishes_on_constants():
     dom = geo.Slab(n=1, d=1)
-    u = quad.Constant(4.0, dom.box)
+    u = quad.AxisPolynomial((4.0,), dom.box)
     val = quad.gagliardo_seminorm(u, dom, fp(1, "2", "1/2"), spec1d(32, dom.box))
     assert val == 0.0
 
@@ -354,9 +354,9 @@ def reuse_cases():
     assert layer_pair.planes > 1
     transverse = geo.Box((-0.6,), (0.6,))
     return {
-        "1d-lattice": (slab1, "1b", fp1, quad.domain_grid(slab1, spec1d(128, slab1.box)),
+        "1d-lattice": (slab1, "1b", fp1, quad.as_grid(spec1d(128, slab1.box), slab1),
                        [quad.TensorBump((h + 0.25,), (0.25,)) for h in 2.0 ** -np.arange(2, 8)]),
-        "l-shape": (L_SHAPE, "1a", fp2, quad.domain_grid(L_SHAPE, quad.GridSpec(32, SQUARE)),
+        "l-shape": (L_SHAPE, "1a", fp2, quad.as_grid(quad.GridSpec(32, SQUARE), L_SHAPE),
                     [quad.TensorBump((c, 0.3), (0.18, 0.18)) for c in (0.2, 0.3, 0.5, 0.7)]),
         "graded": (slab1, "1b", fp1, exp.slab_graded_grid(6, 16),
                    [quad.LogSpike(depth=x) for x in (1.0, 1.5, 2.0)]
@@ -576,7 +576,7 @@ def test_sweep_of_the_3d_box_forms_few_differences(monkeypatch):
     # sum nothing and ask for no kernel table
     formed, offsets = formed_shapes(monkeypatch), swept_offsets(monkeypatch)
     slab = geo.Slab(n=1, d=3)
-    grid = quad.domain_grid(slab, quad.GridSpec(16, slab.box))
+    grid = quad.as_grid(quad.GridSpec(16, slab.box), slab)
     tables = quad.SeminormTables(grid, fp(3, "3", "1/3"))
     semi = tables.seminorm(*tables.evaluate(quad.TensorBump((0.0, 0.0, 0.5), (0.5, 0.5, 0.3))))
     assert semi > 0
@@ -692,14 +692,14 @@ def first_run(grid):
 SHIFTED_GRIDS = {
     # single boxes, whole, clipped to (-0.7, 0.9) x (0, 1) (a different h
     # on each axis) and masked
-    "1d-128": quad.uniform_grid(quad.GridSpec(128, UNIT)),
-    "2d-32": quad.uniform_grid(quad.GridSpec(32, SQUARE)),
-    "2d-clipped": quad.domain_grid(geo.Slab(n=1, d=2),
-                                   quad.GridSpec(32, geo.Box((-0.7, -0.5), (0.9, 1.5)))),
-    "l-shape": quad.domain_grid(L_SHAPE, quad.GridSpec(32, SQUARE)),
-    "exterior-ball": quad.domain_grid(geo.ExteriorBall(1.0, 2),
-                                      quad.GridSpec(32, geo.Box((-2.5,) * 2, (2.5,) * 2))),
-    "3d-8": quad.uniform_grid(quad.GridSpec(8, CUBE)),
+    "1d-128": quad.as_grid(quad.GridSpec(128, UNIT)),
+    "2d-32": quad.as_grid(quad.GridSpec(32, SQUARE)),
+    "2d-clipped": quad.as_grid(quad.GridSpec(32, geo.Box((-0.7, -0.5), (0.9, 1.5))),
+                               geo.Slab(n=1, d=2)),
+    "l-shape": quad.as_grid(quad.GridSpec(32, SQUARE), L_SHAPE),
+    "exterior-ball": quad.as_grid(quad.GridSpec(32, geo.Box((-2.5,) * 2, (2.5,) * 2)),
+                                  geo.ExteriorBall(1.0, 2)),
+    "3d-8": quad.as_grid(quad.GridSpec(8, CUBE)),
     "union-one-box": quad.union_grid([SQUARE], 32),
     # every layer pair the telescope builds, deepest first, and layer -1 alone
     **{f"telescope-{d}d-{i}": g for d, depth, cells in ((1, -3, 4), (2, -4, 4), (3, -3, 2))
@@ -771,7 +771,7 @@ def test_fft_cancellation_falls_back_to_sweep(bound, sweeps, monkeypatch):
     calls = []
     sweep = quad._plane_sweep
     monkeypatch.setattr(quad, "_plane_sweep", lambda *args: calls.append(1) or sweep(*args))
-    grid = quad.uniform_grid(quad.GridSpec(64, SQUARE))
+    grid = quad.as_grid(quad.GridSpec(64, SQUARE))
     bump = quad.TensorBump((0.5, 0.5), (0.3, 0.3))
     vals = 1.0 + 1e-3 * bump(grid.centers)
     kernel_expo = 2 + 4 / 2
@@ -898,7 +898,7 @@ def test_pair_tables_kept_within_one_chunk(n, d, builds, monkeypatch):
 
     monkeypatch.setattr(quad, "_plane_sweep", recording)
     box = geo.Box((0.0,) * d, (1.0,) * d)
-    tables = quad.SeminormTables(quad.uniform_grid(quad.GridSpec(n, box)),
+    tables = quad.SeminormTables(quad.as_grid(quad.GridSpec(n, box)),
                                  fp(d, "2" if d == 1 else "3", "1/2"))
     members = [quad.TensorBump((h + 0.25,) * d, (0.25,) * d) for h in 2.0 ** -np.arange(2, 8)]
     for u in members[: 6 if d == 1 else 2]:
@@ -928,9 +928,9 @@ def test_grid_planes_divide_cells():
     with pytest.raises(ParameterError, match="run"):
         quad.run_grid(grid, 0)
 
-    box = quad.uniform_grid(quad.GridSpec(16, SQUARE))
-    clipped = quad.domain_grid(geo.Slab(n=1, d=2), quad.GridSpec(16, geo.Box((-1, -1), (1, 1))))
-    masked = quad.domain_grid(L_SHAPE, quad.GridSpec(16, SQUARE))
+    box = quad.as_grid(quad.GridSpec(16, SQUARE))
+    clipped = quad.as_grid(quad.GridSpec(16, geo.Box((-1, -1), (1, 1))), geo.Slab(n=1, d=2))
+    masked = quad.as_grid(quad.GridSpec(16, SQUARE), L_SHAPE)
     for marked in (box, clipped, masked.within[0], quad.union_grid([CUBE], 8)):
         assert marked.lattice
     for unmarked in (quad.union_grid([UNIT], 16), grid, masked, *telescope_grids(2, -2, 4),

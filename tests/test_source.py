@@ -4,6 +4,8 @@ import ast
 import importlib.util
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hardylab"
@@ -181,3 +183,14 @@ def test_bench_tool_summary():
     summary = bench.summarize(runs, metrics)
     assert summary["correct_all"] is False
     assert summary["pass_p50_s"]["change_wins"] == "2/4"
+
+
+def test_surface_tool_lists_the_public_names():
+    # tools/surface.py, which the CI diffs against the base branch: each
+    # traced module's __all__ in module order, then the error classes
+    root = SRC.parents[1]
+    out = subprocess.run([sys.executable, str(root / "tools" / "surface.py"), str(root)],
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert len(out) == len(set(out)) and "quadrature.as_grid" in out
+    assert [name for name in out if name.startswith("errors.")] == [
+        "errors.HardyLabError", "errors.ParameterError", "errors.EvaluationError"]
