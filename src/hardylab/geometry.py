@@ -544,7 +544,7 @@ def distance_to_boundary(domain: Domain, x) -> float | np.ndarray:
     dist = domain.distance(pts)
     off = np.isnan(dist)
     if np.any(off):
-        raise ParameterError(f"point {tuple(pts[off][0])} lies outside the closed domain")
+        raise ParameterError(f"point {tuple(pts[off][0].tolist())} lies outside the closed domain")
     return float(dist[0]) if scalar else dist
 
 

@@ -235,65 +235,87 @@ def average_difference_slack(
     return SlackReport(slack, tolerance)
 
 
-def _adjacent_pair_trial(rng: np.random.Generator, d: int):
-    """One trial of ``adjacent_pair_battery`` in d dimensions, drawn in its
-    RNG order: the cube E, its neighbour F, the bump's centre and radius,
-    and tau.  The layer, the cubes and the coin are scalar draws; the 2d + 1
-    uniforms after them are one ``random`` call, each mapped as numpy's
-    ``uniform(low, high)`` maps its draw x, to low + (high - low) x."""
-    k = int(rng.integers(-4, -1))  # layer in -4..-2 so a parent exists
-    layer = geo.DyadicLayer(k, 1, d)
-    count = layer.count
-    i = int(rng.integers(0, count))
-    cube = layer.cube(i)
-    if count == 1 or rng.random() < 0.5:
-        F = cube.above().box()
-    else:
-        j = int(rng.integers(0, count))
-        if j == i:
-            j = (i + 1) % count
-        F = layer.cube(j).box()
-    E = cube.box()
+def _adjacent_pair_trials(rng: np.random.Generator, dims: Sequence[int]) -> dict:
+    """Trials of ``adjacent_pair_battery``, trial t in dimension ``dims[t]``,
+    drawn in their RNG order: the layer k in -4..-2 (so a parent exists),
+    the cube E, the coin and the neighbour F by scalar calls, and then the
+    2d + 1 uniforms of the bump's centre and radius and of tau by one
+    ``random`` call.  The cubes are integer corners in units of 2^k, as
+    ``DyadicLayer.cube`` and ``DyadicCube.above`` give them, on the layers
+    of the slab of half-width 1.
+
+    Returns, per dimension d, the arrays ``(E_lo, E_hi, F_lo, F_hi, center,
+    radius, tau)`` with a row per trial in draw order: the corners are
+    exact (integers times 2^k), and each uniform x is mapped as numpy's
+    ``uniform(low, high)`` maps its draw, to low + (high - low) x.
+    """
+    drawn = {d: ([], []) for d in dims}  # per d: the integer corners, the uniforms
+    for d in dims:
+        k = int(rng.integers(-4, -1))
+        per = 2 ** (1 - k)  # cubes per transverse axis
+        count = per ** (d - 1)
+
+        def transverse(index):  # a cube's transverse corner, first axis slowest
+            ints = []
+            for _ in range(d - 1):
+                index, pos = divmod(index, per)
+                ints.append(pos - per // 2)
+            return ints[::-1]
+
+        i = int(rng.integers(0, count))
+        E = transverse(i)
+        if count == 1 or rng.random() < 0.5:
+            F = [k + 1] + [a // 2 for a in E]  # the cube above
+        else:
+            j = int(rng.integers(0, count))
+            F = [k] + transverse(j if j != i else (i + 1) % count)
+        corners, uniforms = drawn[d]
+        corners.append([k] + E + [1] + F + [1])  # k, E's corner, F's layer, F's corner
+        uniforms.append(rng.random(2 * d + 1))
 
     def uniform(x, low, high):
         return low + (high - low) * x
 
-    x = rng.random(2 * d + 1).tolist()
-    center = tuple(uniform(t, min(a, b), max(c, e))
-                   for t, a, b, c, e in zip(x, E.lo, F.lo, E.hi, F.hi))
-    radius = tuple(uniform(t, 0.2, 1.0) * s for t, s in zip(x[d : 2 * d], E.sides()))
-    return E, F, center, radius, uniform(x[-1], 1.0, 4.0)
+    trials = {}
+    for d, (corners, uniforms) in drawn.items():
+        ints, x = np.array(corners), np.array(uniforms)
+        kE, iE, kF, iF = ints[:, :1], ints[:, 1 : d + 1], ints[:, d + 1 : d + 2], ints[:, d + 2 :]
+        E_lo, E_hi = np.ldexp(iE, kE), np.ldexp(iE + 1, kE)
+        F_lo, F_hi = np.ldexp(iF, kF), np.ldexp(iF + 1, kF)
+        center = uniform(x[:, :d], np.minimum(E_lo, F_lo), np.maximum(E_hi, F_hi))
+        radius = uniform(x[:, d : 2 * d], 0.2, 1.0) * (E_hi - E_lo)
+        trials[d] = E_lo, E_hi, F_lo, F_hi, center, radius, uniform(x[:, -1], 1.0, 4.0)
+    return trials
 
 
 def _adjacent_pair_slacks(count: int, seed: int, cells_per_axis: int):
-    """The trials of ``adjacent_pair_battery`` and their slacks, in trial order.
+    """The trials of ``adjacent_pair_battery``, per dimension as
+    ``_adjacent_pair_trials`` gives them, and their slacks in trial order.
 
-    Every cube has ``cells_per_axis`` cells per axis, so the trials of one
-    dimension share one grid of their E cubes and one of their F cubes (a
-    union of boxes is their grids in order), and each grid evaluates all
-    their bumps at once, with a centre and a radius per cell.  One
-    ``_average_difference`` call per dimension then takes the trials as
-    rows, so each slack is the one ``average_difference_slack`` gives for
-    its trial alone, bit for bit.
+    Trials alternate between d = 1 and d = 2.  Every cube has
+    ``cells_per_axis`` cells per axis, so the trials of one dimension share
+    one grid of their E cubes and one of their F cubes, built from the
+    corner arrays by the arithmetic of ``union_grid``, and each grid
+    evaluates all their bumps at once, with a centre and a radius per
+    cell.  One ``_average_difference`` call per dimension then takes the
+    trials as rows, so each slack is the one ``average_difference_slack``
+    gives for its trial alone, bit for bit.
     """
     rng = np.random.default_rng(seed)
-    trials = [_adjacent_pair_trial(rng, 1 if t % 2 == 0 else 2) for t in range(count)]
+    trials = _adjacent_pair_trials(rng, [1 if t % 2 == 0 else 2 for t in range(count)])
     slacks = [0.0] * count
-    for d in (1, 2):
-        picked = range(d - 1, count, 2)
-        if not picked:
-            continue
-        E, F, center, radius, tau = zip(*(trials[t] for t in picked))
+    for d, (E_lo, E_hi, F_lo, F_hi, center, radius, tau) in trials.items():
         cells = cells_per_axis**d
-        center = np.repeat(np.array(center), cells, axis=0)
-        radius = np.repeat(np.array(radius), cells, axis=0)
-        gE = quad.union_grid(E, cells_per_axis)
-        gF = quad.union_grid(F, cells_per_axis)
+        center = np.repeat(center, cells, axis=0)
+        radius = np.repeat(radius, cells, axis=0)
+        gE = quad._box_cells(E_lo, E_hi, cells_per_axis)
+        gF = quad._box_cells(F_lo, F_hi, cells_per_axis)
         uE = quad._tensor_profile((gE.centers - center) / radius)
         uF = quad._tensor_profile((gF.centers - center) / radius)
-        rows = (len(picked), cells)
+        rows = (len(tau), cells)
         slacks[d - 1::2] = _average_difference(uE.reshape(rows), gE.weights.reshape(rows),
-                                               uF.reshape(rows), gF.weights.reshape(rows), tau)
+                                               uF.reshape(rows), gF.weights.reshape(rows),
+                                               tau.tolist())
     return trials, slacks
 
 

@@ -208,22 +208,30 @@ def union_grid(boxes: Sequence[Box], cells_per_axis: int) -> Grid:
     if not boxes:
         raise ParameterError("need at least one box")
     n = cells_per_axis
-    lo = np.array([b.lo for b in boxes], dtype=float)  # (B, d)
-    h = (np.array([b.hi for b in boxes], dtype=float) - lo) / n
+    lo = np.array([b.lo for b in boxes], dtype=float)
+    hi = np.array([b.hi for b in boxes], dtype=float)
+    B, d = lo.shape
+    if B > 1 or d == 1:
+        return _box_cells(lo, hi, n)
+    grid = _box_cells(lo, hi, n, first=1)
+    box = run_grid(grid, n, step=np.eye(d)[0] * grid.sides[0, 0])
+    object.__setattr__(box, "lattice", True)
+    return box
+
+
+def _box_cells(lo: np.ndarray, hi: np.ndarray, n: int, first: int | None = None) -> Grid:
+    """The uniform grids of the boxes with ``(B, d)`` lower and upper
+    corners ``lo`` and ``hi``, n cells per axis in C order, box after box;
+    only the first ``first`` cells along axis 0 (all n by default)."""
+    h = (hi - lo) / n
     ticks = lo[..., None] + h[..., None] * (np.arange(n) + 0.5)  # (B, d, n)
     B, d = lo.shape
-    runs = n if B == 1 and d > 1 else 1
-    counts = (n // runs,) + (n,) * (d - 1)  # cells per axis of the first run
+    counts = (n if first is None else first,) + (n,) * (d - 1)
     centers = np.empty((B,) + counts + (d,))
     for a, k in enumerate(counts):
         centers[..., a] = ticks[:, a, :k].reshape((B,) + (1,) * a + (k,) + (1,) * (d - a - 1))
     sides = np.repeat(h, math.prod(counts), axis=0)
-    grid = Grid(centers.reshape(-1, d), sides, np.prod(sides, axis=-1))
-    if runs == 1:
-        return grid
-    box = run_grid(grid, runs, step=np.eye(d)[0] * h[0, 0])
-    object.__setattr__(box, "lattice", True)
-    return box
+    return Grid(centers.reshape(-1, d), sides, np.prod(sides, axis=-1))
 
 
 def run_grid(base: Grid, runs: int, scale: float = 1.0, step=0.0) -> Grid:

@@ -178,6 +178,15 @@ def test_adjacent_pair_battery_small():
     assert worst >= -1e-9
 
 
+def trial_rows(trials, d):
+    """The trials of dimension d as ``average_difference_slack`` takes them:
+    boxes E and F built from the corner rows, the centre, radius and tau."""
+    E_lo, E_hi, F_lo, F_hi, center, radius, tau = (a.tolist() for a in trials[d])
+    for row in zip(E_lo, E_hi, F_lo, F_hi, center, radius, tau):
+        yield (geo.Box(tuple(row[0]), tuple(row[1])), geo.Box(tuple(row[2]), tuple(row[3])),
+               tuple(row[4]), tuple(row[5]), row[6])
+
+
 @pytest.mark.parametrize("cells", [8, 16])
 @pytest.mark.parametrize("seed", range(4))
 def test_battery_slacks_match_one_pair_at_a_time(seed, cells):
@@ -185,15 +194,36 @@ def test_battery_slacks_match_one_pair_at_a_time(seed, cells):
     # and evaluates all their bumps at once; each trial's slack must be
     # the one the public function gives for that trial alone, bit for bit
     trials, slacks = lemmas._adjacent_pair_slacks(1000, seed, cells)
-    assert len(trials) == len(slacks) == 1000
-    for (E, F, center, radius, tau), slack in zip(trials, slacks):
-        rep = lemmas.average_difference_slack(quad.TensorBump(center, radius), E, F, tau, cells)
-        assert slack == rep.slack
+    assert sorted(trials) == [1, 2] and len(slacks) == 1000
+    for d in (1, 2):
+        rows = list(trial_rows(trials, d))
+        assert len(rows) == 500
+        for (E, F, center, radius, tau), slack in zip(rows, slacks[d - 1::2]):
+            rep = lemmas.average_difference_slack(quad.TensorBump(center, radius), E, F, tau, cells)
+            assert slack == rep.slack
     assert lemmas.adjacent_pair_battery(1000, seed, cells) == (min(slacks), 1000)
 
 
+def test_battery_builds_no_geometry_objects(monkeypatch):
+    # the trials are integer corners and arrays: no layer, cube or box
+    # is built per trial
+    calls = []
+    for owner, name in [(geo.DyadicLayer, "cube"), (geo.DyadicCube, "box"),
+                        (geo.Box, "__post_init__")]:
+        def counting(*args, _wrapped=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    geo.Box((0.0,), (1.0,))  # the counters count
+    assert calls == ["__post_init__"]
+    calls.clear()
+    lemmas._adjacent_pair_slacks(1000, 0, 8)
+    assert calls == []
+
+
 def scalar_pair_trial(rng, d):
-    """Reference for ``_adjacent_pair_trial``: one scalar draw per number,
+    """Reference for ``_adjacent_pair_trials``: one scalar draw per number,
     cubes from ``DyadicLayer`` and ``parent_cube``."""
     k = int(rng.integers(-4, -1))
     layer = geo.DyadicLayer(k, 1, d)
@@ -219,11 +249,14 @@ def test_battery_draws_match_the_scalar_draws(seed):
     # the 2d + 1 uniforms of a trial come from one call, the cubes from
     # integer corners: the trials of the scalar loop, in d = 1, 2 and 3
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    for t in range(300):
-        d = 1 + t % 3
-        got, want = lemmas._adjacent_pair_trial(rng, d), scalar_pair_trial(ref, d)
-        assert got == want
-        assert [type(x) for x in got[2] + got[3] + got[4:]] == [float] * (2 * d + 1)
+    dims = [1 + t % 3 for t in range(300)]
+    trials = lemmas._adjacent_pair_trials(rng, dims)
+    assert sorted(trials) == [1, 2, 3]
+    got = {d: trial_rows(trials, d) for d in trials}
+    for d in dims:
+        assert next(got[d]) == scalar_pair_trial(ref, d)
+    assert all(next(rows, None) is None for rows in got.values())
+    assert all(a.dtype == float for arrays in trials.values() for a in arrays)
     assert rng.random() == ref.random()
 
 

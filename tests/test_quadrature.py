@@ -1050,6 +1050,21 @@ def test_union_grid_matches_uniform_on_split_box():
     assert val == pytest.approx(1.0 / 3.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("boxes", [
+    [geo.Box((0.0,), (0.5,)), geo.Box((0.5,), (0.75,)), geo.Box((-3.0,), (0.1,))],
+    [geo.Box((0.0, 0.25), (0.5, 0.5)), geo.Box((1.0, -2.0), (1.125, 2.0)),
+     geo.Box((-0.3, 0.7), (0.9, 0.8))],
+], ids=["1-D", "2-D"])
+def test_box_cells_are_the_union_grid(boxes):
+    # the battery grids its corner arrays with union_grid's own arithmetic
+    lo = np.array([b.lo for b in boxes])
+    hi = np.array([b.hi for b in boxes])
+    for n in (1, 4, 8):
+        got, want = quad._box_cells(lo, hi, n), quad.union_grid(boxes, n)
+        for name in ("centers", "sides", "weights"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 def test_masked_grid_annulus_area():
     ring = geo.Annulus(1.0, 2.0, 2)
     spec = quad.GridSpec(256, ring.bounding_box())
