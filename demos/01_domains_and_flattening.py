@@ -8,6 +8,8 @@ radial, epigraphs of the closed-form graph catalog have closed-form
 distances, and polygons minimize over their edges.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 from hardylab import geometry as geo
@@ -45,7 +47,9 @@ print(f"max sampled distortion {ratio.max():.4f} <= bound {C:.4f}")
 
 # dyadic layers of the slab: layer k holds 2^{(-k+1)(d-1)} n^{d-1} cubes
 for layer in geo.dyadic_layers(slab, -3):
-    total = sum(c.measure for c in layer.cubes())
+    # distinct integer corners: disjoint cubes, each of measure 2^{kd}
+    distinct = len({tuple(c) for c in layer.corners().tolist()})
+    total = distinct * Fraction(1, 2 ** (-layer.k * layer.d))
     print(f"layer k={layer.k}: {layer.count} cubes of side 2^{layer.k}, "
           f"tiling measure {total} (exact rational)")
 

@@ -47,8 +47,9 @@ print("three-point signature:",
       signature["above"].verdict)
 
 # best-constant estimation over the sliding-bump family: derivative-free
-# simplex search from several seeded starts; the best ratio found is a
-# certified lower bound for the constant in the inequality
+# simplex search from several seeded starts; the best ratio found is the
+# largest midpoint-rule ratio among the members evaluated, not a bound on
+# the constant
 search = exp.SearchConfig(starts=4, budget_per_start=60, seed=0)
 result = exp.estimate_constant(
     exp.BoundaryBumpFamily(), case, slab, search, quad.GridSpec(128, slab.box)

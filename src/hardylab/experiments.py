@@ -3,8 +3,8 @@
 Three experiment drivers sit on top of the functionals:
 
 * ``estimate_constant`` maximizes the Hardy ratio over a parametrized test
-  function family (multi-start Nelder-Mead); the best ratio found is a
-  certified lower bound on the best constant.
+  function family (multi-start Nelder-Mead); the best ratio found is the
+  largest midpoint-rule ratio among the members the search evaluated.
 * ``blowup_probe`` drives a concentrating log-profile family toward the
   boundary and classifies candidate weight exponents beta' as bounded or
   diverging from the growth of the ratios across depths; each depth's
@@ -273,7 +273,12 @@ def estimate_constant(
     grid,
     R: float | None = None,
 ) -> EstimateResult:
-    """Maximize the Hardy ratio over the family; a lower bound on C.
+    """Maximize the Hardy ratio over the family.
+
+    ``best_ratio`` is the largest midpoint-rule ratio the search found.  It
+    is not a bound on the best constant C: it carries the quadrature error
+    (u = 1 in case 1b on (0, 1) at p = tau = 2, s = 1/2 reads 1.15757 at
+    1024 cells against its exact ratio 1.2011).
 
     Derivative-free: quadrature noise makes finite-difference gradients
     unreliable, and the simplex tolerates the piecewise-smooth parameter
@@ -627,9 +632,9 @@ def telescoping_reconstruction(
         top = geo.DyadicLayer(min(k + 1, -1), slab.n, d)
         runs = top.cubes_per_axis if d > 1 else 1
         low = layer.count // runs
-        col = [layer.cube(i).box() for i in range(low)]
+        col = layer.boxes(np.arange(low))
         if k < -1:
-            col += [top.cube(i).box() for i in range(top.count // runs)]
+            col += top.boxes(np.arange(top.count // runs))
         step = (2.0**top.k,) + (0.0,) * (d - 1)
         g = quad.run_grid(quad.union_grid(col, cells_per_cube), runs, step=step)
         tables = quad.SeminormTables(g, fp)

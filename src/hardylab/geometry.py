@@ -12,10 +12,12 @@ and NaN at the points off it, which ``distance_to_boundary`` rejects:
 * ``BoxDomain(box)``     -- an axis-aligned box,
 * ``Polygon2D(vertices)`` -- a simple polygon in the plane.
 
-Dyadic machinery (layers of a slab split into congruent cubes, the
-parent/child map between consecutive layers)
-uses exact dyadic rational coordinates: cube corners are integer multiples
-of 2^k, so tiling and adjacency checks carry no float tolerance.
+The slab's dyadic lattice (its layers split into congruent cubes, and the
+cube of layer k + 1 directly above each cube of layer k) is stated once, as
+integer corner arrays: ``dyadic_corners`` maps cube indices to lower
+corners in units of 2^k and ``dyadic_parent`` gives the corners above, so
+tiling and parent checks are integer arithmetic, and a cube's box, its
+corners times 2^k, is exact in floats.
 
 All objects are immutable values; every operation is a pure function.
 """
@@ -44,7 +46,6 @@ __all__ = [
     "Epigraph",
     "BoxDomain",
     "Polygon2D",
-    "DyadicCube",
     "DyadicLayer",
     "Annulus",
     "distance_to_boundary",
@@ -52,6 +53,8 @@ __all__ = [
     "unflatten",
     "pullback",
     "bilipschitz_bound",
+    "dyadic_corners",
+    "dyadic_parent",
     "dyadic_layers",
     "parent_cube",
     "unit_ball_volume",
@@ -552,46 +555,32 @@ def distance_to_boundary(domain: Domain, x) -> float | np.ndarray:
 # dyadic decomposition of the slab
 
 
-@dataclass(frozen=True)
-class DyadicCube:
-    """Axis-aligned cube of side 2^k with corners on the 2^k lattice.
+def dyadic_corners(k, index, n: int, d: int) -> np.ndarray:
+    """Lower corners, in units of 2^k, of the cubes at the flat ``index`` of
+    layer k of the slab (-n, n)^{d-1} x (0, 1): the transverse axes in
+    lexicographic order, the first varying slowest, shifted to start at
+    -n 2^{-k}, and the x_d index 1 (heights 2^k to 2^{k+1}).  ``k`` and
+    ``index`` broadcast; the corners are an integer array with a last axis
+    of length d, and the cube is ldexp(corner, k) to ldexp(corner + 1, k),
+    exactly."""
+    k, rem = np.asarray(k), np.asarray(index)
+    corners = np.ones(np.broadcast(k, rem).shape + (d,), dtype=np.int64)
+    if d > 1:  # no transverse axis in d = 1, whose layers go far below 2^-63
+        if np.any(n * np.exp2(-k) >= 2.0**62):
+            raise ParameterError("the layer's transverse corners overflow int64")
+        half = n * 2 ** -k
+        for axis in range(d - 2, -1, -1):
+            rem, pos = np.divmod(rem, 2 * half)
+            corners[..., axis] = pos - half
+    return corners
 
-    ``idx`` is the lower corner in units of 2^k, so all coordinates are
-    exact dyadic rationals.
-    """
 
-    k: int
-    idx: tuple[int, ...]
-
-    @property
-    def d(self) -> int:
-        return len(self.idx)
-
-    @property
-    def side(self) -> Fraction:
-        return Fraction(1, 2 ** (-self.k)) if self.k < 0 else Fraction(2**self.k)
-
-    def lo(self) -> tuple[Fraction, ...]:
-        s = self.side
-        return tuple(i * s for i in self.idx)
-
-    def hi(self) -> tuple[Fraction, ...]:
-        s = self.side
-        return tuple((i + 1) * s for i in self.idx)
-
-    @property
-    def measure(self) -> Fraction:
-        return self.side**self.d
-
-    def box(self) -> Box:
-        # i 2^k in floats is the Fraction's correctly rounded value
-        s = 2.0**self.k
-        return Box(tuple(i * s for i in self.idx), tuple((i + 1) * s for i in self.idx))
-
-    def above(self) -> DyadicCube:
-        """The cube of layer k + 1 directly above this cube of layer k, the
-        one whose transverse shadow contains this cube's."""
-        return DyadicCube(self.k + 1, tuple(i // 2 for i in self.idx[:-1]) + (1,))
+def dyadic_parent(k, corners: np.ndarray) -> tuple:
+    """Layer and corners of the cube of layer k + 1 directly above each cube
+    of layer k: the one whose transverse shadow contains the cube's."""
+    above = np.array(corners)
+    above[..., :-1] //= 2
+    return k + 1, above
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -599,8 +588,8 @@ class DyadicLayer:
     """Horizontal layer 2^k <= x_d < 2^{k+1} of a slab, tiled by cubes.
 
     The layer over (-n, n)^{d-1} splits into exactly
-    2^{(-k+1)(d-1)} n^{d-1} congruent cubes of side 2^k, listed in
-    lexicographic order of their integer corner indices.
+    2^{(-k+1)(d-1)} n^{d-1} congruent cubes of side 2^k, indexed as
+    ``dyadic_corners`` lists them.
     """
 
     k: int
@@ -620,39 +609,25 @@ class DyadicLayer:
     def count(self) -> int:
         return self.cubes_per_axis ** (self.d - 1)
 
-    def cube(self, index: int) -> DyadicCube:
-        if not 0 <= index < self.count:
-            raise ParameterError(f"cube index {index} out of range 0..{self.count - 1}")
-        per = self.cubes_per_axis
-        offset = self.n * 2 ** (-self.k)  # shift so transverse indices start at -n*2^{-k}
-        rem = index
-        ints = []
-        for _ in range(self.d - 1):
-            rem, pos = divmod(rem, per)
-            ints.append(pos - offset)
-        ints.reverse()  # first axis varies slowest
-        ints.append(1)  # x_d from 2^k to 2^{k+1}
-        return DyadicCube(self.k, tuple(ints))
-
-    def cubes(self) -> list[DyadicCube]:
-        return [self.cube(i) for i in range(self.count)]
-
-    def index_of(self, ints: Sequence[int]) -> int:
-        per = self.cubes_per_axis
-        offset = self.n * 2 ** (-self.k)
-        index = 0
-        for i in ints:
-            pos = i + offset
-            if not 0 <= pos < per:
-                raise ParameterError(f"transverse index {i} outside the slab")
-            index = index * per + pos
-        return index
-
     @property
     def measure(self) -> Fraction:
         """Exact measure of the layer, 2^{d-1} n^{d-1} 2^k."""
         s = Fraction(1, 2 ** (-self.k))
         return (2 * self.n) ** (self.d - 1) * s
+
+    def corners(self, index=None) -> np.ndarray:
+        """``dyadic_corners`` of the cubes at ``index``, of all cubes in
+        index order by default."""
+        index = np.arange(self.count) if index is None else np.asarray(index)
+        if np.any((index < 0) | (index >= self.count)):
+            raise ParameterError(f"cube index out of range 0..{self.count - 1}")
+        return dyadic_corners(self.k, index, self.n, self.d)
+
+    def boxes(self, index) -> list[Box]:
+        """The boxes of the cubes at ``index``, one per index, in order."""
+        corners = self.corners(index)
+        lo, hi = np.ldexp(corners, self.k).tolist(), np.ldexp(corners + 1, self.k).tolist()
+        return [Box(tuple(a), tuple(b)) for a, b in zip(lo, hi)]
 
 
 def dyadic_layers(slab: Domain, m: int) -> list[DyadicLayer]:
@@ -672,8 +647,9 @@ def parent_cube(layer: DyadicLayer, child_index: int) -> int:
     """
     if layer.k == -1:
         raise ParameterError("layer -1 has no parent layer")
-    parent = layer.cube(child_index).above()
-    return DyadicLayer(parent.k, layer.n, layer.d).index_of(parent.idx[:-1])
+    k, corner = dyadic_parent(layer.k, layer.corners(child_index))
+    parents = DyadicLayer(k, layer.n, layer.d).corners()
+    return int(np.flatnonzero(np.all(parents == corner, axis=-1))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -238,50 +238,45 @@ def average_difference_slack(
 def _adjacent_pair_trials(rng: np.random.Generator, dims: Sequence[int]) -> dict:
     """Trials of ``adjacent_pair_battery``, trial t in dimension ``dims[t]``,
     drawn in their RNG order: the layer k in -4..-2 (so a parent exists),
-    the cube E, the coin and the neighbour F by scalar calls, and then the
-    2d + 1 uniforms of the bump's centre and radius and of tau by one
-    ``random`` call.  The cubes are integer corners in units of 2^k, as
-    ``DyadicLayer.cube`` and ``DyadicCube.above`` give them, on the layers
-    of the slab of half-width 1.
+    the index of the cube E, the coin and the index of the neighbour F by
+    scalar calls, and then the 2d + 1 uniforms of the bump's centre and
+    radius and of tau by one ``random`` call.  After the draws, the cubes of
+    each dimension are ``geo.dyadic_corners`` of the drawn indices on the
+    layers of the slab of half-width 1, and ``geo.dyadic_parent`` of E
+    where F is the cube above.
 
     Returns, per dimension d, the arrays ``(E_lo, E_hi, F_lo, F_hi, center,
     radius, tau)`` with a row per trial in draw order: the corners are
     exact (integers times 2^k), and each uniform x is mapped as numpy's
     ``uniform(low, high)`` maps its draw, to low + (high - low) x.
     """
-    drawn = {d: ([], []) for d in dims}  # per d: the integer corners, the uniforms
+    drawn = {d: ([], []) for d in dims}  # per d: (k, i, j), j = -1 if F is above E; uniforms
     for d in dims:
         k = int(rng.integers(-4, -1))
-        per = 2 ** (1 - k)  # cubes per transverse axis
-        count = per ** (d - 1)
-
-        def transverse(index):  # a cube's transverse corner, first axis slowest
-            ints = []
-            for _ in range(d - 1):
-                index, pos = divmod(index, per)
-                ints.append(pos - per // 2)
-            return ints[::-1]
-
+        count = 2 ** ((1 - k) * (d - 1))  # the layer's cubes, DyadicLayer(k, 1, d).count
         i = int(rng.integers(0, count))
-        E = transverse(i)
         if count == 1 or rng.random() < 0.5:
-            F = [k + 1] + [a // 2 for a in E]  # the cube above
+            j = -1  # the cube above
         else:
             j = int(rng.integers(0, count))
-            F = [k] + transverse(j if j != i else (i + 1) % count)
-        corners, uniforms = drawn[d]
-        corners.append([k] + E + [1] + F + [1])  # k, E's corner, F's layer, F's corner
+            j = j if j != i else (i + 1) % count
+        indices, uniforms = drawn[d]
+        indices.append((k, i, j))
         uniforms.append(rng.random(2 * d + 1))
 
     def uniform(x, low, high):
         return low + (high - low) * x
 
     trials = {}
-    for d, (corners, uniforms) in drawn.items():
-        ints, x = np.array(corners), np.array(uniforms)
-        kE, iE, kF, iF = ints[:, :1], ints[:, 1 : d + 1], ints[:, d + 1 : d + 2], ints[:, d + 2 :]
-        E_lo, E_hi = np.ldexp(iE, kE), np.ldexp(iE + 1, kE)
-        F_lo, F_hi = np.ldexp(iF, kF), np.ldexp(iF + 1, kF)
+    for d, (indices, uniforms) in drawn.items():
+        (k, i, j), x = np.array(indices).T, np.array(uniforms)
+        sibling = j >= 0
+        E = geo.dyadic_corners(k, i, 1, d)
+        k_above, above = geo.dyadic_parent(k, E)
+        F = np.where(sibling[:, None], geo.dyadic_corners(k, np.where(sibling, j, i), 1, d), above)
+        kE, kF = k[:, None], np.where(sibling, k, k_above)[:, None]
+        E_lo, E_hi = np.ldexp(E, kE), np.ldexp(E + 1, kE)
+        F_lo, F_hi = np.ldexp(F, kF), np.ldexp(F + 1, kF)
         center = uniform(x[:, :d], np.minimum(E_lo, F_lo), np.maximum(E_hi, F_hi))
         radius = uniform(x[:, d : 2 * d], 0.2, 1.0) * (E_hi - E_lo)
         trials[d] = E_lo, E_hi, F_lo, F_hi, center, radius, uniform(x[:, -1], 1.0, 4.0)

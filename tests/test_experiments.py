@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dyadic_oracle as oracle
 from hardylab import cli
 from hardylab import experiments as exp
 from hardylab import geometry as geo
@@ -358,11 +359,6 @@ def test_telescope_minimal_c_stable_across_depths():
         assert cs[2] <= cs[0] * 1.5 + 1e-12
 
 
-def cube_boxes(layer) -> list:
-    """The boxes of a dyadic layer's cubes, in index order."""
-    return [cube.box() for cube in layer.cubes()]
-
-
 def cube_average(u, box, cells: int) -> float:
     """Mean of u over ``box`` on a grid of ``cells`` per axis."""
     g = quad.union_grid([box], cells)
@@ -377,7 +373,7 @@ def test_telescope_constant_band_structure():
     params = fp(2, "2", "1/2", "2")
     (rep,) = exp.telescoping_reconstruction(slab, u, params, [-3], cells_per_cube=4)
     layer = geo.DyadicLayer(-3, 1, 2)  # heights [1/8, 1/4): u = 1 there
-    avgs = [cube_average(u, box, 4) for box in cube_boxes(layer)]
+    avgs = [cube_average(u, box, 4) for box in oracle.layer_boxes(layer)]
     assert np.allclose(avgs, 1.0)
     assert rep.layer_sums[0] == pytest.approx(layer.count, rel=1e-12)
     assert np.isfinite(rep.minimal_c)
@@ -397,7 +393,7 @@ def test_telescope_layer_sums_match_cube_averages(d):
     (rep,) = exp.telescoping_reconstruction(slab, u, params, [depth], cells_per_cube=2)
     assert rep.skipped_layers == ()
     for layer, a_k in zip(geo.dyadic_layers(slab, depth), rep.layer_sums):
-        avgs = np.array([cube_average(u, box, 2) for box in cube_boxes(layer)])
+        avgs = np.array([cube_average(u, box, 2) for box in oracle.layer_boxes(layer)])
         assert a_k > 0
         assert a_k == pytest.approx(float(np.sum(np.abs(avgs) ** 2)), rel=1e-12)
 
@@ -448,7 +444,7 @@ def test_telescope_seminorm_below_the_support():
     params = fp(2, "2", "1/2", "2")
     rep5, rep6 = exp.telescoping_reconstruction(slab, LOW_BUMP, params, (-5, -6))
     assert rep6.skipped_layers == (-6, -2, -1)
-    pair = cube_boxes(geo.DyadicLayer(-6, 1, 2)) + cube_boxes(geo.DyadicLayer(-5, 1, 2))
+    pair = [box for k in (-6, -5) for box in oracle.layer_boxes(geo.DyadicLayer(k, 1, 2))]
     semi = quad.gagliardo_seminorm(LOW_BUMP, None, params, quad.union_grid(pair, 4))
     assert rep6.seminorm_terms[0] == pytest.approx(semi**2, rel=1e-12)
     assert rep6.seminorm_terms[0] > 0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dyadic_oracle as oracle
 from hardylab import geometry as geo
 from hardylab import quadrature as quad
 from hardylab.errors import ParameterError
@@ -389,60 +390,86 @@ def test_layer_counts_d2():
     by_k = {layer.k: layer for layer in layers}
     assert by_k[-1].count == 4
     assert by_k[-2].count == 8
-    c = by_k[-1].cubes()
-    assert len(c) == 4
-    assert all(cube.side == Fraction(1, 2) for cube in c)
+    boxes = by_k[-1].boxes(range(4))
+    assert len(boxes) == 4
+    assert all(box.sides() == (0.5, 0.5) for box in boxes)
 
 
 def test_layer_d1_single_interval():
+    # in d = 1 each layer is the one interval [2^k, 2^{k+1}), also far
+    # below the int64 range of 2^{-k}
     slab = geo.Slab(n=1, d=1)
-    for layer in geo.dyadic_layers(slab, -5):
+    for layer in geo.dyadic_layers(slab, -5) + [geo.DyadicLayer(-1000, 1, 1)]:
         assert layer.count == 1
-        cube = layer.cube(0)
-        assert cube.lo() == (Fraction(1, 2 ** (-layer.k)),)
-        assert cube.hi() == (Fraction(2, 2 ** (-layer.k)),)
+        assert layer.corners().tolist() == [[1]]
+        assert layer.boxes([0]) == [geo.Box((2.0**layer.k,), (2.0 ** (layer.k + 1),))]
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3)])
+def test_dyadic_corners_match_the_scalar_oracle(n, d):
+    # every cube of layers -1..-5, as the scalar rule lists them, and the
+    # float boxes are the exact corners times 2^k
+    for k in range(-1, -6, -1):
+        layer = geo.DyadicLayer(k, n, d)
+        expected = [oracle.corner(k, n, d, i) for i in range(layer.count)]
+        assert layer.corners().tolist() == [list(c) for c in expected]
+        assert layer.boxes(np.arange(layer.count)) == [oracle.cube_box(k, c) for c in expected]
+    # k and index broadcast: a layer and an index per row
+    rng = np.random.default_rng(n + 10 * d)
+    ks = rng.integers(-5, 0, size=200)
+    index = [int(rng.integers(0, geo.DyadicLayer(int(k), n, d).count)) for k in ks]
+    assert geo.dyadic_corners(ks, index, n, d).tolist() == [
+        list(oracle.corner(int(k), n, d, i)) for k, i in zip(ks, index)]
+
+
+def test_layer_index_range_is_checked():
+    layer = geo.DyadicLayer(-2, 1, 2)
+    for index in ([8], [-1], [0, 3, 8]):
+        with pytest.raises(ParameterError, match="cube index out of range 0..7"):
+            layer.corners(index)
+    with pytest.raises(ParameterError, match="layer index must be <= -1"):
+        geo.DyadicLayer(0, 1, 2)
+    # the corners are int64: 2 n 2^{-k} must fit, a wrapped power is refused
+    assert geo.DyadicLayer(-61, 1, 2).corners([0]).tolist() == [[-(2**61), 1]]
+    with pytest.raises(ParameterError, match="overflow int64"):
+        geo.DyadicLayer(-62, 1, 2).corners([0])
+    with pytest.raises(ParameterError, match="overflow int64"):
+        geo.dyadic_corners(np.array([-2, -61]), 0, 2, 3)
 
 
 def test_layer_cubes_tile_exactly():
-    for n, d in [(1, 2), (2, 2), (1, 3)]:
-        slab = geo.Slab(n=n, d=d)
-        for layer in geo.dyadic_layers(slab, -3):
-            cubes = layer.cubes()
-            total = sum(c.measure for c in cubes)
-            assert total == layer.measure  # exact rational identity
-            # pairwise disjoint: integer corner indices are distinct
-            assert len({c.idx for c in cubes}) == len(cubes)
-            # union covers the layer: every cube inside the slab bounds
-            for c in cubes:
-                assert all(-n <= lo and hi <= n for lo, hi in zip(c.lo()[:-1], c.hi()[:-1]))
-                assert c.lo()[-1] == Fraction(1, 2 ** (-layer.k))
-                # the float box is the exact corners rounded
-                assert c.box() == geo.Box(tuple(map(float, c.lo())), tuple(map(float, c.hi())))
+    # in integer arithmetic: the corners are distinct, so the cubes are
+    # disjoint; each cube lies in the slab's layer; and count x side^d is
+    # the layer's measure as an exact rational, so the cubes cover it
+    for n, d in [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3)]:
+        for layer in geo.dyadic_layers(geo.Slab(n=n, d=d), -4):
+            corners = layer.corners()
+            half = n * 2 ** -layer.k  # n in units of 2^k
+            assert len({tuple(c) for c in corners.tolist()}) == len(corners) == layer.count
+            assert np.all((-half <= corners[:, :-1]) & (corners[:, :-1] + 1 <= half))
+            assert np.all(corners[:, -1] == 1)
+            assert layer.count * Fraction(1, 2 ** -layer.k) ** d == layer.measure
 
 
 def test_parent_cube_fibers():
     for n, d in [(1, 2), (2, 2), (1, 3), (2, 3)]:
-        slab = geo.Slab(n=n, d=d)
-        layers = geo.dyadic_layers(slab, -3)
-        for layer in layers:
-            if layer.k == -1:
-                continue
-            parent_layer = geo.DyadicLayer(layer.k + 1, n, d)
+        for layer in geo.dyadic_layers(geo.Slab(n=n, d=d), -3)[:-1]:
+            corners = layer.corners()
+            k, above = geo.dyadic_parent(layer.k, corners)
+            assert k == layer.k + 1
+            parents = geo.DyadicLayer(k, n, d).corners()
             fibers = {}
-            for i in range(layer.count):
+            for i, (child, up) in enumerate(zip(corners.tolist(), above.tolist())):
+                assert (k, tuple(up)) == oracle.above(layer.k, tuple(child))
                 p = geo.parent_cube(layer, i)
+                assert parents[p].tolist() == up
                 fibers.setdefault(p, []).append(i)
-                # the child's transverse shadow sits inside the parent's
-                child = layer.cube(i)
-                parent = parent_layer.cube(p)
-                for lo_c, hi_c, lo_p, hi_p in zip(
-                    child.lo()[:-1], child.hi()[:-1], parent.lo()[:-1], parent.hi()[:-1]
-                ):
-                    assert lo_p <= lo_c and hi_c <= hi_p
-                # the child sits directly below the parent
-                assert child.hi()[-1] == parent.lo()[-1]
-                assert child.above() == parent
-            assert set(fibers) == set(range(parent_layer.count))  # surjective
+                # in units of 2^k the child is [c, c + 1) per transverse
+                # axis, inside the parent's [2a, 2a + 2), and its top, 2,
+                # is the parent's bottom
+                assert all(2 * a <= c < c + 1 <= 2 * a + 2 for c, a in zip(child[:-1], up[:-1]))
+                assert child[-1] + 1 == 2 * up[-1]
+            assert set(fibers) == set(range(len(parents)))  # surjective
             assert all(len(v) == 2 ** (d - 1) for v in fibers.values())
 
 

@@ -293,6 +293,21 @@ def test_strip_condition_enforced():
     assert np.isfinite(ratio) and ratio > 0
 
 
+@pytest.mark.parametrize("graph", [geo.AffineGraph((0.5,)), geo.ConeGraph(1.0),
+                                   geo.PiecewiseLinearGraph(((-1.0, 0.0), (0.0, 0.5), (1.0, 0.0)))])
+@pytest.mark.parametrize("tau", ["2", "3/2"])  # cases 3a and 3c
+def test_case_3_tables_always_hold_the_strip_scale(graph, tau):
+    # weight_for sets R on every epigraph weight: the given R, or else the
+    # largest boundary distance on the grid, so the strip check has its R
+    dom = geo.Epigraph(graph, d=2)
+    case = hardy.HardyCase("3a" if tau == "2" else "3c", fp(2, "2", "1/2", tau))
+    spec = quad.GridSpec(8, geo.Box((-1.0, 2.0), (1.0, 3.0)))
+    g = quad.as_grid(spec, dom)
+    assert hardy.HardyTables(dom, case, spec).weight.R == np.max(
+        geo.distance_to_boundary(dom, g.centers))
+    assert hardy.HardyTables(dom, case, spec, R=5.0).weight.R == 5.0
+
+
 @pytest.mark.parametrize("d,tau,n,letter,lhs,norm", [
     (2, "3", 64, "a", 0.4095581555962286, 2.313623107710149),
     (3, "3", 16, "a", 0.2774699816343531, 2.223613323903036),

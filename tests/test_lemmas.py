@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dyadic_oracle as oracle
 from hardylab import geometry as geo
 from hardylab import lemmas
 from hardylab import quadrature as quad
@@ -205,18 +206,18 @@ def test_battery_slacks_match_one_pair_at_a_time(seed, cells):
 
 
 def test_battery_builds_no_geometry_objects(monkeypatch):
-    # the trials are integer corners and arrays: no layer, cube or box
-    # is built per trial
+    # the trials are integer corners and arrays: no layer or box is built
+    # per trial
     calls = []
-    for owner, name in [(geo.DyadicLayer, "cube"), (geo.DyadicCube, "box"),
-                        (geo.Box, "__post_init__")]:
-        def counting(*args, _wrapped=getattr(owner, name), _name=name, **kwargs):
+    for owner in (geo.DyadicLayer, geo.Box):
+        def counting(self, _wrapped=owner.__post_init__, _name=owner.__name__):
             calls.append(_name)
-            return _wrapped(*args, **kwargs)
+            _wrapped(self)
 
-        monkeypatch.setattr(owner, name, counting)
+        monkeypatch.setattr(owner, "__post_init__", counting)
     geo.Box((0.0,), (1.0,))  # the counters count
-    assert calls == ["__post_init__"]
+    geo.DyadicLayer(-1, 1, 1)
+    assert calls == ["Box", "DyadicLayer"]
     calls.clear()
     lemmas._adjacent_pair_slacks(1000, 0, 8)
     assert calls == []
@@ -224,18 +225,19 @@ def test_battery_builds_no_geometry_objects(monkeypatch):
 
 def scalar_pair_trial(rng, d):
     """Reference for ``_adjacent_pair_trials``: one scalar draw per number,
-    cubes from ``DyadicLayer`` and ``parent_cube``."""
+    cubes from the scalar lattice rule of ``dyadic_oracle``."""
     k = int(rng.integers(-4, -1))
-    layer = geo.DyadicLayer(k, 1, d)
-    i = int(rng.integers(0, layer.count))
-    E = layer.cube(i).box()
-    if layer.count == 1 or rng.random() < 0.5:
-        F = geo.DyadicLayer(k + 1, 1, d).cube(geo.parent_cube(layer, i)).box()
+    count = geo.DyadicLayer(k, 1, d).count
+    i = int(rng.integers(0, count))
+    E = oracle.corner(k, 1, d, i)
+    if count == 1 or rng.random() < 0.5:
+        F = oracle.above(k, E)
     else:
-        j = int(rng.integers(0, layer.count))
+        j = int(rng.integers(0, count))
         if j == i:
-            j = (i + 1) % layer.count
-        F = layer.cube(j).box()
+            j = (i + 1) % count
+        F = k, oracle.corner(k, 1, d, j)
+    E, F = oracle.cube_box(k, E), oracle.cube_box(*F)
     lo = tuple(min(a, b) for a, b in zip(E.lo, F.lo))
     hi = tuple(max(a, b) for a, b in zip(E.hi, F.hi))
     center = tuple(rng.uniform(a, b) for a, b in zip(lo, hi))

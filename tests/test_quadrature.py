@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dyadic_oracle as oracle
 from hardylab import experiments as exp
 from hardylab import geometry as geo
 from hardylab import hardy
@@ -195,18 +196,13 @@ def telescope_grids(d, depth, cells_per_cube):
     return grids
 
 
-def cube_boxes(layer) -> list:
-    """The boxes of a dyadic layer's cubes, in index order."""
-    return [cube.box() for cube in layer.cubes()]
-
-
 def sorted_cube_union(d, k, cells_per_cube):
     """Reference for the telescope's grid of layer k and the layer above on
     the n = 1 slab: every cube box of both layers, stably sorted by column
     of upper cubes along axis 0, one uniform box mesh each."""
     layer = geo.DyadicLayer(k, 1, d)
     top = geo.DyadicLayer(min(k + 1, -1), 1, d)
-    boxes = cube_boxes(layer) + (cube_boxes(top) if k < -1 else [])
+    boxes = oracle.layer_boxes(layer) + (oracle.layer_boxes(top) if k < -1 else [])
     boxes.sort(key=lambda box: box.lo[0] // 2.0**top.k)
     return quad.union_grid(boxes, cells_per_cube)
 
@@ -233,7 +229,7 @@ def test_telescope_run_grids_match_sorted_cube_union(d, depth, cells):
         assert same(grid.centers, ref.centers)
         first = grid.centers.reshape(runs, -1, cells**d, d)[:, : layer.count // runs]
         assert same(first.reshape(-1, d),
-                    quad.union_grid([c.box() for c in layer.cubes()], cells).centers)
+                    quad.union_grid(oracle.layer_boxes(layer), cells).centers)
 
 
 def reversed_grid(grid):

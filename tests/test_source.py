@@ -88,6 +88,19 @@ def test_growth_threshold_is_stated_once():
     assert len(found) == 1 and found[0].startswith("experiments.py:"), found
 
 
+def test_dyadic_lattice_is_stated_once():
+    # geometry.dyadic_corners turns a cube index into its corner and
+    # geometry.dyadic_parent halves a corner into the one above: no other
+    # function of the package splits an index by divmod or halves a corner
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    found = sorted({f"{module}:{fn.name}" for module, tree in trees.items()
+                    for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                    for node in ast.walk(fn)
+                    if (isinstance(node, ast.Call) and ast.unparse(node.func).endswith("divmod"))
+                    or (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.FloorDiv))})
+    assert found == ["geometry.py:dyadic_corners", "geometry.py:dyadic_parent"]
+
+
 def test_each_domain_states_its_boundary_once():
     # Domain.distance decides the closed domain, so no domain keeps a
     # second membership test beside it, and each graph states its own
