@@ -50,16 +50,6 @@ for k in range(2, 8):
     u = quad.TensorBump((h + 0.25,), (0.25,))
     print(f"2^-{k}   {hardy.hardy_ratio(u, slab, case, spec):.6f}")
 
-# interpolation between the tau = p weight and the Sobolev endpoint: the
-# two-factor bound has nonnegative slack for every theta
-fp2 = params(2, "2", "1/2", "2")
-u2 = quad.TensorBump((0.0, 0.4), (0.5, 0.3))
-spec2 = quad.GridSpec(64, slab.box if slab.d == 2 else geo.Slab(1, 2).box)
-print("\ntheta  interpolation slack")
-for theta in (0.0, 0.25, 0.5, 0.75, 1.0):
-    slack = hardy.holder_interpolation_check(u2, fp2, theta, spec2)
-    print(f"{theta:.2f}   {slack:.3e}")
-
 # a bounded polygonal domain runs the same functional with rho = 2R/delta
 square = geo.Polygon2D(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
 case2d = hardy.HardyCase("1a", params(2, "2", "1/2", "2"))

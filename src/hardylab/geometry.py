@@ -47,7 +47,6 @@ __all__ = [
     "BoxDomain",
     "Polygon2D",
     "DyadicLayer",
-    "Annulus",
     "distance_to_boundary",
     "flatten",
     "unflatten",
@@ -105,10 +104,6 @@ class Box:
         if any(a >= b for a, b in zip(lo, hi)):
             return None
         return Box(lo, hi)
-
-    def corners(self) -> np.ndarray:
-        grids = np.meshgrid(*[(a, b) for a, b in zip(self.lo, self.hi)], indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 def unit_ball_volume(d: int) -> float:
@@ -650,36 +645,3 @@ def parent_cube(layer: DyadicLayer, child_index: int) -> int:
     k, corner = dyadic_parent(layer.k, layer.corners(child_index))
     parents = DyadicLayer(k, layer.n, layer.d).corners()
     return int(np.flatnonzero(np.all(parents == corner, axis=-1))[0])
-
-
-# ---------------------------------------------------------------------------
-# annuli around a ball
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Annulus:
-    """Spherical shell inner < |x| <= outer."""
-
-    inner: float
-    outer: float
-    d: int
-
-    def __post_init__(self):
-        if not 0 < self.inner < self.outer:
-            raise ParameterError("need 0 < inner < outer")
-
-    @property
-    def measure(self) -> float:
-        w = unit_ball_volume(self.d)
-        return w * (self.outer**self.d - self.inner**self.d)
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        r = np.linalg.norm(pts, axis=-1)
-        return (r > self.inner) & (r <= self.outer)
-
-    def bounding_box(self) -> Box:
-        return Box((-self.outer,) * self.d, (self.outer,) * self.d)
-
-    def scaled(self, factor: float) -> "Annulus":
-        return Annulus(self.inner * factor, self.outer * factor, self.d)

@@ -40,7 +40,6 @@ __all__ = [
     "weight_for",
     "hardy_ratio",
     "HardyTables",
-    "holder_interpolation_check",
     "CASE_IDS",
 ]
 
@@ -304,37 +303,3 @@ def hardy_ratio(
     finite.
     """
     return HardyTables(domain, case, grid, R).ratio(u)
-
-
-# ---------------------------------------------------------------------------
-# interpolation identity between the tau = p weight and the Sobolev endpoint
-
-
-def holder_interpolation_check(u, fp: FracParams, theta: float, grid) -> float:
-    """Slack of the two-factor interpolation bound on a slab.
-
-    For tau = theta p + (1-theta) p* and weight exponents a = theta,
-    b = theta p, the weighted tau-integral is dominated by
-    (tau=p weighted integral)^theta * (int |u|^{p*})^{1-theta}.
-    Returns RHS - LHS, which is nonnegative up to float rounding because
-    the bound holds for the discrete quadrature measure as well.
-    """
-    if not 0.0 <= theta <= 1.0:
-        raise ParameterError("theta must lie in [0, 1]")
-    if fp.sp != 1 or fp.d <= fp.sp:
-        raise ParameterError("interpolation check needs s*p = 1 < d")
-    g = quad.as_grid(grid)
-    p = float(fp.p)
-    p_star = float(fp.p_star)
-    vals = np.abs(quad._evaluate(u, g.centers))
-    if np.any(g.centers[:, -1] <= 0):
-        raise ParameterError("grid must sit in the upper half-space x_d > 0")
-    if theta == 0.0:
-        return 0.0  # both sides equal the Sobolev-endpoint integral
-    tau = theta * p + (1.0 - theta) * p_star
-    a = Fraction(theta)
-    lhs = _weighted_power_integral(vals, None, WeightSpec(a, a * fp.p, "flat_slab"), tau, g)
-    base = _weighted_power_integral(vals, None, WeightSpec(Fraction(1), fp.p, "flat_slab"), p, g)
-    sobolev_part = quad.kahan_sum(vals**p_star * g.weights)
-    rhs = base**theta * sobolev_part ** (1.0 - theta)
-    return rhs - lhs

@@ -10,10 +10,7 @@ the slack is not meaningfully negative.  Constants are pinned explicitly
 * the average-difference bound
   |mean_E u - mean_F u|^t <= 2^t |EuF|/min(|E|,|F|) mean_{EuF}|u - mean|^t,
   whose constant 2^t comes from the convexity split plus Jensen,
-* the power-sum bound sum |a_l|^b <= (sum |a_l|)^b for b >= 1,
-* the scaled mean-oscillation bound: the ratio of
-  (mean_{D_lam} |u_lam - mean|^t)^{1/t} to (lam^{sp-d} [u_lam]^p)^{1/p}
-  does not depend on the dilation lam (that uniformity IS the content).
+* the power-sum bound sum |a_l|^b <= (sum |a_l|)^b for b >= 1.
 
 Borderline slacks from the float path are re-evaluated in high precision
 (mpmath) so the verdict reflects the inequality, not accumulated rounding.
@@ -33,24 +30,17 @@ import numpy.random
 from . import geometry as geo
 from . import quadrature as quad
 from .errors import ParameterError
-from .quadrature import FracParams
 
 __all__ = [
     "SlackReport",
     "elementary_inequality_slack",
     "elementary_inequality_sweep",
-    "maximizer_x0",
     "maximum_value",
-    "stationarity_residual",
     "average_difference_slack",
     "adjacent_pair_battery",
-    "scaled_sobolev_ratio",
     "power_sum_slack",
     "power_sum_battery",
     "telescoping_coefficient_parts",
-    "telescoping_coefficient_identity",
-    "coefficient_decay_ratio",
-    "coefficient_decay_limit",
     "ELEMENTARY_TOLERANCE",
     "SLACK_TOLERANCE",
 ]
@@ -135,36 +125,9 @@ def elementary_inequality_sweep(count: int = 100_000, seed: int = 0) -> tuple[fl
     }
 
 
-def maximizer_x0(c, tau) -> float:
-    """Ratio x0 = 1/(c^{1/(tau-1)} - 1) where the two-term bound is tight."""
-    if c <= 1:
-        raise ParameterError("c must exceed 1")
-    if tau <= 1:
-        raise ParameterError("tau must exceed 1")
-    return 1.0 / (c ** (1.0 / (tau - 1.0)) - 1.0)
-
-
 def maximum_value(c, tau) -> float:
     """Max of f(x) = (1+x)^tau - c x^tau over x >= 0, = (1-c^{-1/(tau-1)})^{1-tau}."""
     return (1.0 - c ** (-1.0 / (tau - 1.0))) ** (1.0 - tau)
-
-
-def stationarity_residual(c, tau, rel_step: float = 1e-10) -> float:
-    """Central-difference derivative of f(x) = (1+x)^tau - c x^tau at x0.
-
-    Evaluated at 60 digits so the residual reflects the truncation error of
-    the difference quotient, not float cancellation; an independent check
-    that x0 really is the stationary point.
-    """
-    x0 = maximizer_x0(c, tau)
-    with mpmath.workdps(60):
-        cm, tm, xm = mpmath.mpf(c), mpmath.mpf(tau), mpmath.mpf(x0)
-        h = mpmath.mpf(rel_step) * (1 + xm)
-
-        def f(x):
-            return (1 + x) ** tm - cm * x**tm
-
-        return float((f(xm + h) - f(xm - h)) / (2 * h))
 
 
 # ---------------------------------------------------------------------------
@@ -328,59 +291,6 @@ def adjacent_pair_battery(
 
 
 # ---------------------------------------------------------------------------
-# scaled mean-oscillation vs seminorm
-
-
-def scaled_sobolev_ratio(
-    u: quad.TestFunction,
-    lam: float,
-    fp: FracParams,
-    tau,
-    resolution: int = 64,
-    region=None,
-) -> float:
-    """LHS / RHS of the scale-normalized oscillation bound at dilation lam.
-
-    ``u`` is a profile on a base region (default: its own support box);
-    the dilated copy u(x/lam) is measured on the lam-scaled region:
-
-        LHS = (mean |u_lam - mean u_lam|^tau)^{1/tau}
-        RHS = (lam^{sp-d} [u_lam]^p)^{1/p}
-
-    A lam-independent result is the testable content: the bound's constant
-    does not degrade as the region shrinks.
-    """
-    if lam <= 0:
-        raise ParameterError("lam must be positive")
-    tau = float(tau)
-    if tau < float(fp.p):
-        raise ParameterError("tau must be >= p")
-    if fp.sp < fp.d and tau > float(fp.p_star):
-        raise ParameterError("tau must be <= p* when sp < d")
-    base = region if region is not None else u.support
-    if isinstance(base, geo.Box):
-        g = quad.union_grid([base.scaled(lam)], resolution)
-    elif isinstance(base, geo.Annulus):
-        shell = base.scaled(lam)
-        g = quad.masked_grid(quad.GridSpec(resolution, shell.bounding_box()), shell.contains)
-    else:
-        raise ParameterError("region must be a Box or an Annulus")
-    tables = quad.SeminormTables(g, fp)
-    vals, lips = tables.evaluate(u.dilated(lam))
-    mean = quad.kahan_sum(vals * g.weights) / g.total_weight
-    osc = quad.kahan_sum(np.abs(vals - mean) ** tau * g.weights) / g.total_weight
-    lhs = osc ** (1.0 / tau)
-    if lhs == 0.0 and np.allclose(vals, vals[0]):
-        return 0.0  # constant profile: zero oscillation, zero ratio
-    semi = tables.seminorm(vals, lips)
-    p = float(fp.p)
-    rhs = (lam ** (float(fp.sp) - fp.d) * semi**p) ** (1.0 / p)
-    if rhs == 0.0:
-        raise ParameterError("seminorm vanished for a non-constant profile")
-    return lhs / rhs
-
-
-# ---------------------------------------------------------------------------
 # power-sum bound
 
 
@@ -427,32 +337,3 @@ def telescoping_coefficient_parts(k: int) -> tuple[Fraction, Fraction]:
     from_c = 1 - Fraction(2 * j - 1, 2 * j)
     direct = Fraction(1, 2) * Fraction(1, j)
     return from_c, direct
-
-
-def telescoping_coefficient_identity(k: int, tau: float) -> tuple[float, float]:
-    """Both sides of (1 - c^{-1/(tau-1)})^{1-tau} = 2^{tau-1} (-k)^{tau-1}.
-
-    The bases agree as exact rationals, so the powered sides agree too;
-    returned as floats for reporting.
-    """
-    base_from_c, base_direct = telescoping_coefficient_parts(k)
-    lhs = float(base_from_c) ** (1.0 - tau)
-    rhs = 2.0 ** (tau - 1.0) * float(-k) ** (tau - 1.0)
-    return lhs, rhs
-
-
-def coefficient_decay_ratio(k: int, tau: float) -> float:
-    """Ratio of the telescoped coefficient decrement to its model 1/(-k)^tau.
-
-    The decrement 1/(-k)^{tau-1} - 1/(-k + 1/2)^{tau-1} behaves like
-    (tau-1)/2 * (-k)^{-tau} for deep layers.
-    """
-    if k >= -1:
-        raise ParameterError("layers run over k <= -2")
-    j = float(-k)
-    decrement = j ** (1.0 - tau) - (j + 0.5) ** (1.0 - tau)
-    return decrement * j**tau
-
-
-def coefficient_decay_limit(tau: float) -> float:
-    return (tau - 1.0) / 2.0

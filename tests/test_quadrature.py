@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hardylab import geometry as geo
 from hardylab import hardy
 from hardylab import quadrature as quad
 from hardylab.errors import EvaluationError, ParameterError
+from identities import Annulus
 
 
 UNIT = geo.Box((0.0,), (1.0,))
@@ -1025,7 +1027,7 @@ def test_pullback_integral_invariance():
     graph = geo.ConeGraph(1.0)
     dom = geo.Epigraph(graph, d=2)
     support = geo.Box((-0.5, 1.2), (0.5, 2.2))
-    assert bool(np.all(dom.contains(support.corners())))
+    assert bool(np.all(dom.contains(list(itertools.product(*zip(support.lo, support.hi))))))
     u = quad.TensorBump(support.center, (0.5, 0.5))
 
     direct = quad.integrate(u, quad.GridSpec(256, support))
@@ -1062,7 +1064,7 @@ def test_box_cells_are_the_union_grid(boxes):
 
 
 def test_masked_grid_annulus_area():
-    ring = geo.Annulus(1.0, 2.0, 2)
+    ring = Annulus(1.0, 2.0, 2)
     spec = quad.GridSpec(256, ring.bounding_box())
     g = quad.masked_grid(spec, ring.contains)
     assert g.total_weight == pytest.approx(ring.measure, rel=2e-3)

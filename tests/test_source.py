@@ -150,6 +150,25 @@ def test_cli_imports_no_numpy():
     assert not [name for name in imported if name.split(".")[0] == "numpy"], imported
 
 
+def test_demos_import_only_hardylab_numpy_and_the_standard_library():
+    # the suite runs the demos in-process with tests/ on sys.path, so a
+    # demo that imported a test helper would pass there and fail when a
+    # user runs it with only the package on the path
+    allowed = {"hardylab", "numpy"} | set(sys.stdlib_module_names)
+    demos = sorted((SRC.parents[1] / "demos").glob("0*.py"))
+    found = {}
+    for path in demos:
+        tree = ast.parse(path.read_text())
+        imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names]
+        imported += [node.module or "" for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)]
+        foreign = sorted({name for name in imported if name.split(".")[0] not in allowed})
+        if foreign:
+            found[path.name] = foreign
+    assert demos and found == {}, found
+
+
 def test_support_rule_names_no_domain_class():
     # each domain states its own box test (Domain.holds) beside its
     # geometry; the members' support rule calls it for any domain
