@@ -165,13 +165,11 @@ class ExperimentConfig:
         ``ints``), ``length`` long if given, as a tuple."""
         return _numbers(self.get(path, default), path, length, ints)
 
-    def pairs(self, path: str, length: int | None = None) -> tuple[tuple[float, float], ...]:
-        """A non-empty list of [a, b] number pairs, ``length`` long if
-        given, as float pairs."""
+    def pairs(self, path: str) -> tuple[tuple[float, float], ...]:
+        """A non-empty list of [a, b] number pairs, as float pairs."""
         rows = self.get(path)
-        if not (isinstance(rows, (list, tuple)) and rows and length in (None, len(rows))):
-            raise ConfigError(path, f"must be a list of {length or 'one or more'} number pairs,"
-                              f" got {rows!r}")
+        if not (isinstance(rows, (list, tuple)) and rows):
+            raise ConfigError(path, f"must be a list of one or more number pairs, got {rows!r}")
         return tuple(tuple(map(float, _numbers(row, path, 2))) for row in rows)
 
     def box(self, path: str, default=_REQUIRED) -> geo.Box | None:
@@ -303,31 +301,22 @@ class ExperimentConfig:
             raise ConfigError("R", f"must be null or a positive finite number, got {R!r}")
         return R
 
-    def family(self, domain: geo.Domain, spec: quad.GridSpec) -> exp.FunctionFamily:
-        """The family of a search on ``spec``'s grid on ``domain``; its
-        ``hull`` must lie in the grid's box (``quad.check_support``), a fault
-        of the field that sets the members' extent."""
+    def family(self, domain: geo.Domain, spec: quad.GridSpec) -> exp.BoundaryBumpFamily:
+        """The family of a search on ``spec``'s grid on ``domain``.  A
+        reversed range, or a ``hull`` outside the grid's box
+        (``quad.check_support``), is a fault of ``family.log2_h_range``, the
+        field that sets the members' extent."""
         kind = self.get("family.kind", "boundary_bump")
-        if kind == "boundary_bump":
-            if domain.d > 1:
-                raise ConfigError("family.kind", f"{kind!r} is a family on (0, 1); d is {domain.d}")
-            lo, hi = self.numbers("family.log2_h_range", (-7.0, -2.0), length=2)
-            width = self.number("family.width", 0.5)
-            if width <= 0:
-                raise ConfigError("family.width", f"must be positive, got {width!r}")
-            family = exp.BoundaryBumpFamily(log2_h_range=(float(lo), float(hi)), width=width)
-        elif kind == "tensor_bump_grid":
-            bounds = {key: self.pairs(f"family.{key}", length=domain.d)  # one per axis
-                      for key in ("center_bounds", "radius_bounds")}
-            if any(lo <= 0 for lo, _ in bounds["radius_bounds"]):
-                raise ConfigError("family.radius_bounds", f"radii need lo > 0,"
-                                  f" got {bounds['radius_bounds']}")
-            family = exp.TensorBumpGridFamily(**bounds)
-        else:
+        if kind != "boundary_bump":
             raise ConfigError("family.kind", f"unknown family kind {kind!r}")
-        if not all(lo <= hi for lo, hi in family.bounds):
-            raise ConfigError("family", f"parameter bounds need lo <= hi, got {family.bounds}")
-        with _field("family.log2_h_range" if kind == "boundary_bump" else "family"):
+        if domain.d > 1:
+            raise ConfigError("family.kind", f"{kind!r} is a family on (0, 1); d is {domain.d}")
+        lo, hi = self.numbers("family.log2_h_range", (-7.0, -2.0), length=2)
+        width = self.number("family.width", 0.5)
+        if width <= 0:
+            raise ConfigError("family.width", f"must be positive, got {width!r}")
+        with _field("family.log2_h_range"):
+            family = exp.BoundaryBumpFamily(log2_h_range=(float(lo), float(hi)), width=width)
             quad.check_support(family.hull(), domain, spec.support_box)
         return family
 

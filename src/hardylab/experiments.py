@@ -2,8 +2,9 @@
 
 Three experiment drivers sit on top of the functionals:
 
-* ``estimate_constant`` maximizes the Hardy ratio over a parametrized test
-  function family (multi-start Nelder-Mead); the best ratio found is the
+* ``estimate_constant`` maximizes the Hardy ratio over the boundary-bump
+  family, bumps of one width at a gap h from the slab's boundary
+  (multi-start Nelder-Mead over log2 h); the best ratio found is the
   largest midpoint-rule ratio among the members the search evaluated.
 * ``blowup_probe`` drives a concentrating log-profile family toward the
   boundary and classifies candidate weight exponents beta' as bounded or
@@ -26,7 +27,6 @@ per dyadic block of the slab height.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -43,10 +43,8 @@ from .hardy import HardyCase
 from .quadrature import FracParams, Grid, TestFunction
 
 __all__ = [
-    "FunctionFamily",
     "BoundaryBumpFamily",
     "LogSpikeFamily",
-    "TensorBumpGridFamily",
     "SearchConfig",
     "EstimateResult",
     "estimate_constant",
@@ -88,40 +86,11 @@ def slab_graded_grid(depth_levels: int, cells_per_block: int = 8) -> Grid:
 
 
 # ---------------------------------------------------------------------------
-# test function families
-
-
-class FunctionFamily:
-    """Parametrized family of admissible test functions."""
-
-    #: inclusive parameter bounds, one (lo, hi) pair per coordinate
-    bounds: tuple[tuple[float, float], ...]
-
-    def make(self, params: np.ndarray) -> TestFunction:
-        raise NotImplementedError
-
-    def clip(self, params: np.ndarray) -> np.ndarray:
-        lo, hi = np.array(self.bounds, dtype=float).T
-        return np.clip(np.asarray(params, dtype=float), lo, hi)
-
-    def initial_params(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(*np.array(self.bounds, dtype=float).T)
-
-    def hull(self) -> geo.Box:
-        """The box that holds every member's support: the hull of the
-        supports of the members ``make`` builds at the corners of the
-        parameter box.  Each family's support is monotone in each parameter
-        (each end moves one way as it grows: a bump's with its centre and
-        radius, a boundary bump's with its gap), so the corners reach every
-        end's extremes."""
-        supports = [self.make(np.array(corner)).support
-                    for corner in itertools.product(*self.bounds)]
-        return geo.Box(tuple(float(min(ends)) for ends in zip(*(b.lo for b in supports))),
-                       tuple(float(max(ends)) for ends in zip(*(b.hi for b in supports))))
+# the boundary-bump family
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class BoundaryBumpFamily(FunctionFamily):
+class BoundaryBumpFamily:
     """Bumps of fixed width sliding toward the bottom boundary of (0, 1).
 
     The single parameter is log2 of the gap h between the support and the
@@ -131,36 +100,37 @@ class BoundaryBumpFamily(FunctionFamily):
     log2_h_range: tuple[float, float] = (-7.0, -2.0)
     width: float = 0.5
 
+    def __post_init__(self):
+        lo, hi = self.log2_h_range
+        if not lo <= hi:
+            raise ParameterError(f"log2_h_range needs lo <= hi, got {self.log2_h_range!r}")
+
     @property
-    def bounds(self):  # type: ignore[override]
-        return (self.log2_h_range,)
+    def bounds(self) -> np.ndarray:
+        """The parameter box as a (1, 2) array: one (lo, hi) row."""
+        return np.array([self.log2_h_range], dtype=float)
+
+    def clip(self, params: np.ndarray) -> np.ndarray:
+        lo, hi = self.bounds.T
+        return np.clip(np.asarray(params, dtype=float), lo, hi)
+
+    def initial_params(self, rng: np.random.Generator) -> np.ndarray:
+        return rng.uniform(*self.bounds.T)
 
     def member(self, h: float) -> TestFunction:
         r = 0.5 * self.width
         return quad.TensorBump((h + r,), (r,))
 
-    def make(self, params):
+    def make(self, params) -> TestFunction:
         params = self.clip(params)
         return self.member(2.0 ** float(params[0]))
 
-
-@dataclass(frozen=True, eq=False, repr=False)
-class TensorBumpGridFamily(FunctionFamily):
-    """Bumps with free center and radius inside a domain box (any d)."""
-
-    center_bounds: tuple[tuple[float, float], ...]
-    radius_bounds: tuple[tuple[float, float], ...]
-
-    @property
-    def bounds(self):  # type: ignore[override]
-        return self.center_bounds + self.radius_bounds
-
-    def make(self, params):
-        params = self.clip(params)
-        d = len(self.center_bounds)
-        center = tuple(params[:d])
-        radius = tuple(params[d:])
-        return quad.TensorBump(center, radius)
+    def hull(self) -> geo.Box:
+        """The box that holds every member's support: a member's support
+        moves up with its gap, so the members at the two ends of
+        ``log2_h_range`` reach its two ends."""
+        lo, hi = (self.make(np.array([end])).support for end in self.log2_h_range)
+        return geo.Box(lo.lo, hi.hi)
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +236,14 @@ def _nelder_mead(f, x0, maxfev: int, xatol: float, fatol: float):
 
 
 def estimate_constant(
-    family: FunctionFamily,
+    family: BoundaryBumpFamily,
     case: HardyCase,
     domain: geo.Domain,
     search: SearchConfig,
     grid,
     R: float | None = None,
 ) -> EstimateResult:
-    """Maximize the Hardy ratio over the family.
+    """Maximize the Hardy ratio over the boundary-bump family on (0, 1).
 
     ``best_ratio`` is the largest midpoint-rule ratio the search found.  It
     is not a bound on the best constant C: it carries the quadrature error

@@ -94,10 +94,6 @@ def scaled_sobolev_ratio(
     if lam <= 0:
         raise ParameterError("lam must be positive")
     tau = float(tau)
-    if tau < float(fp.p):
-        raise ParameterError("tau must be >= p")
-    if fp.sp < fp.d and tau > float(fp.p_star):
-        raise ParameterError("tau must be <= p* when sp < d")
     base = region if region is not None else u.support
     if isinstance(base, geo.Box):
         g = quad.union_grid([base.scaled(lam)], resolution)

@@ -343,10 +343,8 @@ WORK_RULE_CASES += [
     (dict(HARDY_CFG, u={"kind": "tensor_bump", "center": [0.9], "radius": [0.25]}), "u"),
     (dict(ESTIMATE_DEMO_CFG, family={"kind": "boundary_bump", "log2_h_range": [-3, -0.5]},
           support_box=[[-1], [2]]), "family.log2_h_range"),
-    (dict(ESTIMATE_DEMO_CFG, case="1a", domain={"kind": "box", "lo": [0, 0], "hi": [1, 1]},
-          frac=FRAC_2D, resolution=16,
-          family={"kind": "tensor_bump_grid", "center_bounds": [[0, 1], [0, 1]],
-                  "radius_bounds": [[0.3, 0.6], [0.3, 0.6]]}), "family"),
+    # the default range's bumps reach 0.75, above this support box
+    (dict(ESTIMATE_DEMO_CFG, support_box=[[0], [0.5]]), "family.log2_h_range"),
     (dict(ESTIMATE_DEMO_CFG, family={"kind": "boundary_bump", "log2_h_range": [-3, -2]},
           support_box=[[0.5], [1]]), "family.log2_h_range"),
 ]
@@ -463,7 +461,7 @@ def test_r_moves_the_ratio_where_the_weight_reads_it():
         (dict(ESTIMATE_CFG, family={"kind": "log_spike", "level_range": [3, 12]}),
          "family.kind"),
         (dict(ESTIMATE_CFG, family={"kind": "boundary_bump", "log2_h_range": [-2, -7]}),
-         "family"),
+         "family.log2_h_range"),
         # R where the weight reads it: on a box and on the exterior ball
         (dict(ESTIMATE_CFG, domain={"kind": "box", "lo": [0.0], "hi": [1.0]}, R=-1), "R"),
         (dict(EXTERIOR_CFG, R="x"), "R"),
@@ -524,25 +522,26 @@ def test_r_moves_the_ratio_where_the_weight_reads_it():
         (dict(ESTIMATE_2D_CFG, family={"kind": "boundary_bump"}), "family.kind"),
         (dict(ESTIMATE_2D_CFG, family={"kind": "log_spike", "level_range": [3, 5]}),
          "family.kind"),
-        (dict(ESTIMATE_2D_CFG, family={"kind": "tensor_bump_grid", "center_bounds": [[0.2, 0.8]],
-                                       "radius_bounds": [[0.1, 0.3]]}), "family.center_bounds"),
-        (dict(ESTIMATE_2D_CFG, family={"kind": "tensor_bump_grid",
-                                       "center_bounds": [[-0.5, 0.5], [0.2, 0.8]],
-                                       "radius_bounds": [[0.1, 0.3]]}), "family.radius_bounds"),
-        (dict(ESTIMATE_CFG, family={"kind": "tensor_bump_grid",
-                                    "center_bounds": [[0.2, 0.8], [0.2, 0.8]],
-                                    "radius_bounds": [[0.1, 0.3], [0.1, 0.3]]}),
+        # the search has one family, the boundary bumps: a config of the
+        # tensor-bump family it once had (this one ran on the d = 1 slab)
+        # names its kind, and, with the kind changed, each of its fields
+        (dict(ESTIMATE_CFG, family={"kind": "tensor_bump_grid", "center_bounds": [[0.3, 0.7]],
+                                    "radius_bounds": [[0.1, 0.2]]}), "family.kind"),
+        (dict(ESTIMATE_CFG, family={"kind": "boundary_bump", "radius_bounds": [[0.1, 0.3]]}),
+         "family.radius_bounds"),
+        (dict(ESTIMATE_CFG, family={"kind": "boundary_bump", "center_bounds": [[0.2, 0.8]]}),
          "family.center_bounds"),
         # a coordinate above 2**500 in magnitude would overflow a squared
         # distance
         (dict(EXTERIOR_CFG, support_box=[[-1e300], [1e300]]), "support_box"),
         (dict(BOX_CFG, domain={"kind": "box", "lo": [-1e300, 0.0], "hi": [1e300, 1.0]}),
          "domain.lo"),
-        # a member's radii must be positive
-        (dict(ESTIMATE_CFG, family={"kind": "tensor_bump_grid", "center_bounds": [[0.3, 0.7]],
-                                    "radius_bounds": [[0.0, 0.0]]}), "family.radius_bounds"),
-        (dict(ESTIMATE_CFG, family={"kind": "tensor_bump_grid", "center_bounds": [[0.3, 0.7]],
-                                    "radius_bounds": [[-0.2, 0.1]]}), "family.radius_bounds"),
+        # ... also where the kind is left to its default, and on the
+        # demo's config, whose search would otherwise run
+        (dict(ESTIMATE_CFG, family={"radius_bounds": [[0.0, 0.0]]}), "family.radius_bounds"),
+        (dict(ESTIMATE_DEMO_CFG, family=dict(ESTIMATE_DEMO_CFG["family"],
+                                             radius_bounds=[[-0.2, 0.1]])),
+         "family.radius_bounds"),
         # a field the command does not read is unknown: a misspelt field
         # would otherwise run with the default of the one it names
         (dict(PROBE_CFG, cells_per_blocks=64), "cells_per_blocks"),
@@ -1019,9 +1018,6 @@ FUZZ_BASES = [
     dict(CONE_CFG, resolution=8),
     dict(ESTIMATE_CFG, resolution=8, search={"starts": 1, "budget_per_start": 3},
          family={"kind": "boundary_bump", "log2_h_range": [-4.0, -2.0], "width": 0.5}),
-    dict(ESTIMATE_CFG, resolution=8, search={"starts": 1, "budget_per_start": 3},
-         family={"kind": "tensor_bump_grid", "center_bounds": [[0.3, 0.7]],
-                 "radius_bounds": [[0.1, 0.2]]}),
     # two levels cannot tell the verdicts apart, so this probe expects none
     {k: v for k, v in PROBE_CFG.items() if k != "expect"}
     | {"levels": [3, 4], "cells_per_block": 2},

@@ -304,21 +304,6 @@ def test_scaled_ratio_is_dilation_invariant_on_cubes():
     assert r_half / r_quarter == pytest.approx(1.0, abs=0.02)
 
 
-def test_scaled_ratio_evaluates_the_member_once(monkeypatch):
-    # one SeminormTables evaluation: the cell centres and the slope probes
-    calls = []
-    bump = quad.TensorBump.__call__
-
-    def counting(self, pts):
-        calls.append(len(pts))
-        return bump(self, pts)
-
-    monkeypatch.setattr(quad.TensorBump, "__call__", counting)
-    u = quad.TensorBump((0.5,), (0.4,))
-    assert scaled_sobolev_ratio(u, 0.5, fp(1, "2", "1/2"), 2.0, resolution=32) > 0
-    assert calls == [32, 2 * 32]
-
-
 def test_scaled_ratio_constant_profile_is_zero():
     u = quad.AxisPolynomial((2.0,), geo.Box((0.0,), (1.0,)))
     params = fp(1, "2", "1/2")
@@ -335,12 +320,6 @@ def test_scaled_ratio_annulus_variant():
         for lam in (1.0, 0.5, 0.25)
     ]
     assert max(vals) / min(vals) <= 1.03
-
-
-def test_scaled_ratio_tau_admissibility():
-    u = quad.TensorBump((0.5,), (0.4,))
-    with pytest.raises(ParameterError):
-        scaled_sobolev_ratio(u, 0.5, fp(1, "2", "1/2"), 1.5)  # tau < p
 
 
 # ---------------------------------------------------------------------------
@@ -375,21 +354,6 @@ def test_power_sum_property(values, beta):
 # telescoping coefficients
 
 
-def coefficient_decay_ratio(k: int, tau: float) -> float:
-    """Ratio of the telescoped coefficient decrement to its model 1/(-k)^tau.
-
-    The decrement 1/(-k)^{tau-1} - 1/(-k + 1/2)^{tau-1} behaves like
-    (tau-1)/2 * (-k)^{-tau} for deep layers.
-    """
-    j = float(-k)
-    decrement = j ** (1.0 - tau) - (j + 0.5) ** (1.0 - tau)
-    return decrement * j**tau
-
-
-def coefficient_decay_limit(tau: float) -> float:
-    return (tau - 1.0) / 2.0
-
-
 def test_telescoping_identity_exact():
     for k in range(-40, -1):
         base_from_c, base_direct = lemmas.telescoping_coefficient_parts(k)
@@ -397,20 +361,6 @@ def test_telescoping_identity_exact():
         for tau in (1.5, 2.0, 3.0):
             lhs, rhs = telescoping_coefficient_identity(k, tau)
             assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_coefficient_decay_ratio_range_and_limit():
-    for tau in (1.5, 2.0, 3.0, 6.0):
-        ratios = [coefficient_decay_ratio(k, tau) for k in range(-400, -3)]
-        assert all(0.2 <= r <= 5.0 for r in ratios)
-        deep = coefficient_decay_ratio(-400, tau)
-        # the ratio approaches its limit at O(1/j); at j = 400, tau = 6 the
-        # residual is about tau/(4j) = 0.4%
-        assert deep == pytest.approx(coefficient_decay_limit(tau), rel=1e-2)
-        # convergence: deeper layers sit closer to the limit
-        shallow_gap = abs(coefficient_decay_ratio(-4, tau) - coefficient_decay_limit(tau))
-        deep_gap = abs(deep - coefficient_decay_limit(tau))
-        assert deep_gap < shallow_gap
 
 
 def test_power_sum_battery_gives_the_demo_rows():

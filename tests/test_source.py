@@ -169,6 +169,30 @@ def test_demos_import_only_hardylab_numpy_and_the_standard_library():
     assert demos and found == {}, found
 
 
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # a name that only tests reach does not belong in the package: each
+    # name of a module's __all__ is read in the package, a demo or a tool,
+    # as a name, a module attribute or an imported name.  tests/ does not
+    # count, nor does perfbench/, whose tracer wraps every public name
+    root = SRC.parents[1]
+    public = [(path.stem, name) for path in sorted(SRC.glob("*.py"))
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+              for name in ast.literal_eval(node.value)]
+    read = set()
+    for path in [*SRC.glob("*.py"), *(root / "demos").glob("*.py"), *(root / "tools").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = [f"{module}.{name}" for module, name in public if name not in read]
+    assert len({module for module, _ in public}) == 6 and unread == [], unread
+
+
 def test_support_rule_names_no_domain_class():
     # each domain states its own box test (Domain.holds) beside its
     # geometry; the members' support rule calls it for any domain
